@@ -45,7 +45,13 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
                 .map(|&task_events| {
                     let mut params = MsspParams::new();
                     params.task_events = task_events;
-                    let r = machine::run_mssp_only(&pop, InputId::Eval, events, opts.seed, &params);
+                    let r = machine::run_mssp_only_chunked(
+                        &pop,
+                        InputId::Eval,
+                        events,
+                        opts.seed,
+                        &params,
+                    );
                     (task_events, r.branch_misspecs, r.task_misspecs)
                 })
                 .collect();

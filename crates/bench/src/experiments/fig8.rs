@@ -37,7 +37,7 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
     crate::parallel::par_map(names.to_vec(), |name| {
         let model = spec2000::benchmark(name).expect("known benchmark");
         let pop = model.population(events);
-        let baseline = machine::run_baseline(
+        let baseline = machine::run_baseline_chunked(
             &pop,
             InputId::Eval,
             events,
@@ -48,7 +48,7 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
         for (i, &lat) in LATENCIES.iter().enumerate() {
             let params =
                 MsspParams::new().with_controller(ControllerParams::scaled().with_latency(lat));
-            let r = machine::run_mssp_only(&pop, InputId::Eval, events, opts.seed, &params);
+            let r = machine::run_mssp_only_chunked(&pop, InputId::Eval, events, opts.seed, &params);
             perf[i] = baseline as f64 / r.mssp_cycles as f64;
         }
         Row {

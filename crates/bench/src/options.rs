@@ -35,7 +35,7 @@ impl ExpOptions {
         self
     }
 
-    /// A small configuration for unit tests and Criterion benches.
+    /// A small configuration for unit tests.
     pub fn small() -> Self {
         ExpOptions {
             events: 300_000,

@@ -1019,6 +1019,14 @@ impl ReactiveController {
         }
     }
 
+    /// Whether [`observe_chunk`](Self::observe_chunk) runs its inline fast
+    /// arms. A controller with a resilience layer or telemetry (a metrics
+    /// registry or an event sink) delegates every chunk to
+    /// [`observe`](Self::observe) instead.
+    pub fn chunk_fast_path(&self) -> bool {
+        self.resilience.is_none() && self.telemetry.is_none()
+    }
+
     /// Feeds a chunk of dynamic branch executions through the controller.
     ///
     /// Semantically identical to calling [`observe`](Self::observe) on each
@@ -1035,7 +1043,7 @@ impl ReactiveController {
         // the per-event path: delegate to it (still allocation-free — the
         // summary falls out of counter deltas) and keep the fast path
         // exact for the common, fully-disabled case.
-        if self.resilience.is_some() || self.telemetry.is_some() {
+        if !self.chunk_fast_path() {
             let start_events = self.events;
             let start_correct = self.correct;
             let start_incorrect = self.incorrect;
@@ -1273,7 +1281,7 @@ impl ReactiveController {
         // telemetry hooks live on the per-event path. The final
         // `max_instr` advance is applied here too, so a shard behaves
         // identically whether or not telemetry is attached.
-        if self.resilience.is_some() || self.telemetry.is_some() {
+        if !self.chunk_fast_path() {
             let start_events = self.events;
             let start_correct = self.correct;
             let start_incorrect = self.incorrect;

@@ -34,8 +34,10 @@
 //! state in registers for an entire run instead of re-loading it per
 //! event. Because all compared quantities are order-independent (see
 //! above) and per-branch order is preserved, grouping is contractually
-//! invisible — and it is the engine's main speed win on top of
-//! parallelism.
+//! invisible. Whether it pays depends on the caller's chunk size: on a
+//! 2-vCPU host, 4096-event chunks (the default chunk size) run 2 shards
+//! at 0.46–0.57x the speed of 1 shard, while the 1M-event chunks of
+//! `repro perf --shards 8 --events 2000000` run 2 shards at 1.2–1.5x.
 //!
 //! Worker threads are *persistent*: built once by the builder, each
 //! owning a contiguous range of shard controllers for its whole life

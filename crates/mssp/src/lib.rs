@@ -15,6 +15,13 @@
 //! * re-optimization latencies of 0 / 100k / 1M cycles are almost
 //!   indistinguishable (Figure 8).
 //!
+//! The simulator has two execution paths with bit-identical results.
+//! [`run_baseline`] and [`run_mssp_only`] step one instruction at a time
+//! and serve as the oracle; [`run_baseline_chunked`] and
+//! [`run_mssp_only_chunked`] step whole task blocks through the batched
+//! [`CoreModel`] arms. [`run_mssp`] and the paper's experiments use the
+//! batched path.
+//!
 //! ```
 //! use rsc_mssp::{run_mssp, MsspParams};
 //! use rsc_trace::{spec2000, InputId};
@@ -37,8 +44,7 @@ pub use cache::{Cache, ShadowCache};
 pub use config::{CoreConfig, MachineConfig};
 pub use distill::Distiller;
 pub use machine::{
-    run_baseline, run_baseline_chunked, run_mssp, run_mssp_mode, run_mssp_only,
-    run_mssp_only_chunked, run_mssp_only_mode, run_mssp_only_speculative, ExecMode, MsspParams,
+    run_baseline, run_baseline_chunked, run_mssp, run_mssp_only, run_mssp_only_chunked, MsspParams,
     MsspResult,
 };
 pub use program::{BlockOp, Instr, InstrBlock, MemoryModel, OpKind, ProgramStream};

@@ -19,23 +19,6 @@ use rsc_trace::{InputId, Population};
 /// block size on the MSSP paths).
 const BASELINE_BLOCK_EVENTS: u64 = 2048;
 
-/// How the simulator executes a run. Every mode produces bit-identical
-/// results ([`MsspResult`] and the underlying `TimingStats`); they differ
-/// only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One `Instr` at a time: the slow oracle path the others are pinned
-    /// against.
-    #[default]
-    PerEvent,
-    /// Whole task blocks through the batched `CoreModel` arms.
-    Chunked,
-    /// Chunked, plus the next master task is simulated speculatively on
-    /// this thread while a second thread runs the trailing check of the
-    /// current task; the speculative outcome is promoted at commit.
-    Speculative,
-}
-
 /// Parameters of one MSSP simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MsspParams {
@@ -161,7 +144,8 @@ pub fn run_baseline_chunked(
 }
 
 /// Runs the MSSP machine with the given speculation-control policy and
-/// returns cycles for both MSSP and the baseline.
+/// returns cycles for both MSSP and the baseline. Steps the chunked paths;
+/// the result equals [`run_baseline`] plus [`run_mssp_only`] bit for bit.
 ///
 /// # Panics
 ///
@@ -173,15 +157,14 @@ pub fn run_mssp(
     seed: u64,
     params: &MsspParams,
 ) -> MsspResult {
-    let baseline_cycles = run_baseline(population, input, events, seed, &params.machine);
-    let mut r = run_mssp_only(population, input, events, seed, params);
+    let baseline_cycles = run_baseline_chunked(population, input, events, seed, &params.machine);
+    let mut r = run_mssp_only_chunked(population, input, events, seed, params);
     r.baseline_cycles = baseline_cycles;
     r
 }
 
 /// What the master side of one task produced, captured so commit-time
-/// bookkeeping can run after (and, in speculative mode, concurrently
-/// with) the task's execution.
+/// bookkeeping can run after the task's execution.
 struct TaskOutcome {
     /// Dynamic instructions in the original (undistilled) task.
     orig_instr: u64,
@@ -191,14 +174,13 @@ struct TaskOutcome {
     branch_misspecs: u64,
     /// Master cycles spent on this task.
     master_cycles_delta: u64,
-    /// Master's cumulative instruction count when the task finished
-    /// (snapshotted because the master may run ahead of bookkeeping).
+    /// Master's cumulative instruction count when the task finished.
     master_instr_after: u64,
 }
 
-/// Commit-order bookkeeping shared by every execution mode: master/slave
-/// clocks, task counters, and the recovery arithmetic. One source of
-/// truth keeps the modes bit-identical by construction.
+/// Commit-order bookkeeping shared by the per-event and chunked paths:
+/// master/slave clocks, task counters, and the recovery arithmetic. One
+/// source of truth keeps the two paths bit-identical by construction.
 struct Bookkeeper {
     slave_free: Vec<u64>,
     coherence_hop: u64,
@@ -514,168 +496,6 @@ pub fn run_mssp_only_chunked(
     book.result(master.stats().instructions)
 }
 
-/// [`run_mssp_only_chunked`] with speculative master execution: while a
-/// second thread runs the trailing check of task *i*, this thread
-/// optimistically generates and simulates master task *i+1*; the
-/// speculative [`TaskOutcome`] is promoted when task *i* commits. On a
-/// squash the simulated machine does not roll back — in this
-/// deterministic model the master's architectural state is
-/// squash-invariant (recovery is priced by the commit-time re-execution
-/// arithmetic, not re-simulated), so the "discard" is exactly that
-/// repricing and the speculative outcome of task *i+1* stays valid.
-/// Blocks are double-buffered through the channel pair and reused.
-/// Bit-identical results to both other modes.
-///
-/// # Panics
-///
-/// Panics if the controller parameters are invalid or `task_events` is 0.
-pub fn run_mssp_only_speculative(
-    population: &Population,
-    input: InputId,
-    events: u64,
-    seed: u64,
-    params: &MsspParams,
-) -> MsspResult {
-    assert!(
-        params.task_events > 0,
-        "tasks must contain at least one event"
-    );
-    let machine = &params.machine;
-    let mem = MemoryModel::for_benchmark(population.name());
-
-    let mut controller = ReactiveController::builder(params.controller)
-        .log_policy(TransitionLogPolicy::CountsOnly)
-        .build()
-        .expect("controller parameters must be valid");
-    let distiller = Distiller::new(population.static_branches(), seed);
-
-    let mut master = CoreModel::new(machine.leading, machine);
-    let mut master_l2 = Cache::new(machine.l2_kib, machine.l2_assoc, machine.block_bytes);
-    let mut master_memo = StepMemo::new(&master, &master_l2);
-    let trail_core = CoreModel::new(machine.trailing, machine);
-    let trail_l2 = Cache::new(machine.l2_kib, machine.l2_assoc, machine.block_bytes);
-
-    let mut book = Bookkeeper::new(machine, params);
-    let mut stream = ProgramStream::new(population, input, events, seed, mem);
-    let mut skip = SkipAccumulator::new();
-
-    let (to_trail, trail_rx) = std::sync::mpsc::channel::<InstrBlock>();
-    let (to_main, main_rx) = std::sync::mpsc::channel::<(InstrBlock, u64)>();
-
-    let master_instructions = std::thread::scope(|s| {
-        s.spawn(move || {
-            // The checker thread owns the trailing core; each received
-            // block comes back with its verify-cycle price.
-            let mut trail = trail_core;
-            let mut trail_l2 = trail_l2;
-            let mut trail_memo = StepMemo::new(&trail, &trail_l2);
-            while let Ok(block) = trail_rx.recv() {
-                let before = trail.cycles();
-                trail.step_block(&block, &mut trail_l2, &mut trail_memo);
-                if to_main.send((block, trail.cycles() - before)).is_err() {
-                    break;
-                }
-            }
-        });
-
-        let mut cur = InstrBlock::default();
-        let mut spare = InstrBlock::default();
-        if stream.fill_block(&mut cur, params.task_events) == 0 {
-            drop(to_trail);
-            return master.stats().instructions;
-        }
-        let mut pending = master_task(
-            &mut master,
-            &mut master_l2,
-            &mut master_memo,
-            &mut controller,
-            &distiller,
-            &mut skip,
-            &cur,
-        );
-        to_trail.send(cur).expect("checker thread alive");
-
-        loop {
-            // Speculate: simulate the next master task while the checker
-            // verifies the current one.
-            let next = if stream.fill_block(&mut spare, params.task_events) > 0 {
-                Some(master_task(
-                    &mut master,
-                    &mut master_l2,
-                    &mut master_memo,
-                    &mut controller,
-                    &distiller,
-                    &mut skip,
-                    &spare,
-                ))
-            } else {
-                None
-            };
-            // Join with the current task's verification; promote the
-            // pending outcome (or, on a squash, price the recovery).
-            let (done_block, verify_cycles) = main_rx.recv().expect("checker thread alive");
-            book.commit(&pending, verify_cycles);
-            match next {
-                Some(outcome) => {
-                    pending = outcome;
-                    let filled = std::mem::replace(&mut spare, done_block);
-                    to_trail.send(filled).expect("checker thread alive");
-                }
-                None => break,
-            }
-        }
-        drop(to_trail);
-        master.stats().instructions
-    });
-
-    book.result(master_instructions)
-}
-
-/// Dispatches [`run_mssp_only`] / [`run_mssp_only_chunked`] /
-/// [`run_mssp_only_speculative`] by `mode`.
-///
-/// # Panics
-///
-/// Panics if the controller parameters are invalid or `task_events` is 0.
-pub fn run_mssp_only_mode(
-    population: &Population,
-    input: InputId,
-    events: u64,
-    seed: u64,
-    params: &MsspParams,
-    mode: ExecMode,
-) -> MsspResult {
-    match mode {
-        ExecMode::PerEvent => run_mssp_only(population, input, events, seed, params),
-        ExecMode::Chunked => run_mssp_only_chunked(population, input, events, seed, params),
-        ExecMode::Speculative => run_mssp_only_speculative(population, input, events, seed, params),
-    }
-}
-
-/// [`run_mssp`] with a mode-matched baseline: the per-event mode pairs
-/// with [`run_baseline`], the fast modes with [`run_baseline_chunked`]
-/// (the two baselines are themselves bit-identical).
-///
-/// # Panics
-///
-/// Panics if the controller parameters are invalid or `task_events` is 0.
-pub fn run_mssp_mode(
-    population: &Population,
-    input: InputId,
-    events: u64,
-    seed: u64,
-    params: &MsspParams,
-    mode: ExecMode,
-) -> MsspResult {
-    let baseline_cycles = match mode {
-        ExecMode::PerEvent => run_baseline(population, input, events, seed, &params.machine),
-        _ => run_baseline_chunked(population, input, events, seed, &params.machine),
-    };
-    let mut r = run_mssp_only_mode(population, input, events, seed, params, mode);
-    r.baseline_cycles = baseline_cycles;
-    r
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -786,14 +606,12 @@ mod tests {
     }
 
     #[test]
-    fn all_exec_modes_are_bit_identical() {
+    fn chunked_mssp_is_bit_identical() {
         let pop = spec2000::benchmark("gcc").unwrap().population(100_000);
         let p = MsspParams::new();
         let per_event = run_mssp_only(&pop, InputId::Eval, 100_000, 11, &p);
         let chunked = run_mssp_only_chunked(&pop, InputId::Eval, 100_000, 11, &p);
-        let speculative = run_mssp_only_speculative(&pop, InputId::Eval, 100_000, 11, &p);
         assert_eq!(per_event, chunked);
-        assert_eq!(per_event, speculative);
     }
 
     #[test]
@@ -805,25 +623,19 @@ mod tests {
         p.task_events = 1;
         let per_event = run_mssp_only(&pop, InputId::Eval, 300_000, 11, &p);
         let chunked = run_mssp_only_chunked(&pop, InputId::Eval, 300_000, 11, &p);
-        let speculative = run_mssp_only_speculative(&pop, InputId::Eval, 300_000, 11, &p);
         assert!(
             per_event.task_misspecs > 0,
             "scenario must exercise squashes"
         );
         assert_eq!(per_event, chunked);
-        assert_eq!(per_event, speculative);
     }
 
     #[test]
-    fn mode_dispatch_matches_direct_calls() {
+    fn run_mssp_matches_the_per_event_oracle() {
         let pop = spec2000::benchmark("gzip").unwrap().population(30_000);
         let p = MsspParams::new();
-        let direct = run_mssp(&pop, InputId::Eval, 30_000, 3, &p);
-        for mode in [ExecMode::PerEvent, ExecMode::Chunked, ExecMode::Speculative] {
-            assert_eq!(
-                run_mssp_mode(&pop, InputId::Eval, 30_000, 3, &p, mode),
-                direct
-            );
-        }
+        let mut oracle = run_mssp_only(&pop, InputId::Eval, 30_000, 3, &p);
+        oracle.baseline_cycles = run_baseline(&pop, InputId::Eval, 30_000, 3, &p.machine);
+        assert_eq!(run_mssp(&pop, InputId::Eval, 30_000, 3, &p), oracle);
     }
 }

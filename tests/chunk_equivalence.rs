@@ -304,31 +304,41 @@ fn chunked_baseline_timing_matches_per_event_for_every_benchmark_and_seed() {
 
 #[test]
 fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
-    use rsc_mssp::{run_mssp_only_mode, ExecMode, MsspParams};
+    use rsc_mssp::{run_mssp_only, run_mssp_only_chunked, MsspParams};
+    // task_events = 1 is the degenerate block size where every chunk
+    // boundary falls inside a gap; 64 is the default; 1000 spans many
+    // trace-refill chunks.
+    let base = ControllerParams::scaled();
+    let mut cases: Vec<(u64, ControllerParams)> =
+        [1u64, 64, 1000].iter().map(|&t| (t, base)).collect();
+    // Then, at the default task size, the controller configs the
+    // experiments run on the chunked path: fig7's closed loop, open loop,
+    // 4x monitor and both, and fig8's optimization latencies
+    // (`rsc_bench::experiments::fig8::LATENCIES`).
+    let long = base.monitor_period * 4;
+    let fig7 = [
+        base,
+        base.without_eviction(),
+        base.with_monitor_period(long),
+        base.without_eviction().with_monitor_period(long),
+    ];
+    let fig8 = [0u64, 10_000, 100_000].map(|lat| base.with_latency(lat));
+    for ctl in fig7.into_iter().chain(fig8) {
+        if !cases.contains(&(64, ctl)) {
+            cases.push((64, ctl));
+        }
+    }
     for name in BENCHMARKS {
         let pop = spec2000::benchmark(name).unwrap().population(EVENTS);
         for seed in SEEDS {
-            // task_events = 1 is the degenerate block size where every
-            // chunk boundary falls inside a gap; 64 is the default; 1000
-            // spans many trace-refill chunks.
-            for task_events in [1u64, 64, 1000] {
-                let mut params = MsspParams::new();
+            for &(task_events, ctl) in &cases {
+                let mut params = MsspParams::new().with_controller(ctl);
                 params.task_events = task_events;
-                let per_event = run_mssp_only_mode(
-                    &pop,
-                    InputId::Eval,
-                    EVENTS,
-                    seed,
-                    &params,
-                    ExecMode::PerEvent,
+                assert_eq!(
+                    run_mssp_only(&pop, InputId::Eval, EVENTS, seed, &params),
+                    run_mssp_only_chunked(&pop, InputId::Eval, EVENTS, seed, &params),
+                    "{name} seed {seed} task_events {task_events} {ctl:?}"
                 );
-                for mode in [ExecMode::Chunked, ExecMode::Speculative] {
-                    let got = run_mssp_only_mode(&pop, InputId::Eval, EVENTS, seed, &params, mode);
-                    assert_eq!(
-                        per_event, got,
-                        "{name} seed {seed} task_events {task_events} {mode:?}"
-                    );
-                }
             }
         }
     }

@@ -11,88 +11,54 @@
 //! * `--replay` — `1` while the stored divergence still reproduces, `0`
 //!   once it no longer does.
 
+use crate::cli::Args;
 use rsc_conformance::{campaign, CampaignConfig, Counterexample, Fault};
-use std::path::PathBuf;
+use std::path::Path;
 
-/// Runs the subcommand with its own argument list (everything after the
-/// literal `conformance`). Returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let mut config = CampaignConfig::default();
-    let mut replay: Option<PathBuf> = None;
-    let mut artifact_dir = PathBuf::from("conformance-artifacts");
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut shards: Option<usize> = None;
-    let mut policies = false;
+/// Runs the parsed subcommand and returns the process exit code.
+///
+/// # Errors
+///
+/// Returns a usage error for a malformed `--seeds` range or an unknown
+/// `--inject-fault` name.
+pub(crate) fn run(args: &Args) -> Result<i32, String> {
+    let seeds = args.text("--seeds");
+    let (seed_start, seed_end) =
+        parse_seeds(seeds).ok_or_else(|| format!("--seeds must be N or A..B, got {seeds:?}"))?;
+    let fault = match args.text_opt("--inject-fault") {
+        Some(name) => Some(Fault::from_name(name).ok_or_else(|| {
+            let names: Vec<&str> = Fault::ALL.iter().map(|f| f.name()).collect();
+            format!("unknown fault {name:?}; known faults: {}", names.join(", "))
+        })?),
+        None => None,
+    };
+    let config = CampaignConfig {
+        seed_start,
+        seed_end,
+        events: args.int("--events")?,
+        fault,
+    };
 
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seeds" => {
-                let v = it.next().expect("--seeds needs a value (N or A..B)");
-                let (start, end) = parse_seeds(v).expect("--seeds must be N or A..B");
-                config.seed_start = start;
-                config.seed_end = end;
-            }
-            "--events" => {
-                let v = it.next().expect("--events needs a value");
-                config.events = v.parse().expect("--events must be an integer");
-            }
-            "--inject-fault" => {
-                let v = it.next().expect("--inject-fault needs a fault name");
-                let fault = Fault::from_name(v).unwrap_or_else(|| {
-                    let names: Vec<&str> = Fault::ALL.iter().map(|f| f.name()).collect();
-                    panic!("unknown fault {v:?}; known faults: {}", names.join(", "))
-                });
-                config.fault = Some(fault);
-            }
-            "--replay" => {
-                let v = it.next().expect("--replay needs a file path");
-                replay = Some(PathBuf::from(v));
-            }
-            "--artifact-dir" => {
-                let v = it.next().expect("--artifact-dir needs a directory");
-                artifact_dir = PathBuf::from(v);
-            }
-            "--metrics-out" => {
-                let v = it.next().expect("--metrics-out needs a file path");
-                metrics_out = Some(PathBuf::from(v));
-            }
-            "--shards" => {
-                let v = it.next().expect("--shards needs a value");
-                let n: usize = v.parse().expect("--shards must be an integer");
-                if n == 0 {
-                    eprintln!("--shards must be at least 1");
-                    return 2;
-                }
-                shards = Some(n);
-            }
-            "--policies" => policies = true,
-            other => {
-                eprintln!("unknown conformance option: {other}");
-                return 2;
-            }
-        }
+    if let Some(path) = args.text_opt("--replay") {
+        return Ok(run_replay(path.as_ref()));
     }
-
-    if let Some(path) = replay {
-        return run_replay(&path);
-    }
-    let code = if policies {
+    let code = if args.given("--policies") {
         run_policy_campaign(&config)
     } else {
-        run_campaign(&config, shards, &artifact_dir)
+        let shards = args.int_opt("--shards")?;
+        run_campaign(&config, shards, args.text("--artifact-dir").as_ref())
     };
-    if let Some(mpath) = &metrics_out {
-        export_campaign_metrics(&config, mpath);
+    if let Some(mpath) = args.text_opt("--metrics-out") {
+        export_campaign_metrics(&config, mpath.as_ref());
     }
-    code
+    Ok(code)
 }
 
 /// The `--metrics-out` payload: one instrumented controller run over the
 /// campaign's first parameter set and first seed, so the exported
 /// families describe a representative adversarial case rather than the
 /// whole (multi-controller) campaign.
-fn export_campaign_metrics(config: &CampaignConfig, path: &std::path::Path) {
+fn export_campaign_metrics(config: &CampaignConfig, path: &Path) {
     use rsc_conformance::campaign::{param_matrix, scenarios_for};
     use rsc_control::{ReactiveController, TransitionLogPolicy};
 
@@ -115,7 +81,7 @@ fn export_campaign_metrics(config: &CampaignConfig, path: &std::path::Path) {
     );
 }
 
-fn run_replay(path: &std::path::Path) -> i32 {
+fn run_replay(path: &Path) -> i32 {
     let cx = match Counterexample::load(path) {
         Ok(cx) => cx,
         Err(e) => {
@@ -189,11 +155,7 @@ fn run_policy_campaign(config: &CampaignConfig) -> i32 {
     }
 }
 
-fn run_campaign(
-    config: &CampaignConfig,
-    shards: Option<usize>,
-    artifact_dir: &std::path::Path,
-) -> i32 {
+fn run_campaign(config: &CampaignConfig, shards: Option<usize>, artifact_dir: &Path) -> i32 {
     println!(
         "conformance campaign: seeds {}..{}, {} events/trace{}{}",
         config.seed_start,
@@ -263,6 +225,7 @@ fn parse_seeds(v: &str) -> Option<(u64, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::run_as;
 
     #[test]
     fn seed_ranges_parse() {
@@ -277,22 +240,25 @@ mod tests {
     fn self_test_catches_fault_and_writes_artifact() {
         let dir = std::env::temp_dir().join("rsc_conformance_cli_test");
         std::fs::remove_dir_all(&dir).ok();
-        let code = run(&[
-            "--seeds".into(),
-            "0..2".into(),
-            "--events".into(),
-            "1500".into(),
-            "--inject-fault".into(),
-            "hysteresis-off-by-one".into(),
-            "--artifact-dir".into(),
-            dir.to_string_lossy().into_owned(),
-        ]);
+        let code = run_as(
+            "conformance",
+            &[
+                "--seeds",
+                "0..2",
+                "--events",
+                "1500",
+                "--inject-fault",
+                "hysteresis-off-by-one",
+                "--artifact-dir",
+                dir.to_str().unwrap(),
+            ],
+        );
         assert_eq!(code, 0, "self-test should catch the fault");
         let artifacts: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
         assert_eq!(artifacts.len(), 1, "exactly one artifact expected");
         let path = artifacts[0].as_ref().unwrap().path();
         assert_eq!(
-            run(&["--replay".into(), path.to_string_lossy().into_owned()]),
+            run_as("conformance", &["--replay", path.to_str().unwrap()]),
             1
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -300,43 +266,35 @@ mod tests {
 
     #[test]
     fn clean_smoke_campaign_exits_zero() {
-        let code = run(&[
-            "--seeds".into(),
-            "0..1".into(),
-            "--events".into(),
-            "1000".into(),
-        ]);
-        assert_eq!(code, 0);
+        assert_eq!(
+            run_as("conformance", &["--seeds", "0..1", "--events", "1000"]),
+            0
+        );
     }
 
     #[test]
     fn policy_campaign_exits_zero() {
-        let code = run(&[
-            "--seeds".into(),
-            "0..1".into(),
-            "--events".into(),
-            "600".into(),
-            "--policies".into(),
-        ]);
+        let code = run_as(
+            "conformance",
+            &["--seeds", "0..1", "--events", "600", "--policies"],
+        );
         assert_eq!(code, 0);
     }
 
     #[test]
     fn sharded_campaign_exits_zero() {
-        let code = run(&[
-            "--seeds".into(),
-            "0..1".into(),
-            "--events".into(),
-            "800".into(),
-            "--shards".into(),
-            "3".into(),
-        ]);
+        let code = run_as(
+            "conformance",
+            &["--seeds", "0..1", "--events", "800", "--shards", "3"],
+        );
         assert_eq!(code, 0);
     }
 
     #[test]
     fn unknown_flag_is_a_usage_error() {
-        assert_eq!(run(&["--bogus".into()]), 2);
-        assert_eq!(run(&["--shards".into(), "0".into()]), 2);
+        assert_eq!(run_as("conformance", &["--bogus"]), 2);
+        assert_eq!(run_as("conformance", &["--shards", "0"]), 2);
+        assert_eq!(run_as("conformance", &["--seeds", "9..3"]), 2);
+        assert_eq!(run_as("conformance", &["--inject-fault", "nope"]), 2);
     }
 }

@@ -11,6 +11,7 @@
 
 use crate::options::ExpOptions;
 use crate::table::TextTable;
+use rsc_conformance::json::Json;
 use rsc_control::{ControllerParams, ReactiveController, TransitionLogPolicy};
 use rsc_mssp::{machine, MachineConfig};
 use rsc_profile::BranchProfile;
@@ -446,45 +447,19 @@ pub fn render(rows: &[StageRow]) -> String {
     t.render()
 }
 
-/// Serializes the rows as JSON (the `BENCH_pipeline.json` payload).
-/// `shard_rows` is empty when the run had no `--shards` sweep; the
-/// `shard_scaling` array is emitted either way so consumers can probe
-/// one stable schema.
-pub fn to_json(rows: &[StageRow], shard_rows: &[ShardRow], opts: &ExpOptions) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"benchmark\": \"{BENCHMARK}\",\n"));
-    out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    out.push_str(&format!("  \"chunk_events\": {CHUNK},\n"));
-    out.push_str(&format!(
-        "  \"threads\": {},\n",
-        crate::parallel::max_threads()
-    ));
-    out.push_str("  \"shard_scaling\": [\n");
-    for (i, r) in shard_rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"shards\": {},\n", r.shards));
-        out.push_str(&format!("      \"events\": {},\n", r.throughput.events));
-        out.push_str(&format!(
-            "      \"events_per_sec\": {:.1},\n",
-            r.throughput.events_per_sec()
-        ));
-        out.push_str(&format!("      \"speedup_vs_1\": {:.3}\n", r.speedup_vs_1));
-        out.push_str(if i + 1 == shard_rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"stages\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"stage\": \"{}\",\n", r.stage));
-        out.push_str(&format!("      \"events\": {},\n", r.per_event.events));
-        out.push_str(&format!(
-            "      \"per_event_events_per_sec\": {:.1},\n",
-            r.per_event.events_per_sec()
-        ));
+/// The rows as JSON (the `BENCH_pipeline.json` payload). `shard_rows` is
+/// empty when the run had no `--shards` sweep; the `shard_scaling` array
+/// is emitted either way so consumers can probe one stable schema.
+pub fn to_json(rows: &[StageRow], shard_rows: &[ShardRow], opts: &ExpOptions) -> Json {
+    let shard = |r: &ShardRow| {
+        Json::obj([
+            ("shards", Json::Int(r.shards as u64)),
+            ("events", Json::Int(r.throughput.events)),
+            ("events_per_sec", Json::Num(r.throughput.events_per_sec())),
+            ("speedup_vs_1", Json::Num(r.speedup_vs_1)),
+        ])
+    };
+    let stage = |r: &StageRow| {
         // Every stage has a chunked path now; a missing measurement is a
         // wiring bug and must not be papered over with `null` in the
         // exported benchmark file.
@@ -494,22 +469,31 @@ pub fn to_json(rows: &[StageRow], shard_rows: &[ShardRow], opts: &ExpOptions) ->
                 r.stage
             )
         });
-        out.push_str(&format!(
-            "      \"chunked_events_per_sec\": {:.1},\n",
-            c.events_per_sec()
-        ));
-        out.push_str(&format!(
-            "      \"speedup\": {:.3}\n",
-            r.speedup().expect("chunked implies speedup")
-        ));
-        out.push_str(if i + 1 == rows.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        Json::obj([
+            ("stage", Json::str(r.stage)),
+            ("events", Json::Int(r.per_event.events)),
+            (
+                "per_event_events_per_sec",
+                Json::Num(r.per_event.events_per_sec()),
+            ),
+            ("chunked_events_per_sec", Json::Num(c.events_per_sec())),
+            (
+                "speedup",
+                Json::Num(r.speedup().expect("chunked implies speedup")),
+            ),
+        ])
+    };
+    Json::obj([
+        ("benchmark", Json::str(BENCHMARK)),
+        ("seed", Json::Int(opts.seed)),
+        ("chunk_events", Json::Int(CHUNK as u64)),
+        ("threads", Json::Int(crate::parallel::max_threads() as u64)),
+        (
+            "shard_scaling",
+            Json::Arr(shard_rows.iter().map(shard).collect()),
+        ),
+        ("stages", Json::Arr(rows.iter().map(stage).collect())),
+    ])
 }
 
 #[cfg(test)]
@@ -587,20 +571,23 @@ mod tests {
                 speedup_vs_1: 4.0,
             },
         ];
+        let arr = |json: &Json, key: &str| json.get(key).and_then(Json::as_arr).unwrap().to_vec();
+        let num = |json: &Json, key: &str| json.get(key).and_then(Json::as_f64).unwrap();
         for shards in [&[][..], &shard_rows[..]] {
-            let json = to_json(&rows, shards, &ExpOptions::small());
-            assert_eq!(json.matches('{').count(), json.matches('}').count());
-            assert_eq!(json.matches('[').count(), json.matches(']').count());
-            assert!(json.contains("\"speedup\": 2.000"));
-            assert!(json.contains("\"speedup\": 5.000"));
-            assert!(!json.contains("null"), "no stage may export null");
-            assert!(json.contains("\"shard_scaling\": ["));
-            assert!(json.contains("\"threads\": "));
-            assert!(json.ends_with("}\n"));
+            let text = to_json(&rows, shards, &ExpOptions::small()).to_string();
+            assert!(!text.contains("null"), "no stage may export null");
+            let json = Json::parse(&text).unwrap();
+            let stages = arr(&json, "stages");
+            let speedups: Vec<f64> = stages.iter().map(|s| num(s, "speedup")).collect();
+            assert_eq!(speedups, vec![2.0, 5.0]);
+            assert_eq!(num(&stages[1], "chunked_events_per_sec"), 1000.0);
+            assert_eq!(arr(&json, "shard_scaling").len(), shards.len());
+            assert!(json.get("threads").and_then(Json::as_u64).unwrap() >= 1);
         }
         let json = to_json(&rows, &shard_rows, &ExpOptions::small());
-        assert!(json.contains("\"shards\": 4"));
-        assert!(json.contains("\"speedup_vs_1\": 4.000"));
+        let scaling = arr(&json, "shard_scaling");
+        assert_eq!(scaling[1].get("shards").and_then(Json::as_u64), Some(4));
+        assert_eq!(num(&scaling[1], "speedup_vs_1"), 4.0);
     }
 
     #[test]

@@ -10,99 +10,50 @@
 //!   structured artifact, never a silent pass);
 //! * `2` — usage error.
 
-use crate::cli::{at_least_one, number, value};
+use crate::cli::Args;
 use rsc_conformance::json::Json;
 use rsc_conformance::params_to_json;
 use rsc_fuzz::corpus::save_entries;
 use rsc_fuzz::{fuzz, AnalyticCheck, FuzzConfig, FuzzReport};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Usage text printed (to stderr) alongside any parse error.
-pub const USAGE: &str = "\
-usage: repro fuzz [FLAGS]
-
-flags:
-  --iters N         mutation iterations after seeding (default 200, N >= 1)
-  --seed N          master seed for mutations and baselines (default 42)
-  --events N        events per baseline scenario (default 3000, N >= 1)
-  --corpus-dir DIR  write corpus entries, report.json, and the minimized
-                    worst case under DIR
-  --minimize        ddmin-minimize the worst misspeculation trace
-  --analytic-check  cross-check every corpus entry against the analytic
-                    Markov oracle; divergence beyond tolerance exits 1";
-
-/// Everything a `repro fuzz` invocation decided.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FuzzArgs {
-    /// The campaign configuration.
-    pub config: FuzzConfig,
-    /// `--corpus-dir` artifact directory.
-    pub corpus_dir: Option<PathBuf>,
+/// The campaign configuration the flags ask for. The analytic oracle is
+/// opt-in on the command line.
+fn config(args: &Args) -> Result<FuzzConfig, String> {
+    Ok(FuzzConfig {
+        iters: args.int("--iters")?,
+        seed: args.int("--seed")?,
+        events: args.int("--events")?,
+        minimize: args.given("--minimize"),
+        analytic_check: args.given("--analytic-check"),
+        ..FuzzConfig::new()
+    })
 }
 
-/// Parses the argument list (everything after the literal `fuzz`).
-/// Pure: no printing, no process exit.
+/// Runs the parsed subcommand and returns the process exit code.
 ///
 /// # Errors
 ///
-/// Returns a one-line diagnostic for a missing flag value, a
-/// non-numeric value, a zero where at least 1 is required, or an
-/// unknown flag.
-pub fn parse(args: &[String]) -> Result<FuzzArgs, String> {
-    let mut out = FuzzArgs {
-        config: FuzzConfig {
-            // The oracle is opt-in on the command line.
-            analytic_check: false,
-            ..FuzzConfig::new()
-        },
-        corpus_dir: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--iters" => out.config.iters = at_least_one(number(&mut it, "--iters")?, "--iters")?,
-            "--seed" => out.config.seed = number(&mut it, "--seed")?,
-            "--events" => {
-                out.config.events = at_least_one(number(&mut it, "--events")?, "--events")?
-            }
-            "--corpus-dir" => out.corpus_dir = Some(PathBuf::from(value(&mut it, "--corpus-dir")?)),
-            "--minimize" => out.config.minimize = true,
-            "--analytic-check" => out.config.analytic_check = true,
-            other => return Err(format!("unknown fuzz option: {other}")),
-        }
-    }
-    Ok(out)
-}
-
-/// Runs the subcommand with its own argument list (everything after the
-/// literal `fuzz`). Returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let parsed = match parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            return 2;
-        }
-    };
-
+/// Returns a usage error for an out-of-range flag value.
+pub(crate) fn run(args: &Args) -> Result<i32, String> {
+    let config = config(args)?;
     println!(
         "fuzz campaign: {} iterations, seed {}, {} events/baseline{}{}",
-        parsed.config.iters,
-        parsed.config.seed,
-        parsed.config.events,
-        if parsed.config.minimize {
+        config.iters,
+        config.seed,
+        config.events,
+        if config.minimize {
             ", minimizing worst case"
         } else {
             ""
         },
-        if parsed.config.analytic_check {
+        if config.analytic_check {
             ", analytic oracle on"
         } else {
             ""
         },
     );
-    let report = fuzz(&parsed.config);
+    let report = fuzz(&config);
 
     println!(
         "coverage: baseline {} points (7 hand-written scenarios), fuzz {} points ({})",
@@ -148,22 +99,24 @@ pub fn run(args: &[String]) -> i32 {
         }
     }
 
-    if let Some(dir) = &parsed.corpus_dir {
+    if let Some(dir) = args.text_opt("--corpus-dir") {
+        let dir = Path::new(dir);
         match write_artifacts(dir, &report) {
             Ok(()) => println!("wrote corpus artifacts to {}", dir.display()),
             Err(e) => {
                 eprintln!("failed to write corpus artifacts: {e}");
-                return 1;
+                return Ok(1);
             }
         }
     }
 
     if report.divergences.is_empty() {
-        if parsed.config.analytic_check {
+        if config.analytic_check {
             println!("analytic oracle agrees with simulation on every corpus entry");
         }
-        0
-    } else {
+        return Ok(0);
+    }
+    {
         println!(
             "FAIL: {} corpus entr{} diverged from the analytic model",
             report.divergences.len(),
@@ -173,8 +126,8 @@ pub fn run(args: &[String]) -> i32 {
                 "ies"
             },
         );
-        1
     }
+    Ok(1)
 }
 
 /// Writes `entry-NNN.json` per corpus entry, a campaign `report.json`,
@@ -277,71 +230,72 @@ fn report_json(report: &FuzzReport) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
+    use crate::cli::{parse_as, run_as};
 
     #[test]
     fn defaults_match_fuzz_config_with_oracle_opt_in() {
-        let parsed = parse(&[]).unwrap();
+        let args = parse_as("fuzz", &[]).unwrap();
         assert_eq!(
-            parsed.config,
+            config(&args).unwrap(),
             FuzzConfig {
                 analytic_check: false,
                 ..FuzzConfig::new()
             }
         );
-        assert_eq!(parsed.corpus_dir, None);
+        assert_eq!(args.text_opt("--corpus-dir"), None);
     }
 
     #[test]
     fn all_flags_parse_together() {
-        let parsed = parse(&argv(&[
-            "--iters",
-            "50",
-            "--seed",
-            "7",
-            "--events",
-            "900",
-            "--corpus-dir",
-            "out",
-            "--minimize",
-            "--analytic-check",
-        ]))
+        let args = parse_as(
+            "fuzz",
+            &[
+                "--iters",
+                "50",
+                "--seed",
+                "7",
+                "--events",
+                "900",
+                "--corpus-dir",
+                "out",
+                "--minimize",
+                "--analytic-check",
+            ],
+        )
         .unwrap();
-        assert_eq!(parsed.config.iters, 50);
-        assert_eq!(parsed.config.seed, 7);
-        assert_eq!(parsed.config.events, 900);
-        assert!(parsed.config.minimize);
-        assert!(parsed.config.analytic_check);
-        assert_eq!(parsed.corpus_dir.as_deref(), Some(Path::new("out")));
+        let config = config(&args).unwrap();
+        assert_eq!(config.iters, 50);
+        assert_eq!(config.seed, 7);
+        assert_eq!(config.events, 900);
+        assert!(config.minimize);
+        assert!(config.analytic_check);
+        assert_eq!(args.text_opt("--corpus-dir"), Some("out"));
     }
 
     #[test]
     fn bad_values_are_diagnosed_not_panicked() {
         assert_eq!(
-            parse(&argv(&["--iters"])).unwrap_err(),
+            parse_as("fuzz", &["--iters"]).unwrap_err(),
             "--iters needs a value"
         );
         assert_eq!(
-            parse(&argv(&["--iters", "lots"])).unwrap_err(),
+            parse_as("fuzz", &["--iters", "lots"]).unwrap_err(),
             "--iters needs an integer, got \"lots\""
         );
         assert_eq!(
-            parse(&argv(&["--iters", "0"])).unwrap_err(),
+            parse_as("fuzz", &["--iters", "0"]).unwrap_err(),
             "--iters must be at least 1"
         );
         assert_eq!(
-            parse(&argv(&["--events", "0"])).unwrap_err(),
+            parse_as("fuzz", &["--events", "0"]).unwrap_err(),
             "--events must be at least 1"
         );
         assert_eq!(
-            parse(&argv(&["--corpus-dir"])).unwrap_err(),
+            parse_as("fuzz", &["--corpus-dir"]).unwrap_err(),
             "--corpus-dir needs a value"
         );
         assert_eq!(
-            parse(&argv(&["--bogus"])).unwrap_err(),
+            parse_as("fuzz", &["--bogus"]).unwrap_err(),
             "unknown fuzz option: --bogus"
         );
     }
@@ -350,16 +304,19 @@ mod tests {
     fn tiny_campaign_writes_artifacts_and_exits_zero() {
         let dir = std::env::temp_dir().join("rsc_fuzz_cli_test");
         std::fs::remove_dir_all(&dir).ok();
-        let code = run(&argv(&[
-            "--iters",
-            "10",
-            "--events",
-            "600",
-            "--minimize",
-            "--analytic-check",
-            "--corpus-dir",
-            dir.to_str().unwrap(),
-        ]));
+        let code = run_as(
+            "fuzz",
+            &[
+                "--iters",
+                "10",
+                "--events",
+                "600",
+                "--minimize",
+                "--analytic-check",
+                "--corpus-dir",
+                dir.to_str().unwrap(),
+            ],
+        );
         assert_eq!(code, 0, "tiny campaign must agree with the oracle");
         assert!(dir.join("report.json").exists());
         assert!(dir.join("entry-000.json").exists());
@@ -377,7 +334,7 @@ mod tests {
 
     #[test]
     fn usage_error_exits_two() {
-        assert_eq!(run(&argv(&["--bogus"])), 2);
-        assert_eq!(run(&argv(&["--iters", "0"])), 2);
+        assert_eq!(run_as("fuzz", &["--bogus"]), 2);
+        assert_eq!(run_as("fuzz", &["--iters", "0"]), 2);
     }
 }

@@ -7,6 +7,7 @@
 pub mod cli;
 pub mod conformance_cli;
 pub mod experiments;
+pub mod experiments_cli;
 pub mod export;
 pub mod fuzz_cli;
 pub mod load_cli;

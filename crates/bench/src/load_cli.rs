@@ -17,113 +17,59 @@
 //! `1` when transport failed even after retries or the drain lost
 //! state; `2` for usage errors.
 
-use crate::cli::{at_least_one, number, value};
+use crate::cli::Args;
 use rsc_conformance::json::Json;
 use rsc_serve::{
     fetch_metrics, request_drain, run_load, ChaosConfig, Endpoint, LoadConfig, LoadReport,
     RejectCode,
 };
-use std::path::PathBuf;
+use std::path::Path;
 
-/// Usage text printed (to stderr) alongside any parse error.
-pub const USAGE: &str = "\
-usage: repro load [FLAGS]
-
-flags:
-  --addr HOST:PORT  daemon TCP address (default 127.0.0.1:7433)
-  --unix PATH       daemon Unix socket path
-  --clients N       concurrent clients (default 4, N >= 1)
-  --tenants N       distinct tenants across all clients (default 16, N >= 1)
-  --frames N        event frames per tenant (default 4, N >= 1)
-  --events N        events per frame (default 500, N >= 1)
-  --seed N          root seed; counts are a pure function of it (default 42)
-  --chaos PROFILE   client fault profile: off|light|heavy (default off)
-  --chaos-seed N    chaos RNG seed (default: the --seed value)
-  --out PATH        report path (default BENCH_serve.json)
-  --drain           request a graceful drain after the storm and fold the
-                    result into the report and exit status";
-
-/// Everything a `repro load` invocation decided.
-#[derive(Debug, Clone)]
-pub struct LoadArgs {
-    /// The engine configuration (endpoint, shape, seed, chaos).
-    pub load: LoadConfig,
-    /// `--chaos` profile name, kept for the report.
-    pub chaos_profile: String,
-    /// `--out` report path.
-    pub out: PathBuf,
-    /// `--drain` after the storm.
-    pub drain: bool,
-}
-
-/// Parses the argument list (everything after the literal `load`).
-/// Pure: no printing, no process exit, no sockets.
+/// The load-engine configuration the flags ask for.
 ///
 /// # Errors
 ///
-/// Returns a one-line diagnostic for a missing flag value, a
-/// non-numeric value, a zero where at least 1 is required, an unknown
-/// chaos profile, conflicting `--addr`/`--unix`, or an unknown flag.
-pub fn parse(args: &[String]) -> Result<LoadArgs, String> {
-    let mut addr: Option<String> = None;
-    let mut unix: Option<PathBuf> = None;
-    let mut chaos_profile = "off".to_string();
-    let mut chaos_seed: Option<u64> = None;
-    let mut load = LoadConfig::new(Endpoint::Tcp("127.0.0.1:7433".to_string()));
-    load.seed = 42;
-    let mut out = PathBuf::from("BENCH_serve.json");
-    let mut drain = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => addr = Some(value(&mut it, "--addr")?.to_string()),
-            "--unix" => unix = Some(PathBuf::from(value(&mut it, "--unix")?)),
-            "--clients" => load.clients = at_least_one(number(&mut it, "--clients")?, "--clients")?,
-            "--tenants" => load.tenants = at_least_one(number(&mut it, "--tenants")?, "--tenants")?,
-            "--frames" => {
-                load.frames_per_tenant = at_least_one(number(&mut it, "--frames")?, "--frames")?
-            }
-            "--events" => {
-                load.events_per_frame = at_least_one(number(&mut it, "--events")?, "--events")?
-            }
-            "--seed" => load.seed = number(&mut it, "--seed")?,
-            "--chaos" => chaos_profile = value(&mut it, "--chaos")?.to_string(),
-            "--chaos-seed" => chaos_seed = Some(number(&mut it, "--chaos-seed")?),
-            "--out" => out = PathBuf::from(value(&mut it, "--out")?),
-            "--drain" => drain = true,
-            other => return Err(format!("unknown load option: {other}")),
-        }
-    }
-    if addr.is_some() && unix.is_some() {
+/// Returns a usage error for `--addr` together with `--unix`, an
+/// unknown `--chaos` profile, or an out-of-range flag value.
+fn load_config(args: &Args) -> Result<LoadConfig, String> {
+    if args.given("--addr") && args.given("--unix") {
         return Err("--addr and --unix are mutually exclusive".to_string());
     }
-    load.endpoint = match unix {
-        Some(path) => Endpoint::Unix(path),
-        None => Endpoint::Tcp(addr.unwrap_or_else(|| "127.0.0.1:7433".to_string())),
+    let endpoint = match args.text_opt("--unix") {
+        Some(path) => Endpoint::Unix(path.into()),
+        None => Endpoint::Tcp(args.text("--addr").to_string()),
     };
-    load.chaos = ChaosConfig::profile(&chaos_profile, chaos_seed.unwrap_or(load.seed))?;
-    Ok(LoadArgs {
-        load,
-        chaos_profile,
-        out,
-        drain,
-    })
+    let seed = args.int("--seed")?;
+    let mut load = LoadConfig::new(endpoint);
+    load.clients = args.int("--clients")?;
+    load.tenants = args.int("--tenants")?;
+    load.frames_per_tenant = args.int("--frames")?;
+    load.events_per_frame = args.int("--events")?;
+    load.seed = seed;
+    let chaos_seed = args.int_opt("--chaos-seed")?.unwrap_or(seed);
+    load.chaos = ChaosConfig::profile(args.text("--chaos"), chaos_seed)?;
+    Ok(load)
 }
 
 /// The structured report (`BENCH_serve.json`).
-fn report_json(args: &LoadArgs, report: &LoadReport, drain: Option<(u64, u64)>) -> Json {
+fn report_json(
+    load: &LoadConfig,
+    chaos_profile: &str,
+    report: &LoadReport,
+    drain: Option<(u64, u64)>,
+) -> Json {
     Json::obj([
         ("format", Json::Int(1)),
         ("experiment", Json::str("serve-load")),
-        ("seed", Json::Int(args.load.seed)),
+        ("seed", Json::Int(load.seed)),
         ("clients", Json::Int(report.clients as u64)),
         ("tenants", Json::Int(report.tenants)),
         (
             "frames_per_tenant",
-            Json::Int(args.load.frames_per_tenant as u64),
+            Json::Int(load.frames_per_tenant as u64),
         ),
-        ("events_per_frame", Json::Int(args.load.events_per_frame)),
-        ("chaos_profile", Json::str(&args.chaos_profile)),
+        ("events_per_frame", Json::Int(load.events_per_frame)),
+        ("chaos_profile", Json::str(chaos_profile)),
         ("frames_sent", Json::Int(report.frames_sent)),
         ("frames_acked", Json::Int(report.frames_acked)),
         ("frames_rejected", Json::Int(report.frames_rejected)),
@@ -162,29 +108,27 @@ fn report_json(args: &LoadArgs, report: &LoadReport, drain: Option<(u64, u64)>) 
     ])
 }
 
-/// Runs the subcommand with its own argument list (everything after the
-/// literal `load`). Returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let parsed = match parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            return 2;
-        }
-    };
+/// Runs the parsed subcommand and returns the process exit code.
+///
+/// # Errors
+///
+/// Returns the usage errors of [`load_config`].
+pub(crate) fn run(args: &Args) -> Result<i32, String> {
+    let load = load_config(args)?;
+    let chaos_profile = args.text("--chaos");
+    let out = Path::new(args.text("--out"));
 
     println!(
         "load: {} client(s) x {} tenant(s), {} frame(s)/tenant, {} events/frame, \
          seed {}, chaos {}",
-        parsed.load.clients,
-        parsed.load.tenants,
-        parsed.load.frames_per_tenant,
-        parsed.load.events_per_frame,
-        parsed.load.seed,
-        parsed.chaos_profile,
+        load.clients,
+        load.tenants,
+        load.frames_per_tenant,
+        load.events_per_frame,
+        load.seed,
+        chaos_profile,
     );
-    let report = run_load(&parsed.load);
+    let report = run_load(&load);
     println!(
         "  {} frames sent: {} acked, {} rejected, {} failed transport; \
          {} events acked, {} retries",
@@ -200,7 +144,7 @@ pub fn run(args: &[String]) -> i32 {
             println!("    rejected {}: {n}", code.label());
         }
     }
-    if parsed.load.chaos.enabled() {
+    if load.chaos.enabled() {
         println!(
             "  chaos injected: {} torn frame(s), {} disconnect(s), {} slow-loris send(s)",
             report.chaos_torn, report.chaos_disconnects, report.chaos_loris,
@@ -215,8 +159,8 @@ pub fn run(args: &[String]) -> i32 {
         report.frames_per_sec(),
     );
 
-    let drain = if parsed.drain {
-        match request_drain(&parsed.load.endpoint) {
+    let drain = if args.given("--drain") {
+        match request_drain(&load.endpoint) {
             Ok((flushed, failed)) => {
                 println!("  drain: {flushed} tenant(s) flushed, {failed} failed");
                 Some((flushed, failed))
@@ -230,25 +174,25 @@ pub fn run(args: &[String]) -> i32 {
         None
     };
 
-    let doc = report_json(&parsed, &report, drain);
-    if let Some(dir) = parsed.out.parent().filter(|p| !p.as_os_str().is_empty()) {
+    let doc = report_json(&load, chaos_profile, &report, drain);
+    if let Some(dir) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("load: cannot create {}: {e}", dir.display());
-            return 1;
+            return Ok(1);
         }
     }
-    if let Err(e) = std::fs::write(&parsed.out, doc.to_string()) {
-        eprintln!("load: cannot write {}: {e}", parsed.out.display());
-        return 1;
+    if let Err(e) = std::fs::write(out, doc.to_string()) {
+        eprintln!("load: cannot write {}: {e}", out.display());
+        return Ok(1);
     }
-    println!("wrote {}", parsed.out.display());
+    println!("wrote {}", out.display());
 
     let drained_clean = drain.map(|(_, failed)| failed == 0).unwrap_or(true);
-    if report.failed_requests == 0 && drained_clean {
+    Ok(if report.failed_requests == 0 && drained_clean {
         0
     } else {
         1
-    }
+    })
 }
 
 /// Fetches and prints the daemon's tenants-only metrics exposition
@@ -266,111 +210,120 @@ pub fn print_tenant_metrics(endpoint: &Endpoint) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
+    use crate::cli::{parse_as, run_as};
 
     #[test]
     fn parse_defaults_and_flags() {
-        let d = parse(&[]).unwrap();
-        assert_eq!(d.load.clients, 4);
-        assert_eq!(d.load.tenants, 16);
-        assert_eq!(d.load.frames_per_tenant, 4);
-        assert_eq!(d.load.events_per_frame, 500);
-        assert_eq!(d.load.seed, 42);
-        assert!(!d.load.chaos.enabled());
-        assert_eq!(d.out, PathBuf::from("BENCH_serve.json"));
-        assert!(!d.drain);
-        let p = parse(&argv(&[
-            "--addr",
-            "10.0.0.1:9",
-            "--clients",
-            "2",
-            "--tenants",
-            "6",
-            "--frames",
-            "3",
-            "--events",
-            "100",
-            "--seed",
-            "7",
-            "--chaos",
-            "heavy",
-            "--out",
-            "out/b.json",
-            "--drain",
-        ]))
+        let d = parse_as("load", &[]).unwrap();
+        let load = load_config(&d).unwrap();
+        assert_eq!(load.endpoint, Endpoint::Tcp("127.0.0.1:7433".to_string()));
+        assert_eq!(load.clients, 4);
+        assert_eq!(load.tenants, 16);
+        assert_eq!(load.frames_per_tenant, 4);
+        assert_eq!(load.events_per_frame, 500);
+        assert_eq!(load.seed, 42);
+        assert!(!load.chaos.enabled());
+        assert_eq!(d.text("--out"), "BENCH_serve.json");
+        assert!(!d.given("--drain"));
+        let p = parse_as(
+            "load",
+            &[
+                "--addr",
+                "10.0.0.1:9",
+                "--clients",
+                "2",
+                "--tenants",
+                "6",
+                "--frames",
+                "3",
+                "--events",
+                "100",
+                "--seed",
+                "7",
+                "--chaos",
+                "heavy",
+                "--out",
+                "out/b.json",
+                "--drain",
+            ],
+        )
         .unwrap();
-        assert_eq!(p.load.endpoint, Endpoint::Tcp("10.0.0.1:9".to_string()));
-        assert_eq!(p.load.clients, 2);
-        assert_eq!(p.load.tenants, 6);
-        assert_eq!(p.load.frames_per_tenant, 3);
-        assert_eq!(p.load.events_per_frame, 100);
-        assert_eq!(p.load.seed, 7);
-        assert!(p.load.chaos.enabled());
+        let load = load_config(&p).unwrap();
+        assert_eq!(load.endpoint, Endpoint::Tcp("10.0.0.1:9".to_string()));
+        assert_eq!(load.clients, 2);
+        assert_eq!(load.tenants, 6);
+        assert_eq!(load.frames_per_tenant, 3);
+        assert_eq!(load.events_per_frame, 100);
+        assert_eq!(load.seed, 7);
+        assert!(load.chaos.enabled());
         // --chaos-seed defaults to --seed so the whole run keys off one
         // number.
-        assert_eq!(p.load.chaos.seed, 7);
-        assert_eq!(p.chaos_profile, "heavy");
-        assert!(p.drain);
+        assert_eq!(load.chaos.seed, 7);
+        assert_eq!(p.text("--chaos"), "heavy");
+        assert!(p.given("--drain"));
     }
 
     #[test]
     fn unix_endpoint_and_explicit_chaos_seed() {
-        let p = parse(&argv(&[
-            "--unix",
-            "/tmp/s.sock",
-            "--chaos",
-            "light",
-            "--chaos-seed",
-            "99",
-        ]))
+        let p = parse_as(
+            "load",
+            &[
+                "--unix",
+                "/tmp/s.sock",
+                "--chaos",
+                "light",
+                "--chaos-seed",
+                "99",
+            ],
+        )
         .unwrap();
-        assert_eq!(
-            p.load.endpoint,
-            Endpoint::Unix(PathBuf::from("/tmp/s.sock"))
-        );
-        assert_eq!(p.load.chaos.seed, 99);
+        let load = load_config(&p).unwrap();
+        assert_eq!(load.endpoint, Endpoint::Unix("/tmp/s.sock".into()));
+        assert_eq!(load.chaos.seed, 99);
     }
 
     #[test]
     fn parse_diagnoses_bad_input_without_panicking() {
         assert_eq!(
-            parse(&argv(&["--clients", "0"])).unwrap_err(),
+            parse_as("load", &["--clients", "0"]).unwrap_err(),
             "--clients must be at least 1"
         );
         assert_eq!(
-            parse(&argv(&["--tenants", "many"])).unwrap_err(),
+            parse_as("load", &["--tenants", "many"]).unwrap_err(),
             "--tenants needs an integer, got \"many\""
         );
-        assert_eq!(parse(&argv(&["--out"])).unwrap_err(), "--out needs a value");
         assert_eq!(
-            parse(&argv(&["--bogus"])).unwrap_err(),
+            parse_as("load", &["--out"]).unwrap_err(),
+            "--out needs a value"
+        );
+        assert_eq!(
+            parse_as("load", &["--bogus"]).unwrap_err(),
             "unknown load option: --bogus"
         );
+        let both = parse_as("load", &["--addr", "a:1", "--unix", "s"]).unwrap();
         assert_eq!(
-            parse(&argv(&["--addr", "a:1", "--unix", "s"])).unwrap_err(),
+            load_config(&both).unwrap_err(),
             "--addr and --unix are mutually exclusive"
         );
-        assert!(parse(&argv(&["--chaos", "mild"])).is_err());
+        let chaos = parse_as("load", &["--chaos", "mild"]).unwrap();
+        assert!(load_config(&chaos).is_err());
     }
 
     #[test]
     fn usage_error_exits_two() {
-        assert_eq!(run(&argv(&["--bogus"])), 2);
-        assert_eq!(run(&argv(&["--clients", "0"])), 2);
+        assert_eq!(run_as("load", &["--bogus"]), 2);
+        assert_eq!(run_as("load", &["--clients", "0"]), 2);
     }
 
     #[test]
     fn report_json_covers_every_reject_code() {
-        let parsed = parse(&[]).unwrap();
+        let load = load_config(&parse_as("load", &[]).unwrap()).unwrap();
         let report = LoadReport {
             rejects_by_code: [1, 2, 3, 4, 5, 6],
             frames_rejected: 21,
             ..LoadReport::default()
         };
-        let doc = report_json(&parsed, &report, Some((5, 0)));
+        let doc = report_json(&load, "off", &report, Some((5, 0)));
         let text = doc.to_string();
         for code in RejectCode::ALL {
             assert!(text.contains(code.label()), "{text}");

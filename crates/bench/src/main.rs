@@ -1,235 +1,6 @@
 //! `repro` — regenerate the paper's tables and figures.
 
-use rsc_bench::options::ExpOptions;
-use rsc_bench::{experiments, export};
-use std::path::PathBuf;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `conformance` owns its argument list (its --events default differs
-    // from the experiments'), so dispatch before the generic flag loop.
-    if args.first().map(String::as_str) == Some("conformance") {
-        std::process::exit(rsc_bench::conformance_cli::run(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("resilience") {
-        std::process::exit(rsc_bench::resilience_cli::run(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("observe") {
-        std::process::exit(rsc_bench::observe_cli::run(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        std::process::exit(rsc_bench::fuzz_cli::run(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        std::process::exit(rsc_bench::serve_cli::run(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("load") {
-        std::process::exit(rsc_bench::load_cli::run(&args[1..]));
-    }
-    if args.first().map(String::as_str) == Some("pareto") {
-        std::process::exit(rsc_bench::pareto_cli::run(&args[1..]));
-    }
-    let top = match rsc_bench::cli::parse(&args) {
-        Ok(top) => top,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", rsc_bench::cli::USAGE);
-            std::process::exit(2);
-        }
-    };
-    if let Some(n) = top.threads {
-        rsc_bench::parallel::set_max_threads(n);
-    }
-    let mut which = top.which.clone();
-    if which.is_empty() {
-        which.push("all".to_string());
-    }
-    for w in which {
-        dispatch(
-            &w,
-            &top.opts,
-            top.csv_dir.as_deref(),
-            top.metrics_out.as_deref(),
-            top.shards,
-        );
-    }
-}
-
-fn dispatch(
-    which: &str,
-    opts: &ExpOptions,
-    csv_dir: Option<&std::path::Path>,
-    metrics_out: Option<&std::path::Path>,
-    shards: Option<usize>,
-) {
-    let save = |name: &str, csv: String| {
-        if let Some(dir) = csv_dir {
-            export::write(dir, name, &csv).expect("failed to write CSV");
-        }
-    };
-    match which {
-        "table1" => {
-            println!("== Table 1: simulation data sets and run lengths ==");
-            println!("{}", experiments::table1::render(opts));
-        }
-        "table2" => {
-            println!("== Table 2: model parameters ==");
-            println!("{}", experiments::table2::render());
-        }
-        "fig2" => {
-            println!("== Figure 2: correct/incorrect speculation trade-off ==");
-            let rows = experiments::fig2::run(opts);
-            println!("{}", experiments::fig2::render(&rows));
-            save("fig2", export::fig2_csv(&rows));
-            let (benefit, misspec) = experiments::fig2::cross_input_summary(&rows);
-            println!(
-                "cross-input averages: benefit loss {benefit:.1}x (paper ~3x), \
-                 misspec gain {misspec:.1}x (paper ~10x)"
-            );
-        }
-        "fig3" => {
-            println!("== Figure 3: initially-invariant gap branches ==");
-            let data = experiments::fig3::run(opts);
-            println!("{}", experiments::fig3::render(&data));
-        }
-        "fig5" => {
-            println!("== Figure 5: reactive control vs self-training ==");
-            let rows = experiments::fig5::run(opts);
-            println!("{}", experiments::fig5::render(&rows));
-            save("fig5", export::fig5_csv(&rows));
-        }
-        "fig6" => {
-            println!("== Figure 6: misprediction rate at biased-state exit ==");
-            let data = experiments::fig6::run(opts);
-            println!("{}", experiments::fig6::render(&data));
-        }
-        "fig9" => {
-            println!("== Figure 9: correlated behavior changes (vortex) ==");
-            let data = experiments::fig9::run(opts);
-            println!("{}", experiments::fig9::render(&data, 40));
-        }
-        "table3" => {
-            println!("== Table 3: model transition data (p = paper, m = measured) ==");
-            let rows = experiments::table3::run(opts);
-            println!("{}", experiments::table3::render(&rows));
-            save("table3", export::table3_csv(&rows));
-        }
-        "table4" => {
-            println!("== Table 4: model sensitivity (p = paper, m = measured) ==");
-            let rows = experiments::table4::run(opts);
-            println!("{}", experiments::table4::render(&rows));
-            save("table4", export::table4_csv(&rows));
-        }
-        "table5" => {
-            println!("== Table 5: MSSP simulation parameters ==");
-            println!("{}", experiments::table5::render());
-        }
-        "fig7" => {
-            println!("== Figure 7: closed- vs open-loop MSSP performance ==");
-            let rows = experiments::fig7::run(opts);
-            println!("{}", experiments::fig7::render(&rows));
-            save("fig7", export::fig7_csv(&rows));
-        }
-        "fig8" => {
-            println!("== Figure 8: optimization-latency insensitivity ==");
-            let rows = experiments::fig8::run(opts);
-            println!("{}", experiments::fig8::render(&rows));
-            save("fig8", export::fig8_csv(&rows));
-        }
-        "variance" => {
-            println!("== Seed sensitivity of the baseline controller ==");
-            let rows = experiments::variance::run(opts);
-            println!("{}", experiments::variance::render(&rows));
-        }
-        "clustering" => {
-            println!("== Task-granularity misspeculation clustering ==");
-            let rows = experiments::clustering::run(opts);
-            println!("{}", experiments::clustering::render(&rows));
-        }
-        "regions" => {
-            println!("== Correlated re-optimization batching ==");
-            let rows = experiments::regions::run(opts);
-            println!("{}", experiments::regions::render(&rows));
-        }
-        "confidence" => {
-            println!("== Confidence-bound monitoring vs fixed window ==");
-            let rows = experiments::confidence::run(opts);
-            println!("{}", experiments::confidence::render(&rows));
-        }
-        "dynamo" => {
-            println!("== Dynamo-style flush policy vs closed/open loop ==");
-            let rows = experiments::dynamo::run(opts);
-            println!("{}", experiments::dynamo::render(&rows));
-            save("dynamo", export::dynamo_csv(&rows));
-        }
-        "perf" => {
-            println!("== Pipeline throughput: per-event vs chunked hot path ==");
-            let rows = experiments::perf::run(opts);
-            println!("{}", experiments::perf::render(&rows));
-            let shard_rows = match shards {
-                Some(n) => {
-                    println!(
-                        "== Shard scaling: controller phase, {} worker thread(s) ==",
-                        rsc_bench::parallel::max_threads()
-                    );
-                    let srows =
-                        experiments::perf::run_shards(opts, &experiments::perf::shard_counts(n));
-                    println!("{}", experiments::perf::render_shards(&srows));
-                    srows
-                }
-                None => Vec::new(),
-            };
-            let json = experiments::perf::to_json(&rows, &shard_rows, opts);
-            let path = csv_dir
-                .map(|d| d.join("BENCH_pipeline.json"))
-                .unwrap_or_else(|| PathBuf::from("BENCH_pipeline.json"));
-            if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir).expect("failed to create output directory");
-            }
-            std::fs::write(&path, json).expect("failed to write BENCH_pipeline.json");
-            println!("wrote {}", path.display());
-            if let Some(mpath) = metrics_out {
-                let registry = match shards {
-                    Some(n) if n > 1 => experiments::perf::instrumented_sharded_registry(opts, n),
-                    _ => experiments::perf::instrumented_registry(opts),
-                };
-                rsc_bench::observe_cli::export_metrics(&registry, mpath);
-                println!("wrote {}", mpath.display());
-            }
-        }
-        "oscillation" => {
-            println!("== Oscillation cap: re-optimization load ==");
-            let rows = experiments::oscillation::run(opts);
-            println!("{}", experiments::oscillation::render(&rows));
-            save("oscillation", export::oscillation_csv(&rows));
-        }
-        "all" => {
-            for w in [
-                "table1",
-                "table2",
-                "fig2",
-                "fig3",
-                "fig5",
-                "table3",
-                "table4",
-                "fig6",
-                "fig9",
-                "oscillation",
-                "dynamo",
-                "confidence",
-                "regions",
-                "variance",
-                "table5",
-                "fig7",
-                "fig8",
-                "clustering",
-            ] {
-                dispatch(w, opts, csv_dir, metrics_out, shards);
-            }
-        }
-        other => {
-            eprintln!("unknown experiment: {other}");
-            std::process::exit(2);
-        }
-    }
+    std::process::exit(rsc_bench::cli::run(&args));
 }

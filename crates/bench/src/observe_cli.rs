@@ -20,7 +20,7 @@
 //! families only. The output is a pure function of `--bench`, `--events`,
 //! `--seed`, and `--resilience`.
 
-use crate::cli::{number, value};
+use crate::cli::Args;
 use rsc_control::resilience::{
     BreakerConfig, DeployerSpec, FaultMode, FaultScope, FaultSpec, RetryPolicy,
 };
@@ -29,119 +29,35 @@ use rsc_control::{
     TransitionLogPolicy,
 };
 use rsc_trace::{spec2000, InputId};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
-/// Usage text printed (to stderr) alongside any parse error.
-pub const USAGE: &str = "\
-usage: repro observe [FLAGS]
-
-flags:
-  --bench NAME     benchmark model driving the workload (default gcc)
-  --events N       dynamic branch events to run (default 1000000)
-  --seed N         trace seed (default 42)
-  --resilience     layer a flaky deploy pipeline + storm breaker over the run
-  --check          validate the Prometheus exposition; malformed text exits 1
-  --metrics-out F  write the Prometheus exposition to F (default: stdout)
-  --json-out F     also write the metrics registry as JSON to F
-  --events-out F   write the observability event stream as JSON Lines to F";
-
-/// Everything a `repro observe` invocation decided.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObserveArgs {
-    /// `--bench` workload model name (validated against [`spec2000::NAMES`]).
-    pub bench: String,
-    /// `--events` run length.
-    pub events: u64,
-    /// `--seed` trace seed.
-    pub seed: u64,
-    /// `--resilience` layering.
-    pub resilience: bool,
-    /// `--check` exposition validation.
-    pub check: bool,
-    /// `--metrics-out` path (stdout when absent).
-    pub metrics_out: Option<PathBuf>,
-    /// `--json-out` path.
-    pub json_out: Option<PathBuf>,
-    /// `--events-out` path.
-    pub events_out: Option<PathBuf>,
-}
-
-/// Parses the argument list (everything after the literal `observe`).
-/// Pure: no printing, no process exit.
+/// Runs the parsed subcommand and returns the process exit code.
 ///
 /// # Errors
 ///
-/// Returns a one-line diagnostic for a missing flag value, a
-/// non-numeric value, an unknown benchmark name, or an unknown flag.
-pub fn parse(args: &[String]) -> Result<ObserveArgs, String> {
-    let mut out = ObserveArgs {
-        bench: "gcc".to_string(),
-        events: 1_000_000,
-        seed: 42,
-        resilience: false,
-        check: false,
-        metrics_out: None,
-        json_out: None,
-        events_out: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--bench" => out.bench = value(&mut it, "--bench")?.to_string(),
-            "--events" => out.events = number(&mut it, "--events")?,
-            "--seed" => out.seed = number(&mut it, "--seed")?,
-            "--resilience" => out.resilience = true,
-            "--check" => out.check = true,
-            "--metrics-out" => {
-                out.metrics_out = Some(PathBuf::from(value(&mut it, "--metrics-out")?))
-            }
-            "--json-out" => out.json_out = Some(PathBuf::from(value(&mut it, "--json-out")?)),
-            "--events-out" => out.events_out = Some(PathBuf::from(value(&mut it, "--events-out")?)),
-            other => return Err(format!("unknown observe option: {other}")),
-        }
-    }
-    if spec2000::benchmark(&out.bench).is_none() {
-        return Err(format!(
-            "unknown benchmark {:?}; known: {}",
-            out.bench,
+/// Returns a usage error for an unknown `--bench` name or an
+/// out-of-range flag value.
+pub(crate) fn run(args: &Args) -> Result<i32, String> {
+    let bench = args.text("--bench");
+    let events = args.int("--events")?;
+    let seed = args.int("--seed")?;
+    let model = spec2000::benchmark(bench).ok_or_else(|| {
+        format!(
+            "unknown benchmark {bench:?}; known: {}",
             spec2000::NAMES.join(", ")
-        ));
-    }
-    Ok(out)
-}
-
-/// Runs the subcommand with its own argument list (everything after the
-/// literal `observe`). Returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let ObserveArgs {
-        bench,
-        events,
-        seed,
-        resilience,
-        check,
-        metrics_out,
-        json_out,
-        events_out,
-    } = match parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            return 2;
-        }
-    };
-
-    let model = spec2000::benchmark(&bench).expect("parse validated the name");
+        )
+    })?;
     let pop = model.population(events);
 
     let mut builder = ReactiveController::builder(rsc_control::ControllerParams::scaled())
         .log_policy(TransitionLogPolicy::CountsOnly)
         .metrics();
-    if resilience {
+    if args.given("--resilience") {
         builder = builder.resilience(observe_resilience_config(seed));
     }
-    let sink = match &events_out {
+    let events_out = args.text_opt("--events-out").map(Path::new);
+    let sink = match events_out {
         Some(path) => {
             if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
                 std::fs::create_dir_all(dir).expect("failed to create events-out directory");
@@ -165,22 +81,22 @@ pub fn run(args: &[String]) -> i32 {
     );
 
     let text = registry.render_prometheus();
-    if check {
+    if args.given("--check") {
         if let Err(e) = validate_prometheus(&text) {
             eprintln!("observe: invalid Prometheus exposition: {e}");
-            return 1;
+            return Ok(1);
         }
         eprintln!(
             "observe: Prometheus exposition validated ({} metrics)",
             registry.len()
         );
     }
-    match &metrics_out {
-        Some(path) => write_output(path, &text, "metrics"),
+    match args.text_opt("--metrics-out") {
+        Some(path) => write_output(path.as_ref(), &text, "metrics"),
         None => print!("{text}"),
     }
-    if let Some(path) = &json_out {
-        write_output(path, &registry.render_json(), "JSON metrics");
+    if let Some(path) = args.text_opt("--json-out") {
+        write_output(path.as_ref(), &registry.render_json(), "JSON metrics");
     }
     if let Some(sink) = sink {
         sink.flush();
@@ -189,14 +105,14 @@ pub fn run(args: &[String]) -> i32 {
                 "observe: {} events dropped by the JSONL sink",
                 sink.dropped()
             );
-            return 1;
+            return Ok(1);
         }
         eprintln!(
             "observe: event stream written to {}",
-            events_out.as_deref().unwrap_or(Path::new("?")).display()
+            events_out.unwrap_or(Path::new("?")).display()
         );
     }
-    0
+    Ok(0)
 }
 
 /// Writes `contents` to `path`, creating parent directories.
@@ -416,6 +332,7 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::{parse_as, run_as};
     use rsc_control::prelude::*;
 
     fn seeded_registry() -> MetricsRegistry {
@@ -457,66 +374,66 @@ mod tests {
         assert!(validate_prometheus(text).is_err());
     }
 
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
-
     #[test]
     fn parse_defaults_and_flags() {
-        let d = parse(&[]).unwrap();
-        assert_eq!(d.bench, "gcc");
-        assert_eq!(d.events, 1_000_000);
-        assert_eq!(d.seed, 42);
-        assert!(!d.resilience && !d.check);
-        let p = parse(&argv(&[
-            "--bench",
-            "gzip",
-            "--events",
-            "5000",
-            "--seed",
-            "7",
-            "--resilience",
-            "--check",
-            "--metrics-out",
-            "m.prom",
-            "--json-out",
-            "m.json",
-            "--events-out",
-            "e.jsonl",
-        ]))
+        let d = parse_as("observe", &[]).unwrap();
+        assert_eq!(d.text("--bench"), "gcc");
+        assert_eq!(d.int("--events"), Ok(1_000_000u64));
+        assert_eq!(d.int("--seed"), Ok(42u64));
+        assert!(!d.given("--resilience") && !d.given("--check"));
+        let p = parse_as(
+            "observe",
+            &[
+                "--bench",
+                "gzip",
+                "--events",
+                "5000",
+                "--seed",
+                "7",
+                "--resilience",
+                "--check",
+                "--metrics-out",
+                "m.prom",
+                "--json-out",
+                "m.json",
+                "--events-out",
+                "e.jsonl",
+            ],
+        )
         .unwrap();
-        assert_eq!(p.bench, "gzip");
-        assert_eq!(p.events, 5000);
-        assert_eq!(p.seed, 7);
-        assert!(p.resilience && p.check);
-        assert_eq!(p.metrics_out.as_deref(), Some(Path::new("m.prom")));
-        assert_eq!(p.json_out.as_deref(), Some(Path::new("m.json")));
-        assert_eq!(p.events_out.as_deref(), Some(Path::new("e.jsonl")));
+        assert_eq!(p.text("--bench"), "gzip");
+        assert_eq!(p.int("--events"), Ok(5000u64));
+        assert_eq!(p.int("--seed"), Ok(7u64));
+        assert!(p.given("--resilience") && p.given("--check"));
+        assert_eq!(p.text_opt("--metrics-out"), Some("m.prom"));
+        assert_eq!(p.text_opt("--json-out"), Some("m.json"));
+        assert_eq!(p.text_opt("--events-out"), Some("e.jsonl"));
     }
 
     #[test]
     fn parse_diagnoses_bad_input_without_panicking() {
         assert_eq!(
-            parse(&argv(&["--events"])).unwrap_err(),
+            parse_as("observe", &["--events"]).unwrap_err(),
             "--events needs a value"
         );
         assert_eq!(
-            parse(&argv(&["--events", "lots"])).unwrap_err(),
+            parse_as("observe", &["--events", "lots"]).unwrap_err(),
             "--events needs an integer, got \"lots\""
         );
         assert_eq!(
-            parse(&argv(&["--bogus"])).unwrap_err(),
+            parse_as("observe", &["--bogus"]).unwrap_err(),
             "unknown observe option: --bogus"
         );
-        assert!(parse(&argv(&["--bench", "nope"]))
+        let args = parse_as("observe", &["--bench", "nope"]).unwrap();
+        assert!(run(&args)
             .unwrap_err()
             .starts_with("unknown benchmark \"nope\""));
     }
 
     #[test]
     fn usage_error_exits_two() {
-        assert_eq!(run(&argv(&["--bogus"])), 2);
-        assert_eq!(run(&argv(&["--bench", "nope"])), 2);
+        assert_eq!(run_as("observe", &["--bogus"]), 2);
+        assert_eq!(run_as("observe", &["--bench", "nope"]), 2);
     }
 
     #[test]

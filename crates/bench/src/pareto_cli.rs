@@ -18,18 +18,15 @@
 //! (benefit and misspeculation both non-decreasing as the knob
 //! loosens, within slack) — the CI smoke gate for the policy seam.
 
+use crate::cli::Args;
+use rsc_conformance::json::Json;
 use rsc_control::{
     AdaptiveHysteresis, ControllerParams, CostAware, PaperFsm, Perceptron, Policy,
     ReactiveController, TransitionLogPolicy, BUILTIN_POLICY_IDS,
 };
 use rsc_trace::Scenario;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
-
-/// Events fed per (policy, knob, scenario) cell by default. Large enough
-/// that every scenario leaves the monitor state many times at the
-/// scaled-model time constants.
-const DEFAULT_EVENTS: u64 = 200_000;
 
 /// Chunk size for the bulk-routed fast path.
 const CHUNK: usize = 4_096;
@@ -189,58 +186,36 @@ pub fn run_sweep(events: u64, seed: u64) -> Vec<ParetoCurve> {
         .collect()
 }
 
-/// Renders the curves as the `BENCH_pareto.json` document.
-pub fn to_json(curves: &[ParetoCurve], events: u64, seed: u64) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"benchmark\": \"pareto\",\n");
-    out.push_str(&format!("  \"events_per_cell\": {events},\n"));
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!(
-        "  \"scenarios\": [{}],\n",
-        scenarios()
-            .iter()
-            .map(|s| format!("\"{}\"", s.name()))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  \"policies\": [\n");
-    for (ci, c) in curves.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"policy\": \"{}\",\n", c.policy));
-        out.push_str(&format!(
-            "      \"monotone_sane\": {},\n",
-            c.is_monotone_sane()
-        ));
-        out.push_str("      \"points\": [\n");
-        for (pi, p) in c.points.iter().enumerate() {
-            out.push_str("        {");
-            out.push_str(&format!(
-                "\"knob\": \"{}\", \"value\": {}, \"events\": {}, \
-                 \"correct\": {}, \"incorrect\": {}, \
-                 \"benefit_per_1k\": {:.3}, \"misspec_per_1k\": {:.3}",
-                p.knob,
-                p.value,
-                p.events,
-                p.correct,
-                p.incorrect,
-                p.benefit_per_1k(),
-                p.misspec_per_1k()
-            ));
-            out.push_str(if pi + 1 == c.points.len() {
-                "}\n"
-            } else {
-                "},\n"
-            });
-        }
-        out.push_str("      ]\n");
-        out.push_str(if ci + 1 == curves.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The curves as the `BENCH_pareto.json` document.
+pub fn to_json(curves: &[ParetoCurve], events: u64, seed: u64) -> Json {
+    let point = |p: &ParetoPoint| {
+        Json::obj([
+            ("knob", Json::str(p.knob)),
+            ("value", Json::Num(p.value)),
+            ("events", Json::Int(p.events)),
+            ("correct", Json::Int(p.correct)),
+            ("incorrect", Json::Int(p.incorrect)),
+            ("benefit_per_1k", Json::Num(p.benefit_per_1k())),
+            ("misspec_per_1k", Json::Num(p.misspec_per_1k())),
+        ])
+    };
+    let curve = |c: &ParetoCurve| {
+        Json::obj([
+            ("policy", Json::str(c.policy)),
+            ("monotone_sane", Json::Bool(c.is_monotone_sane())),
+            ("points", Json::Arr(c.points.iter().map(point).collect())),
+        ])
+    };
+    Json::obj([
+        ("benchmark", Json::str("pareto")),
+        ("events_per_cell", Json::Int(events)),
+        ("seed", Json::Int(seed)),
+        (
+            "scenarios",
+            Json::Arr(scenarios().iter().map(|s| Json::str(s.name())).collect()),
+        ),
+        ("policies", Json::Arr(curves.iter().map(curve).collect())),
+    ])
 }
 
 /// Renders the human-readable table.
@@ -269,34 +244,15 @@ pub fn render(curves: &[ParetoCurve]) -> String {
     out
 }
 
-/// Runs the subcommand with its own argument list (everything after the
-/// literal `pareto`). Returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let mut events = DEFAULT_EVENTS;
-    let mut seed = 42u64;
-    let mut out = PathBuf::from("BENCH_pareto.json");
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut check = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let res = match a.as_str() {
-            "--events" => crate::cli::number(&mut it, "--events").map(|n| events = n),
-            "--seed" => crate::cli::number(&mut it, "--seed").map(|n| seed = n),
-            "--out" => crate::cli::value(&mut it, "--out").map(|v| out = PathBuf::from(v)),
-            "--metrics-out" => crate::cli::value(&mut it, "--metrics-out")
-                .map(|v| metrics_out = Some(PathBuf::from(v))),
-            "--check" => {
-                check = true;
-                Ok(())
-            }
-            other => Err(format!("unknown pareto option: {other}")),
-        };
-        if let Err(e) = res {
-            eprintln!("{e}");
-            return 2;
-        }
-    }
+/// Runs the parsed subcommand and returns the process exit code.
+///
+/// # Errors
+///
+/// Returns a usage error for an out-of-range flag value.
+pub(crate) fn run(args: &Args) -> Result<i32, String> {
+    let events = args.int("--events")?;
+    let seed = args.int("--seed")?;
+    let out = Path::new(args.text("--out"));
 
     println!(
         "== Pareto sweep: benefit vs misspeculation across the policy zoo ==\n\
@@ -311,20 +267,20 @@ pub fn run(args: &[String]) -> i32 {
     if let Some(dir) = out.parent().filter(|p| !p.as_os_str().is_empty()) {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
-            return 1;
+            return Ok(1);
         }
     }
-    if let Err(e) = std::fs::write(&out, to_json(&curves, events, seed)) {
+    if let Err(e) = std::fs::write(out, format!("{}\n", to_json(&curves, events, seed))) {
         eprintln!("cannot write {}: {e}", out.display());
-        return 1;
+        return Ok(1);
     }
     println!("wrote {}", out.display());
 
-    if let Some(mpath) = &metrics_out {
-        export_sweep_metrics(events, seed, mpath);
+    if let Some(mpath) = args.text_opt("--metrics-out") {
+        export_sweep_metrics(events, seed, mpath.as_ref());
     }
 
-    if check {
+    if args.given("--check") {
         let sane = curves.iter().filter(|c| c.is_monotone_sane()).count();
         let with_points = curves.iter().filter(|c| !c.points.is_empty()).count();
         println!(
@@ -333,10 +289,10 @@ pub fn run(args: &[String]) -> i32 {
         );
         if with_points < 4 || sane < 3 {
             println!("FAIL: expected points for all 4 policies and >=3 monotone-sane curves");
-            return 1;
+            return Ok(1);
         }
     }
-    0
+    Ok(0)
 }
 
 /// The `--metrics-out` payload: one instrumented run of the sweep's
@@ -364,6 +320,7 @@ fn export_sweep_metrics(events: u64, seed: u64, path: &std::path::Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::run_as;
 
     #[test]
     fn every_builtin_policy_is_sweepable() {
@@ -390,10 +347,18 @@ mod tests {
                 assert_eq!(p.events, 3 * 4_000, "{}", c.policy);
             }
         }
-        let json = to_json(&curves, 4_000, 7);
-        for id in BUILTIN_POLICY_IDS.iter() {
-            assert!(json.contains(&format!("\"policy\": \"{id}\"")));
-        }
+        let json = Json::parse(&to_json(&curves, 4_000, 7).to_string()).unwrap();
+        let policies: Vec<&str> = json
+            .get("policies")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|c| c.get("policy").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(policies, BUILTIN_POLICY_IDS);
+        let first = &json.get("policies").and_then(Json::as_arr).unwrap()[0];
+        let point = &first.get("points").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(point.get("events").and_then(Json::as_u64), Some(3 * 4_000));
     }
 
     #[test]
@@ -420,21 +385,33 @@ mod tests {
         let dir = std::env::temp_dir().join("rsc_pareto_cli_test");
         std::fs::remove_dir_all(&dir).ok();
         let out = dir.join("BENCH_pareto.json");
-        let code = run(&[
-            "--events".into(),
-            "20000".into(),
-            "--out".into(),
-            out.to_string_lossy().into_owned(),
-            "--check".into(),
-        ]);
+        let code = run_as(
+            "pareto",
+            &[
+                "--events",
+                "20000",
+                "--out",
+                out.to_str().unwrap(),
+                "--check",
+            ],
+        );
         assert_eq!(code, 0, "check gate must pass at smoke scale");
-        let text = std::fs::read_to_string(&out).unwrap();
-        assert!(text.contains("\"policy\": \"cost-aware\""));
+        let json = Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+        assert_eq!(
+            json.get("events_per_cell").and_then(Json::as_u64),
+            Some(20_000)
+        );
+        let last = json.get("policies").and_then(Json::as_arr).unwrap().last();
+        assert_eq!(
+            last.and_then(|c| c.get("policy")).and_then(Json::as_str),
+            Some("cost-aware")
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn unknown_flag_is_a_usage_error() {
-        assert_eq!(run(&["--bogus".into()]), 2);
+        assert_eq!(run_as("pareto", &["--bogus"]), 2);
+        assert_eq!(run_as("pareto", &["--events", "lots"]), 2);
     }
 }

@@ -18,7 +18,7 @@
 //! [`Invariant`]), so CI can treat the subcommand as a smoke test; the
 //! JSON is a pure function of `--seed` and `--events`.
 
-use crate::cli::{number, value};
+use crate::cli::Args;
 use rsc_conformance::json::Json;
 use rsc_control::resilience::{
     BreakerConfig, DeployerSpec, FaultMode, FaultScope, FaultSpec, RetryPolicy,
@@ -27,78 +27,18 @@ use rsc_control::{
     ControlStats, ControllerParams, ReactiveController, ResilienceConfig, TransitionKind,
 };
 use rsc_trace::{BranchRecord, Scenario};
-use std::path::PathBuf;
+use std::path::Path;
 
-/// Usage text printed (to stderr) alongside any parse error.
-pub const USAGE: &str = "\
-usage: repro resilience [FLAGS]
-
-flags:
-  --events N       events per scenario (default 200000)
-  --seed N         workload and fault seed (default 42)
-  --out PATH       JSON report path
-                   (default resilience-artifacts/RESILIENCE_report.json)
-  --metrics-out F  export the storm-breaker scenario's metrics to F";
-
-/// Everything a `repro resilience` invocation decided.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResilienceArgs {
-    /// `--events` run length per scenario.
-    pub events: u64,
-    /// `--seed` workload/fault seed.
-    pub seed: u64,
-    /// `--out` report path.
-    pub out: PathBuf,
-    /// `--metrics-out` exposition path.
-    pub metrics_out: Option<PathBuf>,
-}
-
-/// Parses the argument list (everything after the literal
-/// `resilience`). Pure: no printing, no process exit.
+/// Runs the parsed subcommand and returns the process exit code.
 ///
 /// # Errors
 ///
-/// Returns a one-line diagnostic for a missing flag value, a
-/// non-numeric value, or an unknown flag.
-pub fn parse(args: &[String]) -> Result<ResilienceArgs, String> {
-    let mut parsed = ResilienceArgs {
-        events: 200_000,
-        seed: 42,
-        out: PathBuf::from("resilience-artifacts/RESILIENCE_report.json"),
-        metrics_out: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--events" => parsed.events = number(&mut it, "--events")?,
-            "--seed" => parsed.seed = number(&mut it, "--seed")?,
-            "--out" => parsed.out = PathBuf::from(value(&mut it, "--out")?),
-            "--metrics-out" => {
-                parsed.metrics_out = Some(PathBuf::from(value(&mut it, "--metrics-out")?))
-            }
-            other => return Err(format!("unknown resilience option: {other}")),
-        }
-    }
-    Ok(parsed)
-}
-
-/// Runs the subcommand with its own argument list (everything after the
-/// literal `resilience`). Returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let ResilienceArgs {
-        events,
-        seed,
-        out,
-        metrics_out,
-    } = match parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            return 2;
-        }
-    };
-
+/// Returns a usage error for an out-of-range flag value.
+pub(crate) fn run(args: &Args) -> Result<i32, String> {
+    let events = args.int("--events")?;
+    let seed = args.int("--seed")?;
+    let out = Path::new(args.text("--out"));
+    let metrics_out = args.text_opt("--metrics-out").map(Path::new);
     println!("resilience smoke: {events} events, seed {seed}");
     let trace = Scenario::PhaseFlip {
         branches: 6,
@@ -155,10 +95,10 @@ pub fn run(args: &[String]) -> i32 {
             std::fs::create_dir_all(dir).expect("create report directory");
         }
     }
-    std::fs::write(&out, report.to_string()).expect("write report");
+    std::fs::write(out, report.to_string()).expect("write report");
     println!("wrote {}", out.display());
 
-    if let Some(mpath) = &metrics_out {
+    if let Some(mpath) = metrics_out {
         // The storm-breaker scenario is the metric-richest run (deploy
         // faults, retries, and breaker phase changes all fire).
         let registry = storm_registry.expect("storm-breaker scenario always runs");
@@ -168,13 +108,12 @@ pub fn run(args: &[String]) -> i32 {
 
     if verdict {
         println!("all resilience invariants hold");
-        0
-    } else {
-        for f in &failures {
-            println!("FAIL: {f}");
-        }
-        1
+        return Ok(0);
     }
+    for f in &failures {
+        println!("FAIL: {f}");
+    }
+    Ok(1)
 }
 
 /// Parameters sized so the phase-flip workload exercises selection,
@@ -383,58 +322,58 @@ fn run_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
+    use crate::cli::{parse_as, run_as};
 
     #[test]
     fn parse_defaults_and_flags() {
-        let d = parse(&[]).unwrap();
-        assert_eq!(d.events, 200_000);
-        assert_eq!(d.seed, 42);
+        let d = parse_as("resilience", &[]).unwrap();
+        assert_eq!(d.int("--events"), Ok(200_000u64));
+        assert_eq!(d.int("--seed"), Ok(42u64));
         assert_eq!(
-            d.out,
-            PathBuf::from("resilience-artifacts/RESILIENCE_report.json")
+            d.text("--out"),
+            "resilience-artifacts/RESILIENCE_report.json"
         );
-        assert_eq!(d.metrics_out, None);
-        let p = parse(&argv(&[
-            "--events",
-            "9000",
-            "--seed",
-            "3",
-            "--out",
-            "r.json",
-            "--metrics-out",
-            "r.prom",
-        ]))
+        assert_eq!(d.text_opt("--metrics-out"), None);
+        let p = parse_as(
+            "resilience",
+            &[
+                "--events",
+                "9000",
+                "--seed",
+                "3",
+                "--out",
+                "r.json",
+                "--metrics-out",
+                "r.prom",
+            ],
+        )
         .unwrap();
-        assert_eq!(p.events, 9000);
-        assert_eq!(p.seed, 3);
-        assert_eq!(p.out, PathBuf::from("r.json"));
-        assert_eq!(p.metrics_out, Some(PathBuf::from("r.prom")));
+        assert_eq!(p.int("--events"), Ok(9000u64));
+        assert_eq!(p.int("--seed"), Ok(3u64));
+        assert_eq!(p.text("--out"), "r.json");
+        assert_eq!(p.text_opt("--metrics-out"), Some("r.prom"));
     }
 
     #[test]
     fn parse_diagnoses_bad_input_without_panicking() {
         assert_eq!(
-            parse(&argv(&["--events"])).unwrap_err(),
+            parse_as("resilience", &["--events"]).unwrap_err(),
             "--events needs a value"
         );
         assert_eq!(
-            parse(&argv(&["--seed", "lots"])).unwrap_err(),
+            parse_as("resilience", &["--seed", "lots"]).unwrap_err(),
             "--seed needs an integer, got \"lots\""
         );
         assert_eq!(
-            parse(&argv(&["--bogus"])).unwrap_err(),
+            parse_as("resilience", &["--bogus"]).unwrap_err(),
             "unknown resilience option: --bogus"
         );
     }
 
     #[test]
     fn usage_error_exits_two() {
-        assert_eq!(run(&argv(&["--bogus"])), 2);
-        assert_eq!(run(&argv(&["--events", "lots"])), 2);
+        assert_eq!(run_as("resilience", &["--bogus"]), 2);
+        assert_eq!(run_as("resilience", &["--events", "lots"]), 2);
     }
 
     #[test]

@@ -17,125 +17,32 @@
 //!   with the process), or the listener failed;
 //! * `2` — usage error.
 
-use crate::cli::{at_least_one, number, value};
+use crate::cli::Args;
 use rsc_serve::{ChaosConfig, QuotaConfig, Server, ServerConfig};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Usage text printed (to stderr) alongside any parse error.
-pub const USAGE: &str = "\
-usage: repro serve [FLAGS]
-
-flags:
-  --addr HOST:PORT      TCP listen address (default 127.0.0.1:7433; port 0
-                        picks a free port — pair with --port-file)
-  --unix PATH           listen on a Unix socket instead of TCP
-  --checkpoint-dir DIR  where drained and evicted tenants persist
-                        (default serve-state)
-  --quota-events N      per-tenant lifetime event quota (0 = unlimited)
-  --quota-bytes N       per-tenant lifetime payload-byte quota (0 = unlimited)
-  --queue-depth N       per-tenant concurrent-operation bound (default 8, N >= 1)
-  --max-live N          live-tenant ceiling before coldest-first eviction
-                        (default 0 = never shed)
-  --shards N            controller shards per tenant (default 2, N >= 1)
-  --chaos PROFILE       storage fault-injection profile: off|light|heavy
-                        (default off)
-  --chaos-seed N        chaos RNG seed (default 0)
-  --port-file PATH      write the bound address here once listening (the
-                        CI smoke job reads it to find the daemon)";
-
-/// Everything a `repro serve` invocation decided.
-#[derive(Debug, Clone)]
-pub struct ServeArgs {
-    /// `--addr` TCP listen address (ignored when `unix` is set).
-    pub addr: String,
-    /// `--unix` socket path.
-    pub unix: Option<PathBuf>,
-    /// `--checkpoint-dir` tenant persistence root.
-    pub checkpoint_dir: PathBuf,
-    /// `--quota-events` / `--quota-bytes`.
-    pub quota: QuotaConfig,
-    /// `--queue-depth` per-tenant admission bound.
-    pub queue_depth: usize,
-    /// `--max-live` shedding ceiling.
-    pub max_live: usize,
-    /// `--shards` per tenant.
-    pub shards: usize,
-    /// Resolved `--chaos`/`--chaos-seed` storage fault profile.
-    pub chaos: ChaosConfig,
-    /// `--port-file` handoff path.
-    pub port_file: Option<PathBuf>,
-}
-
-impl ServeArgs {
-    /// The daemon configuration this invocation asks for.
-    pub fn server_config(&self) -> ServerConfig {
-        let mut cfg = ServerConfig::new(&self.checkpoint_dir);
-        cfg.quota = self.quota;
-        cfg.queue_depth = self.queue_depth;
-        cfg.max_live_tenants = self.max_live;
-        cfg.shards_per_tenant = self.shards;
-        cfg.chaos = self.chaos;
-        cfg
-    }
-}
-
-/// Parses the argument list (everything after the literal `serve`).
-/// Pure: no printing, no process exit, no sockets.
+/// The daemon configuration the flags ask for.
 ///
 /// # Errors
 ///
-/// Returns a one-line diagnostic for a missing flag value, a
-/// non-numeric value, a zero where at least 1 is required, an unknown
-/// chaos profile, conflicting `--addr`/`--unix`, or an unknown flag.
-pub fn parse(args: &[String]) -> Result<ServeArgs, String> {
-    let mut addr: Option<String> = None;
-    let mut unix: Option<PathBuf> = None;
-    let mut chaos_profile = "off".to_string();
-    let mut chaos_seed: u64 = 0;
-    let mut out = ServeArgs {
-        addr: String::new(),
-        unix: None,
-        checkpoint_dir: PathBuf::from("serve-state"),
-        quota: QuotaConfig::unlimited(),
-        queue_depth: 8,
-        max_live: 0,
-        shards: 2,
-        chaos: ChaosConfig::off(),
-        port_file: None,
+/// Returns a usage error for an unknown `--chaos` profile or an
+/// out-of-range flag value.
+fn server_config(args: &Args) -> Result<ServerConfig, String> {
+    let mut cfg = ServerConfig::new(args.text("--checkpoint-dir"));
+    cfg.quota = QuotaConfig {
+        max_events: args.int("--quota-events")?,
+        max_bytes: args.int("--quota-bytes")?,
     };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => addr = Some(value(&mut it, "--addr")?.to_string()),
-            "--unix" => unix = Some(PathBuf::from(value(&mut it, "--unix")?)),
-            "--checkpoint-dir" => {
-                out.checkpoint_dir = PathBuf::from(value(&mut it, "--checkpoint-dir")?)
-            }
-            "--quota-events" => out.quota.max_events = number(&mut it, "--quota-events")?,
-            "--quota-bytes" => out.quota.max_bytes = number(&mut it, "--quota-bytes")?,
-            "--queue-depth" => {
-                out.queue_depth = at_least_one(number(&mut it, "--queue-depth")?, "--queue-depth")?
-            }
-            "--max-live" => out.max_live = number(&mut it, "--max-live")?,
-            "--shards" => out.shards = at_least_one(number(&mut it, "--shards")?, "--shards")?,
-            "--chaos" => chaos_profile = value(&mut it, "--chaos")?.to_string(),
-            "--chaos-seed" => chaos_seed = number(&mut it, "--chaos-seed")?,
-            "--port-file" => out.port_file = Some(PathBuf::from(value(&mut it, "--port-file")?)),
-            other => return Err(format!("unknown serve option: {other}")),
-        }
-    }
-    if addr.is_some() && unix.is_some() {
-        return Err("--addr and --unix are mutually exclusive".to_string());
-    }
-    out.addr = addr.unwrap_or_else(|| "127.0.0.1:7433".to_string());
-    out.unix = unix;
-    out.chaos = ChaosConfig::profile(&chaos_profile, chaos_seed)?;
-    Ok(out)
+    cfg.queue_depth = args.int("--queue-depth")?;
+    cfg.max_live_tenants = args.int("--max-live")?;
+    cfg.shards_per_tenant = args.int("--shards")?;
+    cfg.chaos = ChaosConfig::profile(args.text("--chaos"), args.int("--chaos-seed")?)?;
+    Ok(cfg)
 }
 
 /// Set by the signal handler; polled by the shutdown watcher thread.
@@ -171,23 +78,25 @@ fn write_port_file(path: &Path, addr: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Runs the subcommand with its own argument list (everything after the
-/// literal `serve`). Blocks until drain; returns the process exit code.
-pub fn run(args: &[String]) -> i32 {
-    let parsed = match parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{USAGE}");
-            return 2;
-        }
-    };
-
-    let server = match Server::new(parsed.server_config()) {
+/// Runs the parsed subcommand. Blocks until drain; returns the process
+/// exit code.
+///
+/// # Errors
+///
+/// Returns a usage error for `--addr` together with `--unix`, or an
+/// unknown `--chaos` profile.
+pub(crate) fn run(args: &Args) -> Result<i32, String> {
+    if args.given("--addr") && args.given("--unix") {
+        return Err("--addr and --unix are mutually exclusive".to_string());
+    }
+    let config = server_config(args)?;
+    let unix = args.text_opt("--unix").map(Path::new);
+    let port_file = args.text_opt("--port-file").map(Path::new);
+    let server = match Server::new(config) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("serve: cannot open checkpoint dir: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     install_term_handler();
@@ -207,7 +116,7 @@ pub fn run(args: &[String]) -> i32 {
         })
     };
 
-    let served = match &parsed.unix {
+    let served = match unix {
         Some(path) => {
             // A previous unclean exit leaves the socket file behind;
             // binding over it needs the unlink first.
@@ -215,7 +124,7 @@ pub fn run(args: &[String]) -> i32 {
             match UnixListener::bind(path) {
                 Ok(listener) => {
                     eprintln!("serve: listening on {}", path.display());
-                    if let Some(pf) = &parsed.port_file {
+                    if let Some(pf) = port_file {
                         if let Err(e) = write_port_file(pf, &path.display().to_string()) {
                             eprintln!("serve: cannot write {}: {e}", pf.display());
                         }
@@ -225,14 +134,14 @@ pub fn run(args: &[String]) -> i32 {
                 Err(e) => Err(e),
             }
         }
-        None => match TcpListener::bind(&parsed.addr) {
+        None => match TcpListener::bind(args.text("--addr")) {
             Ok(listener) => {
                 let bound = listener
                     .local_addr()
                     .map(|a| a.to_string())
-                    .unwrap_or_else(|_| parsed.addr.clone());
+                    .unwrap_or_else(|_| args.text("--addr").to_string());
                 eprintln!("serve: listening on {bound}");
-                if let Some(pf) = &parsed.port_file {
+                if let Some(pf) = port_file {
                     if let Err(e) = write_port_file(pf, &bound) {
                         eprintln!("serve: cannot write {}: {e}", pf.display());
                     }
@@ -246,7 +155,7 @@ pub fn run(args: &[String]) -> i32 {
     let _ = watcher.join();
     if let Err(e) = served {
         eprintln!("serve: listener failed: {e}");
-        return 1;
+        return Ok(1);
     }
 
     // Reached on SIGTERM/SIGINT or after a client-requested drain; the
@@ -266,33 +175,26 @@ pub fn run(args: &[String]) -> i32 {
         counters.shed_tenants,
         counters.restores,
     );
-    if let Some(path) = &parsed.unix {
+    if let Some(path) = unix {
         let _ = std::fs::remove_file(path);
     }
-    if report.failed == 0 {
-        0
-    } else {
-        1
-    }
+    Ok(if report.failed == 0 { 0 } else { 1 })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(parts: &[&str]) -> Vec<String> {
-        parts.iter().map(|s| s.to_string()).collect()
-    }
+    use crate::cli::{parse_as, run_as};
 
     #[test]
     fn parse_defaults_match_server_config() {
-        let p = parse(&[]).unwrap();
-        assert_eq!(p.addr, "127.0.0.1:7433");
-        assert_eq!(p.unix, None);
-        assert_eq!(p.checkpoint_dir, PathBuf::from("serve-state"));
-        assert_eq!(p.quota, QuotaConfig::unlimited());
-        let cfg = p.server_config();
+        let p = parse_as("serve", &[]).unwrap();
+        assert_eq!(p.text("--addr"), "127.0.0.1:7433");
+        assert_eq!(p.text_opt("--unix"), None);
+        let cfg = server_config(&p).unwrap();
         let base = ServerConfig::new("serve-state");
+        assert_eq!(cfg.checkpoint_dir, base.checkpoint_dir);
+        assert_eq!(cfg.quota, QuotaConfig::unlimited());
         assert_eq!(cfg.queue_depth, base.queue_depth);
         assert_eq!(cfg.shards_per_tenant, base.shards_per_tenant);
         assert_eq!(cfg.max_live_tenants, base.max_live_tenants);
@@ -301,69 +203,74 @@ mod tests {
 
     #[test]
     fn parse_all_flags_together() {
-        let p = parse(&argv(&[
-            "--addr",
-            "0.0.0.0:9000",
-            "--checkpoint-dir",
-            "state",
-            "--quota-events",
-            "1000",
-            "--quota-bytes",
-            "4096",
-            "--queue-depth",
-            "3",
-            "--max-live",
-            "5",
-            "--shards",
-            "4",
-            "--chaos",
-            "light",
-            "--chaos-seed",
-            "9",
-            "--port-file",
-            "port.txt",
-        ]))
+        let p = parse_as(
+            "serve",
+            &[
+                "--addr",
+                "0.0.0.0:9000",
+                "--checkpoint-dir",
+                "state",
+                "--quota-events",
+                "1000",
+                "--quota-bytes",
+                "4096",
+                "--queue-depth",
+                "3",
+                "--max-live",
+                "5",
+                "--shards",
+                "4",
+                "--chaos",
+                "light",
+                "--chaos-seed",
+                "9",
+                "--port-file",
+                "port.txt",
+            ],
+        )
         .unwrap();
-        assert_eq!(p.addr, "0.0.0.0:9000");
-        assert_eq!(p.quota.max_events, 1000);
-        assert_eq!(p.quota.max_bytes, 4096);
-        let cfg = p.server_config();
+        assert_eq!(p.text("--addr"), "0.0.0.0:9000");
+        let cfg = server_config(&p).unwrap();
+        assert_eq!(cfg.quota.max_events, 1000);
+        assert_eq!(cfg.quota.max_bytes, 4096);
         assert_eq!(cfg.queue_depth, 3);
         assert_eq!(cfg.max_live_tenants, 5);
         assert_eq!(cfg.shards_per_tenant, 4);
         assert!(cfg.chaos.enabled());
         assert_eq!(cfg.chaos.seed, 9);
-        assert_eq!(p.port_file, Some(PathBuf::from("port.txt")));
+        assert_eq!(p.text_opt("--port-file"), Some("port.txt"));
     }
 
     #[test]
     fn parse_diagnoses_bad_input_without_panicking() {
         assert_eq!(
-            parse(&argv(&["--queue-depth", "0"])).unwrap_err(),
+            parse_as("serve", &["--queue-depth", "0"]).unwrap_err(),
             "--queue-depth must be at least 1"
         );
         assert_eq!(
-            parse(&argv(&["--shards", "none"])).unwrap_err(),
+            parse_as("serve", &["--shards", "none"]).unwrap_err(),
             "--shards needs an integer, got \"none\""
         );
         assert_eq!(
-            parse(&argv(&["--addr"])).unwrap_err(),
+            parse_as("serve", &["--addr"]).unwrap_err(),
             "--addr needs a value"
         );
         assert_eq!(
-            parse(&argv(&["--bogus"])).unwrap_err(),
+            parse_as("serve", &["--bogus"]).unwrap_err(),
             "unknown serve option: --bogus"
         );
+        let both = parse_as("serve", &["--addr", "a:1", "--unix", "s.sock"]).unwrap();
         assert_eq!(
-            parse(&argv(&["--addr", "a:1", "--unix", "s.sock"])).unwrap_err(),
+            run(&both).unwrap_err(),
             "--addr and --unix are mutually exclusive"
         );
-        assert!(parse(&argv(&["--chaos", "apocalyptic"])).is_err());
+        let chaos = parse_as("serve", &["--chaos", "apocalyptic"]).unwrap();
+        assert!(server_config(&chaos).is_err());
     }
 
     #[test]
     fn usage_error_exits_two() {
-        assert_eq!(run(&argv(&["--bogus"])), 2);
-        assert_eq!(run(&argv(&["--queue-depth", "0"])), 2);
+        assert_eq!(run_as("serve", &["--bogus"]), 2);
+        assert_eq!(run_as("serve", &["--queue-depth", "0"]), 2);
     }
 }

@@ -11,161 +11,62 @@ fn repro(args: &[&str]) -> Output {
         .expect("repro binary runs")
 }
 
-fn assert_usage_error(out: &Output, needle: &str) {
-    assert_eq!(out.status.code(), Some(2), "exit code");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains(needle),
-        "stderr should mention {needle:?}: {err}"
-    );
-    assert!(
-        err.contains("usage: repro"),
-        "stderr should print usage: {err}"
-    );
-    assert!(
-        !err.contains("panicked"),
-        "usage errors must not panic: {err}"
-    );
+/// Declares one test per row: `repro ARGS` must exit 2 with `NEEDLE` and
+/// the usage text on stderr, and must not panic.
+macro_rules! usage_errors {
+    ($($name:ident: [$($arg:expr),*] => $needle:expr;)*) => {$(
+        #[test]
+        fn $name() {
+            let out = repro(&[$($arg),*]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "exit code; stderr: {err}");
+            assert!(err.contains($needle), "stderr should mention {:?}: {err}", $needle);
+            assert!(err.contains("usage: repro"), "stderr should print usage: {err}");
+            assert!(!err.contains("panicked"), "usage errors must not panic: {err}");
+        }
+    )*};
 }
 
-#[test]
-fn non_integer_flag_value_is_a_usage_error() {
-    let out = repro(&["perf", "--events", "lots"]);
-    assert_usage_error(&out, "--events");
-}
-
-#[test]
-fn missing_flag_value_is_a_usage_error() {
-    let out = repro(&["perf", "--shards"]);
-    assert_usage_error(&out, "--shards needs a value");
-}
-
-#[test]
-fn zero_shards_is_a_usage_error() {
-    let out = repro(&["perf", "--shards", "0"]);
-    assert_usage_error(&out, "--shards must be at least 1");
-}
-
-#[test]
-fn unknown_option_is_a_usage_error() {
-    let out = repro(&["--bogus"]);
-    assert_usage_error(&out, "unknown option: --bogus");
-}
-
-#[test]
-fn unknown_experiment_still_exits_2() {
-    let out = repro(&["definitely-not-an-experiment"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("unknown experiment"), "{err}");
-}
-
-#[test]
-fn fuzz_non_integer_iters_is_a_usage_error() {
-    let out = repro(&["fuzz", "--iters", "lots"]);
-    assert_usage_error(&out, "--iters needs an integer");
-}
-
-#[test]
-fn fuzz_missing_flag_value_is_a_usage_error() {
-    let out = repro(&["fuzz", "--corpus-dir"]);
-    assert_usage_error(&out, "--corpus-dir needs a value");
-}
-
-#[test]
-fn fuzz_zero_iters_is_a_usage_error() {
-    let out = repro(&["fuzz", "--iters", "0"]);
-    assert_usage_error(&out, "--iters must be at least 1");
-}
-
-#[test]
-fn fuzz_unknown_option_is_a_usage_error() {
-    let out = repro(&["fuzz", "--bogus"]);
-    assert_usage_error(&out, "unknown fuzz option: --bogus");
-}
-
-#[test]
-fn resilience_non_integer_events_is_a_usage_error() {
-    let out = repro(&["resilience", "--events", "lots"]);
-    assert_usage_error(&out, "--events needs an integer");
-}
-
-#[test]
-fn resilience_missing_flag_value_is_a_usage_error() {
-    let out = repro(&["resilience", "--out"]);
-    assert_usage_error(&out, "--out needs a value");
-}
-
-#[test]
-fn resilience_unknown_option_is_a_usage_error() {
-    let out = repro(&["resilience", "--bogus"]);
-    assert_usage_error(&out, "unknown resilience option: --bogus");
-}
-
-#[test]
-fn observe_non_integer_seed_is_a_usage_error() {
-    let out = repro(&["observe", "--seed", "lots"]);
-    assert_usage_error(&out, "--seed needs an integer");
-}
-
-#[test]
-fn observe_missing_flag_value_is_a_usage_error() {
-    let out = repro(&["observe", "--metrics-out"]);
-    assert_usage_error(&out, "--metrics-out needs a value");
-}
-
-#[test]
-fn observe_unknown_benchmark_is_a_usage_error() {
-    let out = repro(&["observe", "--bench", "nonesuch"]);
-    assert_usage_error(&out, "unknown benchmark");
-}
-
-#[test]
-fn observe_unknown_option_is_a_usage_error() {
-    let out = repro(&["observe", "--bogus"]);
-    assert_usage_error(&out, "unknown observe option: --bogus");
-}
-
-#[test]
-fn serve_zero_queue_depth_is_a_usage_error() {
-    let out = repro(&["serve", "--queue-depth", "0"]);
-    assert_usage_error(&out, "--queue-depth must be at least 1");
-}
-
-#[test]
-fn serve_unknown_chaos_profile_is_a_usage_error() {
-    let out = repro(&["serve", "--chaos", "apocalyptic"]);
-    assert_usage_error(&out, "apocalyptic");
-}
-
-#[test]
-fn serve_conflicting_endpoints_are_a_usage_error() {
-    let out = repro(&["serve", "--addr", "a:1", "--unix", "s.sock"]);
-    assert_usage_error(&out, "--addr and --unix are mutually exclusive");
-}
-
-#[test]
-fn serve_unknown_option_is_a_usage_error() {
-    let out = repro(&["serve", "--bogus"]);
-    assert_usage_error(&out, "unknown serve option: --bogus");
-}
-
-#[test]
-fn load_zero_clients_is_a_usage_error() {
-    let out = repro(&["load", "--clients", "0"]);
-    assert_usage_error(&out, "--clients must be at least 1");
-}
-
-#[test]
-fn load_missing_flag_value_is_a_usage_error() {
-    let out = repro(&["load", "--seed"]);
-    assert_usage_error(&out, "--seed needs a value");
-}
-
-#[test]
-fn load_unknown_option_is_a_usage_error() {
-    let out = repro(&["load", "--bogus"]);
-    assert_usage_error(&out, "unknown load option: --bogus");
+usage_errors! {
+    non_integer_flag_value_is_a_usage_error: ["perf", "--events", "lots"] => "--events";
+    missing_flag_value_is_a_usage_error: ["perf", "--shards"] => "--shards needs a value";
+    zero_shards_is_a_usage_error: ["perf", "--shards", "0"] => "--shards must be at least 1";
+    unknown_option_is_a_usage_error: ["--bogus"] => "unknown option: --bogus";
+    unknown_experiment_still_exits_2: ["definitely-not-an-experiment"] => "unknown experiment";
+    fuzz_non_integer_iters_is_a_usage_error: ["fuzz", "--iters", "lots"] => "--iters needs an integer";
+    fuzz_missing_flag_value_is_a_usage_error: ["fuzz", "--corpus-dir"] => "--corpus-dir needs a value";
+    fuzz_zero_iters_is_a_usage_error: ["fuzz", "--iters", "0"] => "--iters must be at least 1";
+    fuzz_unknown_option_is_a_usage_error: ["fuzz", "--bogus"] => "unknown fuzz option: --bogus";
+    resilience_non_integer_events_is_a_usage_error:
+        ["resilience", "--events", "lots"] => "--events needs an integer";
+    resilience_missing_flag_value_is_a_usage_error: ["resilience", "--out"] => "--out needs a value";
+    resilience_unknown_option_is_a_usage_error:
+        ["resilience", "--bogus"] => "unknown resilience option: --bogus";
+    observe_non_integer_seed_is_a_usage_error: ["observe", "--seed", "lots"] => "--seed needs an integer";
+    observe_missing_flag_value_is_a_usage_error:
+        ["observe", "--metrics-out"] => "--metrics-out needs a value";
+    observe_unknown_benchmark_is_a_usage_error: ["observe", "--bench", "nonesuch"] => "unknown benchmark";
+    observe_unknown_option_is_a_usage_error: ["observe", "--bogus"] => "unknown observe option: --bogus";
+    serve_zero_queue_depth_is_a_usage_error:
+        ["serve", "--queue-depth", "0"] => "--queue-depth must be at least 1";
+    serve_unknown_chaos_profile_is_a_usage_error: ["serve", "--chaos", "apocalyptic"] => "apocalyptic";
+    serve_conflicting_endpoints_are_a_usage_error:
+        ["serve", "--addr", "a:1", "--unix", "s.sock"] => "--addr and --unix are mutually exclusive";
+    serve_unknown_option_is_a_usage_error: ["serve", "--bogus"] => "unknown serve option: --bogus";
+    load_zero_clients_is_a_usage_error: ["load", "--clients", "0"] => "--clients must be at least 1";
+    load_missing_flag_value_is_a_usage_error: ["load", "--seed"] => "--seed needs a value";
+    load_unknown_option_is_a_usage_error: ["load", "--bogus"] => "unknown load option: --bogus";
+    conformance_non_integer_events_is_a_usage_error:
+        ["conformance", "--events", "lots"] => "--events needs an integer, got \"lots\"";
+    conformance_reversed_seed_range_is_a_usage_error:
+        ["conformance", "--seeds", "9..3"] => "--seeds must be N or A..B";
+    conformance_unknown_fault_is_a_usage_error:
+        ["conformance", "--inject-fault", "nope"] => "unknown fault \"nope\"";
+    conformance_missing_shards_value_is_a_usage_error:
+        ["conformance", "--shards"] => "--shards needs a value";
+    pareto_non_integer_events_is_a_usage_error:
+        ["pareto", "--events", "lots"] => "--events needs an integer, got \"lots\"";
+    pareto_unknown_option_is_a_usage_error: ["pareto", "--bogus"] => "unknown pareto option: --bogus";
 }
 
 /// Kills the serve child if the test panics before its clean exit.

@@ -51,7 +51,7 @@ use crate::controller::{
 use crate::counter::HysteresisCounter;
 use crate::observe::{ControllerMetrics, EventSink, ObsEvent, Telemetry};
 use crate::params::{ControllerParams, EvictionMode, InvalidParamsError, MonitorPolicy, Revisit};
-use crate::policy::{policy_from_blob, PaperFsm, Policy};
+use crate::policy::{policy_from_blob, Policy};
 use crate::resilience::breaker::{BreakerConfig, BreakerPhase, StormBreaker};
 use crate::resilience::deployer::{DeployerSpec, FaultMode, FaultScope, FaultSpec, RetryPolicy};
 use crate::resilience::{ResilienceConfig, ResilienceState};
@@ -70,12 +70,10 @@ const MAGIC: [u8; 4] = *b"RSCK";
 /// shard-count varint after the version byte followed by one controller
 /// body per shard (a plain controller writes count 1), plus the
 /// interval-histogram bounds in the telemetry section; version 2
-/// appended the telemetry section itself. Version 3 blobs still restore
-/// (as the paper-exact [`PaperFsm`] policy, whose rules v3 hardwired);
-/// older blobs are rejected.
+/// appended the telemetry section itself. Older blobs are rejected.
 const VERSION: u8 = 4;
 /// Oldest version [`read_header`] still accepts.
-const MIN_VERSION: u8 = 3;
+const MIN_VERSION: u8 = 4;
 
 /// An opaque serialized controller state.
 ///
@@ -207,19 +205,9 @@ struct Writer {
 
 impl Writer {
     fn new() -> Self {
-        Self::with_version(VERSION)
-    }
-
-    /// A writer emitting an older format version — only used to produce
-    /// compatibility fixtures in tests; [`snapshot`] always writes
-    /// [`VERSION`].
-    ///
-    /// [`snapshot`]: ReactiveController::snapshot
-    fn with_version(version: u8) -> Self {
-        debug_assert!((MIN_VERSION..=VERSION).contains(&version));
         let mut buf = Vec::with_capacity(256);
         buf.extend_from_slice(&MAGIC);
-        buf.push(version);
+        buf.push(VERSION);
         Writer { buf }
     }
 
@@ -777,7 +765,7 @@ fn read_log(r: &mut Reader<'_>) -> Result<TransitionLog, CheckpointError> {
     Ok(TransitionLog::from_raw_storage(policy, events, counts))
 }
 
-fn write_branch(w: &mut Writer, b: &BranchCtl, version: u8) {
+fn write_branch(w: &mut Writer, b: &BranchCtl) {
     match &b.state {
         State::Monitor {
             execs,
@@ -800,16 +788,13 @@ fn write_branch(w: &mut Writer, b: &BranchCtl, version: u8) {
             match tracker {
                 EvictTracker::Counter(c) => {
                     w.u8(0);
+                    // The full counter shape: policies parametrize
+                    // trackers independently of the eviction mode, so the
+                    // shape cannot be re-derived from the params.
                     w.u32(c.value());
-                    if version >= 4 {
-                        // v4 carries the full counter shape: policies
-                        // parametrize trackers independently of the
-                        // eviction mode, so the shape can no longer be
-                        // re-derived from the params.
-                        w.u32(c.up());
-                        w.u32(c.down());
-                        w.u32(c.threshold());
-                    }
+                    w.u32(c.up());
+                    w.u32(c.down());
+                    w.u32(c.threshold());
                 }
                 EvictTracker::Sampling {
                     pos,
@@ -854,11 +839,7 @@ fn write_branch(w: &mut Writer, b: &BranchCtl, version: u8) {
     w.u64(b.recent_misses);
 }
 
-fn read_branch(
-    r: &mut Reader<'_>,
-    params: &ControllerParams,
-    version: u8,
-) -> Result<BranchCtl, CheckpointError> {
+fn read_branch(r: &mut Reader<'_>) -> Result<BranchCtl, CheckpointError> {
     let state = match r.u8()? {
         0 => State::Monitor {
             execs: r.u64()?,
@@ -872,10 +853,7 @@ fn read_branch(
         2 => {
             let dir = r.dir()?;
             let tracker = match r.u8()? {
-                0 if version >= 4 => {
-                    // v4 serializes the full counter shape alongside the
-                    // value, because policies may hand out trackers whose
-                    // shape differs from the params' eviction mode.
+                0 => {
                     let value = r.u32()?;
                     let up = r.u32()?;
                     let down = r.u32()?;
@@ -883,24 +861,6 @@ fn read_branch(
                     if up == 0 || down == 0 || threshold < up {
                         return Err(r.corrupt("invalid counter tracker shape"));
                     }
-                    let mut c = HysteresisCounter::new(up, down, threshold);
-                    c.set_value(value);
-                    EvictTracker::Counter(c)
-                }
-                0 => {
-                    // v3: the counter's shape lives in the params; only
-                    // its value is serialized. A tracker kind that
-                    // disagrees with the eviction mode means the blob was
-                    // not produced against these params.
-                    let EvictionMode::Counter {
-                        up,
-                        down,
-                        threshold,
-                    } = params.eviction
-                    else {
-                        return Err(r.corrupt("counter tracker under non-counter eviction mode"));
-                    };
-                    let value = r.u32()?;
                     let mut c = HysteresisCounter::new(up, down, threshold);
                     c.set_value(value);
                     EvictTracker::Counter(c)
@@ -1029,12 +989,10 @@ fn read_telemetry(r: &mut Reader<'_>) -> Result<Option<Box<Telemetry>>, Checkpoi
 /// sharded checkpoint holds one per shard, in shard order. From v4 the
 /// body carries a policy section (length-prefixed id, length-prefixed
 /// config blob) right after the params.
-fn write_controller_body(w: &mut Writer, ctl: &ReactiveController, version: u8) {
+fn write_controller_body(w: &mut Writer, ctl: &ReactiveController) {
     write_params(w, &ctl.params);
-    if version >= 4 {
-        w.bytes(ctl.policy.id().as_bytes());
-        w.bytes(&ctl.policy.config_blob());
-    }
+    w.bytes(ctl.policy.id().as_bytes());
+    w.bytes(&ctl.policy.config_blob());
     match &ctl.resilience {
         None => w.u8(0),
         Some(rs) => {
@@ -1049,31 +1007,22 @@ fn write_controller_body(w: &mut Writer, ctl: &ReactiveController, version: u8) 
     write_log(w, &ctl.log);
     w.usize(ctl.branches.len());
     for b in &ctl.branches {
-        write_branch(w, b, version);
+        write_branch(w, b);
     }
     write_telemetry(w, ctl.telemetry.as_deref());
 }
 
-fn read_controller_body(
-    r: &mut Reader<'_>,
-    version: u8,
-) -> Result<ReactiveController, CheckpointError> {
+fn read_controller_body(r: &mut Reader<'_>) -> Result<ReactiveController, CheckpointError> {
     let params = read_params(r)?;
     params.validate()?;
-    let policy: Arc<dyn Policy> = if version >= 4 {
-        let id = match std::str::from_utf8(r.bytes()?) {
-            Ok(s) => s.to_owned(),
-            Err(_) => return Err(r.corrupt("policy id is not valid UTF-8")),
-        };
-        let blob = r.bytes()?.to_vec();
-        match policy_from_blob(&id, &blob) {
-            Some(p) => p,
-            None => return Err(CheckpointError::UnknownPolicy { id }),
-        }
-    } else {
-        // v3 blobs predate the policy seam; they were all produced by the
-        // paper FSM.
-        Arc::new(PaperFsm)
+    let id = match std::str::from_utf8(r.bytes()?) {
+        Ok(s) => s.to_owned(),
+        Err(_) => return Err(r.corrupt("policy id is not valid UTF-8")),
+    };
+    let blob = r.bytes()?.to_vec();
+    let policy: Arc<dyn Policy> = match policy_from_blob(&id, &blob) {
+        Some(p) => p,
+        None => return Err(CheckpointError::UnknownPolicy { id }),
     };
     let resilience = match r.u8()? {
         0 => None,
@@ -1088,7 +1037,7 @@ fn read_controller_body(
     let n_branches = r.len_prefix()?;
     let mut branches = Vec::with_capacity(n_branches);
     for _ in 0..n_branches {
-        branches.push(read_branch(r, &params, version)?);
+        branches.push(read_branch(r)?);
     }
     let telemetry = read_telemetry(r)?;
     Ok(ReactiveController {
@@ -1106,9 +1055,8 @@ fn read_controller_body(
 }
 
 /// Validates the magic and version, returning a reader positioned at the
-/// shard-count varint plus the format version the body must be decoded
-/// with. Every version back to [`MIN_VERSION`] is accepted.
-fn read_header(bytes: &[u8]) -> Result<(Reader<'_>, u8), CheckpointError> {
+/// shard-count varint. Every version back to [`MIN_VERSION`] is accepted.
+fn read_header(bytes: &[u8]) -> Result<Reader<'_>, CheckpointError> {
     if bytes.len() < MAGIC.len() + 1 {
         return Err(CheckpointError::Truncated {
             offset: bytes.len(),
@@ -1123,7 +1071,7 @@ fn read_header(bytes: &[u8]) -> Result<(Reader<'_>, u8), CheckpointError> {
     }
     let mut r = Reader::new(bytes);
     r.pos = MAGIC.len() + 1;
-    Ok((r, version))
+    Ok(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -1148,7 +1096,7 @@ impl ReactiveController {
     pub fn snapshot(&self) -> ControllerCheckpoint {
         let mut w = Writer::new();
         w.usize(1); // shard count: a plain controller is one shard
-        write_controller_body(&mut w, self, VERSION);
+        write_controller_body(&mut w, self);
         let cp = ControllerCheckpoint { bytes: w.buf };
         if let Some(t) = &self.telemetry {
             t.emit(&ObsEvent::CheckpointSaved {
@@ -1172,12 +1120,12 @@ impl ReactiveController {
     /// with the byte offset for structural corruption.
     pub fn restore(cp: &ControllerCheckpoint) -> Result<Self, CheckpointError> {
         let bytes = cp.as_bytes();
-        let (mut r, version) = read_header(bytes)?;
+        let mut r = read_header(bytes)?;
         let shard_count = r.len_prefix()?;
         if shard_count != 1 {
             return Err(r.corrupt("sharded checkpoint: restore it via ShardedController::restore"));
         }
-        let ctl = read_controller_body(&mut r, version)?;
+        let ctl = read_controller_body(&mut r)?;
         if r.pos != bytes.len() {
             return Err(r.corrupt("trailing bytes after checkpoint"));
         }
@@ -1224,7 +1172,7 @@ impl crate::shard::ShardedController {
         // into exactly the stream a single writer would produce).
         let bodies: Vec<Vec<u8>> = self.map_shards(|_, ctl| {
             let mut body = Writer { buf: Vec::new() };
-            write_controller_body(&mut body, ctl, VERSION);
+            write_controller_body(&mut body, ctl);
             body.buf
         });
         for body in bodies {
@@ -1247,14 +1195,14 @@ impl crate::shard::ShardedController {
     /// Returns a [`CheckpointError`] describing the first problem found.
     pub fn restore(cp: &ControllerCheckpoint) -> Result<Self, CheckpointError> {
         let bytes = cp.as_bytes();
-        let (mut r, version) = read_header(bytes)?;
+        let mut r = read_header(bytes)?;
         let shard_count = r.len_prefix()?;
         if shard_count == 0 {
             return Err(r.corrupt("checkpoint contains zero shards"));
         }
         let mut shards = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
-            let ctl = read_controller_body(&mut r, version)?;
+            let ctl = read_controller_body(&mut r)?;
             if ctl.resilience.is_some() {
                 return Err(CheckpointError::Invalid(InvalidParamsError::bad_field(
                     "shards",
@@ -1648,37 +1596,9 @@ mod tests {
         }
     }
 
-    /// Emits the pre-policy v3 format — the compatibility fixture the
-    /// migration tests decode.
-    fn snapshot_v3(ctl: &ReactiveController) -> ControllerCheckpoint {
-        let mut w = Writer::with_version(3);
-        w.usize(1);
-        write_controller_body(&mut w, ctl, 3);
-        ControllerCheckpoint { bytes: w.buf }
-    }
-
-    #[test]
-    fn v3_blob_restores_as_paper_fsm() {
-        let mut ctl = ReactiveController::builder(ControllerParams::scaled())
-            .build()
-            .unwrap();
-        drive(&mut ctl, 5_000);
-        let restored = ReactiveController::restore(&snapshot_v3(&ctl)).unwrap();
-        assert_eq!(restored.policy_id(), "paper-fsm");
-        assert_eq!(restored.stats(), ctl.stats());
-        // Re-serializing through the current writer must land byte-for-byte
-        // on what the original (also paper-FSM) controller produces.
-        assert_eq!(restored.snapshot(), ctl.snapshot());
-        // And resuming from the old blob replays identically.
-        let mut resumed = ReactiveController::restore(&snapshot_v3(&ctl)).unwrap();
-        drive(&mut resumed, 5_000);
-        drive(&mut ctl, 5_000);
-        assert_eq!(resumed.stats(), ctl.stats());
-    }
-
     #[test]
     fn unknown_policy_id_is_refused() {
-        use crate::policy::{MonitorCounts, SpecChoice};
+        use crate::policy::{MonitorCounts, PaperFsm, SpecChoice};
         #[derive(Debug)]
         struct Martian;
         impl Policy for Martian {
@@ -1750,8 +1670,8 @@ mod tests {
             .unwrap();
         let mut w = Writer::new();
         w.usize(2);
-        write_controller_body(&mut w, &paper, VERSION);
-        write_controller_body(&mut w, &perceptron, VERSION);
+        write_controller_body(&mut w, &paper);
+        write_controller_body(&mut w, &perceptron);
         let err = crate::shard::ShardedController::restore(&ControllerCheckpoint { bytes: w.buf })
             .unwrap_err();
         assert_eq!(
@@ -1776,8 +1696,8 @@ mod tests {
             .unwrap();
         let mut w = Writer::new();
         w.usize(2);
-        write_controller_body(&mut w, &a, VERSION);
-        write_controller_body(&mut w, &b, VERSION);
+        write_controller_body(&mut w, &a);
+        write_controller_body(&mut w, &b);
         let err = crate::shard::ShardedController::restore(&ControllerCheckpoint { bytes: w.buf })
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { what, .. }

@@ -102,10 +102,9 @@ fn bit_flip_sweep_never_panics_and_leaves_restored_controllers_usable() {
 #[test]
 fn version_confusion_is_rejected_with_the_offending_byte() {
     let cp = seeded_checkpoint(1);
-    // Format versions older than the v3 compatibility floor, a future
-    // version, and junk: all must name the version they saw, not
-    // misparse the body.
-    for bad in [0u8, 1, 2, 5, 99] {
+    // Format versions older than the v4 floor, a future version, and
+    // junk: all must name the version they saw, not misparse the body.
+    for bad in [0u8, 1, 2, 3, 5, 99] {
         let mut bytes = cp.as_bytes().to_vec();
         bytes[4] = bad;
         let err =

@@ -3,7 +3,7 @@
 //!
 //! Each tenant persists as one file, `tenant-<id>.rsvt`, holding a small
 //! header (the ingest counters that live outside the controller), the
-//! controller checkpoint blob (v3, via
+//! controller checkpoint blob (v4, via
 //! [`rsc_control::ControllerCheckpoint`]), and an FNV-1a checksum footer
 //! over everything before it:
 //!

@@ -9,7 +9,7 @@
 //!
 //! A tenant converts losslessly to and from a
 //! [`TenantRecord`](crate::storage::TenantRecord): the controller goes
-//! through the v3 checkpoint format, the counters through the record
+//! through the v4 checkpoint format, the counters through the record
 //! header. Eviction, graceful drain, and crash restart all ride on that
 //! one conversion, which is why restart is bit-identical.
 

@@ -26,11 +26,12 @@ const BENCHMARK: &str = "gcc";
 /// Chunk size for the chunked paths (matches the engine default).
 const CHUNK: usize = 4096;
 
-/// Chunk size for the sharded scaling sweep. The engine routes each
-/// chunk internally in 64Ki-event blocks, so the chunk size mostly sets
-/// how often the caller crosses the engine boundary; 1M events keeps
-/// that crossing (and the pool dispatch underneath it) far below the
-/// per-chunk controller work.
+/// Chunk size for the sharded scaling sweep. The engine fans a chunk out
+/// to threads only when it holds at least
+/// [`MIN_EVENTS_PER_THREAD`](rsc_control::shard::MIN_EVENTS_PER_THREAD)
+/// (64Ki) events per thread; 1M events reaches every thread the host
+/// allows and keeps each spawn and join far below the per-chunk
+/// controller work.
 const SHARD_CHUNK: usize = 1 << 20;
 
 /// One timed code path: how many events it processed and the best
@@ -308,14 +309,12 @@ pub fn shard_counts(max: usize) -> Vec<usize> {
 /// [`rsc_control::ShardedController::observe_chunk`]; speedups are
 /// relative to the first row, which callers should make shard count 1.
 ///
-/// Two effects combine in the measured speedup: branch-grouped routing
-/// (the single-pass counting sort feeding the bulk observe arms, which
-/// pays off even with one worker thread) and physical parallelism across
-/// the persistent pool's workers. A shard count of 1 bypasses routing
-/// entirely — plain sequential `observe_chunk` — so the first row is an
-/// honest baseline. On a single-core host only the routing effect
-/// remains, worth roughly 1.1–1.3x at 2–4 shards; multi-core hosts add
-/// pool parallelism on top.
+/// Every chunk is scattered to the shards on the calling thread, then
+/// the shards' sequential `observe_chunk` passes run on up to
+/// `min(shards, max_threads())` scoped threads. A shard count of 1 skips the
+/// scatter — plain sequential `observe_chunk` — so the first row is an
+/// honest baseline. Where the threads share one core the scatter is pure
+/// overhead; each further core runs another shard range in parallel.
 pub fn run_shards(opts: &ExpOptions, counts: &[usize]) -> Vec<ShardRow> {
     let pop = spec2000::benchmark(BENCHMARK)
         .expect("benchmark exists")

@@ -28,7 +28,7 @@ use rsc_trace::Scenario;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Chunk size for the bulk-routed fast path.
+/// Chunk size for the chunked fast path.
 const CHUNK: usize = 4_096;
 
 /// Relative slack for the `--check` monotonicity gate: adjacent points

@@ -170,10 +170,10 @@ impl ControllerBuilder {
         self
     }
 
-    /// Caps the worker-pool size for
-    /// [`build_sharded`](ControllerBuilder::build_sharded): the pool gets
-    /// `min(shards, n)` persistent threads, and `n <= 1` selects the
-    /// inline (threadless) engine. The default of 0 defers to the global
+    /// Caps the threads a [`build_sharded`](ControllerBuilder::build_sharded)
+    /// engine may use in one large chunk: at most `min(shards, n)`, the
+    /// caller included, and `n <= 1` keeps every chunk on the caller.
+    /// The default of 0 defers to the global
     /// [`max_threads`](rsc_util::parallel::max_threads) cap — which the
     /// `repro --threads` flag sets — evaluated once at build time.
     #[must_use]
@@ -259,12 +259,13 @@ impl ControllerBuilder {
     /// Both are rejected at any shard count — including 1 — so a config
     /// never changes meaning when the shard count does.
     ///
-    /// The engine's persistent worker pool is sized here, once:
-    /// `min(shards, cap)` threads, where `cap` is
-    /// [`pool_threads`](ControllerBuilder::pool_threads) or (by default)
-    /// the global [`max_threads`](rsc_util::parallel::max_threads) cap. A
-    /// cap of 1 yields the inline engine — same single-pass routing, no
-    /// threads, bit-identical results.
+    /// The engine's thread cap is fixed here, once: `min(shards, cap)`,
+    /// where `cap` is [`pool_threads`](ControllerBuilder::pool_threads)
+    /// or (by default) the global
+    /// [`max_threads`](rsc_util::parallel::max_threads) cap. Building
+    /// spawns nothing; threads exist only inside one large
+    /// [`observe_chunk`](ShardedController::observe_chunk) call, and the
+    /// results are bit-identical at every cap.
     ///
     /// # Errors
     ///

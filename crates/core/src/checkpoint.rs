@@ -1167,16 +1167,10 @@ impl crate::shard::ShardedController {
     pub fn snapshot(&self) -> ControllerCheckpoint {
         let mut w = Writer::new();
         w.usize(self.shard_count());
-        // Each body is serialized on its shard's owning worker (the body
-        // format is self-delimiting, so per-shard buffers concatenate
-        // into exactly the stream a single writer would produce).
-        let bodies: Vec<Vec<u8>> = self.map_shards(|_, ctl| {
-            let mut body = Writer { buf: Vec::new() };
-            write_controller_body(&mut body, ctl);
-            body.buf
-        });
-        for body in bodies {
-            w.buf.extend_from_slice(&body);
+        // The body format is self-delimiting, so the bodies concatenate
+        // with no framing between them.
+        for ctl in self.shards() {
+            write_controller_body(&mut w, ctl);
         }
         ControllerCheckpoint { bytes: w.buf }
     }
@@ -1240,9 +1234,9 @@ impl crate::shard::ShardedController {
                 return Err(r.corrupt("shards disagree on telemetry shape"));
             }
         }
-        // Restored state is handed straight into a fresh engine — worker
-        // threads take ownership of their shards under the current
-        // global thread cap, exactly as a newly built engine would.
+        // Restored shards go straight into a fresh engine whose thread
+        // cap is the current global one, as a newly built engine's is.
+        // Nothing is spawned here.
         Ok(crate::shard::ShardedController::from_parts(
             shards,
             rsc_util::parallel::max_threads(),
@@ -1451,8 +1445,9 @@ mod tests {
     #[test]
     fn pooled_and_inline_round_trips_are_bit_identical() {
         use crate::shard::ShardedController;
-        // A chunked many-branch trace wide enough to exercise the routed
-        // fast path (bulk observe arms, multi-block chunks).
+        // A chunked many-branch trace. The first chunk is large enough
+        // for the 4-thread engine to fan out to every thread; the second
+        // runs inline on both engines.
         let chunk = |lo: u64, hi: u64| -> Vec<BranchRecord> {
             (lo..hi)
                 .map(|i| {
@@ -1477,7 +1472,8 @@ mod tests {
         let mut pooled = build(4);
         assert_eq!(inline.pool_threads(), 1);
         assert_eq!(pooled.pool_threads(), 4);
-        let first = chunk(0, 30_000);
+        let split = 4 * crate::shard::MIN_EVENTS_PER_THREAD as u64;
+        let first = chunk(0, split);
         assert_eq!(inline.observe_chunk(&first), pooled.observe_chunk(&first));
         let cp_inline = inline.snapshot();
         let cp_pooled = pooled.snapshot();
@@ -1489,7 +1485,7 @@ mod tests {
         // restore → observe → checkpoint again: the second-generation
         // checkpoints must also agree bit-for-bit, whether the next chunk
         // went through the restored engine or the original pooled one.
-        let second = chunk(30_000, 60_000);
+        let second = chunk(split, split + 30_000);
         let mut restored = ShardedController::restore(&cp_inline).unwrap();
         let resumed_summary = restored.observe_chunk(&second);
         assert_eq!(resumed_summary, pooled.observe_chunk(&second));

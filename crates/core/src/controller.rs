@@ -1233,277 +1233,6 @@ impl ReactiveController {
         }
     }
 
-    /// Feeds branch-grouped, routed events through the controller: `runs`
-    /// is a sequence of `(branch_index, len)` headers; `taken` holds the
-    /// concatenated per-event outcomes and `offs` each event's index into
-    /// `records`, the *original* (unrouted) block, so all `len` events of
-    /// one run belong to one branch, in that branch's original event
-    /// order. `max_instr` is the block-wide instruction high-water mark,
-    /// precomputed by the router. This is the sharded engine's per-shard
-    /// hot path.
-    ///
-    /// Per-branch decisions, statistics, and transition *counts* are
-    /// bit-identical to [`observe`](Self::observe)-ing the same events,
-    /// because the FSM for branch `b` never reads another branch's state;
-    /// only the interleaving of *different branches* (and therefore the
-    /// order of the shard-local transition log, already documented as
-    /// shard-local semantics) differs from arrival order. Grouping buys
-    /// the big win: the state dispatch and counters for a branch stay in
-    /// registers for a whole run instead of being re-loaded per event,
-    /// and the steady-state arms consume a run in bulk — only rare arms
-    /// (classification, deployment deadlines, sampled eviction) chase
-    /// `offs` back to the full record and fall into `observe` one event
-    /// at a time.
-    ///
-    /// One deliberate deviation from per-event bookkeeping: instead of
-    /// folding every event's `instr` into the per-shard high-water mark,
-    /// the shard's `instructions` is advanced to `max_instr` once at the
-    /// end. A shard's mark can therefore run *ahead* of the events it
-    /// owns (it reflects the whole routed block), but the merged
-    /// cross-shard statistic — the only `instructions` value the sharded
-    /// engine exposes as equal to the sequential controller's — is the
-    /// maximum over shards and stays exact. Deadline and transition
-    /// timestamps always use the real per-event `instr` from `records`.
-    pub(crate) fn observe_routed(
-        &mut self,
-        runs: &[(u32, u32)],
-        taken: &[u8],
-        offs: &[u16],
-        records: &[BranchRecord],
-        max_instr: u64,
-    ) -> ChunkSummary {
-        debug_assert_eq!(taken.len(), offs.len());
-        debug_assert_eq!(
-            runs.iter().map(|&(_, l)| l as usize).sum::<usize>(),
-            taken.len()
-        );
-        // Same delegation as `observe_chunk`: the resilience layer and
-        // telemetry hooks live on the per-event path. The final
-        // `max_instr` advance is applied here too, so a shard behaves
-        // identically whether or not telemetry is attached.
-        if !self.chunk_fast_path() {
-            let start_events = self.events;
-            let start_correct = self.correct;
-            let start_incorrect = self.incorrect;
-            for &o in offs {
-                self.observe(&records[usize::from(o)]);
-            }
-            self.instructions = self.instructions.max(max_instr);
-            let correct = self.correct - start_correct;
-            let incorrect = self.incorrect - start_incorrect;
-            return ChunkSummary {
-                events: self.events - start_events,
-                speculated: correct + incorrect,
-                correct,
-                incorrect,
-            };
-        }
-
-        // One resize covers every run.
-        if let Some(max_idx) = runs.iter().map(|&(b, _)| b as usize).max() {
-            if max_idx >= self.branches.len() {
-                self.branches.resize_with(max_idx + 1, BranchCtl::new);
-            }
-        }
-
-        let params = self.params;
-        let monitor_sample_rate = params.monitor_sample_rate;
-        let sample_every_exec = monitor_sample_rate == 1;
-        let optimization_latency = params.optimization_latency;
-        // Same hoists as `observe_chunk` (see there).
-        let policy = Arc::clone(&self.policy);
-        let custom_observe = policy.custom_observe();
-
-        let start_events = self.events;
-        let start_correct = self.correct;
-        let start_incorrect = self.incorrect;
-        let mut events = self.events;
-        let mut instructions = self.instructions;
-        let mut correct = self.correct;
-        let mut incorrect = self.incorrect;
-
-        let mut off = 0usize;
-        for &(bidx, run_len) in runs {
-            let len = run_len as usize;
-            let t = &taken[off..off + len];
-            let o = &offs[off..off + len];
-            off += len;
-            let idx = bidx as usize;
-            let mut i = 0usize;
-            // Re-dispatch on the (possibly new) state after every bulk
-            // arm, eviction, or slow-path event until the run is drained.
-            // Bulk arms never touch per-event `instr`: the local
-            // `instructions` mark may lag, and is advanced to `max_instr`
-            // once after the loop (see the method docs).
-            while i < len {
-                let b = &mut self.branches[idx];
-                let mut evict: Option<(Direction, u64)> = None;
-                let mut slow = false;
-                match &mut b.state {
-                    State::Disabled => {
-                        let m = len - i;
-                        b.execs += m as u64;
-                        events += m as u64;
-                        i = len;
-                    }
-                    State::Unbiased { remaining } => match remaining {
-                        // The revisit arc logs a transition: slow path.
-                        Some(n) if *n <= 1 => slow = true,
-                        Some(n) => {
-                            // `n` stays ≥ 1, so the event that re-enters
-                            // monitoring still goes through `observe`.
-                            let m = usize::try_from(*n - 1).unwrap_or(usize::MAX).min(len - i);
-                            *n -= m as u64;
-                            b.execs += m as u64;
-                            events += m as u64;
-                            i += m;
-                        }
-                        None => {
-                            let m = len - i;
-                            b.execs += m as u64;
-                            events += m as u64;
-                            i = len;
-                        }
-                    },
-                    State::Monitor {
-                        execs,
-                        samples,
-                        taken: tk,
-                    } => {
-                        // Bulk-consume the policy's guaranteed monitor
-                        // headroom; the event that could classify goes to
-                        // `observe`.
-                        let counts = MonitorCounts {
-                            execs: *execs,
-                            samples: *samples,
-                            taken: *tk,
-                        };
-                        let headroom = policy.observe_run(counts, &params);
-                        if headroom >= 1 {
-                            let headroom = usize::try_from(headroom).unwrap_or(usize::MAX);
-                            let m = headroom.min(len - i);
-                            if sample_every_exec {
-                                *samples += m as u64;
-                                *tk += t[i..i + m].iter().map(|&x| u64::from(x)).sum::<u64>();
-                            } else {
-                                for (e, &x) in (*execs..).zip(&t[i..i + m]) {
-                                    if e % monitor_sample_rate == 0 {
-                                        *samples += 1;
-                                        *tk += u64::from(x);
-                                    }
-                                }
-                            }
-                            *execs += m as u64;
-                            b.execs += m as u64;
-                            events += m as u64;
-                            i += m;
-                        } else {
-                            slow = true;
-                        }
-                    }
-                    State::Biased { dir, tracker } => match tracker {
-                        EvictTracker::Counter(c) if !custom_observe => {
-                            let want = u8::from(*dir == Direction::Taken);
-                            let mut j = i;
-                            // Consume miss-free stretches in one step: scan
-                            // to the next mismatch (a vector-friendly byte
-                            // search), fold the correct prefix into the
-                            // counter in closed form, then handle the miss
-                            // alone. The counter only rises on a miss, so
-                            // that is the only place eviction can trigger.
-                            loop {
-                                let p = t[j..len].iter().position(|&x| x != want);
-                                let stretch = p.unwrap_or(len - j);
-                                c.bulk_correct(stretch as u64);
-                                correct += stretch as u64;
-                                j += stretch;
-                                if p.is_none() {
-                                    break;
-                                }
-                                c.misspeculation();
-                                incorrect += 1;
-                                j += 1;
-                                if c.should_evict() {
-                                    let at = records[usize::from(o[j - 1])].instr;
-                                    evict = Some((*dir, at));
-                                    break;
-                                }
-                            }
-                            let m = j - i;
-                            b.execs += m as u64;
-                            events += m as u64;
-                            i = j;
-                        }
-                        EvictTracker::Never if !custom_observe => {
-                            let m = len - i;
-                            let want = u8::from(*dir == Direction::Taken);
-                            let hits: u64 = t[i..].iter().map(|&x| u64::from(x == want)).sum();
-                            correct += hits;
-                            incorrect += m as u64 - hits;
-                            b.execs += m as u64;
-                            events += m as u64;
-                            i = len;
-                        }
-                        // Sampled eviction, or a policy with a
-                        // non-standard `observe`: per-event path.
-                        _ => slow = true,
-                    },
-                    State::PendingBiased { .. }
-                    | State::PendingMonitor { .. }
-                    | State::RetryBiased { .. }
-                    | State::RetryMonitor { .. } => slow = true,
-                }
-
-                if let Some((dir, at)) = evict {
-                    let b = &mut self.branches[idx];
-                    b.evictions += 1;
-                    self.log.push(TransitionEvent {
-                        branch: BranchId::new(bidx),
-                        kind: TransitionKind::ExitBiased,
-                        event_index: events,
-                        instr: at,
-                        direction: Some(dir),
-                    });
-                    self.branches[idx].state = if optimization_latency == 0 {
-                        State::fresh_monitor()
-                    } else {
-                        State::PendingMonitor {
-                            deadline: at + optimization_latency,
-                            dir,
-                        }
-                    };
-                }
-
-                if slow {
-                    self.events = events;
-                    self.instructions = instructions;
-                    self.correct = correct;
-                    self.incorrect = incorrect;
-                    self.observe(&records[usize::from(o[i])]);
-                    events = self.events;
-                    instructions = self.instructions;
-                    correct = self.correct;
-                    incorrect = self.incorrect;
-                    i += 1;
-                }
-            }
-        }
-
-        self.events = events;
-        self.instructions = instructions.max(max_instr);
-        self.correct = correct;
-        self.incorrect = incorrect;
-
-        let chunk_correct = correct - start_correct;
-        let chunk_incorrect = incorrect - start_incorrect;
-        ChunkSummary {
-            events: events - start_events,
-            speculated: chunk_correct + chunk_incorrect,
-            correct: chunk_correct,
-            incorrect: chunk_incorrect,
-        }
-    }
-
     /// Aggregate statistics so far.
     pub fn stats(&self) -> ControlStats {
         let mut s = ControlStats {

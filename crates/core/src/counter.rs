@@ -58,17 +58,6 @@ impl HysteresisCounter {
         self.value = self.value.saturating_sub(self.down);
     }
 
-    /// Records `m` consecutive correct speculations in one step — exactly
-    /// equivalent to `m` calls of [`correct`](Self::correct): the chain of
-    /// saturating decrements closes to `max(value - m*down, 0)`, because
-    /// once the value hits zero it stays there.
-    pub fn bulk_correct(&mut self, m: u64) {
-        self.value = u32::try_from(
-            u64::from(self.value).saturating_sub(u64::from(self.down).saturating_mul(m)),
-        )
-        .expect("result bounded by the original u32 value");
-    }
-
     /// Returns `true` once the counter has reached the eviction threshold.
     pub fn should_evict(&self) -> bool {
         self.value >= self.threshold
@@ -137,25 +126,6 @@ mod tests {
         assert_eq!(c.value(), 0);
         c.correct();
         assert_eq!(c.value(), 0, "saturates at zero");
-    }
-
-    #[test]
-    fn bulk_correct_matches_repeated_correct() {
-        for down in [1u32, 3, 7, u32::MAX] {
-            for start in [0u32, 1, 5, 49, 50, 10_000] {
-                for m in [0u64, 1, 2, 50, 100_000] {
-                    let mut a = HysteresisCounter::new(50, down, u32::MAX);
-                    let mut b = HysteresisCounter::new(50, down, u32::MAX);
-                    a.set_value(start);
-                    b.set_value(start);
-                    for _ in 0..m.min(200_000) {
-                        a.correct();
-                    }
-                    b.bulk_correct(m);
-                    assert_eq!(a.value(), b.value(), "down={down} start={start} m={m}");
-                }
-            }
-        }
     }
 
     #[test]

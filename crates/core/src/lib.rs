@@ -50,6 +50,7 @@
 //! re-exports the types a typical consumer needs.
 
 #![warn(deprecated)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod builder;

@@ -22,8 +22,8 @@
 //! * [`observe_run`](Policy::observe_run) — the chunked fast-path hook:
 //!   how many further monitored executions are guaranteed to
 //!   [`Continue`](SpecChoice::Continue), letting
-//!   [`observe_chunk`](crate::ReactiveController::observe_chunk) and the
-//!   sharded bulk-routed path absorb monitor windows in closed form.
+//!   [`observe_chunk`](crate::ReactiveController::observe_chunk) handle
+//!   those monitor executions inline.
 //!
 //! # Fast-path obligations
 //!
@@ -146,8 +146,8 @@ pub trait Policy: fmt::Debug + Send + Sync {
 
     /// Chunked-observe hook: how many *further* monitored executions are
     /// guaranteed to [`Continue`](SpecChoice::Continue) regardless of
-    /// their outcomes. The bulk paths absorb that many events in closed
-    /// form; 0 (the default) routes every event through
+    /// their outcomes. The chunked path handles such events inline;
+    /// 0 (the default) routes every event through
     /// [`decide`](Policy::decide) — always safe, merely slower.
     fn observe_run(&self, counts: MonitorCounts, params: &ControllerParams) -> u64 {
         let _ = (counts, params);

@@ -4,8 +4,11 @@
 //! workspace. Currently: [`parallel`], the scoped order-preserving parallel
 //! map (promoted out of `rsc-bench` so the library crates — offline profile
 //! sharding in `rsc-profile`, experiment fan-out in `rsc-bench` — share one
-//! implementation and one global thread cap), and [`sync`], the bounded
+//! implementation and one global thread cap) plus the one-thread-per-item
+//! fan-out behind the sharded controller, and [`sync`], the bounded
 //! admission gate behind the serve daemon's per-tenant backpressure.
+
+#![forbid(unsafe_code)]
 
 pub mod parallel;
 pub mod sync;

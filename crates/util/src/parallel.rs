@@ -1,21 +1,19 @@
-//! Thread primitives for independent work items: an order-preserving
-//! [`par_map`] over scoped throwaway threads, and a persistent
-//! [`WorkerPool`] whose long-lived workers own per-worker state.
+//! Thread primitives for independent work items, all on scoped
+//! throwaway threads: an order-preserving [`par_map`] and a one-thread-
+//! per-item [`fan_out`].
 //!
 //! Every reproduction experiment maps independently over benchmarks, and
 //! the sharded offline profiler maps over trace shards; `par_map` runs
 //! those closures on up to [`max_threads`] threads with scoped borrows
 //! (no `'static` bound, no external dependencies) while keeping result
-//! order. The sharded controller engine instead dispatches every chunk,
-//! so it uses a [`WorkerPool`]: threads are spawned once, own their
-//! shard state for their whole life, and are fed borrowed jobs through
-//! channels with a completion barrier per dispatch.
+//! order. The sharded controller engine instead splits one large chunk
+//! into a few contiguous shard ranges and runs them with [`fan_out`]:
+//! one scoped thread per range, the first range on the caller, and any
+//! range whose thread cannot be spawned on the caller too. No thread
+//! outlives the call.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
-use std::thread::JoinHandle;
 
 /// Global cap on `par_map` fan-out. Zero means "use
 /// `available_parallelism`".
@@ -44,16 +42,16 @@ std::thread_local! {
     static FAIL_NTH_SPAWN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// Test seam: arms the *n*-th (1-based) subsequent [`WorkerPool`] spawn
+/// Test seam: arms the *n*-th (1-based) subsequent [`fan_out`] spawn
 /// attempt **on this thread** to fail with a synthetic [`std::io::Error`],
-/// without consuming an OS thread. Pools are spawned from the calling
-/// thread, so this injects exactly where `WorkerPool::new`'s recovery
-/// path runs. Passing `0` disarms.
+/// without consuming an OS thread. `fan_out` spawns from the calling
+/// thread, so this injects exactly where its recovery path runs. Passing
+/// `0` disarms.
 ///
 /// Spawn failures are otherwise nearly impossible to provoke portably
 /// (they require hitting an OS thread limit), yet the fallback they
-/// trigger — hand every state back so the caller can run inline — is a
-/// correctness path the sharded engine depends on.
+/// trigger — run the item on the caller instead — is a correctness path
+/// the sharded engine depends on.
 pub fn fail_nth_spawn(n: usize) {
     FAIL_NTH_SPAWN.with(|c| c.set(n));
 }
@@ -130,291 +128,72 @@ where
         .collect()
 }
 
-/// A job sent to one worker: a borrowed closure, lifetime-erased for the
-/// channel. Soundness contract (upheld by [`WorkerPool::run_with`]): the
-/// pool waits on the completion barrier before the borrow ends, so the
-/// pointer never outlives the closure it points to.
-struct Job<S> {
-    f: *const (dyn Fn(usize, &mut S) + Sync),
-}
-
-// SAFETY: the pointee is `Sync` (shared across workers by reference) and
-// `run_with` keeps it alive until every worker has acknowledged
-// completion, so sending the pointer to another thread is sound.
-unsafe impl<S> Send for Job<S> {}
-
-enum Msg<S> {
-    Run(Job<S>),
-    Stop,
-}
-
-struct Worker<S> {
-    tx: Sender<Msg<S>>,
-    done: Receiver<bool>,
-    handle: Option<JoinHandle<S>>,
-}
-
-/// Persistent worker pool with worker-owned state.
+/// Runs `f` on every item, one item per thread, and returns the results
+/// in item order: items `1..` each get a scoped thread, item 0 runs on
+/// the caller. An item whose thread fails to spawn runs on the caller
+/// as well, after item 0, so the results never depend on whether a
+/// spawn succeeded. Panics in `f` propagate.
 ///
-/// `WorkerPool::new(states)` spawns one long-lived thread per state; each
-/// worker owns its `S` for the pool's whole life. [`run_with`] dispatches
-/// one borrowed closure to every worker and waits for all of them on a
-/// completion barrier — optionally overlapping caller-side work with the
-/// workers. [`map`] and [`call`] are conveniences built on top.
-///
-/// A panic inside a worker's job is caught on the worker thread (the
-/// thread itself survives and keeps draining its channel, so joins never
-/// deadlock), reported through the barrier, and re-raised on the caller
-/// after every worker has checked in. The pool is then *poisoned*: all
-/// further dispatches panic immediately, because the worker state that
-/// panicked may be half-updated. Dropping the pool — poisoned or not —
-/// sends every worker a stop message and joins it.
+/// Unlike [`par_map`] this ignores [`max_threads`]: the caller chooses
+/// the number of items, and so the number of threads.
 ///
 /// ```
-/// use rsc_util::parallel::WorkerPool;
-/// let mut pool = WorkerPool::new(vec![10u64, 20, 30], "doc").unwrap();
-/// let out = pool.map(|w, state| {
-///     *state += 1;
-///     *state + w as u64
+/// use rsc_util::parallel::fan_out;
+/// let mut shards = [1u64, 2, 3, 4];
+/// let (lo, hi) = shards.split_at_mut(2);
+/// let sums = fan_out(vec![lo, hi], |part| {
+///     part.iter_mut().for_each(|x| *x *= 10);
+///     part.iter().sum::<u64>()
 /// });
-/// assert_eq!(out, vec![11, 22, 33]);
+/// assert_eq!(sums, vec![30, 70]);
+/// assert_eq!(shards, [10, 20, 30, 40]);
 /// ```
-pub struct WorkerPool<S> {
-    workers: Vec<Worker<S>>,
-    poisoned: bool,
-}
-
-impl<S: Send + 'static> WorkerPool<S> {
-    /// Spawns one worker thread per state. `name` seeds the thread names
-    /// (`{name}-w{k}`). Fails only if the OS refuses to spawn a thread;
-    /// already-spawned workers are then shut down cleanly and *all*
-    /// states are handed back in order, so the caller can fall back to
-    /// running them inline.
-    #[allow(clippy::result_large_err)]
-    pub fn new(states: Vec<S>, name: &str) -> Result<Self, (std::io::Error, Vec<S>)> {
-        let mut pool = WorkerPool {
-            workers: Vec::with_capacity(states.len()),
-            poisoned: false,
-        };
-        let mut iter = states.into_iter();
-        let mut k = 0usize;
-        while let Some(state) = iter.next() {
-            let (tx, rx) = channel::<Msg<S>>();
-            let (done_tx, done) = channel::<bool>();
-            // Stage the state in a cell: `spawn` consumes its closure even
-            // on failure, and the state must survive to be handed back.
-            let cell = std::sync::Arc::new(Mutex::new(Some(state)));
-            let worker_cell = std::sync::Arc::clone(&cell);
-            let spawned = if take_injected_spawn_failure() {
+pub fn fan_out<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    if items.is_empty() {
+        return Vec::new();
+    }
+    // Each item waits in a slot until it runs, so a failed spawn (which
+    // drops its closure) leaves the item behind for the caller.
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let run = |i: usize| {
+        let item = slots[i]
+            .lock()
+            .expect("item slot poisoned")
+            .take()
+            .expect("each item runs once");
+        f(item)
+    };
+    let mut out: Vec<Option<R>> = slots.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let run = &run;
+        let mut spawned = Vec::new();
+        let mut on_caller = vec![0];
+        for i in 1..slots.len() {
+            let handle = if take_injected_spawn_failure() {
                 Err(std::io::Error::other("injected spawn failure"))
             } else {
-                std::thread::Builder::new()
-                    .name(format!("{name}-w{k}"))
-                    .spawn(move || {
-                        let mut state = worker_cell
-                            .lock()
-                            .expect("state cell lock")
-                            .take()
-                            .expect("state staged by new()");
-                        drop(worker_cell);
-                        while let Ok(Msg::Run(job)) = rx.recv() {
-                            // SAFETY: see `Job` — the caller keeps the
-                            // closure alive until this ack is received.
-                            let f = unsafe { &*job.f };
-                            let ok = catch_unwind(AssertUnwindSafe(|| f(k, &mut state))).is_ok();
-                            // A dropped pool means no one is listening;
-                            // nothing to report.
-                            let _ = done_tx.send(ok);
-                        }
-                        state
-                    })
+                std::thread::Builder::new().spawn_scoped(scope, move || run(i))
             };
-            match spawned {
-                Ok(handle) => pool.workers.push(Worker {
-                    tx,
-                    done,
-                    handle: Some(handle),
-                }),
-                Err(e) => {
-                    let orphan = cell
-                        .lock()
-                        .expect("state cell lock")
-                        .take()
-                        .expect("failed spawn never took the state");
-                    let mut recovered = pool.into_states();
-                    recovered.push(orphan);
-                    recovered.extend(iter);
-                    return Err((e, recovered));
-                }
-            }
-            k += 1;
-        }
-        Ok(pool)
-    }
-
-    /// Number of workers (== number of states).
-    pub fn len(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Whether the pool has no workers.
-    pub fn is_empty(&self) -> bool {
-        self.workers.is_empty()
-    }
-
-    /// Whether a previous job panicked. A poisoned pool refuses further
-    /// dispatches (state may be half-updated) but still drops cleanly.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Runs `f(worker_index, &mut state)` on every worker, calls
-    /// `overlap()` on the caller thread while the workers run, then waits
-    /// for every worker. This is the double-buffering hook: route the
-    /// next chunk in `overlap` while the workers observe the current one.
-    ///
-    /// Panics if a worker's job panicked (after all workers have checked
-    /// in, so nothing is left running loose) or if the pool is poisoned.
-    /// If `overlap` itself panics, the barrier is still drained before
-    /// the panic propagates — workers never outlive the borrows they got.
-    pub fn run_with<F, G>(&mut self, f: F, overlap: G)
-    where
-        F: Fn(usize, &mut S) + Sync,
-        G: FnOnce(),
-    {
-        assert!(!self.poisoned, "worker pool poisoned by an earlier panic");
-        let wide: &(dyn Fn(usize, &mut S) + Sync) = &f;
-        // SAFETY: erase the borrow lifetime for the channel; the guard
-        // below waits for every worker before this frame (and thus `f`)
-        // can unwind away.
-        let job_ptr: *const (dyn Fn(usize, &mut S) + Sync) = unsafe { std::mem::transmute(wide) };
-        for w in &self.workers {
-            w.tx.send(Msg::Run(Job { f: job_ptr }))
-                .expect("worker thread alive until Stop");
-        }
-
-        struct Barrier<'a, S> {
-            pool: &'a mut WorkerPool<S>,
-            waited: bool,
-        }
-        impl<S> Barrier<'_, S> {
-            fn wait(&mut self) -> bool {
-                self.waited = true;
-                let mut all_ok = true;
-                for w in &self.pool.workers {
-                    // A disconnected channel means the worker died
-                    // outside our catch: treat as a failed job.
-                    all_ok &= w.done.recv().unwrap_or(false);
-                }
-                if !all_ok {
-                    self.pool.poisoned = true;
-                }
-                all_ok
+            match handle {
+                Ok(h) => spawned.push((i, h)),
+                Err(_) => on_caller.push(i),
             }
         }
-        impl<S> Drop for Barrier<'_, S> {
-            fn drop(&mut self) {
-                if !self.waited {
-                    self.wait();
-                }
-            }
+        for i in on_caller {
+            out[i] = Some(run(i));
         }
-
-        let mut barrier = Barrier {
-            pool: self,
-            waited: false,
-        };
-        overlap();
-        let ok = barrier.wait();
-        assert!(ok, "a worker panicked while running a pool job");
-    }
-
-    /// Runs `f` on every worker and returns the results in worker order.
-    pub fn map<R, F>(&mut self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &mut S) -> R + Sync,
-    {
-        let slots: Vec<Mutex<Option<R>>> = (0..self.len()).map(|_| Mutex::new(None)).collect();
-        self.run_with(
-            |w, state| {
-                *slots[w].lock().expect("slot lock") = Some(f(w, state));
-            },
-            || {},
-        );
-        slots
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("slot lock")
-                    .expect("every worker filled its slot")
-            })
-            .collect()
-    }
-
-    /// Runs `f` on one worker only and returns its result.
-    pub fn call<R, F>(&mut self, worker: usize, f: F) -> R
-    where
-        R: Send,
-        F: FnOnce(usize, &mut S) -> R + Send,
-    {
-        assert!(worker < self.len(), "worker index out of range");
-        assert!(!self.poisoned, "worker pool poisoned by an earlier panic");
-        let cell = Mutex::new(Some(f));
-        let out: Mutex<Option<R>> = Mutex::new(None);
-        let run = |w: usize, state: &mut S| {
-            let g = cell
-                .lock()
-                .expect("cell lock")
-                .take()
-                .expect("single dispatch");
-            *out.lock().expect("out lock") = Some(g(w, state));
-        };
-        let wide: &(dyn Fn(usize, &mut S) + Sync) = &run;
-        // SAFETY: same contract as `run_with` — the barrier below waits
-        // for this worker before `run` goes out of scope.
-        let job_ptr: *const (dyn Fn(usize, &mut S) + Sync) = unsafe { std::mem::transmute(wide) };
-        self.workers[worker]
-            .tx
-            .send(Msg::Run(Job { f: job_ptr }))
-            .expect("worker thread alive until Stop");
-        let ok = self.workers[worker].done.recv().unwrap_or(false);
-        if !ok {
-            self.poisoned = true;
-            panic!("a worker panicked while running a pool job");
+        for (i, h) in spawned {
+            out[i] = Some(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
         }
-        out.into_inner()
-            .expect("out lock")
-            .expect("worker filled the slot")
-    }
-
-    /// Shuts the pool down and returns each worker's state, in order.
-    pub fn into_states(mut self) -> Vec<S> {
-        let mut states = Vec::with_capacity(self.workers.len());
-        for w in &mut self.workers {
-            let _ = w.tx.send(Msg::Stop);
-            if let Some(handle) = w.handle.take() {
-                if let Ok(state) = handle.join() {
-                    states.push(state);
-                }
-            }
-        }
-        self.workers.clear();
-        states
-    }
-}
-
-impl<S> Drop for WorkerPool<S> {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            // The worker may already be gone (its thread panicked outside
-            // a job); a failed send is fine — there is nothing to stop.
-            let _ = w.tx.send(Msg::Stop);
-            if let Some(handle) = w.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every item ran"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -461,128 +240,56 @@ mod tests {
     }
 
     #[test]
-    fn pool_map_mutates_worker_state_in_order() {
-        let mut pool = WorkerPool::new(vec![0u64; 4], "t").unwrap();
-        for round in 1..=3u64 {
-            let out = pool.map(|w, state| {
-                *state += round;
-                (w, *state)
-            });
-            let expect: Vec<(usize, u64)> = (0..4).map(|w| (w, (1..=round).sum::<u64>())).collect();
-            assert_eq!(out, expect, "round {round}");
-        }
-    }
-
-    #[test]
-    fn pool_run_with_overlaps_caller_work_and_borrows_stack() {
-        let inputs = [5u32, 6, 7];
-        let slots: Vec<Mutex<u32>> = (0..3).map(|_| Mutex::new(0)).collect();
-        let mut pool = WorkerPool::new(vec![(); 3], "t").unwrap();
-        let mut overlapped = false;
-        pool.run_with(
-            |w, ()| {
-                *slots[w].lock().unwrap() = inputs[w] * 10;
-            },
-            || {
-                overlapped = true;
-            },
-        );
-        assert!(overlapped);
-        let got: Vec<u32> = slots.iter().map(|m| *m.lock().unwrap()).collect();
-        assert_eq!(got, vec![50, 60, 70]);
-    }
-
-    #[test]
-    fn pool_call_targets_one_worker() {
-        let mut pool = WorkerPool::new(vec![10i64, 20, 30], "t").unwrap();
-        let r = pool.call(1, |w, state| {
-            *state += 1;
-            (w, *state)
-        });
-        assert_eq!(r, (1, 21));
-        assert_eq!(pool.map(|_, s| *s), vec![10, 21, 30]);
-    }
-
-    #[test]
-    fn pool_into_states_returns_final_states() {
-        let mut pool = WorkerPool::new(vec![1u8, 2, 3], "t").unwrap();
-        pool.map(|_, s| *s *= 2);
-        assert_eq!(pool.into_states(), vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn pool_worker_panic_propagates_without_deadlock() {
-        let mut pool = WorkerPool::new(vec![0u8; 3], "t").unwrap();
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_with(
-                |w, _| {
-                    if w == 1 {
-                        panic!("boom");
-                    }
-                },
-                || {},
-            );
-        }));
-        assert!(r.is_err(), "the panic reaches the caller");
-        assert!(pool.is_poisoned());
-        let again = std::panic::catch_unwind(AssertUnwindSafe(|| pool.map(|_, s| *s)));
-        assert!(again.is_err(), "a poisoned pool refuses dispatches");
-        drop(pool); // and still joins cleanly — the test would hang otherwise
-    }
-
-    #[test]
-    fn pool_drop_joins_cleanly_without_jobs() {
-        let pool = WorkerPool::new(vec![(); 8], "t").unwrap();
-        drop(pool);
-    }
-
-    #[test]
     fn spawn_failure_on_first_worker_returns_all_states_in_order() {
+        // The first spawn (item 1's) fails: item 1 runs on the caller
+        // after item 0, and the seam disarms after firing.
+        let caller = std::thread::current().id();
         fail_nth_spawn(1);
-        let err = WorkerPool::new(vec![1u8, 2, 3, 4], "t").err().unwrap();
-        assert_eq!(err.1, vec![1, 2, 3, 4], "every state handed back");
-        assert_eq!(err.0.to_string(), "injected spawn failure");
-        // The seam disarms after firing: the next pool spawns fine.
-        let mut pool = WorkerPool::new(vec![1u8, 2, 3, 4], "t").unwrap();
-        assert_eq!(pool.map(|_, s| *s), vec![1, 2, 3, 4]);
+        let ran = fan_out(vec![1u8, 2, 3, 4], |x| (x, std::thread::current().id()));
+        let items: Vec<u8> = ran.iter().map(|&(x, _)| x).collect();
+        assert_eq!(items, vec![1, 2, 3, 4], "every item ran, in order");
+        let on_caller: Vec<bool> = ran.iter().map(|&(_, t)| t == caller).collect();
+        assert_eq!(on_caller, vec![true, true, false, false]);
+        let again = fan_out(vec![1u8, 2], |_| std::thread::current().id());
+        assert_ne!(again[1], caller, "the next fan-out spawns again");
     }
 
     #[test]
     fn spawn_failure_mid_way_recovers_already_spawned_states_in_order() {
-        // Worker 0 and 1 spawn, worker 2 fails: the recovery path has to
-        // join live workers, reclaim the orphaned state, and drain the
-        // unspawned remainder — in the original order.
+        // Items 1 and 2 spawn, item 3's spawn fails: item 3 joins item 0
+        // on the caller, and the results keep item order.
+        let caller = std::thread::current().id();
         fail_nth_spawn(3);
-        let err = WorkerPool::new(vec![10u8, 11, 12, 13, 14], "t")
-            .err()
-            .unwrap();
-        assert_eq!(err.1, vec![10, 11, 12, 13, 14]);
-    }
-
-    #[test]
-    fn pool_call_panic_poisons_without_deadlocking() {
-        let mut pool = WorkerPool::new(vec![0u8; 3], "t").unwrap();
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.call(2, |_, _| -> u8 { panic!("boom") });
-        }));
-        assert!(r.is_err(), "the panic reaches the caller");
-        assert!(pool.is_poisoned());
-        let again = std::panic::catch_unwind(AssertUnwindSafe(|| pool.call(0, |_, s| *s)));
-        assert!(again.is_err(), "a poisoned pool refuses single dispatches");
-        drop(pool); // joins cleanly — the test would hang otherwise
+        let ran = fan_out(vec![10u8, 11, 12, 13, 14], |x| {
+            (x, std::thread::current().id() == caller)
+        });
+        assert_eq!(
+            ran,
+            vec![
+                (10, true),
+                (11, false),
+                (12, false),
+                (13, true),
+                (14, false)
+            ]
+        );
     }
 
     #[test]
     fn overlap_panic_still_drains_the_barrier() {
-        let mut pool = WorkerPool::new(vec![0u64; 4], "t").unwrap();
-        let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run_with(|_, s| *s += 1, || panic!("caller-side boom"));
+        // Item 0 panics on the caller while items 1.. run on threads; the
+        // barrier holds the threads until the caller is about to panic.
+        // The panic reaches the caller only after every thread finished.
+        let start = std::sync::Barrier::new(4);
+        let finished = AtomicUsize::new(0);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fan_out(vec![0u8, 1, 2, 3], |x| {
+                start.wait();
+                assert!(x != 0, "caller-side boom");
+                finished.fetch_add(1, Ordering::SeqCst);
+            })
         }));
-        assert!(r.is_err());
-        // The workers' jobs succeeded, so the pool is *not* poisoned and
-        // the barrier was drained before the unwind (otherwise this
-        // dispatch would race the previous job's borrows).
-        assert!(!pool.is_poisoned());
-        assert_eq!(pool.map(|_, s| *s), vec![1, 1, 1, 1]);
+        assert!(r.is_err(), "the panic reaches the caller");
+        assert_eq!(finished.load(Ordering::SeqCst), 3, "every thread joined");
     }
 }

@@ -214,7 +214,8 @@ proptest! {
 
     /// Sharding is a parallelization, not a semantic change: for every
     /// shard count 1..=8, adversarial scenario, seed, and random chunk
-    /// layout, the sharded engine's per-chunk summaries, final stats,
+    /// layout — closed by one chunk large enough to fan out to two
+    /// threads — the sharded engine's per-chunk summaries, final stats,
     /// per-kind transition counts, and per-branch snapshots are
     /// bit-identical to a sequential controller fed per-event.
     #[test]
@@ -240,18 +241,23 @@ proptest! {
         };
         params.revisit = rsc_control::Revisit::After(20);
 
-        let trace = scenario.generate(4_000, seed);
+        let threaded = 2 * rsc_control::shard::MIN_EVENTS_PER_THREAD;
+        let trace = scenario.generate(4_000 + threaded as u64, seed);
         let mut sequential = ReactiveController::builder(params).build().unwrap();
         let mut sharded = ReactiveController::builder(params)
             .shards(shards)
+            .pool_threads(2)
             .build_sharded()
             .unwrap();
 
         let mut sizes = SplitMix64::new(seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut start = 0usize;
         while start < trace.len() {
-            let len = 1 + (sizes.next_u64() % max_chunk) as usize;
-            let end = (start + len).min(trace.len());
+            let end = if start < 4_000 {
+                (start + 1 + (sizes.next_u64() % max_chunk) as usize).min(4_000)
+            } else {
+                trace.len()
+            };
             let window = &trace[start..end];
             let mut expect = ChunkSummary::default();
             for r in window {

@@ -250,7 +250,7 @@ pub(crate) static COMMANDS: &[Command] = &[
             int("--seed", 0, Some("42"), "trace seed"),
             text("--out", "PATH", Some("BENCH_pareto.json"), "report path"),
             text("--metrics-out", "F", None, "export the first sweep cell's metrics to F"),
-            switch("--check", "require >=3 monotone-sane curves; failing exits 1"),
+            switch("--check", "require monotone-sane, nonzero curves; failing exits 1"),
         ],
         run: pareto_cli::run,
     },

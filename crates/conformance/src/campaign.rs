@@ -395,8 +395,8 @@ mod tests {
             "unexpected divergence: {}",
             report.failure.unwrap()
         );
-        // 6 param sets × 7 scenarios × 4 policies × 2 modes per seed.
-        assert_eq!(report.cases, 6 * 7 * 4 * 2);
+        // 6 param sets × 7 scenarios × 3 policies × 2 modes per seed.
+        assert_eq!(report.cases, 6 * 7 * 3 * 2);
         assert_eq!(report.events_fed, report.cases * 1_000);
     }
 

@@ -18,7 +18,7 @@
 //! (for the artifact).
 
 use rsc_control::{
-    builtin_policy, ChunkSummary, ControllerParams, ReactiveController, ReferenceController,
+    ChunkSummary, ControllerParams, Policy, ReactiveController, ReferenceController,
     ResilienceConfig, ShardedController, SpecDecision, TransitionKind,
 };
 use rsc_trace::rng::Xoshiro256;
@@ -273,7 +273,7 @@ fn compare_sharded_final_state(
 }
 
 /// One differential case over the policy zoo: the subject consumes the
-/// trace via `mode` under the named [`Policy`](rsc_control::Policy); the
+/// trace via `mode` under the named built-in [`Policy`]; the
 /// reference is the *same policy* consumed one event at a time (the
 /// per-event path is the semantic definition every fast path must
 /// match). For `"paper-fsm"` the reference is stronger — the golden
@@ -311,7 +311,7 @@ pub fn run_policy_case(
     }
     let build = |params: ControllerParams| {
         ReactiveController::builder(params)
-            .policy_arc(builtin_policy(policy).expect("builtin policy id"))
+            .policy(Policy::builtin(policy).expect("builtin policy id"))
             .build()
             .expect("params validate")
     };
@@ -360,7 +360,7 @@ pub fn run_policy_case(
         }
         Mode::Sharded { shards, seed } => {
             let mut subject = ReactiveController::builder(subject_params)
-                .policy_arc(builtin_policy(policy).expect("builtin policy id"))
+                .policy(Policy::builtin(policy).expect("builtin policy id"))
                 .shards(shards)
                 .build_sharded()
                 .expect("params validate");

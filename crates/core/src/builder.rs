@@ -29,15 +29,14 @@
 //! # Ok::<(), InvalidParamsError>(())
 //! ```
 //!
-//! The decision rules themselves are pluggable via
-//! [`policy`](ControllerBuilder::policy) — see the
-//! [policy module](crate::policy) for the zoo:
+//! The decision rules are one of the built-in [`Policy`] variants,
+//! chosen with [`policy`](ControllerBuilder::policy):
 //!
 //! ```
 //! use rsc_control::prelude::*;
 //!
 //! let ctl = ReactiveController::builder(ControllerParams::scaled())
-//!     .policy(CostAware::default())
+//!     .policy(Policy::CostAware(CostAware::default()))
 //!     .build()?;
 //! assert_eq!(ctl.policy_id(), "cost-aware");
 //! # Ok::<(), InvalidParamsError>(())
@@ -46,7 +45,7 @@
 use crate::controller::ReactiveController;
 use crate::observe::{ControllerMetrics, EventSink, Telemetry};
 use crate::params::{ControllerParams, InvalidParamsError};
-use crate::policy::{PaperFsm, Policy};
+use crate::policy::Policy;
 use crate::resilience::{ResilienceConfig, ResilienceState};
 use crate::shard::ShardedController;
 use crate::translog::{TransitionLog, TransitionLogPolicy};
@@ -69,7 +68,7 @@ pub struct ControllerBuilder {
     sink: Option<Arc<dyn EventSink>>,
     shards: usize,
     pool_threads: usize,
-    policy: Arc<dyn Policy>,
+    policy: Policy,
 }
 
 impl std::fmt::Debug for ControllerBuilder {
@@ -99,24 +98,14 @@ impl ControllerBuilder {
             sink: None,
             shards: 1,
             pool_threads: 0,
-            policy: Arc::new(PaperFsm),
+            policy: Policy::PaperFsm,
         }
     }
 
-    /// Sets the control policy (default: the paper-exact [`PaperFsm`]).
-    /// See the [policy module](crate::policy) for the built-in zoo and
-    /// the trait contract for custom implementations.
+    /// Sets the control policy (default: the paper-exact
+    /// [`Policy::PaperFsm`]).
     #[must_use]
-    pub fn policy(mut self, policy: impl Policy + 'static) -> Self {
-        self.policy = Arc::new(policy);
-        self
-    }
-
-    /// Sets the control policy from a shared handle (e.g. one produced by
-    /// [`policy_from_blob`](crate::policy::policy_from_blob) during
-    /// checkpoint restore).
-    #[must_use]
-    pub fn policy_arc(mut self, policy: Arc<dyn Policy>) -> Self {
+    pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
         self
     }

@@ -51,7 +51,7 @@ use crate::controller::{
 use crate::counter::HysteresisCounter;
 use crate::observe::{ControllerMetrics, EventSink, ObsEvent, Telemetry};
 use crate::params::{ControllerParams, EvictionMode, InvalidParamsError, MonitorPolicy, Revisit};
-use crate::policy::{policy_from_blob, Policy};
+use crate::policy::Policy;
 use crate::resilience::breaker::{BreakerConfig, BreakerPhase, StormBreaker};
 use crate::resilience::deployer::{DeployerSpec, FaultMode, FaultScope, FaultSpec, RetryPolicy};
 use crate::resilience::{ResilienceConfig, ResilienceState};
@@ -1020,7 +1020,7 @@ fn read_controller_body(r: &mut Reader<'_>) -> Result<ReactiveController, Checkp
         Err(_) => return Err(r.corrupt("policy id is not valid UTF-8")),
     };
     let blob = r.bytes()?.to_vec();
-    let policy: Arc<dyn Policy> = match policy_from_blob(&id, &blob) {
+    let policy = match Policy::from_blob(&id, &blob) {
         Some(p) => p,
         None => return Err(CheckpointError::UnknownPolicy { id }),
     };
@@ -1214,19 +1214,18 @@ impl crate::shard::ShardedController {
             .telemetry
             .as_ref()
             .is_some_and(|t| t.metrics.is_some());
-        let first_policy_id = shards[0].policy.id();
-        let first_policy_blob = shards[0].policy.config_blob();
+        let first_policy = shards[0].policy;
         for ctl in &shards[1..] {
             if ctl.params != first_params {
                 return Err(r.corrupt("shards disagree on controller parameters"));
             }
-            if ctl.policy.id() != first_policy_id {
+            if ctl.policy.id() != first_policy.id() {
                 return Err(CheckpointError::PolicyMismatch {
-                    expected: first_policy_id.to_owned(),
+                    expected: first_policy.id().to_owned(),
                     found: ctl.policy.id().to_owned(),
                 });
             }
-            if ctl.policy.config_blob() != first_policy_blob {
+            if ctl.policy != first_policy {
                 return Err(r.corrupt("shards disagree on policy configuration"));
             }
             let metered = ctl.telemetry.as_ref().is_some_and(|t| t.metrics.is_some());
@@ -1594,42 +1593,34 @@ mod tests {
 
     #[test]
     fn unknown_policy_id_is_refused() {
-        use crate::policy::{MonitorCounts, PaperFsm, SpecChoice};
-        #[derive(Debug)]
-        struct Martian;
-        impl Policy for Martian {
-            fn id(&self) -> &'static str {
-                "martian-fsm"
-            }
-            fn decide(&self, counts: MonitorCounts, params: &ControllerParams) -> SpecChoice {
-                PaperFsm.decide(counts, params)
-            }
-            fn evict(&self, params: &ControllerParams, evictions: u32) -> EvictTracker {
-                PaperFsm.evict(params, evictions)
-            }
-        }
         let mut ctl = ReactiveController::builder(ControllerParams::scaled())
-            .policy(Martian)
             .build()
             .unwrap();
         drive(&mut ctl, 500);
-        let err = ReactiveController::restore(&ctl.snapshot()).unwrap_err();
-        assert_eq!(
-            err,
-            CheckpointError::UnknownPolicy {
-                id: "martian-fsm".to_owned()
-            }
-        );
+        let cp = ctl.snapshot();
+        // A `paper-fsm` body with its policy id swapped: a foreign policy,
+        // and one this build no longer has.
+        for id in ["martian-fsm", "adaptive-hysteresis"] {
+            let mut w = Writer::new();
+            w.usize(1);
+            write_params(&mut w, &ctl.params);
+            let rest = &cp.as_bytes()[w.buf.len() + 1 + "paper-fsm".len()..];
+            w.bytes(id.as_bytes());
+            w.buf.extend_from_slice(rest);
+            let err =
+                ReactiveController::restore(&ControllerCheckpoint { bytes: w.buf }).unwrap_err();
+            assert_eq!(err, CheckpointError::UnknownPolicy { id: id.to_owned() });
+        }
     }
 
     #[test]
     fn non_default_policy_round_trips() {
         use crate::policy::Perceptron;
-        let policy = Perceptron {
+        let policy = Policy::Perceptron(Perceptron {
             theta: 12,
             w_max: 64,
             miss_weight: 8,
-        };
+        });
         let mut ctl = ReactiveController::builder(ControllerParams::scaled())
             .policy(policy)
             .build()
@@ -1661,7 +1652,7 @@ mod tests {
             .build()
             .unwrap();
         let perceptron = ReactiveController::builder(ControllerParams::scaled())
-            .policy(Perceptron::default())
+            .policy(Policy::Perceptron(Perceptron::default()))
             .build()
             .unwrap();
         let mut w = Writer::new();
@@ -1680,14 +1671,14 @@ mod tests {
 
         // Same id but different knobs is corruption, not a mismatch.
         let a = ReactiveController::builder(ControllerParams::scaled())
-            .policy(Perceptron::default())
+            .policy(Policy::Perceptron(Perceptron::default()))
             .build()
             .unwrap();
         let b = ReactiveController::builder(ControllerParams::scaled())
-            .policy(Perceptron {
+            .policy(Policy::Perceptron(Perceptron {
                 theta: 1,
                 ..Perceptron::default()
-            })
+            }))
             .build()
             .unwrap();
         let mut w = Writer::new();

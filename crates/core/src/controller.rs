@@ -22,7 +22,7 @@
 use crate::counter::HysteresisCounter;
 use crate::observe::{EventSink, MetricsRegistry, Telemetry};
 use crate::params::{ControllerParams, Revisit};
-use crate::policy::{MonitorCounts, Policy, SpecChoice};
+use crate::policy::{standard_observe, MonitorCounts, Policy, SpecChoice};
 use crate::resilience::breaker::BreakerSignal;
 use crate::resilience::deployer::{DeployKind, DeployOutcome, DeployRequest};
 use crate::resilience::{ResilienceConfig, ResilienceState, BREAKER_BRANCH};
@@ -276,14 +276,12 @@ impl BranchSnapshot {
 
 /// Eviction bookkeeping inside the biased state.
 ///
-/// A [`Policy`](crate::policy::Policy) picks the tracker (and its
-/// parametrization) on each biased entry via
-/// [`Policy::evict`](crate::policy::Policy::evict), and folds outcomes
-/// into it via [`Policy::observe`](crate::policy::Policy::observe). The
-/// chunked fast paths inline the standard `Counter`/`Never` semantics —
-/// see the [policy module docs](crate::policy) for the obligations.
+/// The [`Policy`] picks the tracker (and its parametrization) on each
+/// biased entry via `Policy::evict`; outcomes fold into it through
+/// [`standard_observe`], whose `Counter`/`Never` arms
+/// [`observe_chunk`](ReactiveController::observe_chunk) inlines.
 #[derive(Debug, Clone)]
-pub enum EvictTracker {
+pub(crate) enum EvictTracker {
     /// An asymmetric saturating counter; evicts when it trips.
     Counter(HysteresisCounter),
     /// Periodic re-sampling against
@@ -381,10 +379,10 @@ impl BranchCtl {
 /// Construct with [`ReactiveController::builder`] — the only
 /// construction path. The decision rules (classification, eviction
 /// parametrization, biased-state updates) come from the builder's
-/// [`Policy`](crate::policy::Policy) (default: the paper-exact
-/// [`PaperFsm`](crate::policy::PaperFsm)); everything else — deployment
-/// latency, retries, the oscillation cap, the revisit arc, telemetry —
-/// is policy-independent environment owned by the controller.
+/// [`Policy`] (default: the paper-exact [`Policy::PaperFsm`]); everything
+/// else — deployment latency, retries, the oscillation cap, the revisit
+/// arc, telemetry — is policy-independent environment owned by the
+/// controller.
 ///
 /// # Examples
 ///
@@ -418,10 +416,9 @@ pub struct ReactiveController {
     /// assembled by the builder. `None` keeps the disabled fast path a
     /// single pointer-sized check.
     pub(crate) telemetry: Option<Box<Telemetry>>,
-    /// The decision rules. Policies are stateless configuration (all
-    /// mutable per-branch state lives in [`BranchCtl`]), so clones and
-    /// shards share one `Arc`.
-    pub(crate) policy: Arc<dyn Policy>,
+    /// The decision rules: stateless configuration (all mutable
+    /// per-branch state lives in [`BranchCtl`]).
+    pub(crate) policy: Policy,
 }
 
 /// What a call to [`ReactiveController::observe_chunk`] did, in aggregate.
@@ -455,8 +452,8 @@ impl ReactiveController {
     }
 
     /// The active control policy.
-    pub fn policy(&self) -> &Arc<dyn Policy> {
-        &self.policy
+    pub fn policy(&self) -> Policy {
+        self.policy
     }
 
     /// The active policy's stable identifier (checkpoints, metrics).
@@ -724,9 +721,7 @@ impl ReactiveController {
                         match self.deploy(r.branch, DeployKind::Optimize, r.instr, 0) {
                             DeployOutcome::Deployed => {
                                 if self.params.optimization_latency == 0 {
-                                    let tracker = self
-                                        .policy
-                                        .evict(&self.params, self.branches[idx].evictions);
+                                    let tracker = self.policy.evict(&self.params);
                                     self.branches[idx].state = State::Biased { dir, tracker };
                                 } else {
                                     self.branches[idx].state = State::PendingBiased {
@@ -773,9 +768,7 @@ impl ReactiveController {
                     if r.instr >= deadline {
                         // New code deployed; reprocess this execution as
                         // biased.
-                        let tracker = self
-                            .policy
-                            .evict(&self.params, self.branches[idx].evictions);
+                        let tracker = self.policy.evict(&self.params);
                         self.branches[idx].state = State::Biased { dir, tracker };
                         continue;
                     }
@@ -791,7 +784,7 @@ impl ReactiveController {
                         self.incorrect += 1;
                         SpecDecision::Incorrect
                     };
-                    let evict = self.policy.observe(&mut tracker, correct, &self.params);
+                    let evict = standard_observe(&mut tracker, correct, &self.params);
                     if evict {
                         self.branches[idx].evictions += 1;
                         self.log_transition(
@@ -905,9 +898,7 @@ impl ReactiveController {
                             self.branches[idx].state = if self.params.optimization_latency == 0 {
                                 State::Biased {
                                     dir,
-                                    tracker: self
-                                        .policy
-                                        .evict(&self.params, self.branches[idx].evictions),
+                                    tracker: self.policy.evict(&self.params),
                                 }
                             } else {
                                 State::PendingBiased {
@@ -1072,12 +1063,7 @@ impl ReactiveController {
         let monitor_sample_rate = params.monitor_sample_rate;
         let sample_every_exec = monitor_sample_rate == 1;
         let optimization_latency = params.optimization_latency;
-        // Hoisted so the hot loop never borrows `self` for the policy:
-        // `observe_run` bounds the monitor fast arm, and a policy with a
-        // non-standard `observe` opts its biased branches out of the
-        // inlined tracker arms.
-        let policy = Arc::clone(&self.policy);
-        let custom_observe = policy.custom_observe();
+        let policy = self.policy;
 
         // The summary falls out of the counter deltas, and the counters
         // live in locals so the hot loop keeps them in registers; they sync
@@ -1125,15 +1111,14 @@ impl ReactiveController {
                     samples,
                     taken,
                 } => {
-                    // Inline only executions inside the policy's guaranteed
-                    // monitor headroom; any event that could classify goes
-                    // through `observe`.
+                    // Inline only executions that cannot classify; any
+                    // event that could goes through `observe`.
                     let counts = MonitorCounts {
                         execs: *execs,
                         samples: *samples,
                         taken: *taken,
                     };
-                    if policy.observe_run(counts, &params) >= 1 {
+                    if policy.keeps_monitoring(counts, &params) {
                         if sample_every_exec || *execs % monitor_sample_rate == 0 {
                             *samples += 1;
                             *taken += u64::from(r.taken);
@@ -1147,7 +1132,7 @@ impl ReactiveController {
                     }
                 }
                 State::Biased { dir, tracker } => match tracker {
-                    EvictTracker::Counter(c) if !custom_observe => {
+                    EvictTracker::Counter(c) => {
                         let matched = dir.matches(r.taken);
                         if matched {
                             c.correct();
@@ -1163,7 +1148,7 @@ impl ReactiveController {
                             evict = Some(*dir);
                         }
                     }
-                    EvictTracker::Never if !custom_observe => {
+                    EvictTracker::Never => {
                         if dir.matches(r.taken) {
                             correct += 1;
                         } else {
@@ -1173,9 +1158,8 @@ impl ReactiveController {
                         events += 1;
                         instructions = instructions.max(r.instr);
                     }
-                    // Sampled eviction, or a policy with a non-standard
-                    // `observe`: per-event path.
-                    _ => slow = true,
+                    // Sampled eviction: per-event path.
+                    EvictTracker::Sampling { .. } => slow = true,
                 },
                 // Deployment deadlines can cascade through several states:
                 // slow path. Retry states only exist with the resilience

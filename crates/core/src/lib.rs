@@ -44,8 +44,8 @@
 //! [`ReactiveController::builder`] — which also attaches the optional
 //! observability layer (a [`observe::MetricsRegistry`] and/or an
 //! [`observe::EventSink`]) and selects the control [`policy::Policy`]
-//! (the paper's FSM is [`policy::PaperFsm`], the default, one of a small
-//! zoo of competing implementations); see [`ControllerBuilder`] for the
+//! (the paper's FSM is [`policy::Policy::PaperFsm`], the default, one of
+//! three built-in policies); see [`ControllerBuilder`] for the
 //! migration table from the removed legacy constructors. The [`prelude`]
 //! re-exports the types a typical consumer needs.
 
@@ -71,8 +71,8 @@ pub mod translog;
 pub use builder::ControllerBuilder;
 pub use checkpoint::{CheckpointError, ControllerCheckpoint};
 pub use controller::{
-    BranchSnapshot, BranchStateView, ChunkSummary, EvictTracker, ReactiveController, SpecDecision,
-    TrackerView, TransitionEvent, TransitionKind,
+    BranchSnapshot, BranchStateView, ChunkSummary, ReactiveController, SpecDecision, TrackerView,
+    TransitionEvent, TransitionKind,
 };
 pub use engine::{
     run_population, run_population_chunked, run_population_chunked_with, run_trace, run_trace_with,
@@ -80,10 +80,7 @@ pub use engine::{
 };
 pub use observe::{EventSink, JsonlSink, MetricsRegistry, NullSink, ObsEvent, VecSink};
 pub use params::{ControllerParams, EvictionMode, InvalidParamsError, MonitorPolicy, Revisit};
-pub use policy::{
-    builtin_policy, policy_from_blob, AdaptiveHysteresis, CostAware, MonitorCounts, PaperFsm,
-    Perceptron, Policy, SpecChoice, BUILTIN_POLICY_IDS,
-};
+pub use policy::{CostAware, Perceptron, Policy, BUILTIN_POLICY_IDS};
 pub use reference::ReferenceController;
 pub use resilience::ResilienceConfig;
 pub use shard::ShardedController;
@@ -102,14 +99,11 @@ pub use translog::{TransitionLog, TransitionLogPolicy};
 pub mod prelude {
     pub use crate::builder::ControllerBuilder;
     pub use crate::controller::{
-        ChunkSummary, EvictTracker, ReactiveController, SpecDecision, TransitionEvent,
-        TransitionKind,
+        ChunkSummary, ReactiveController, SpecDecision, TransitionEvent, TransitionKind,
     };
     pub use crate::observe::{EventSink, JsonlSink, MetricsRegistry, NullSink, ObsEvent, VecSink};
     pub use crate::params::{ControllerParams, InvalidParamsError};
-    pub use crate::policy::{
-        AdaptiveHysteresis, CostAware, MonitorCounts, PaperFsm, Perceptron, Policy, SpecChoice,
-    };
+    pub use crate::policy::{CostAware, Perceptron, Policy};
     pub use crate::resilience::ResilienceConfig;
     pub use crate::shard::ShardedController;
     pub use crate::stats::ControlStats;

@@ -1,70 +1,54 @@
-//! The pluggable control-policy seam and the built-in controller zoo.
+//! The control policy: the decision rules of the per-branch FSM.
 //!
 //! The paper's contribution is a *family* of reactive control policies
-//! compared on benefit-vs-misspeculation curves (its Figure 2), but until
-//! this module the 3-state FSM's decision rules were hardwired into
-//! [`ReactiveController`](crate::ReactiveController). A [`Policy`] now
-//! owns exactly the decision points, while the controller keeps everything
-//! the paper treats as environment: pending/retry deployment states, the
+//! compared on benefit-vs-misspeculation curves (its Figure 2). A
+//! [`Policy`] owns exactly the decision points, while
+//! [`ReactiveController`](crate::ReactiveController) keeps everything the
+//! paper treats as environment: pending/retry deployment states, the
 //! oscillation cap, the revisit countdown, resilience, and telemetry.
 //!
-//! The seams are:
+//! The decision points are:
 //!
-//! * [`decide`](Policy::decide) — monitor-state classification: given the
-//!   window counters accumulated so far, keep monitoring, speculate in a
-//!   direction, or reject the branch as unbiased;
-//! * [`observe`](Policy::observe) — biased-state observation: fold one
-//!   speculated outcome into the eviction bookkeeping and say whether to
-//!   evict;
-//! * [`evict`](Policy::evict) — eviction *parametrization*: the tracker a
-//!   branch carries into the biased state (its shape and thresholds may
-//!   depend on how often the branch was evicted before);
-//! * [`observe_run`](Policy::observe_run) — the chunked fast-path hook:
-//!   how many further monitored executions are guaranteed to
-//!   [`Continue`](SpecChoice::Continue), letting
+//! * `decide` — monitor-state classification: given the window counters
+//!   accumulated so far, keep monitoring, speculate in a direction, or
+//!   reject the branch as unbiased;
+//! * `evict` — eviction parametrization: the saturating counter (or
+//!   sampling/no-eviction tracker) a branch carries into the biased
+//!   state, updated there by the one tracker rule every policy shares;
+//! * `keeps_monitoring` — whether the next monitored execution cannot
+//!   classify whatever its outcome, which lets
 //!   [`observe_chunk`](crate::ReactiveController::observe_chunk) handle
-//!   those monitor executions inline.
+//!   it inline; it must never be `true` before an execution on which
+//!   `decide` would classify.
 //!
-//! # Fast-path obligations
+//! # The policies
 //!
-//! The chunked paths inline the [`EvictTracker::Counter`] and
-//! [`EvictTracker::Never`] update rules (the asymmetric saturating
-//! counter's semantics are fixed by [`HysteresisCounter`]). A policy that
-//! overrides [`observe`](Policy::observe) with anything else must also
-//! return `true` from [`custom_observe`](Policy::custom_observe) so the
-//! chunked paths route biased branches through the per-event path.
-//! Similarly, [`observe_run`](Policy::observe_run) must never report
-//! headroom across an execution on which [`decide`](Policy::decide) would
-//! classify — returning 0 (the default) is always safe, merely slower.
-//!
-//! # The zoo
-//!
-//! * [`PaperFsm`] — the paper's exact rules (fixed window or confidence
-//!   bounds from [`ControllerParams`], counter/sampled/no eviction).
-//!   Bit-identical to the pre-policy controller and to the golden
+//! * [`Policy::PaperFsm`] — the paper's exact rules (fixed window or
+//!   confidence bounds from [`ControllerParams`], counter/sampled/no
+//!   eviction). Bit-identical to the golden
 //!   [`ReferenceController`](crate::ReferenceController).
-//! * [`AdaptiveHysteresis`] — the paper's rules, but each time a branch is
-//!   evicted its next counter threshold halves: repeat offenders are
-//!   evicted faster, first offenders keep the paper's full burst
-//!   tolerance.
-//! * [`Perceptron`] — a confidence-weighted bias estimator for the
+//! * [`Policy::Perceptron`] — a confidence-weighted bias estimator for the
 //!   hard-to-predict tail ("Branch Prediction Is Not a Solved Problem"):
 //!   a signed excitement `w = 2·taken − samples` classifies as soon as
 //!   `|w|` clears a confidence margin `theta` instead of waiting out the
 //!   window, and the biased state carries a weight that misses deplete.
-//! * [`CostAware`] — weighs the ~400-cycle misspeculation recovery
+//! * [`Policy::CostAware`] — weighs the ~400-cycle misspeculation recovery
 //!   penalty explicitly: a branch is selected only when its observed bias
 //!   makes the expected net benefit positive, and eviction fires as soon
 //!   as the accumulated net benefit of the current biased episode goes
 //!   negative.
 //!
+//! `Perceptron` and `CostAware` each beat `PaperFsm` on some workload
+//! under the paper's utility (EXPERIMENTS.md, "Policy zoo under the
+//! paper's utility"); the set is closed.
+//!
 //! ```
 //! use rsc_control::prelude::*;
 //!
 //! let ctl = ReactiveController::builder(ControllerParams::scaled())
-//!     .policy(AdaptiveHysteresis)
+//!     .policy(Policy::Perceptron(Perceptron::default()))
 //!     .build()?;
-//! assert_eq!(ctl.policy_id(), "adaptive-hysteresis");
+//! assert_eq!(ctl.policy_id(), "perceptron");
 //! # Ok::<(), InvalidParamsError>(())
 //! ```
 
@@ -72,30 +56,27 @@ use crate::controller::EvictTracker;
 use crate::counter::HysteresisCounter;
 use crate::params::{ControllerParams, EvictionMode, MonitorPolicy};
 use rsc_trace::Direction;
-use std::fmt;
-use std::sync::Arc;
 
 /// The window counters a branch accumulates in the monitor state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorCounts {
-    /// Executions observed in this monitor window (already including the
-    /// one being decided).
-    pub execs: u64,
+pub(crate) struct MonitorCounts {
+    /// Executions observed in this monitor window.
+    pub(crate) execs: u64,
     /// Executions sampled (equal to `execs` at sample rate 1).
-    pub samples: u64,
+    pub(crate) samples: u64,
     /// Sampled executions that were taken.
-    pub taken: u64,
+    pub(crate) taken: u64,
 }
 
 impl MonitorCounts {
     /// The majority outcome count.
-    pub fn majority(&self) -> u64 {
+    fn majority(&self) -> u64 {
         self.taken.max(self.samples - self.taken)
     }
 
     /// The observed bias toward the majority direction (0 when nothing
     /// was sampled).
-    pub fn point_bias(&self) -> f64 {
+    fn point_bias(&self) -> f64 {
         if self.samples == 0 {
             0.0
         } else {
@@ -105,7 +86,7 @@ impl MonitorCounts {
 
     /// The majority direction (ties resolve to taken, matching the paper
     /// model's `taken * 2 >= samples`).
-    pub fn direction(&self) -> Direction {
+    fn direction(&self) -> Direction {
         if self.taken * 2 >= self.samples {
             Direction::Taken
         } else {
@@ -116,7 +97,7 @@ impl MonitorCounts {
 
 /// A classification decision from the monitor state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecChoice {
+pub(crate) enum SpecChoice {
     /// Keep monitoring.
     Continue,
     /// Classify biased: speculate in this direction.
@@ -126,75 +107,14 @@ pub enum SpecChoice {
     Reject,
 }
 
-/// A reactive control policy: the decision rules of the per-branch FSM.
-///
-/// Policies are configuration, not state — all mutable per-branch state
-/// lives in the controller (`MonitorCounts` inside the monitor state, an
-/// [`EvictTracker`] inside the biased state), so one policy value is
-/// shared (`Arc`) across every branch, shard, and clone of a controller.
-///
-/// See the [module docs](self) for the seam contract and the fast-path
-/// obligations.
-pub trait Policy: fmt::Debug + Send + Sync {
-    /// Stable identifier, used in checkpoints, metrics labels, and
-    /// conformance artifacts.
-    fn id(&self) -> &'static str;
-
-    /// Monitor-state classification, consulted after every monitored
-    /// execution (with `counts` already including it).
-    fn decide(&self, counts: MonitorCounts, params: &ControllerParams) -> SpecChoice;
-
-    /// Chunked-observe hook: how many *further* monitored executions are
-    /// guaranteed to [`Continue`](SpecChoice::Continue) regardless of
-    /// their outcomes. The chunked path handles such events inline;
-    /// 0 (the default) routes every event through
-    /// [`decide`](Policy::decide) — always safe, merely slower.
-    fn observe_run(&self, counts: MonitorCounts, params: &ControllerParams) -> u64 {
-        let _ = (counts, params);
-        0
-    }
-
-    /// The eviction bookkeeping a branch carries into the biased state.
-    /// `evictions` is how often this branch was evicted before, letting a
-    /// policy adapt per-branch thresholds.
-    fn evict(&self, params: &ControllerParams, evictions: u32) -> EvictTracker;
-
-    /// Biased-state observation: fold one speculated outcome into the
-    /// tracker; `true` evicts the branch. The default implements the
-    /// standard tracker semantics (saturating counter, periodic
-    /// re-sampling, never) that the chunked fast paths inline — see the
-    /// module docs before overriding.
-    fn observe(
-        &self,
-        tracker: &mut EvictTracker,
-        correct: bool,
-        params: &ControllerParams,
-    ) -> bool {
-        standard_observe(tracker, correct, params)
-    }
-
-    /// Must return `true` when [`observe`](Policy::observe) is overridden
-    /// with non-standard semantics, so the chunked paths fall back to the
-    /// per-event path for biased branches.
-    fn custom_observe(&self) -> bool {
-        false
-    }
-
-    /// Serialized policy configuration for checkpoints. Restored through
-    /// [`policy_from_blob`]; built-ins use fixed-width little-endian
-    /// fields (empty when the policy has no configuration).
-    fn config_blob(&self) -> Vec<u8> {
-        Vec::new()
-    }
-}
-
-/// The standard tracker update: the semantics the chunked fast paths
-/// inline for [`EvictTracker::Counter`] and [`EvictTracker::Never`].
+/// The tracker update in the biased state: fold one speculated outcome
+/// into `tracker`; `true` evicts. The chunked path inlines the `Counter`
+/// and `Never` arms.
 ///
 /// A [`EvictTracker::Sampling`] tracker under parameters whose eviction
 /// mode is not [`EvictionMode::Sampling`] never fires (there is no period
 /// to schedule against).
-pub fn standard_observe(
+pub(crate) fn standard_observe(
     tracker: &mut EvictTracker,
     correct: bool,
     params: &ControllerParams,
@@ -242,148 +162,28 @@ pub fn standard_observe(
     }
 }
 
-/// The paper-exact classification: fixed window or Wilson confidence
-/// bounds, per [`ControllerParams::monitor_policy`]. Shared by the
-/// policies that keep the paper's monitor rules.
-fn paper_decide(counts: MonitorCounts, params: &ControllerParams) -> SpecChoice {
-    let threshold = params.selection_threshold;
-    let outcome = match params.monitor_policy {
-        MonitorPolicy::FixedWindow => {
-            if counts.execs >= params.monitor_period {
-                Some(counts.point_bias() >= threshold)
-            } else {
-                None
-            }
-        }
-        MonitorPolicy::Confidence {
-            z,
-            min_execs,
-            max_execs,
-        } => {
-            if counts.samples < min_execs {
-                None
-            } else {
-                let (lo, hi) =
-                    crate::confidence::wilson_bounds(counts.majority(), counts.samples, z);
-                if lo >= threshold {
-                    Some(true)
-                } else if hi < threshold {
-                    Some(false)
-                } else if counts.samples >= max_execs {
-                    Some(counts.point_bias() >= threshold)
-                } else {
-                    None
-                }
-            }
-        }
-    };
-    match outcome {
-        None => SpecChoice::Continue,
-        Some(true) => SpecChoice::Speculate(counts.direction()),
-        Some(false) => SpecChoice::Reject,
-    }
-}
-
-/// Paper-exact fixed-window headroom: everything up to (but excluding)
-/// the execution that completes the window is guaranteed `Continue`.
-/// Confidence monitoring can classify on any execution, so it reports no
-/// headroom.
-fn paper_observe_run(counts: MonitorCounts, params: &ControllerParams) -> u64 {
-    match params.monitor_policy {
-        MonitorPolicy::FixedWindow if counts.execs + 1 < params.monitor_period => {
-            params.monitor_period - 1 - counts.execs
-        }
-        _ => 0,
-    }
-}
-
-/// The tracker described by [`ControllerParams::eviction`] (the paper's
-/// parametrization), at its initial value.
-fn paper_tracker(params: &ControllerParams) -> EvictTracker {
-    match params.eviction {
-        EvictionMode::Counter {
-            up,
-            down,
-            threshold,
-        } => EvictTracker::Counter(HysteresisCounter::new(up, down, threshold)),
-        EvictionMode::Sampling { .. } => EvictTracker::Sampling {
-            pos: 0,
-            matched: 0,
-            sampled: 0,
-        },
-        EvictionMode::Never => EvictTracker::Never,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The zoo
-// ---------------------------------------------------------------------------
-
-/// The paper's exact 3-state policy (the default). Every decision rule is
-/// read from [`ControllerParams`]; conformance holds this implementation
-/// bit-identical to the golden
-/// [`ReferenceController`](crate::ReferenceController).
+/// A reactive control policy: which of the built-in decision rules the
+/// per-branch FSM runs.
+///
+/// Policies are configuration, not state — all mutable per-branch state
+/// lives in the controller (the window counters in the monitor state, an
+/// eviction tracker in the biased state) — so one `Copy` value serves
+/// every branch, shard, and clone of a controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PaperFsm;
-
-impl Policy for PaperFsm {
-    fn id(&self) -> &'static str {
-        "paper-fsm"
-    }
-
-    fn decide(&self, counts: MonitorCounts, params: &ControllerParams) -> SpecChoice {
-        paper_decide(counts, params)
-    }
-
-    fn observe_run(&self, counts: MonitorCounts, params: &ControllerParams) -> u64 {
-        paper_observe_run(counts, params)
-    }
-
-    fn evict(&self, params: &ControllerParams, _evictions: u32) -> EvictTracker {
-        paper_tracker(params)
-    }
+pub enum Policy {
+    /// The paper's exact 3-state rules, read from [`ControllerParams`]
+    /// (the default). Conformance holds it bit-identical to the golden
+    /// [`ReferenceController`](crate::ReferenceController).
+    #[default]
+    PaperFsm,
+    /// Classify on a confidence margin instead of a full window.
+    Perceptron(Perceptron),
+    /// Select and evict on the expected net benefit.
+    CostAware(CostAware),
 }
 
-/// The paper's rules with a per-branch adaptive eviction threshold: each
-/// eviction halves the counter threshold the branch gets on its next
-/// biased entry (floored at the `up` increment, so eviction stays
-/// reachable). A branch that keeps degrading is cut off with less and
-/// less patience, while the paper's full burst tolerance is preserved for
-/// first offenders. Non-counter eviction modes fall back to the paper's
-/// behavior unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdaptiveHysteresis;
-
-impl Policy for AdaptiveHysteresis {
-    fn id(&self) -> &'static str {
-        "adaptive-hysteresis"
-    }
-
-    fn decide(&self, counts: MonitorCounts, params: &ControllerParams) -> SpecChoice {
-        paper_decide(counts, params)
-    }
-
-    fn observe_run(&self, counts: MonitorCounts, params: &ControllerParams) -> u64 {
-        paper_observe_run(counts, params)
-    }
-
-    fn evict(&self, params: &ControllerParams, evictions: u32) -> EvictTracker {
-        match params.eviction {
-            EvictionMode::Counter {
-                up,
-                down,
-                threshold,
-            } => {
-                let adapted = (threshold >> evictions.min(31)).max(up);
-                EvictTracker::Counter(HysteresisCounter::new(up, down, adapted))
-            }
-            _ => paper_tracker(params),
-        }
-    }
-}
-
-/// A perceptron-style confidence-weighted bias estimator for the
-/// hard-to-predict tail.
+/// Configuration of [`Policy::Perceptron`], a perceptron-style
+/// confidence-weighted bias estimator for the hard-to-predict tail.
 ///
 /// Monitoring keeps a signed excitement `w = 2·taken − samples` and
 /// classifies as soon as `|w| >= theta` — clearly biased branches
@@ -412,47 +212,8 @@ impl Default for Perceptron {
     }
 }
 
-impl Policy for Perceptron {
-    fn id(&self) -> &'static str {
-        "perceptron"
-    }
-
-    fn decide(&self, counts: MonitorCounts, params: &ControllerParams) -> SpecChoice {
-        let w = 2 * counts.taken as i64 - counts.samples as i64;
-        let theta = i64::from(self.theta.max(1));
-        if w >= theta {
-            SpecChoice::Speculate(Direction::Taken)
-        } else if -w >= theta {
-            SpecChoice::Speculate(Direction::NotTaken)
-        } else if counts.execs >= params.monitor_period {
-            SpecChoice::Reject
-        } else {
-            SpecChoice::Continue
-        }
-    }
-
-    // `decide` can classify on any execution: no headroom (default 0).
-
-    fn evict(&self, _params: &ControllerParams, _evictions: u32) -> EvictTracker {
-        let w_max = self.w_max.max(2).max(self.miss_weight.max(1));
-        let mut c = HysteresisCounter::new(self.miss_weight.max(1), 1, w_max);
-        // The counter tracks *depletion*: value = w_max − weight, so the
-        // weight starts at w_max / 2 and eviction (value ≥ w_max) is
-        // weight exhaustion.
-        c.set_value(w_max - w_max / 2);
-        EvictTracker::Counter(c)
-    }
-
-    fn config_blob(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(12);
-        out.extend_from_slice(&self.theta.to_le_bytes());
-        out.extend_from_slice(&self.w_max.to_le_bytes());
-        out.extend_from_slice(&self.miss_weight.to_le_bytes());
-        out
-    }
-}
-
-/// A policy that weighs the misspeculation recovery penalty explicitly.
+/// Configuration of [`Policy::CostAware`], which weighs the
+/// misspeculation recovery penalty explicitly.
 ///
 /// Selection: a branch is classified biased (at the end of the fixed
 /// monitor window) only when its observed bias clears the break-even
@@ -493,96 +254,200 @@ impl CostAware {
     }
 }
 
-impl Policy for CostAware {
-    fn id(&self) -> &'static str {
-        "cost-aware"
-    }
-
-    fn decide(&self, counts: MonitorCounts, params: &ControllerParams) -> SpecChoice {
-        if counts.execs >= params.monitor_period {
-            if counts.point_bias() >= self.break_even() {
-                SpecChoice::Speculate(counts.direction())
-            } else {
-                SpecChoice::Reject
-            }
-        } else {
-            SpecChoice::Continue
-        }
-    }
-
-    fn observe_run(&self, counts: MonitorCounts, params: &ControllerParams) -> u64 {
-        // Fixed-window classification regardless of the params' monitor
-        // policy, so the headroom is the paper's closed form.
-        if counts.execs + 1 < params.monitor_period {
-            params.monitor_period - 1 - counts.execs
-        } else {
-            0
-        }
-    }
-
-    fn evict(&self, _params: &ControllerParams, _evictions: u32) -> EvictTracker {
-        let recovery = self.recovery_clamped();
-        let cap = recovery.saturating_mul(10);
-        let mut c = HysteresisCounter::new(recovery, self.benefit.max(1), cap);
-        // value = cap − net benefit: start with 2·recovery of credit;
-        // eviction (value ≥ cap) is the episode going net-negative.
-        c.set_value(cap - recovery.saturating_mul(2).min(cap));
-        EvictTracker::Counter(c)
-    }
-
-    fn config_blob(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8);
-        out.extend_from_slice(&self.recovery.to_le_bytes());
-        out.extend_from_slice(&self.benefit.to_le_bytes());
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
 /// The identifiers of every built-in policy, in a stable order (the order
 /// `repro pareto` sweeps them).
-pub const BUILTIN_POLICY_IDS: [&str; 4] = [
-    "paper-fsm",
-    "adaptive-hysteresis",
-    "perceptron",
-    "cost-aware",
-];
+pub const BUILTIN_POLICY_IDS: [&str; 3] = ["paper-fsm", "perceptron", "cost-aware"];
 
-/// Reconstructs a built-in policy from its checkpoint identity: the
-/// stable [`id`](Policy::id) plus the [`config_blob`](Policy::config_blob)
-/// it serialized. Returns `None` for an unknown id or a blob that does
-/// not decode as that policy's configuration.
-pub fn policy_from_blob(id: &str, blob: &[u8]) -> Option<Arc<dyn Policy>> {
-    fn u32_at(blob: &[u8], at: usize) -> u32 {
-        u32::from_le_bytes(blob[at..at + 4].try_into().expect("bounds checked"))
+impl Policy {
+    /// Stable identifier, used in checkpoints, metrics labels, and
+    /// conformance artifacts.
+    pub fn id(&self) -> &'static str {
+        match self {
+            Policy::PaperFsm => "paper-fsm",
+            Policy::Perceptron(_) => "perceptron",
+            Policy::CostAware(_) => "cost-aware",
+        }
     }
-    match id {
-        "paper-fsm" if blob.is_empty() => Some(Arc::new(PaperFsm)),
-        "adaptive-hysteresis" if blob.is_empty() => Some(Arc::new(AdaptiveHysteresis)),
-        "perceptron" if blob.len() == 12 => Some(Arc::new(Perceptron {
-            theta: u32_at(blob, 0),
-            w_max: u32_at(blob, 4),
-            miss_weight: u32_at(blob, 8),
-        })),
-        "cost-aware" if blob.len() == 8 => Some(Arc::new(CostAware {
-            recovery: u32_at(blob, 0),
-            benefit: u32_at(blob, 4),
-        })),
-        _ => None,
+
+    /// Serialized configuration for checkpoints, restored through
+    /// [`from_blob`](Policy::from_blob): fixed-width little-endian fields,
+    /// empty for [`Policy::PaperFsm`].
+    pub fn config_blob(&self) -> Vec<u8> {
+        let fields = match self {
+            Policy::PaperFsm => vec![],
+            Policy::Perceptron(z) => vec![z.theta, z.w_max, z.miss_weight],
+            Policy::CostAware(z) => vec![z.recovery, z.benefit],
+        };
+        fields.iter().flat_map(|f| f.to_le_bytes()).collect()
+    }
+
+    /// Reconstructs a policy from its checkpoint identity: the stable
+    /// [`id`](Policy::id) plus the [`config_blob`](Policy::config_blob) it
+    /// serialized. Returns `None` for an unknown id or a blob that does
+    /// not decode as that policy's configuration.
+    pub fn from_blob(id: &str, blob: &[u8]) -> Option<Policy> {
+        let u32_at =
+            |at: usize| u32::from_le_bytes(blob[at..at + 4].try_into().expect("bounds checked"));
+        match id {
+            "paper-fsm" if blob.is_empty() => Some(Policy::PaperFsm),
+            "perceptron" if blob.len() == 12 => Some(Policy::Perceptron(Perceptron {
+                theta: u32_at(0),
+                w_max: u32_at(4),
+                miss_weight: u32_at(8),
+            })),
+            "cost-aware" if blob.len() == 8 => Some(Policy::CostAware(CostAware {
+                recovery: u32_at(0),
+                benefit: u32_at(4),
+            })),
+            _ => None,
+        }
+    }
+
+    /// A built-in policy at its default configuration, by id.
+    pub fn builtin(id: &str) -> Option<Policy> {
+        match id {
+            "paper-fsm" => Some(Policy::PaperFsm),
+            "perceptron" => Some(Policy::Perceptron(Perceptron::default())),
+            "cost-aware" => Some(Policy::CostAware(CostAware::default())),
+            _ => None,
+        }
+    }
+
+    /// Monitor-state classification, consulted after every monitored
+    /// execution (with `counts` already including it).
+    pub(crate) fn decide(&self, counts: MonitorCounts, params: &ControllerParams) -> SpecChoice {
+        match self {
+            Policy::PaperFsm => paper_decide(counts, params),
+            Policy::Perceptron(z) => {
+                let w = 2 * counts.taken as i64 - counts.samples as i64;
+                let theta = i64::from(z.theta.max(1));
+                if w >= theta {
+                    SpecChoice::Speculate(Direction::Taken)
+                } else if -w >= theta {
+                    SpecChoice::Speculate(Direction::NotTaken)
+                } else if counts.execs >= params.monitor_period {
+                    SpecChoice::Reject
+                } else {
+                    SpecChoice::Continue
+                }
+            }
+            Policy::CostAware(z) => {
+                if counts.execs < params.monitor_period {
+                    SpecChoice::Continue
+                } else if counts.point_bias() >= z.break_even() {
+                    SpecChoice::Speculate(counts.direction())
+                } else {
+                    SpecChoice::Reject
+                }
+            }
+        }
+    }
+
+    /// Whether the next monitored execution, on top of `counts`, is
+    /// guaranteed to [`Continue`](SpecChoice::Continue) whatever its
+    /// outcome. The chunked path handles such executions inline and
+    /// sends every other one through [`decide`](Policy::decide).
+    #[inline]
+    pub(crate) fn keeps_monitoring(
+        &self,
+        counts: MonitorCounts,
+        params: &ControllerParams,
+    ) -> bool {
+        let window_open = counts.execs + 1 < params.monitor_period;
+        match self {
+            // Confidence monitoring can classify on any execution.
+            Policy::PaperFsm => {
+                window_open && matches!(params.monitor_policy, MonitorPolicy::FixedWindow)
+            }
+            // One execution moves |w| by at most 1.
+            Policy::Perceptron(z) => {
+                let w = 2 * counts.taken as i64 - counts.samples as i64;
+                window_open && w.abs() + 1 < i64::from(z.theta.max(1))
+            }
+            // Fixed-window classification whatever the params' monitor
+            // policy.
+            Policy::CostAware(_) => window_open,
+        }
+    }
+
+    /// The eviction bookkeeping a branch carries into the biased state,
+    /// at its initial value.
+    pub(crate) fn evict(&self, params: &ControllerParams) -> EvictTracker {
+        match self {
+            Policy::PaperFsm => match params.eviction {
+                EvictionMode::Counter {
+                    up,
+                    down,
+                    threshold,
+                } => EvictTracker::Counter(HysteresisCounter::new(up, down, threshold)),
+                EvictionMode::Sampling { .. } => EvictTracker::Sampling {
+                    pos: 0,
+                    matched: 0,
+                    sampled: 0,
+                },
+                EvictionMode::Never => EvictTracker::Never,
+            },
+            Policy::Perceptron(z) => {
+                let w_max = z.w_max.max(2).max(z.miss_weight.max(1));
+                let mut c = HysteresisCounter::new(z.miss_weight.max(1), 1, w_max);
+                // The counter tracks *depletion*: value = w_max − weight,
+                // so the weight starts at w_max / 2 and eviction
+                // (value ≥ w_max) is weight exhaustion.
+                c.set_value(w_max - w_max / 2);
+                EvictTracker::Counter(c)
+            }
+            Policy::CostAware(z) => {
+                let recovery = z.recovery_clamped();
+                let cap = recovery.saturating_mul(10);
+                let mut c = HysteresisCounter::new(recovery, z.benefit.max(1), cap);
+                // value = cap − net benefit: start with 2·recovery of
+                // credit; eviction (value ≥ cap) is the episode going
+                // net-negative.
+                c.set_value(cap - recovery.saturating_mul(2).min(cap));
+                EvictTracker::Counter(c)
+            }
+        }
     }
 }
 
-/// A built-in policy at its default configuration, by id.
-pub fn builtin_policy(id: &str) -> Option<Arc<dyn Policy>> {
-    match id {
-        "paper-fsm" => Some(Arc::new(PaperFsm)),
-        "adaptive-hysteresis" => Some(Arc::new(AdaptiveHysteresis)),
-        "perceptron" => Some(Arc::new(Perceptron::default())),
-        "cost-aware" => Some(Arc::new(CostAware::default())),
-        _ => None,
+/// The paper-exact classification: fixed window or Wilson confidence
+/// bounds, per [`ControllerParams::monitor_policy`].
+fn paper_decide(counts: MonitorCounts, params: &ControllerParams) -> SpecChoice {
+    let threshold = params.selection_threshold;
+    let outcome = match params.monitor_policy {
+        MonitorPolicy::FixedWindow => {
+            if counts.execs >= params.monitor_period {
+                Some(counts.point_bias() >= threshold)
+            } else {
+                None
+            }
+        }
+        MonitorPolicy::Confidence {
+            z,
+            min_execs,
+            max_execs,
+        } => {
+            if counts.samples < min_execs {
+                None
+            } else {
+                let (lo, hi) =
+                    crate::confidence::wilson_bounds(counts.majority(), counts.samples, z);
+                if lo >= threshold {
+                    Some(true)
+                } else if hi < threshold {
+                    Some(false)
+                } else if counts.samples >= max_execs {
+                    Some(counts.point_bias() >= threshold)
+                } else {
+                    None
+                }
+            }
+        }
+    };
+    match outcome {
+        None => SpecChoice::Continue,
+        Some(true) => SpecChoice::Speculate(counts.direction()),
+        Some(false) => SpecChoice::Reject,
     }
 }
 
@@ -605,77 +470,67 @@ mod tests {
     #[test]
     fn paper_fsm_matches_fixed_window_math() {
         let p = tiny();
-        assert_eq!(PaperFsm.decide(counts(9, 9, 9), &p), SpecChoice::Continue);
+        let fsm = Policy::PaperFsm;
+        assert_eq!(fsm.decide(counts(9, 9, 9), &p), SpecChoice::Continue);
         assert_eq!(
-            PaperFsm.decide(counts(10, 10, 10), &p),
+            fsm.decide(counts(10, 10, 10), &p),
             SpecChoice::Speculate(Direction::Taken)
         );
         assert_eq!(
-            PaperFsm.decide(counts(10, 10, 0), &p),
+            fsm.decide(counts(10, 10, 0), &p),
             SpecChoice::Speculate(Direction::NotTaken)
         );
-        assert_eq!(PaperFsm.decide(counts(10, 10, 9), &p), SpecChoice::Reject);
+        assert_eq!(fsm.decide(counts(10, 10, 9), &p), SpecChoice::Reject);
         // Headroom: everything strictly before the classifying execution.
-        assert_eq!(PaperFsm.observe_run(counts(0, 0, 0), &p), 9);
-        assert_eq!(PaperFsm.observe_run(counts(8, 8, 8), &p), 1);
-        assert_eq!(PaperFsm.observe_run(counts(9, 9, 9), &p), 0);
+        assert!(fsm.keeps_monitoring(counts(0, 0, 0), &p));
+        assert!(fsm.keeps_monitoring(counts(8, 8, 8), &p));
+        assert!(!fsm.keeps_monitoring(counts(9, 9, 9), &p));
         // Confidence monitoring reports no headroom.
         let c = tiny().with_confidence_monitor(2.58, 4, 100);
-        assert_eq!(PaperFsm.observe_run(counts(0, 0, 0), &c), 0);
+        assert!(!fsm.keeps_monitoring(counts(0, 0, 0), &c));
     }
 
     #[test]
     fn headroom_never_spans_a_classification() {
-        // Contract shared by every built-in: after absorbing `observe_run`
-        // further executions (worst case: all one direction), `decide`
-        // still returns Continue on each of them.
-        for policy in BUILTIN_POLICY_IDS {
-            let p = builtin_policy(policy).unwrap();
+        // Contract shared by every built-in: whenever `keeps_monitoring`
+        // holds, the next execution — taken or not — still `Continue`s.
+        let theta_4 = Policy::Perceptron(Perceptron {
+            theta: 4,
+            ..Perceptron::default()
+        });
+        let policies = BUILTIN_POLICY_IDS.map(|id| Policy::builtin(id).unwrap());
+        for policy in policies.into_iter().chain([theta_4]) {
             for params in [tiny(), tiny().with_confidence_monitor(2.58, 4, 100)] {
-                let mut c = counts(0, 0, 0);
-                loop {
-                    let h = p.observe_run(c, &params);
-                    for step in 0..h {
-                        c = counts(c.execs + 1, c.samples + 1, c.taken + 1);
-                        assert_eq!(
-                            p.decide(c, &params),
-                            SpecChoice::Continue,
-                            "{policy} classified {step} events into its own headroom"
-                        );
-                    }
-                    c = counts(c.execs + 1, c.samples + 1, c.taken + 1);
-                    if p.decide(c, &params) != SpecChoice::Continue || c.execs > 64 {
-                        break;
+                for execs in 0..12 {
+                    for taken in 0..=execs {
+                        let c = counts(execs, execs, taken);
+                        if !policy.keeps_monitoring(c, &params) {
+                            continue;
+                        }
+                        for next_taken in [taken, taken + 1] {
+                            assert_eq!(
+                                policy.decide(counts(execs + 1, execs + 1, next_taken), &params),
+                                SpecChoice::Continue,
+                                "{} classified inside its headroom at {c:?}",
+                                policy.id()
+                            );
+                        }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn adaptive_halves_threshold_per_eviction() {
-        let p = tiny(); // counter 50 / 1 / 1000
-        for (evictions, want) in [(0u32, 1000u32), (1, 500), (2, 250), (5, 50), (31, 50)] {
-            let EvictTracker::Counter(c) = AdaptiveHysteresis.evict(&p, evictions) else {
-                panic!("adaptive under counter params must build a counter");
-            };
-            let mut c = c;
-            let mut steps = 0;
-            while !c.should_evict() {
-                c.misspeculation();
-                steps += 1;
-            }
-            assert_eq!(steps, want.div_ceil(50), "evictions = {evictions}");
-        }
+        // The perceptron inlines mid-window executions short of its margin.
+        assert!(theta_4.keeps_monitoring(counts(2, 2, 1), &tiny()));
+        assert!(!theta_4.keeps_monitoring(counts(3, 3, 3), &tiny()));
     }
 
     #[test]
     fn perceptron_classifies_on_margin_not_window() {
-        let z = Perceptron {
+        let z = Policy::Perceptron(Perceptron {
             theta: 4,
             w_max: 16,
             miss_weight: 4,
-        };
+        });
         let p = tiny();
         assert_eq!(z.decide(counts(3, 3, 3), &p), SpecChoice::Continue);
         assert_eq!(
@@ -689,30 +544,31 @@ mod tests {
         // Window expires without the margin: reject.
         assert_eq!(z.decide(counts(10, 10, 6), &p), SpecChoice::Reject);
         // Weight exhaustion: w starts at w_max/2 = 8, one miss costs 4.
-        let mut t = z.evict(&p, 0);
-        assert!(!z.observe(&mut t, false, &p));
+        let mut t = z.evict(&p);
+        assert!(!standard_observe(&mut t, false, &p));
         assert!(
-            z.observe(&mut t, false, &p),
+            standard_observe(&mut t, false, &p),
             "two misses exhaust the weight"
         );
     }
 
     #[test]
     fn cost_aware_break_even_selects_conservatively() {
-        let z = CostAware::default();
+        let c = CostAware::default();
+        let z = Policy::CostAware(c);
         let p = tiny();
         // 99.75% break-even: 10/10 selects, 199/200-grade bias does not.
-        assert!((z.break_even() - 400.0 / 401.0).abs() < 1e-12);
+        assert!((c.break_even() - 400.0 / 401.0).abs() < 1e-12);
         assert_eq!(
             z.decide(counts(10, 10, 10), &p),
             SpecChoice::Speculate(Direction::Taken)
         );
         assert_eq!(z.decide(counts(10, 10, 9), &p), SpecChoice::Reject);
         // Net-benefit eviction: 2·recovery of credit, each miss costs 400.
-        let mut t = z.evict(&p, 0);
-        assert!(!z.observe(&mut t, false, &p));
+        let mut t = z.evict(&p);
+        assert!(!standard_observe(&mut t, false, &p));
         assert!(
-            z.observe(&mut t, false, &p),
+            standard_observe(&mut t, false, &p),
             "second miss goes net-negative"
         );
     }
@@ -720,15 +576,14 @@ mod tests {
     #[test]
     fn registry_round_trips_every_builtin() {
         for id in BUILTIN_POLICY_IDS {
-            let p = builtin_policy(id).expect("builtin");
+            let p = Policy::builtin(id).expect("builtin");
             assert_eq!(p.id(), id);
             let blob = p.config_blob();
-            let back = policy_from_blob(id, &blob).expect("round trip");
-            assert_eq!(back.id(), id);
-            assert_eq!(back.config_blob(), blob);
+            let back = Policy::from_blob(id, &blob).expect("round trip");
+            assert_eq!(back, p);
         }
-        assert!(policy_from_blob("no-such-policy", &[]).is_none());
-        assert!(policy_from_blob("perceptron", &[1, 2, 3]).is_none());
+        assert!(Policy::from_blob("no-such-policy", &[]).is_none());
+        assert!(Policy::from_blob("perceptron", &[1, 2, 3]).is_none());
     }
 
     #[test]

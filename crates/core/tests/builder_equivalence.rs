@@ -1,5 +1,5 @@
 //! Property tests for the [`Policy`] seam: a controller built with an
-//! explicit `.policy(PaperFsm)` is **bit-identical** to the default
+//! explicit `.policy(Policy::PaperFsm)` is **bit-identical** to the default
 //! controller — same decisions, stats, retained transitions, and
 //! serialized checkpoint bytes — across random parameterizations, all
 //! seven adversary generators, random chunk layouts, and both the
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rsc_control::resilience::{DeployerSpec, FaultMode, FaultScope, FaultSpec, RetryPolicy};
 use rsc_control::{
-    ControllerParams, EvictionMode, MonitorPolicy, PaperFsm, ReactiveController, ResilienceConfig,
+    ControllerParams, EvictionMode, MonitorPolicy, Policy, ReactiveController, ResilienceConfig,
     Revisit, ShardedController, TransitionLogPolicy, VecSink,
 };
 use rsc_trace::{BranchId, BranchRecord, Scenario};
@@ -147,7 +147,7 @@ fn drive(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `builder(p).policy(PaperFsm)` is bit-identical to the default
+    /// `builder(p).policy(Policy::PaperFsm)` is bit-identical to the default
     /// builder — the paper FSM *is* the default policy, with no drift
     /// between the explicit and implicit paths.
     #[test]
@@ -162,7 +162,7 @@ proptest! {
             .unwrap();
         let explicit = ReactiveController::builder(p)
             .log_policy(policy)
-            .policy(PaperFsm)
+            .policy(Policy::PaperFsm)
             .build()
             .unwrap();
         prop_assert_eq!(explicit.policy_id(), "paper-fsm");
@@ -185,11 +185,11 @@ proptest! {
         shards in 1usize..4,
     ) {
         let (sequential, _) = drive(
-            ReactiveController::builder(p).policy(PaperFsm).build().unwrap(),
+            ReactiveController::builder(p).policy(Policy::PaperFsm).build().unwrap(),
             &recs,
         );
 
-        let mut chunked = ReactiveController::builder(p).policy(PaperFsm).build().unwrap();
+        let mut chunked = ReactiveController::builder(p).policy(Policy::PaperFsm).build().unwrap();
         let cuts = chunk_layout(recs.len());
         for w in cuts.windows(2) {
             chunked.observe_chunk(&recs[w[0]..w[1]]);
@@ -198,7 +198,7 @@ proptest! {
         prop_assert_eq!(sequential.snapshot(), chunked.snapshot());
 
         let mut sharded = ReactiveController::builder(p)
-            .policy(PaperFsm)
+            .policy(Policy::PaperFsm)
             .shards(shards)
             .build_sharded()
             .unwrap();
@@ -228,7 +228,7 @@ proptest! {
         let assemble = |explicit: bool| {
             let mut b = ReactiveController::builder(p);
             if explicit {
-                b = b.policy(PaperFsm);
+                b = b.policy(Policy::PaperFsm);
             }
             if let Some(c) = config {
                 b = b.resilience(c);

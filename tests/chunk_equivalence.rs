@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use rsc_control::{
-    engine, ChunkSummary, ControllerParams, ReactiveController, TransitionLogPolicy,
+    engine, ChunkSummary, ControllerParams, Perceptron, Policy, ReactiveController,
+    TransitionLogPolicy, BUILTIN_POLICY_IDS,
 };
 use rsc_profile::BranchProfile;
 use rsc_trace::rng::SplitMix64;
@@ -170,11 +171,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// For chunk sizes 1..=7 — all smaller than any transition-relevant
-    /// time constant — every per-chunk `ChunkSummary` must equal the sum
-    /// of the per-event decisions over exactly that chunk, and the final
-    /// controller states must be identical.
+    /// time constant — and every built-in policy, every per-chunk
+    /// `ChunkSummary` must equal the sum of the per-event decisions over
+    /// exactly that chunk, and the final controller states must be
+    /// identical.
     #[test]
     fn tiny_chunk_summaries_equal_summed_per_event_decisions(
+        policy in prop::sample::select(BUILTIN_POLICY_IDS.to_vec()),
         chunk in 1usize..=7,
         flip in 4u64..60,
         branches in 1u32..4,
@@ -190,10 +193,21 @@ proptest! {
             threshold: 100,
         };
         params.revisit = rsc_control::Revisit::After(2 * monitor);
+        let policy = match Policy::builtin(policy).unwrap() {
+            // The default margin outlasts these windows: shrink it so the
+            // perceptron classifies mid-window, inside the chunked path's
+            // headroom test.
+            Policy::Perceptron(z) => Policy::Perceptron(Perceptron {
+                theta: (monitor / 2) as u32,
+                ..z
+            }),
+            other => other,
+        };
 
         let trace = oscillating_trace(branches, flip, 3_000);
-        let mut per_event = ReactiveController::builder(params).build().unwrap();
-        let mut chunked = ReactiveController::builder(params).build().unwrap();
+        let build = || ReactiveController::builder(params).policy(policy).build().unwrap();
+        let mut per_event = build();
+        let mut chunked = build();
 
         for window in trace.chunks(chunk) {
             let mut expect = ChunkSummary::default();
@@ -205,7 +219,7 @@ proptest! {
                 expect.incorrect += u64::from(d == rsc_control::SpecDecision::Incorrect);
             }
             let got = chunked.observe_chunk(window);
-            prop_assert_eq!(got, expect, "chunk size {}", chunk);
+            prop_assert_eq!(got, expect, "{} at chunk size {}", policy.id(), chunk);
         }
 
         prop_assert_eq!(per_event.stats(), chunked.stats());

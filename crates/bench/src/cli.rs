@@ -1,8 +1,8 @@
 //! The `repro` command table: every command and its flags, declared once.
 //!
-//! One [`Command`] entry per command — the top-level experiments command
+//! One `Command` entry per command — the top-level experiments command
 //! and each subcommand — names its flags, their kinds, defaults, and help
-//! lines. [`parse`] is the only flag parser and [`run`] the only place a
+//! lines. `parse` is the only flag parser and [`run`] the only place a
 //! usage error is printed: any `Err`, whether from parsing or from a
 //! command's own validation (`--seeds` ranges, fault names, chaos
 //! profiles, …), prints `error: …` plus the usage text generated from the

@@ -10,7 +10,7 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::{ControlStats, ControllerParams};
+use rsc_control::{ControlStats, ControllerParams, TransitionLogPolicy};
 use rsc_trace::{spec2000, InputId};
 
 /// Fixed-window vs confidence-monitor results for one benchmark.
@@ -47,12 +47,13 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
             let model = spec2000::benchmark(name).expect("known benchmark");
             let pop = model.population(opts.events);
             let run = |params| {
-                rsc_control::engine::run_population(
+                rsc_control::run_population_chunked(
                     params,
                     &pop,
                     InputId::Eval,
                     opts.events,
                     opts.seed,
+                    TransitionLogPolicy::CountsOnly,
                 )
                 .expect("valid params")
                 .stats

@@ -43,14 +43,24 @@ pub fn run_flush_policy(
         .log_policy(TransitionLogPolicy::CountsOnly)
         .build()
         .expect("valid params");
+    // Chunks are split at flush points, so each flush lands between the
+    // same two events as on the per-event path.
+    let mut observed = 0u64;
     let mut next_flush = flush_every;
-    for (i, r) in population.trace(InputId::Eval, events, seed).enumerate() {
-        if i as u64 >= next_flush {
-            ctl.flush_all();
-            next_flush += flush_every;
-        }
-        ctl.observe(&r);
-    }
+    population
+        .trace(InputId::Eval, events, seed)
+        .for_each_chunk(|mut chunk| {
+            while !chunk.is_empty() {
+                if observed >= next_flush {
+                    ctl.flush_all();
+                    next_flush += flush_every;
+                }
+                let take = (next_flush - observed).min(chunk.len() as u64) as usize;
+                ctl.observe_chunk(&chunk[..take]);
+                observed += take as u64;
+                chunk = &chunk[take..];
+            }
+        });
     ctl.stats()
 }
 
@@ -59,40 +69,33 @@ pub fn run_flush_policy(
 /// flushes are rare events, and each flush forces every branch through a
 /// fresh monitor period).
 pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
-    names
-        .iter()
-        .map(|name| {
-            let model = spec2000::benchmark(name).expect("known benchmark");
-            let pop = model.population(opts.events);
-            let closed = rsc_control::engine::run_population(
-                ControllerParams::scaled(),
+    crate::parallel::par_map(names.to_vec(), |name| {
+        let model = spec2000::benchmark(name).expect("known benchmark");
+        let pop = model.population(opts.events);
+        let run = |params| {
+            rsc_control::run_population_chunked(
+                params,
                 &pop,
                 InputId::Eval,
                 opts.events,
                 opts.seed,
+                TransitionLogPolicy::CountsOnly,
             )
             .expect("valid params")
-            .stats;
-            let open = rsc_control::engine::run_population(
-                ControllerParams::scaled()
-                    .without_eviction()
-                    .without_revisit(),
-                &pop,
-                InputId::Eval,
-                opts.events,
-                opts.seed,
-            )
-            .expect("valid params")
-            .stats;
-            let flush = run_flush_policy(&pop, opts.events, opts.seed, opts.events / 3);
-            Row {
-                name: model.name,
-                closed,
-                flush,
-                open,
-            }
-        })
-        .collect()
+            .stats
+        };
+        let closed = run(ControllerParams::scaled());
+        let open = run(ControllerParams::scaled()
+            .without_eviction()
+            .without_revisit());
+        let flush = run_flush_policy(&pop, opts.events, opts.seed, opts.events / 3);
+        Row {
+            name: model.name,
+            closed,
+            flush,
+            open,
+        }
+    })
 }
 
 /// Runs all benchmarks.
@@ -176,6 +179,47 @@ mod tests {
                 "{}: flush utility {uf:.3} should trail closed loop {uc:.3}",
                 r.name
             );
+        }
+    }
+
+    /// The per-event flush policy the chunked one replaced.
+    fn per_event_flush_policy(
+        population: &Population,
+        events: u64,
+        seed: u64,
+        flush_every: u64,
+    ) -> ControlStats {
+        let params = ControllerParams::scaled()
+            .without_eviction()
+            .without_revisit();
+        let mut ctl = ReactiveController::builder(params)
+            .log_policy(TransitionLogPolicy::CountsOnly)
+            .build()
+            .expect("valid params");
+        let mut next_flush = flush_every;
+        for (i, r) in population.trace(InputId::Eval, events, seed).enumerate() {
+            if i as u64 >= next_flush {
+                ctl.flush_all();
+                next_flush += flush_every;
+            }
+            ctl.observe(&r);
+        }
+        ctl.stats()
+    }
+
+    #[test]
+    fn chunked_flush_policy_equals_per_event() {
+        let pop = spec2000::benchmark("vortex").unwrap().population(60_000);
+        // Periods below, at and across the chunk size, and one that never
+        // fires.
+        for flush_every in [1, 777, 4096, 20_000, 60_000] {
+            for seed in [3, 11] {
+                assert_eq!(
+                    run_flush_policy(&pop, 60_000, seed, flush_every),
+                    per_event_flush_policy(&pop, 60_000, seed, flush_every),
+                    "flush every {flush_every}, seed {seed}"
+                );
+            }
         }
     }
 

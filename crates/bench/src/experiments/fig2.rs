@@ -7,7 +7,7 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_profile::{evaluate, initial, offline, pareto, BranchProfile, SpeculationSet};
+use rsc_profile::{evaluate, initial, pareto, BranchProfile, SpecOutcome, SpeculationSet};
 use rsc_trace::{spec2000, InputId};
 
 /// All Figure 2 marks for one benchmark.
@@ -40,54 +40,80 @@ pub fn training_lengths(events: u64) -> Vec<u64> {
         .collect()
 }
 
+/// Selection threshold of the knee, the cross-input set and the
+/// initial-behavior sets (the paper's 99%).
+const THRESHOLD: f64 = 0.99;
+
+/// Minimum profiled executions for a branch to enter the cross-input set.
+const CROSS_MIN_EXECS: u64 = 32;
+
 /// Runs the Figure 2 experiment for all benchmarks.
+///
+/// Two chunked generations per benchmark: the profile input builds the
+/// cross-input set, then one pass over the evaluation input feeds the
+/// evaluation profile (curve and knee), the cross-input evaluator and one
+/// fused initial-behavior consumer per training length.
 pub fn run(opts: &ExpOptions) -> Vec<Row> {
     crate::parallel::par_map(spec2000::all(), |model| {
         let pop = model.population(opts.events);
-        let eval_profile =
-            BranchProfile::from_trace(pop.trace(InputId::Eval, opts.events, opts.seed));
+        // The paper's Table 1 pairing: select on the profile input.
+        let cross_set = {
+            let trace = pop.trace(InputId::Profile, opts.events, opts.seed + 1);
+            let profile = BranchProfile::from_trace_chunked(trace);
+            SpeculationSet::from_profile(&profile, THRESHOLD, CROSS_MIN_EXECS)
+        };
 
-        // Self-training curve and knee.
-        let full_curve = pareto::curve(&eval_profile);
-        let stride = (full_curve.len() / 16).max(1);
-        let curve: Vec<(f64, f64)> = full_curve
+        let lengths = training_lengths(opts.events);
+        let mut eval_profile = BranchProfile::new();
+        let mut cross = SpecOutcome::default();
+        let mut initial: Vec<_> = lengths
             .iter()
-            .step_by(stride)
-            .map(|p| (p.incorrect, p.correct))
+            .map(|&n| initial::InitialBehavior::new(n, THRESHOLD, n.min(100)))
             .collect();
-        let knee_pt = pareto::threshold_point(&eval_profile, 0.99);
+        pop.trace(InputId::Eval, opts.events, opts.seed)
+            .for_each_chunk(|chunk| {
+                eval_profile.record_chunk(chunk);
+                evaluate::evaluate_chunk(&cross_set, chunk, &mut cross);
+                for consumer in &mut initial {
+                    consumer.record_chunk(chunk);
+                }
+            });
 
-        // Cross-input profile (the paper's Table 1 pairings).
-        let cross = offline::cross_input_experiment(&pop, opts.events, opts.seed, 0.99, 32);
-        let cross_input = (
-            cross.cross_trained.incorrect_frac(),
-            cross.cross_trained.correct_frac(),
-        );
-
-        // Initial-behavior training at several lengths.
-        let initial_pts = training_lengths(opts.events)
-            .into_iter()
-            .map(|n| {
-                let p =
-                    initial::initial_profile(pop.trace(InputId::Eval, opts.events, opts.seed), n);
-                let set = SpeculationSet::from_profile(&p, 0.99, n.min(100));
-                let out = evaluate::evaluate_after_training(
-                    &set,
-                    pop.trace(InputId::Eval, opts.events, opts.seed),
-                    n,
-                );
+        let initial_pts = lengths
+            .iter()
+            .zip(&initial)
+            .map(|(&n, consumer)| {
+                let out = consumer.outcome();
                 (n, out.incorrect_frac(), out.correct_frac())
             })
             .collect();
-
-        Row {
-            name: model.name,
-            curve,
-            knee: (knee_pt.incorrect, knee_pt.correct),
-            cross_input,
-            initial: initial_pts,
-        }
+        row(model.name, &eval_profile, &cross, initial_pts)
     })
+}
+
+/// Assembles one benchmark's marks from its evaluation profile and
+/// open-loop outcomes.
+fn row(
+    name: &'static str,
+    eval_profile: &BranchProfile,
+    cross: &SpecOutcome,
+    initial: Vec<(u64, f64, f64)>,
+) -> Row {
+    let full_curve = pareto::curve(eval_profile);
+    let stride = (full_curve.len() / 16).max(1);
+    let curve = full_curve
+        .iter()
+        .step_by(stride)
+        .map(|p| (p.incorrect, p.correct))
+        .collect();
+    let knee = pareto::threshold_point(eval_profile, THRESHOLD);
+    Row {
+        name,
+        curve,
+        knee: (knee.incorrect, knee.correct),
+        cross_input: (cross.incorrect_frac(), cross.correct_frac()),
+        initial,
+    }
 }
 
 /// Renders the Figure 2 marks (curve summarized by its endpoint).
@@ -141,6 +167,51 @@ pub fn cross_input_summary(rows: &[Row]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsc_profile::offline;
+
+    /// The per-event composition `run` replaced: a full evaluation
+    /// profile, `offline::cross_input_experiment`, and per training length
+    /// an `initial_profile` pass plus an `evaluate_after_training` pass.
+    fn per_event_oracle(opts: &ExpOptions) -> Vec<Row> {
+        spec2000::all()
+            .into_iter()
+            .map(|model| {
+                let pop = model.population(opts.events);
+                let trace = || pop.trace(InputId::Eval, opts.events, opts.seed);
+                let eval_profile = BranchProfile::from_trace(trace());
+                let cross = offline::cross_input_experiment(
+                    &pop,
+                    opts.events,
+                    opts.seed,
+                    THRESHOLD,
+                    CROSS_MIN_EXECS,
+                );
+                let initial = training_lengths(opts.events)
+                    .into_iter()
+                    .map(|n| {
+                        let p = initial::initial_profile(trace(), n);
+                        let set = SpeculationSet::from_profile(&p, THRESHOLD, n.min(100));
+                        let out = evaluate::evaluate_after_training(&set, trace(), n);
+                        (n, out.incorrect_frac(), out.correct_frac())
+                    })
+                    .collect();
+                row(model.name, &eval_profile, &cross.cross_trained, initial)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_pass_equals_the_per_event_oracle() {
+        for seed in [3, 11] {
+            let opts = ExpOptions::small().with_events(60_000).with_seed(seed);
+            // `{:?}` prints each f64 exactly, so this is bit equality.
+            assert_eq!(
+                format!("{:?}", run(&opts)),
+                format!("{:?}", per_event_oracle(&opts)),
+                "seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn training_lengths_scale_and_clamp() {

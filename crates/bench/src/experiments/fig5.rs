@@ -9,7 +9,7 @@
 use crate::experiments::table4;
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::ControllerParams;
+use rsc_control::{ControllerParams, ReactiveController, TransitionLogPolicy};
 use rsc_profile::{pareto, BranchProfile};
 use rsc_trace::{spec2000, InputId};
 
@@ -25,27 +25,33 @@ pub struct Row {
     pub reactive: Vec<(&'static str, f64, f64)>,
 }
 
-/// Runs the experiment.
+/// Runs the experiment: one chunked controller pass per configuration,
+/// with the self-training profile built on the first pass's chunks.
 pub fn run(opts: &ExpOptions) -> Vec<Row> {
     crate::parallel::par_map(spec2000::all(), |model| {
         let pop = model.population(opts.events);
-        let profile = BranchProfile::from_trace(pop.trace(InputId::Eval, opts.events, opts.seed));
-        let st = pareto::threshold_point(&profile, 0.99);
+        let mut profile = BranchProfile::new();
         let reactive = table4::CONFIG_NAMES
             .iter()
-            .map(|&name| {
+            .enumerate()
+            .map(|(i, &name)| {
                 let params = table4::config(ControllerParams::scaled(), name);
-                let r = rsc_control::engine::run_population(
-                    params,
-                    &pop,
-                    InputId::Eval,
-                    opts.events,
-                    opts.seed,
-                )
-                .expect("valid params");
-                (name, r.stats.incorrect_frac(), r.stats.correct_frac())
+                let mut ctl = ReactiveController::builder(params)
+                    .log_policy(TransitionLogPolicy::CountsOnly)
+                    .build()
+                    .expect("valid params");
+                pop.trace(InputId::Eval, opts.events, opts.seed)
+                    .for_each_chunk(|chunk| {
+                        if i == 0 {
+                            profile.record_chunk(chunk);
+                        }
+                        ctl.observe_chunk(chunk);
+                    });
+                let stats = ctl.stats();
+                (name, stats.incorrect_frac(), stats.correct_frac())
             })
             .collect();
+        let st = pareto::threshold_point(&profile, 0.99);
         Row {
             name: model.name,
             self_training: (st.incorrect, st.correct),

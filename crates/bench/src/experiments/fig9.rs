@@ -5,7 +5,7 @@
 use crate::options::ExpOptions;
 use crate::table::TextTable;
 use rsc_control::analysis::intervals::{self, BiasedIntervals};
-use rsc_control::ControllerParams;
+use rsc_control::{ControllerParams, TransitionLogPolicy};
 use rsc_trace::{spec2000, InputId};
 
 /// Flipping-branch intervals and their correlation clusters.
@@ -28,12 +28,13 @@ pub fn run(opts: &ExpOptions) -> Fig9Data {
 pub fn run_on(benchmark: &str, opts: &ExpOptions) -> Fig9Data {
     let model = spec2000::benchmark(benchmark).expect("known benchmark");
     let pop = model.population(opts.events);
-    let result = rsc_control::engine::run_population(
+    let result = rsc_control::run_population_chunked(
         ControllerParams::scaled(),
         &pop,
         InputId::Eval,
         opts.events,
         opts.seed,
+        TransitionLogPolicy::Full,
     )
     .expect("valid params");
     let all = intervals::biased_intervals(&result.transitions, opts.events);

@@ -6,7 +6,7 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::ControllerParams;
+use rsc_control::{ControllerParams, TransitionLogPolicy};
 use rsc_trace::{spec2000, InputId};
 
 /// Re-optimization load with and without the oscillation cap.
@@ -38,37 +38,32 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
         oscillation_limit: None,
         ..capped
     };
-    names
-        .iter()
-        .map(|n| spec2000::benchmark(n).expect("known benchmark"))
-        .map(|model| {
-            let pop = model.population(opts.events);
-            let with_cap = rsc_control::engine::run_population(
-                capped,
+    crate::parallel::par_map(names.to_vec(), |name| {
+        let model = spec2000::benchmark(name).expect("known benchmark");
+        let pop = model.population(opts.events);
+        let run = |params| {
+            rsc_control::run_population_chunked(
+                params,
                 &pop,
                 InputId::Eval,
                 opts.events,
                 opts.seed,
+                TransitionLogPolicy::CountsOnly,
             )
-            .expect("valid params");
-            let without_cap = rsc_control::engine::run_population(
-                uncapped,
-                &pop,
-                InputId::Eval,
-                opts.events,
-                opts.seed,
-            )
-            .expect("valid params");
-            Row {
-                name: model.name,
-                capped_reopts: with_cap.stats.reopt_requests,
-                uncapped_reopts: without_cap.stats.reopt_requests,
-                disabled: with_cap.stats.disabled_branches,
-                capped_correct: with_cap.stats.correct_frac(),
-                uncapped_correct: without_cap.stats.correct_frac(),
-            }
-        })
-        .collect()
+            .expect("valid params")
+            .stats
+        };
+        let with_cap = run(capped);
+        let without_cap = run(uncapped);
+        Row {
+            name: model.name,
+            capped_reopts: with_cap.reopt_requests,
+            uncapped_reopts: without_cap.reopt_requests,
+            disabled: with_cap.disabled_branches,
+            capped_correct: with_cap.correct_frac(),
+            uncapped_correct: without_cap.correct_frac(),
+        }
+    })
 }
 
 /// Average reduction in re-optimization requests due to the cap.

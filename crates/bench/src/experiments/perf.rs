@@ -209,13 +209,15 @@ fn trace_to_controller(pop: &Population, events: u64, seed: u64, reps: u32) -> S
 fn offline_profile(pop: &Population, events: u64, seed: u64, reps: u32) -> StageRow {
     let (per_event, chunked) = time_pair(
         || {
-            let p = BranchProfile::from_trace(pop.trace(InputId::Profile, events, seed));
+            let mut p = BranchProfile::new();
+            for r in pop.trace(InputId::Profile, events, seed) {
+                p.record(&r);
+            }
             black_box(p.events());
             events
         },
         || {
-            let p =
-                BranchProfile::from_trace_chunked(&mut pop.trace(InputId::Profile, events, seed));
+            let p = BranchProfile::from_trace_chunked(pop.trace(InputId::Profile, events, seed));
             black_box(p.events());
             events
         },
@@ -305,7 +307,7 @@ pub fn shard_counts(max: usize) -> Vec<usize> {
 
 /// Measures the controller phase alone (trace pre-materialized, so no
 /// generation cost in the timed region) once per shard count. The trace
-/// is fed in [`SHARD_CHUNK`]-event chunks through
+/// is fed in `SHARD_CHUNK`-event chunks through
 /// [`rsc_control::ShardedController::observe_chunk`]; speedups are
 /// relative to the first row, which callers should make shard count 1.
 ///

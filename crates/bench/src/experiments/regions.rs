@@ -12,7 +12,7 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::{ControllerParams, TransitionKind};
+use rsc_control::{ControllerParams, TransitionKind, TransitionLogPolicy};
 use rsc_trace::{spec2000, InputId};
 
 /// Batching statistics for one benchmark.
@@ -47,12 +47,13 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
         .map(|name| {
             let model = spec2000::benchmark(name).expect("known benchmark");
             let pop = model.population(opts.events);
-            let result = rsc_control::engine::run_population(
+            let result = rsc_control::run_population_chunked(
                 params,
                 &pop,
                 InputId::Eval,
                 opts.events,
                 opts.seed,
+                TransitionLogPolicy::Full,
             )
             .expect("valid params");
 

@@ -4,7 +4,7 @@
 
 use crate::options::ExpOptions;
 use crate::table::{opt_u64, pct, TextTable};
-use rsc_control::{engine, ControlStats, ControllerParams};
+use rsc_control::{run_population_chunked, ControlStats, ControllerParams, TransitionLogPolicy};
 use rsc_trace::{spec2000, InputId, PaperReference};
 
 /// One benchmark's measured row plus the paper's reference values.
@@ -27,8 +27,15 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
 pub fn run_with(opts: &ExpOptions, params: ControllerParams) -> Vec<Row> {
     crate::parallel::par_map(spec2000::all(), |model| {
         let pop = model.population(opts.events);
-        let result = engine::run_population(params, &pop, InputId::Eval, opts.events, opts.seed)
-            .expect("experiment parameters are valid");
+        let result = run_population_chunked(
+            params,
+            &pop,
+            InputId::Eval,
+            opts.events,
+            opts.seed,
+            TransitionLogPolicy::CountsOnly,
+        )
+        .expect("experiment parameters are valid");
         Row {
             name: model.name,
             stats: result.stats,

@@ -7,8 +7,8 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::ControllerParams;
-use rsc_trace::{spec2000, InputId};
+use rsc_control::{ControlStats, ControllerParams, TransitionLogPolicy};
+use rsc_trace::{spec2000, InputId, Population};
 
 /// The named configurations of the paper's Table 4, in its row order.
 pub const CONFIG_NAMES: [&str; 7] = [
@@ -69,28 +69,50 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
     run_subset(opts, &spec2000::NAMES)
 }
 
-/// Runs the seven configurations over a subset of benchmarks.
+/// Runs the seven configurations over a subset of benchmarks, each
+/// (configuration, benchmark) pair as one chunked controller pass.
+///
+/// The controllers run one at a time per benchmark rather than fused onto
+/// one generation: each holds a per-branch table, and seven live at once
+/// raise peak memory by about a third (DESIGN.md §8).
 pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
-    let models: Vec<_> = names
+    rows(opts, names, |params, pop| {
+        rsc_control::run_population_chunked(
+            params,
+            pop,
+            InputId::Eval,
+            opts.events,
+            opts.seed,
+            TransitionLogPolicy::CountsOnly,
+        )
+        .expect("valid params")
+        .stats
+    })
+}
+
+/// Averages `run(params, population)` over the benchmarks for each
+/// configuration, fanning each configuration out over the benchmarks.
+fn rows(
+    opts: &ExpOptions,
+    names: &[&str],
+    run: impl Fn(ControllerParams, &Population) -> ControlStats + Sync,
+) -> Vec<Row> {
+    let populations: Vec<_> = names
         .iter()
-        .map(|n| spec2000::benchmark(n).expect("known benchmark"))
+        .map(|n| {
+            spec2000::benchmark(n)
+                .expect("known benchmark")
+                .population(opts.events)
+        })
         .collect();
-    let populations: Vec<_> = models.iter().map(|m| m.population(opts.events)).collect();
     CONFIG_NAMES
         .iter()
         .zip(PAPER_RESULTS)
         .map(|(&name, paper)| {
             let params = config(ControllerParams::scaled(), name);
             let fracs = crate::parallel::par_map(populations.iter().collect::<Vec<_>>(), |pop| {
-                let r = rsc_control::engine::run_population(
-                    params,
-                    pop,
-                    InputId::Eval,
-                    opts.events,
-                    opts.seed,
-                )
-                .expect("valid params");
-                (r.stats.correct_frac(), r.stats.incorrect_frac())
+                let stats = run(params, pop);
+                (stats.correct_frac(), stats.incorrect_frac())
             });
             let n = fracs.len() as f64;
             let correct: f64 = fracs.iter().map(|f| f.0).sum::<f64>() / n;
@@ -129,6 +151,29 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-event composition `run_subset` replaced: one
+    /// `engine::run_population` pass per (configuration, benchmark).
+    fn per_event_oracle(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
+        rows(opts, names, |params, pop| {
+            rsc_control::engine::run_population(params, pop, InputId::Eval, opts.events, opts.seed)
+                .expect("valid params")
+                .stats
+        })
+    }
+
+    #[test]
+    fn chunked_rows_equal_the_per_event_oracle() {
+        for seed in [3, 11] {
+            let opts = ExpOptions::small().with_events(60_000).with_seed(seed);
+            // `{:?}` prints each f64 exactly, so this is bit equality.
+            assert_eq!(
+                format!("{:?}", run_subset(&opts, &spec2000::NAMES)),
+                format!("{:?}", per_event_oracle(&opts, &spec2000::NAMES)),
+                "seed {seed}"
+            );
+        }
+    }
 
     #[test]
     fn config_builds_all_names() {

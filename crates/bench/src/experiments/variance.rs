@@ -4,7 +4,7 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::ControllerParams;
+use rsc_control::{ControllerParams, TransitionLogPolicy};
 use rsc_trace::{spec2000, InputId};
 
 /// Mean and (sample) standard deviation of a series.
@@ -41,12 +41,13 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str], seeds: u64) -> Vec<Row> {
         let mut corrects = Vec::new();
         let mut incorrects = Vec::new();
         for s in 0..seeds {
-            let r = rsc_control::engine::run_population(
+            let r = rsc_control::run_population_chunked(
                 ControllerParams::scaled(),
                 &pop,
                 InputId::Eval,
                 opts.events,
                 opts.seed + s,
+                TransitionLogPolicy::CountsOnly,
             )
             .expect("valid params");
             corrects.push(r.stats.correct_frac());

@@ -1,6 +1,6 @@
-//! The top-level `repro [EXPERIMENT...]` command: one [`Experiment`]
+//! The top-level `repro [EXPERIMENT...]` command: one `Experiment`
 //! entry per table or figure. Dispatch, the `all` order, and the usage
-//! text's experiment list all read [`EXPERIMENTS`].
+//! text's experiment list all read `EXPERIMENTS`.
 
 use crate::cli::Args;
 use crate::experiments::{

@@ -76,7 +76,7 @@ pub struct ParetoCurve {
 impl ParetoCurve {
     /// Whether the curve is monotone-sane: walking from the most
     /// conservative knob setting to the loosest, benefit and
-    /// misspeculation must both be non-decreasing within [`SLACK`].
+    /// misspeculation must both be non-decreasing within `SLACK`.
     pub fn is_monotone_sane(&self) -> bool {
         self.points.windows(2).all(|w| {
             let ok = |a: f64, b: f64| b >= a * (1.0 - SLACK) - 1e-9;

@@ -15,7 +15,7 @@
 //! Each scenario also snapshots the controller halfway, restores it, and
 //! replays the remainder, checking resume-equals-straight-run. The
 //! process exits `0` only when every built-in invariant holds (see
-//! [`Invariant`]), so CI can treat the subcommand as a smoke test; the
+//! `Invariant`), so CI can treat the subcommand as a smoke test; the
 //! JSON is a pure function of `--seed` and `--events`.
 
 use crate::cli::Args;

@@ -6,7 +6,7 @@
 //! function — Rust's default parallel test runner would otherwise race on
 //! the cap.
 
-use rsc_bench::experiments::table3;
+use rsc_bench::experiments::{fig2, oscillation, table3};
 use rsc_bench::options::ExpOptions;
 use rsc_bench::parallel::set_max_threads;
 use rsc_control::{engine, ControlStats, ControllerParams};
@@ -60,6 +60,21 @@ fn seeds_and_thread_counts_are_deterministic() {
             "--threads {threads} changed experiment results"
         );
     }
+
+    // The experiments that fan out over models compute the same rows at
+    // one thread and at two: fig. 2's fused pass and oscillation's
+    // controller pairs. `{:?}` prints each f64 exactly.
+    let rows_at = |threads: usize| {
+        set_max_threads(threads);
+        let rows = format!("{:?}", (fig2::run(&opts), oscillation::run(&opts)));
+        set_max_threads(0);
+        rows
+    };
+    assert_eq!(
+        rows_at(1),
+        rows_at(2),
+        "--threads 2 changed fig2 or oscillation rows"
+    );
 
     // Part 3: the sharded profiler merges shards in seed order, so the
     // averaged profile is also thread-count independent.

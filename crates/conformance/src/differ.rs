@@ -9,9 +9,9 @@
 //! 1. the per-event [`SpecDecision`] stream (per-event mode) or the
 //!    per-chunk [`ChunkSummary`] against the sum of the reference's
 //!    per-event decisions (chunked mode);
-//! 2. final [`ControlStats`];
+//! 2. final [`ControlStats`](rsc_control::ControlStats);
 //! 3. exact per-kind transition counts and the full transition event log;
-//! 4. a [`BranchSnapshot`] for every branch the trace touched.
+//! 4. a [`BranchSnapshot`](rsc_control::BranchSnapshot) for every branch the trace touched.
 //!
 //! The first mismatch aborts the run with a [`Divergence`] carrying the
 //! event index (for the shrinker) and a human-readable detail string

@@ -11,9 +11,9 @@
 //! streams, transition logs, statistics, and per-branch states.
 //!
 //! When a divergence is found, [`shrink`](shrink::shrink) minimizes the
-//! failing trace and [`Counterexample`](artifact::Counterexample) writes
+//! failing trace and [`Counterexample`] writes
 //! it as a replayable `.json` artifact. The harness validates itself by
-//! injecting known [`Fault`](fault::Fault)s and asserting they are
+//! injecting known [`Fault`]s and asserting they are
 //! caught and shrunk.
 //!
 //! ## Quick start

@@ -74,7 +74,7 @@ pub enum TransitionKind {
     /// the branch returned to the unbiased state (resilience layer).
     EnterAbandoned,
     /// The storm breaker opened (global; branch is the
-    /// [`BREAKER_BRANCH`](crate::resilience::BREAKER_BRANCH) sentinel).
+    /// [`BREAKER_BRANCH`] sentinel).
     BreakerOpened,
     /// The storm breaker half-opened to probe recovery (global).
     BreakerHalfOpen,

@@ -5,11 +5,13 @@ use crate::controller::{ReactiveController, TransitionEvent};
 use crate::params::{ControllerParams, InvalidParamsError};
 use crate::stats::ControlStats;
 use crate::translog::TransitionLogPolicy;
-use rsc_trace::{BranchId, BranchRecord, InputId, Population};
+use rsc_trace::{BranchRecord, InputId, Population};
 
-/// Chunk size used by the chunked drivers: large enough to amortize
-/// dispatch, small enough that a chunk of [`BranchRecord`]s stays in L1/L2.
-pub const DEFAULT_CHUNK_EVENTS: usize = 4096;
+/// Chunk size used by the chunked drivers (re-exported from
+/// [`rsc_trace::workload`], whose [`Trace::for_each_chunk`] they all run on).
+///
+/// [`Trace::for_each_chunk`]: rsc_trace::Trace::for_each_chunk
+pub use rsc_trace::DEFAULT_CHUNK_EVENTS;
 
 /// The outcome of one controller run.
 #[derive(Debug, Clone)]
@@ -99,7 +101,7 @@ pub fn run_population(
 }
 
 /// Runs a controller over one benchmark population through the chunked
-/// hot path ([`rsc_trace::Trace::fill`] into a reusable buffer, then
+/// hot path ([`rsc_trace::Trace::for_each_chunk`] into
 /// [`ReactiveController::observe_chunk`]).
 ///
 /// Produces bit-identical `stats` and `transitions` to [`run_population`]
@@ -140,22 +142,11 @@ pub fn run_population_chunked_with(
     seed: u64,
 ) -> Result<(RunResult, ReactiveController), InvalidParamsError> {
     let mut ctl = builder.build()?;
-    let mut trace = population.trace(input, events, seed);
-    let mut buf = vec![
-        BranchRecord {
-            branch: BranchId::new(0),
-            taken: false,
-            instr: 0
-        };
-        DEFAULT_CHUNK_EVENTS
-    ];
-    loop {
-        let n = trace.fill(&mut buf);
-        if n == 0 {
-            break;
-        }
-        ctl.observe_chunk(&buf[..n]);
-    }
+    population
+        .trace(input, events, seed)
+        .for_each_chunk(|chunk| {
+            ctl.observe_chunk(chunk);
+        });
     let stats = ctl.stats();
     let transitions = ctl.transitions().to_vec();
     Ok((RunResult { stats, transitions }, ctl))

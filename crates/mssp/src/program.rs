@@ -454,7 +454,7 @@ impl<'a> ProgramStream<'a> {
     /// at end of stream). The block is cleared first.
     ///
     /// Draw-for-draw identical to pulling the same instructions through
-    /// the [`Iterator`] — one shared generation point ([`Self::filler_op`])
+    /// the [`Iterator`] — one shared generation point (`filler_op`)
     /// and the same record/gap state — so chunked consumers see exactly
     /// the per-event stream, and the two access styles may interleave on
     /// one stream (each continues where the other stopped).

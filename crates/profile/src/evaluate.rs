@@ -89,6 +89,44 @@ pub fn evaluate<I: IntoIterator<Item = BranchRecord>>(
     out
 }
 
+/// Scores one chunk of a trace against `set` into `out`: the chunked step
+/// of [`evaluate`].
+///
+/// Feeding a trace's chunks in order gives exactly `evaluate(set, trace)`,
+/// so several sets can be scored on one generation of the trace.
+///
+/// # Examples
+///
+/// ```
+/// use rsc_trace::{spec2000, InputId};
+/// use rsc_profile::{evaluate, BranchProfile, SpecOutcome, SpeculationSet};
+///
+/// let pop = spec2000::benchmark("eon").unwrap().population(30_000);
+/// let profile = BranchProfile::from_trace(pop.trace(InputId::Eval, 30_000, 1));
+/// let set = SpeculationSet::from_profile(&profile, 0.99, 1);
+/// let mut out = SpecOutcome::default();
+/// pop.trace(InputId::Eval, 30_000, 1)
+///     .for_each_chunk(|chunk| evaluate::evaluate_chunk(&set, chunk, &mut out));
+/// assert_eq!(out, evaluate::evaluate(&set, pop.trace(InputId::Eval, 30_000, 1)));
+/// ```
+pub fn evaluate_chunk(set: &SpeculationSet, records: &[BranchRecord], out: &mut SpecOutcome) {
+    let (mut correct, mut incorrect, mut instructions) = (0, 0, out.instructions);
+    for r in records {
+        instructions = instructions.max(r.instr);
+        if let Some(dir) = set.decision(r.branch) {
+            if dir.matches(r.taken) {
+                correct += 1;
+            } else {
+                incorrect += 1;
+            }
+        }
+    }
+    out.correct += correct;
+    out.incorrect += incorrect;
+    out.events += records.len() as u64;
+    out.instructions = instructions;
+}
+
 /// Evaluates a speculation set, but for each branch only counts executions
 /// after its first `training_execs` (its training window).
 ///
@@ -150,6 +188,25 @@ mod tests {
         assert_eq!(out.incorrect, 1);
         assert_eq!(out.events, 3);
         assert_eq!(out.instructions, 30);
+    }
+
+    #[test]
+    fn chunked_evaluation_matches_per_event() {
+        let mut set = SpeculationSet::new();
+        set.set(BranchId::new(1), Some(Direction::Taken));
+        set.set(BranchId::new(4), Some(Direction::NotTaken));
+        let trace: Vec<_> = (0..300u64)
+            .map(|i| rec((i % 7) as u32, i % 5 != 0, i * 3 + 1))
+            .collect();
+        let reference = evaluate(&set, trace.iter().copied());
+        for chunk in [1usize, 2, 7, 64, 4096] {
+            let mut out = SpecOutcome::default();
+            for c in trace.chunks(chunk) {
+                evaluate_chunk(&set, c, &mut out);
+            }
+            evaluate_chunk(&set, &[], &mut out);
+            assert_eq!(out, reference, "chunk {chunk}");
+        }
     }
 
     #[test]

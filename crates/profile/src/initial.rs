@@ -1,8 +1,10 @@
 //! Initial-behavior training: predicting a branch's lifetime bias from its
 //! first N executions (the paper's Figure 2 "+" points).
 
+use crate::evaluate::SpecOutcome;
 use crate::profile::BranchProfile;
-use rsc_trace::BranchRecord;
+use crate::select::{check_threshold, select};
+use rsc_trace::{BranchRecord, Direction};
 
 /// Builds a profile from only the first `n` executions of each branch.
 ///
@@ -37,6 +39,117 @@ pub fn initial_profile<I: IntoIterator<Item = BranchRecord>>(trace: I, n: u64) -
         }
     }
     profile
+}
+
+/// Initial-behavior training and its evaluation fused into one streaming
+/// consumer.
+///
+/// Fed a trace chunk by chunk ([`record_chunk`](Self::record_chunk)), its
+/// [`outcome`](Self::outcome) equals
+///
+/// ```text
+/// evaluate_after_training(
+///     &SpeculationSet::from_profile(&initial_profile(trace, n), threshold, min_execs),
+///     trace,
+///     n,
+/// )
+/// ```
+///
+/// on one generation of the trace instead of two. A branch's decision
+/// depends only on its own first `n` executions, so the consumer counts
+/// them, fixes the decision at the `n`-th through the same selection rule
+/// as [`SpeculationSet::from_profile`](crate::SpeculationSet::from_profile),
+/// and scores only the executions after it.
+///
+/// # Examples
+///
+/// ```
+/// use rsc_trace::{spec2000, InputId};
+/// use rsc_profile::{evaluate, initial, SpeculationSet};
+///
+/// let pop = spec2000::benchmark("gap").unwrap().population(30_000);
+/// let trace = || pop.trace(InputId::Eval, 30_000, 1);
+/// let mut fused = initial::InitialBehavior::new(100, 0.99, 100);
+/// trace().for_each_chunk(|chunk| fused.record_chunk(chunk));
+///
+/// let set = SpeculationSet::from_profile(&initial::initial_profile(trace(), 100), 0.99, 100);
+/// assert_eq!(fused.outcome(), evaluate::evaluate_after_training(&set, trace(), 100));
+/// ```
+#[derive(Debug, Clone)]
+pub struct InitialBehavior {
+    training_execs: u64,
+    threshold: f64,
+    min_execs: u64,
+    branches: Vec<Trainee>,
+    outcome: SpecOutcome,
+}
+
+/// One branch's training state.
+#[derive(Debug, Clone, Copy, Default)]
+struct Trainee {
+    /// Executions so far, stopping at the training length.
+    execs: u64,
+    /// Taken outcomes among those executions.
+    taken: u64,
+    /// The decision, fixed at the last training execution.
+    decision: Option<Direction>,
+}
+
+impl InitialBehavior {
+    /// A consumer that trains each branch on its first `training_execs`
+    /// executions and selects it if its bias meets `threshold` over at
+    /// least `min_execs` of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threshold` is not in `(0.5, 1.0]`.
+    pub fn new(training_execs: u64, threshold: f64, min_execs: u64) -> Self {
+        check_threshold(threshold);
+        InitialBehavior {
+            training_execs,
+            threshold,
+            min_execs,
+            branches: Vec::new(),
+            outcome: SpecOutcome::default(),
+        }
+    }
+
+    /// Consumes the next chunk of the trace.
+    pub fn record_chunk(&mut self, records: &[BranchRecord]) {
+        let Some(max_idx) = records.iter().map(|r| r.branch.index()).max() else {
+            return;
+        };
+        if max_idx >= self.branches.len() {
+            self.branches.resize(max_idx + 1, Trainee::default());
+        }
+        let n = self.training_execs;
+        let mut out = self.outcome;
+        for r in records {
+            out.instructions = out.instructions.max(r.instr);
+            let b = &mut self.branches[r.branch.index()];
+            if b.execs < n {
+                b.execs += 1;
+                b.taken += u64::from(r.taken);
+                if b.execs == n {
+                    b.decision = select(n, b.taken, self.threshold, self.min_execs);
+                }
+            } else if let Some(dir) = b.decision {
+                if dir.matches(r.taken) {
+                    out.correct += 1;
+                } else {
+                    out.incorrect += 1;
+                }
+            }
+        }
+        out.events += records.len() as u64;
+        self.outcome = out;
+    }
+
+    /// The outcome over everything consumed so far: executions past each
+    /// branch's training window, scored against its decision.
+    pub fn outcome(&self) -> SpecOutcome {
+        self.outcome
+    }
 }
 
 /// The paper's five initial-training lengths (1k, 10k, 100k, 300k, 1M

@@ -53,28 +53,14 @@ impl BranchProfile {
     }
 
     /// Accumulates an entire trace through the chunked hot path
-    /// ([`rsc_trace::Trace::fill`] into a reusable buffer, then
+    /// ([`rsc_trace::Trace::for_each_chunk`] into
     /// [`record_chunk`](Self::record_chunk)).
     ///
     /// Bit-identical to [`from_trace`](Self::from_trace) on the same
     /// trace; it is simply faster.
-    pub fn from_trace_chunked(trace: &mut rsc_trace::Trace<'_>) -> Self {
+    pub fn from_trace_chunked(trace: rsc_trace::Trace<'_>) -> Self {
         let mut p = BranchProfile::new();
-        let mut buf = vec![
-            BranchRecord {
-                branch: BranchId::new(0),
-                taken: false,
-                instr: 0
-            };
-            4096
-        ];
-        loop {
-            let n = trace.fill(&mut buf);
-            if n == 0 {
-                break;
-            }
-            p.record_chunk(&buf[..n]);
-        }
+        trace.for_each_chunk(|chunk| p.record_chunk(chunk));
         p
     }
 
@@ -322,7 +308,7 @@ mod tests {
         use rsc_trace::{spec2000, InputId};
         let pop = spec2000::benchmark("twolf").unwrap().population(30_000);
         let a = BranchProfile::from_trace(pop.trace(InputId::Eval, 30_000, 4));
-        let b = BranchProfile::from_trace_chunked(&mut pop.trace(InputId::Eval, 30_000, 4));
+        let b = BranchProfile::from_trace_chunked(pop.trace(InputId::Eval, 30_000, 4));
         assert_eq!(a, b);
     }
 

@@ -40,20 +40,15 @@ impl SpeculationSet {
     ///
     /// Panics if `threshold` is not in `(0.5, 1.0]`.
     pub fn from_profile(profile: &BranchProfile, threshold: f64, min_execs: u64) -> Self {
-        assert!(
-            threshold > 0.5 && threshold <= 1.0,
-            "threshold must be in (0.5, 1.0], got {threshold}"
-        );
+        check_threshold(threshold);
         let decisions = (0..profile.len())
             .map(|i| {
-                let n = profile.executions(i);
-                if n >= min_execs.max(1) {
-                    let bias = profile.bias(i).expect("n >= 1");
-                    if bias >= threshold {
-                        return profile.majority(i);
-                    }
-                }
-                None
+                select(
+                    profile.executions(i),
+                    profile.taken(i),
+                    threshold,
+                    min_execs,
+                )
             })
             .collect();
         SpeculationSet { decisions }
@@ -95,6 +90,42 @@ impl SpeculationSet {
             .enumerate()
             .filter_map(|(i, d)| d.map(|dir| (BranchId::new(i as u32), dir)))
     }
+}
+
+/// Panics unless `threshold` is a valid selection threshold, in `(0.5, 1.0]`.
+pub(crate) fn check_threshold(threshold: f64) {
+    assert!(
+        threshold > 0.5 && threshold <= 1.0,
+        "threshold must be in (0.5, 1.0], got {threshold}"
+    );
+}
+
+/// The selection rule for one branch with `taken` of `executions`
+/// profiled outcomes: speculate in the majority direction (ties break
+/// taken) if the branch has at least `min_execs` (and at least one)
+/// executions and its bias meets `threshold`.
+///
+/// [`SpeculationSet::from_profile`] and the fused initial-behavior
+/// consumer ([`crate::initial::InitialBehavior`]) both decide through
+/// this one function, so they agree bit for bit.
+pub(crate) fn select(
+    executions: u64,
+    taken: u64,
+    threshold: f64,
+    min_execs: u64,
+) -> Option<Direction> {
+    if executions < min_execs.max(1) {
+        return None;
+    }
+    let bias = taken.max(executions - taken) as f64 / executions as f64;
+    if bias < threshold {
+        return None;
+    }
+    Some(if taken * 2 >= executions {
+        Direction::Taken
+    } else {
+        Direction::NotTaken
+    })
 }
 
 #[cfg(test)]

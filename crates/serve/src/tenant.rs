@@ -8,7 +8,7 @@
 //! lock) and what to do with the verdict.
 //!
 //! A tenant converts losslessly to and from a
-//! [`TenantRecord`](crate::storage::TenantRecord): the controller goes
+//! [`TenantRecord`]: the controller goes
 //! through the v4 checkpoint format, the counters through the record
 //! header. Eviction, graceful drain, and crash restart all ride on that
 //! one conversion, which is why restart is bit-identical.

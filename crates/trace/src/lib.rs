@@ -51,4 +51,4 @@ pub use population::{AfterFlip, Archetype, PopulationGroup};
 pub use record::{BranchRecord, Direction};
 pub use stats::TraceStats;
 pub use value::ValueWorkloadSpec;
-pub use workload::Trace;
+pub use workload::{Trace, DEFAULT_CHUNK_EVENTS};

@@ -7,6 +7,10 @@ use crate::model::Population;
 use crate::record::BranchRecord;
 use crate::rng::Xoshiro256;
 
+/// Chunk size of [`Trace::for_each_chunk`]: large enough to amortize
+/// dispatch, small enough that a chunk of [`BranchRecord`]s stays in L1/L2.
+pub const DEFAULT_CHUNK_EVENTS: usize = 4096;
+
 /// Per-branch fast-path dispatch, precomputed at trace construction so the
 /// per-event loop does not re-match the full [`Behavior`] enum for the
 /// overwhelmingly common stationary branches.
@@ -31,7 +35,7 @@ struct HotBranch {
 ///
 /// The stream interleaves static branches according to their per-input
 /// weights (alias-method sampling), tracks each branch's execution index so
-/// its [`Behavior`](crate::behavior::Behavior) can be evaluated, advances a
+/// its [`Behavior`] can be evaluated, advances a
 /// dynamic instruction counter with a small random gap per event, and keeps
 /// correlated phase groups in sync with global stream position.
 ///
@@ -246,6 +250,46 @@ impl<'a> Trace<'a> {
         *instr = pos;
         n
     }
+
+    /// Streams the rest of the trace through `f`, one chunk of up to
+    /// [`DEFAULT_CHUNK_EVENTS`] records at a time, reusing one buffer.
+    ///
+    /// This is the one chunked driver: every consumer that reads a whole
+    /// trace (profiles, evaluators, controllers) takes its chunks from
+    /// here, and several consumers can share one generation by reading
+    /// the same chunk. Like [`fill`](Self::fill), the concatenated chunks
+    /// are the [`Iterator`] stream bit for bit.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rsc_trace::{spec2000, InputId};
+    /// let pop = spec2000::benchmark("gzip").unwrap().population(10_000);
+    /// let (mut events, mut taken) = (0, 0);
+    /// pop.trace(InputId::Eval, 10_000, 1).for_each_chunk(|chunk| {
+    ///     events += chunk.len();
+    ///     taken += chunk.iter().filter(|r| r.taken).count();
+    /// });
+    /// assert_eq!(events, 10_000);
+    /// assert!(taken > 0);
+    /// ```
+    pub fn for_each_chunk(mut self, mut f: impl FnMut(&[BranchRecord])) {
+        let mut buf = vec![
+            BranchRecord {
+                branch: BranchId::new(0),
+                taken: false,
+                instr: 0,
+            };
+            DEFAULT_CHUNK_EVENTS
+        ];
+        loop {
+            let n = self.fill(&mut buf);
+            if n == 0 {
+                break;
+            }
+            f(&buf[..n]);
+        }
+    }
 }
 
 impl Iterator for Trace<'_> {
@@ -437,6 +481,32 @@ mod tests {
             }
             assert_eq!(got, reference, "chunk size {chunk}");
         }
+    }
+
+    #[test]
+    fn for_each_chunk_streams_the_rest_of_the_trace() {
+        let pop = two_branch_pop();
+        let reference: Vec<_> = pop.trace(InputId::Eval, 10_000, 11).collect();
+        let mut got = Vec::new();
+        let mut sizes = Vec::new();
+        pop.trace(InputId::Eval, 10_000, 11).for_each_chunk(|c| {
+            sizes.push(c.len());
+            got.extend_from_slice(c);
+        });
+        assert_eq!(got, reference);
+        assert_eq!(sizes, [DEFAULT_CHUNK_EVENTS, DEFAULT_CHUNK_EVENTS, 1808]);
+
+        // A partly consumed trace streams only what is left.
+        let mut t = pop.trace(InputId::Eval, 10_000, 11);
+        t.nth(2_999);
+        let mut rest = Vec::new();
+        t.for_each_chunk(|c| rest.extend_from_slice(c));
+        assert_eq!(rest, reference[3_000..]);
+
+        let mut calls = 0;
+        pop.trace(InputId::Eval, 0, 11)
+            .for_each_chunk(|_| calls += 1);
+        assert_eq!(calls, 0, "an empty trace yields no chunk");
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn chunked_profile_matches_per_event_profile() {
         for seed in SEEDS {
             let per_event = BranchProfile::from_trace(pop.trace(InputId::Profile, EVENTS, seed));
             let chunked =
-                BranchProfile::from_trace_chunked(&mut pop.trace(InputId::Profile, EVENTS, seed));
+                BranchProfile::from_trace_chunked(pop.trace(InputId::Profile, EVENTS, seed));
             assert_eq!(per_event, chunked, "{name} seed {seed}");
         }
     }

@@ -40,8 +40,8 @@ pub fn training_lengths(events: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Selection threshold of the knee, the cross-input set and the
-/// initial-behavior sets (the paper's 99%).
+/// Selection threshold of the knee and the cross-input set (the paper's
+/// 99%, as in [`initial::InitialBehavior`]).
 const THRESHOLD: f64 = 0.99;
 
 /// Minimum profiled executions for a branch to enter the cross-input set.
@@ -68,7 +68,7 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
         let mut cross = SpecOutcome::default();
         let mut initial: Vec<_> = lengths
             .iter()
-            .map(|&n| initial::InitialBehavior::new(n, THRESHOLD, n.min(100)))
+            .map(|&n| initial::InitialBehavior::new(n))
             .collect();
         pop.trace(InputId::Eval, opts.events, opts.seed)
             .for_each_chunk(|chunk| {

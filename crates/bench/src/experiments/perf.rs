@@ -209,10 +209,7 @@ fn trace_to_controller(pop: &Population, events: u64, seed: u64, reps: u32) -> S
 fn offline_profile(pop: &Population, events: u64, seed: u64, reps: u32) -> StageRow {
     let (per_event, chunked) = time_pair(
         || {
-            let mut p = BranchProfile::new();
-            for r in pop.trace(InputId::Profile, events, seed) {
-                p.record(&r);
-            }
+            let p = BranchProfile::from_trace(pop.trace(InputId::Profile, events, seed));
             black_box(p.events());
             events
         },

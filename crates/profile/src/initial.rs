@@ -3,7 +3,7 @@
 
 use crate::evaluate::SpecOutcome;
 use crate::profile::BranchProfile;
-use crate::select::{check_threshold, select};
+use crate::select::select;
 use rsc_trace::{BranchRecord, Direction};
 
 /// Builds a profile from only the first `n` executions of each branch.
@@ -41,6 +41,9 @@ pub fn initial_profile<I: IntoIterator<Item = BranchRecord>>(trace: I, n: u64) -
     profile
 }
 
+/// Bias threshold of the initial-behavior sets (the paper's 99%).
+const THRESHOLD: f64 = 0.99;
+
 /// Initial-behavior training and its evaluation fused into one streaming
 /// consumer.
 ///
@@ -49,7 +52,7 @@ pub fn initial_profile<I: IntoIterator<Item = BranchRecord>>(trace: I, n: u64) -
 ///
 /// ```text
 /// evaluate_after_training(
-///     &SpeculationSet::from_profile(&initial_profile(trace, n), threshold, min_execs),
+///     &SpeculationSet::from_profile(&initial_profile(trace, n), 0.99, n.min(100)),
 ///     trace,
 ///     n,
 /// )
@@ -59,7 +62,9 @@ pub fn initial_profile<I: IntoIterator<Item = BranchRecord>>(trace: I, n: u64) -
 /// depends only on its own first `n` executions, so the consumer counts
 /// them, fixes the decision at the `n`-th through the same selection rule
 /// as [`SpeculationSet::from_profile`](crate::SpeculationSet::from_profile),
-/// and scores only the executions after it.
+/// and scores only the executions after it. A decision taken at the
+/// `n`-th execution always has at least `n.min(100)` executions behind
+/// it, so that minimum never filters anything here.
 ///
 /// # Examples
 ///
@@ -69,7 +74,7 @@ pub fn initial_profile<I: IntoIterator<Item = BranchRecord>>(trace: I, n: u64) -
 ///
 /// let pop = spec2000::benchmark("gap").unwrap().population(30_000);
 /// let trace = || pop.trace(InputId::Eval, 30_000, 1);
-/// let mut fused = initial::InitialBehavior::new(100, 0.99, 100);
+/// let mut fused = initial::InitialBehavior::new(100);
 /// trace().for_each_chunk(|chunk| fused.record_chunk(chunk));
 ///
 /// let set = SpeculationSet::from_profile(&initial::initial_profile(trace(), 100), 0.99, 100);
@@ -78,8 +83,6 @@ pub fn initial_profile<I: IntoIterator<Item = BranchRecord>>(trace: I, n: u64) -
 #[derive(Debug, Clone)]
 pub struct InitialBehavior {
     training_execs: u64,
-    threshold: f64,
-    min_execs: u64,
     branches: Vec<Trainee>,
     outcome: SpecOutcome,
 }
@@ -97,18 +100,10 @@ struct Trainee {
 
 impl InitialBehavior {
     /// A consumer that trains each branch on its first `training_execs`
-    /// executions and selects it if its bias meets `threshold` over at
-    /// least `min_execs` of them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is not in `(0.5, 1.0]`.
-    pub fn new(training_execs: u64, threshold: f64, min_execs: u64) -> Self {
-        check_threshold(threshold);
+    /// executions and selects it if its bias over them is at least 99%.
+    pub fn new(training_execs: u64) -> Self {
         InitialBehavior {
             training_execs,
-            threshold,
-            min_execs,
             branches: Vec::new(),
             outcome: SpecOutcome::default(),
         }
@@ -131,7 +126,7 @@ impl InitialBehavior {
                 b.execs += 1;
                 b.taken += u64::from(r.taken);
                 if b.execs == n {
-                    b.decision = select(n, b.taken, self.threshold, self.min_execs);
+                    b.decision = select(n, b.taken, THRESHOLD, 1);
                 }
             } else if let Some(dir) = b.decision {
                 if dir.matches(r.taken) {

@@ -6,7 +6,7 @@
 //! self-training, because some predicates are input-dependent and some code
 //! is exercised by only one input.
 
-use crate::evaluate::{evaluate_chunk, SpecOutcome};
+use crate::evaluate::{evaluate, SpecOutcome};
 use crate::profile::BranchProfile;
 use crate::select::SpeculationSet;
 use rsc_trace::{InputId, Population};
@@ -51,10 +51,6 @@ impl CrossInputResult {
 /// Both runs use `events` events; `threshold` is the selection bias
 /// threshold (the paper uses 99%); `min_execs` filters branches with too
 /// few profiled executions to classify.
-///
-/// Three chunked generations: the evaluation and profile inputs are each
-/// profiled once, then one more pass over the evaluation input scores
-/// both speculation sets.
 pub fn cross_input_experiment(
     population: &Population,
     events: u64,
@@ -62,25 +58,17 @@ pub fn cross_input_experiment(
     threshold: f64,
     min_execs: u64,
 ) -> CrossInputResult {
-    let eval_profile =
-        BranchProfile::from_trace_chunked(population.trace(InputId::Eval, events, seed));
+    let eval_profile = BranchProfile::from_trace(population.trace(InputId::Eval, events, seed));
     let train_profile =
-        BranchProfile::from_trace_chunked(population.trace(InputId::Profile, events, seed + 1));
+        BranchProfile::from_trace(population.trace(InputId::Profile, events, seed + 1));
 
     let self_set = SpeculationSet::from_profile(&eval_profile, threshold, min_execs);
     let cross_set = SpeculationSet::from_profile(&train_profile, threshold, min_execs);
 
-    let mut result = CrossInputResult {
-        self_trained: SpecOutcome::default(),
-        cross_trained: SpecOutcome::default(),
-    };
-    population
-        .trace(InputId::Eval, events, seed)
-        .for_each_chunk(|chunk| {
-            evaluate_chunk(&self_set, chunk, &mut result.self_trained);
-            evaluate_chunk(&cross_set, chunk, &mut result.cross_trained);
-        });
-    result
+    CrossInputResult {
+        self_trained: evaluate(&self_set, population.trace(InputId::Eval, events, seed)),
+        cross_trained: evaluate(&cross_set, population.trace(InputId::Eval, events, seed)),
+    }
 }
 
 /// Averages `k` profiles of the profile input (different trace seeds) into
@@ -132,21 +120,6 @@ mod tests {
             "cross-input profiling should find less benefit: {:?}",
             r
         );
-    }
-
-    #[test]
-    fn one_scoring_pass_matches_per_event_evaluation() {
-        use crate::evaluate::evaluate;
-        let pop = spec2000::benchmark("gap").unwrap().population(50_000);
-        let trace = |input, seed| pop.trace(input, 50_000, seed);
-        let select = |input, seed| {
-            SpeculationSet::from_profile(&BranchProfile::from_trace(trace(input, seed)), 0.99, 16)
-        };
-        let expected = CrossInputResult {
-            self_trained: evaluate(&select(InputId::Eval, 5), trace(InputId::Eval, 5)),
-            cross_trained: evaluate(&select(InputId::Profile, 6), trace(InputId::Eval, 5)),
-        };
-        assert_eq!(cross_input_experiment(&pop, 50_000, 5, 0.99, 16), expected);
     }
 
     #[test]

@@ -162,26 +162,13 @@ impl BranchProfile {
     /// Bias (majority fraction) of the branch at `idx`, or `None` if it
     /// never executed.
     pub fn bias(&self, idx: usize) -> Option<f64> {
-        let n = self.executions(idx);
-        if n == 0 {
-            return None;
-        }
-        let t = self.taken(idx);
-        Some(t.max(n - t) as f64 / n as f64)
+        bias_of(self.executions(idx), self.taken(idx))
     }
 
     /// Majority direction of the branch at `idx` (ties break taken), or
     /// `None` if it never executed.
     pub fn majority(&self, idx: usize) -> Option<Direction> {
-        let n = self.executions(idx);
-        if n == 0 {
-            return None;
-        }
-        Some(if self.taken(idx) * 2 >= n {
-            Direction::Taken
-        } else {
-            Direction::NotTaken
-        })
+        majority_of(self.executions(idx), self.taken(idx))
     }
 
     /// Number of branches that executed at least once.
@@ -202,6 +189,28 @@ impl BranchProfile {
             }
         })
     }
+}
+
+/// Bias (majority fraction) of a branch with `taken` of `executions`
+/// outcomes, or `None` if it never executed.
+pub(crate) fn bias_of(executions: u64, taken: u64) -> Option<f64> {
+    if executions == 0 {
+        return None;
+    }
+    Some(taken.max(executions - taken) as f64 / executions as f64)
+}
+
+/// Majority direction of a branch with `taken` of `executions` outcomes
+/// (ties break taken), or `None` if it never executed.
+pub(crate) fn majority_of(executions: u64, taken: u64) -> Option<Direction> {
+    if executions == 0 {
+        return None;
+    }
+    Some(if taken * 2 >= executions {
+        Direction::Taken
+    } else {
+        Direction::NotTaken
+    })
 }
 
 #[cfg(test)]

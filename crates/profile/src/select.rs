@@ -1,7 +1,7 @@
 //! Static speculation sets: which branches to speculate, and in which
 //! direction.
 
-use crate::profile::BranchProfile;
+use crate::profile::{bias_of, majority_of, BranchProfile};
 use rsc_trace::{BranchId, Direction};
 
 /// A static decision table: for each branch, an optional speculated
@@ -40,7 +40,10 @@ impl SpeculationSet {
     ///
     /// Panics if `threshold` is not in `(0.5, 1.0]`.
     pub fn from_profile(profile: &BranchProfile, threshold: f64, min_execs: u64) -> Self {
-        check_threshold(threshold);
+        assert!(
+            threshold > 0.5 && threshold <= 1.0,
+            "threshold must be in (0.5, 1.0], got {threshold}"
+        );
         let decisions = (0..profile.len())
             .map(|i| {
                 select(
@@ -92,18 +95,10 @@ impl SpeculationSet {
     }
 }
 
-/// Panics unless `threshold` is a valid selection threshold, in `(0.5, 1.0]`.
-pub(crate) fn check_threshold(threshold: f64) {
-    assert!(
-        threshold > 0.5 && threshold <= 1.0,
-        "threshold must be in (0.5, 1.0], got {threshold}"
-    );
-}
-
 /// The selection rule for one branch with `taken` of `executions`
-/// profiled outcomes: speculate in the majority direction (ties break
-/// taken) if the branch has at least `min_execs` (and at least one)
-/// executions and its bias meets `threshold`.
+/// profiled outcomes: speculate in the majority direction if the branch
+/// has at least `min_execs` (and at least one) executions and its bias
+/// meets `threshold`.
 ///
 /// [`SpeculationSet::from_profile`] and the fused initial-behavior
 /// consumer ([`crate::initial::InitialBehavior`]) both decide through
@@ -114,18 +109,12 @@ pub(crate) fn select(
     threshold: f64,
     min_execs: u64,
 ) -> Option<Direction> {
-    if executions < min_execs.max(1) {
-        return None;
+    match bias_of(executions, taken) {
+        Some(bias) if executions >= min_execs && bias >= threshold => {
+            majority_of(executions, taken)
+        }
+        _ => None,
     }
-    let bias = taken.max(executions - taken) as f64 / executions as f64;
-    if bias < threshold {
-        return None;
-    }
-    Some(if taken * 2 >= executions {
-        Direction::Taken
-    } else {
-        Direction::NotTaken
-    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@ use rsc_profile::initial::{initial_profile, InitialBehavior};
 use rsc_profile::SpeculationSet;
 use rsc_trace::{BranchId, BranchRecord};
 
-const THRESHOLD: f64 = 0.99;
 const CHUNK_SIZES: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 4096];
 const TRAINING_LENGTHS: [u64; 5] = [0, 1, 2, 5, 100];
 
@@ -37,14 +36,14 @@ fn records() -> impl Strategy<Value = Vec<BranchRecord>> {
     })
 }
 
-fn oracle(trace: &[BranchRecord], n: u64, min_execs: u64) -> SpecOutcome {
+fn oracle(trace: &[BranchRecord], n: u64) -> SpecOutcome {
     let profile = initial_profile(trace.iter().copied(), n);
-    let set = SpeculationSet::from_profile(&profile, THRESHOLD, min_execs);
+    let set = SpeculationSet::from_profile(&profile, 0.99, n.min(100));
     evaluate_after_training(&set, trace.iter().copied(), n)
 }
 
-fn fused(trace: &[BranchRecord], chunk: usize, n: u64, min_execs: u64) -> SpecOutcome {
-    let mut consumer = InitialBehavior::new(n, THRESHOLD, min_execs);
+fn fused(trace: &[BranchRecord], chunk: usize, n: u64) -> SpecOutcome {
+    let mut consumer = InitialBehavior::new(n);
     for c in trace.chunks(chunk) {
         consumer.record_chunk(c);
     }
@@ -62,20 +61,17 @@ fn rec(b: u32, taken: bool, instr: u64) -> BranchRecord {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every chunk size and training length, with fig. 2's `n.min(100)`
-    /// minimum and with a minimum no branch can reach (`n + 1`).
+    /// Every chunk size and training length.
     #[test]
     fn fused_consumer_matches_the_per_event_oracle(trace in records()) {
         for n in TRAINING_LENGTHS {
-            for min_execs in [n.min(100), n + 1] {
-                let expected = oracle(&trace, n, min_execs);
-                for chunk in CHUNK_SIZES {
-                    prop_assert_eq!(
-                        fused(&trace, chunk, n, min_execs),
-                        expected,
-                        "n {} min_execs {} chunk {}", n, min_execs, chunk
-                    );
-                }
+            let expected = oracle(&trace, n);
+            for chunk in CHUNK_SIZES {
+                prop_assert_eq!(
+                    fused(&trace, chunk, n),
+                    expected,
+                    "n {} chunk {}", n, chunk
+                );
             }
         }
     }
@@ -87,13 +83,13 @@ fn zero_training_decides_nothing_and_scores_no_nan() {
         .map(|i| rec(i % 3, true, u64::from(i) + 1))
         .collect();
     for chunk in CHUNK_SIZES {
-        let out = fused(&trace, chunk, 0, 0);
-        assert_eq!(out, oracle(&trace, 0, 0));
+        let out = fused(&trace, chunk, 0);
+        assert_eq!(out, oracle(&trace, 0));
         assert_eq!((out.correct, out.incorrect, out.events), (0, 0, 50));
         assert_eq!(out.correct_frac(), 0.0);
         assert_eq!(out.incorrect_frac(), 0.0);
     }
-    let empty = InitialBehavior::new(0, THRESHOLD, 0).outcome();
+    let empty = InitialBehavior::new(0).outcome();
     assert_eq!(empty, SpecOutcome::default());
     assert!(!empty.correct_frac().is_nan() && !empty.incorrect_frac().is_nan());
 }
@@ -105,8 +101,8 @@ fn branches_short_of_the_training_length_are_never_scored() {
     let mut trace: Vec<_> = (0..10).map(|i| rec(0, true, 2 * i + 1)).collect();
     trace.extend((0..4).map(|i| rec(1, false, 100 + i)));
     for chunk in CHUNK_SIZES {
-        let out = fused(&trace, chunk, 5, 5);
-        assert_eq!(out, oracle(&trace, 5, 5));
+        let out = fused(&trace, chunk, 5);
+        assert_eq!(out, oracle(&trace, 5));
         assert_eq!((out.correct, out.incorrect, out.events), (5, 0, 14));
     }
 }
@@ -127,10 +123,10 @@ fn ids_first_seen_mid_chunk_grow_the_table() {
     trace.extend((0..6).map(|i| rec(30, true, 8 + i)));
     trace.extend((0..4).map(|i| rec(9, false, 20 + i)));
     for chunk in CHUNK_SIZES {
-        let out = fused(&trace, chunk, 2, 2);
-        assert_eq!(out, oracle(&trace, 2, 2), "chunk {chunk}");
+        let out = fused(&trace, chunk, 2);
+        assert_eq!(out, oracle(&trace, 2), "chunk {chunk}");
     }
-    let out = fused(&trace, 7, 2, 2);
+    let out = fused(&trace, 7, 2);
     // Branch 0: 2 scored, correct. Branch 9: trained not-taken, then one
     // taken (incorrect) and four not-taken. Branch 30: 4 scored, correct.
     assert_eq!((out.correct, out.incorrect), (2 + 4 + 4, 1));

@@ -55,23 +55,22 @@ impl Throughput {
     }
 }
 
-/// One pipeline stage: the per-event baseline and, where a chunked path
-/// exists, its chunked counterpart.
+/// One pipeline stage: the per-event baseline and its chunked
+/// counterpart.
 #[derive(Debug, Clone, Copy)]
 pub struct StageRow {
     /// Stage name (`trace_gen`, `trace_to_controller`, …).
     pub stage: &'static str,
     /// The per-event reference path.
     pub per_event: Throughput,
-    /// The chunked hot path (`None` for stages without one).
-    pub chunked: Option<Throughput>,
+    /// The chunked hot path.
+    pub chunked: Throughput,
 }
 
 impl StageRow {
-    /// Chunked speedup over the per-event path, if both were measured.
-    pub fn speedup(&self) -> Option<f64> {
-        self.chunked
-            .map(|c| c.events_per_sec() / self.per_event.events_per_sec())
+    /// Chunked speedup over the per-event path.
+    pub fn speedup(&self) -> f64 {
+        self.chunked.events_per_sec() / self.per_event.events_per_sec()
     }
 }
 
@@ -163,7 +162,7 @@ fn trace_gen(pop: &Population, events: u64, seed: u64, reps: u32) -> StageRow {
     StageRow {
         stage: "trace_gen",
         per_event,
-        chunked: Some(chunked),
+        chunked,
     }
 }
 
@@ -202,7 +201,7 @@ fn trace_to_controller(pop: &Population, events: u64, seed: u64, reps: u32) -> S
     StageRow {
         stage: "trace_to_controller",
         per_event,
-        chunked: Some(chunked),
+        chunked,
     }
 }
 
@@ -223,7 +222,7 @@ fn offline_profile(pop: &Population, events: u64, seed: u64, reps: u32) -> Stage
     StageRow {
         stage: "offline_profile",
         per_event,
-        chunked: Some(chunked),
+        chunked,
     }
 }
 
@@ -257,7 +256,7 @@ fn mssp_step(pop: &Population, events: u64, seed: u64, reps: u32) -> StageRow {
     StageRow {
         stage: "mssp_step",
         per_event,
-        chunked: Some(chunked),
+        chunked,
     }
 }
 
@@ -436,10 +435,8 @@ pub fn render(rows: &[StageRow]) -> String {
             r.stage.into(),
             r.per_event.events.to_string(),
             format!("{:.3e}", r.per_event.events_per_sec()),
-            r.chunked
-                .map(|c| format!("{:.3e}", c.events_per_sec()))
-                .unwrap_or_default(),
-            r.speedup().map(|s| format!("{s:.2}x")).unwrap_or_default(),
+            format!("{:.3e}", r.chunked.events_per_sec()),
+            format!("{:.2}x", r.speedup()),
         ]);
     }
     t.render()
@@ -458,15 +455,6 @@ pub fn to_json(rows: &[StageRow], shard_rows: &[ShardRow], opts: &ExpOptions) ->
         ])
     };
     let stage = |r: &StageRow| {
-        // Every stage has a chunked path now; a missing measurement is a
-        // wiring bug and must not be papered over with `null` in the
-        // exported benchmark file.
-        let c = r.chunked.unwrap_or_else(|| {
-            panic!(
-                "stage {} is missing its chunked measurement; refusing to export null",
-                r.stage
-            )
-        });
         Json::obj([
             ("stage", Json::str(r.stage)),
             ("events", Json::Int(r.per_event.events)),
@@ -474,11 +462,11 @@ pub fn to_json(rows: &[StageRow], shard_rows: &[ShardRow], opts: &ExpOptions) ->
                 "per_event_events_per_sec",
                 Json::Num(r.per_event.events_per_sec()),
             ),
-            ("chunked_events_per_sec", Json::Num(c.events_per_sec())),
             (
-                "speedup",
-                Json::Num(r.speedup().expect("chunked implies speedup")),
+                "chunked_events_per_sec",
+                Json::Num(r.chunked.events_per_sec()),
             ),
+            ("speedup", Json::Num(r.speedup())),
         ])
     };
     Json::obj([
@@ -518,10 +506,7 @@ mod tests {
         );
         // Every stage, MSSP included, reports a chunked speedup.
         for r in &rows {
-            let s = r
-                .speedup()
-                .unwrap_or_else(|| panic!("{} has no speedup", r.stage));
-            assert!(s > 0.0, "{}: speedup {s}", r.stage);
+            assert!(r.speedup() > 0.0, "{}: speedup {}", r.stage, r.speedup());
         }
     }
 
@@ -534,10 +519,10 @@ mod tests {
                     events: 1000,
                     secs: 0.5,
                 },
-                chunked: Some(Throughput {
+                chunked: Throughput {
                     events: 1000,
                     secs: 0.25,
-                }),
+                },
             },
             StageRow {
                 stage: "mssp_step",
@@ -545,10 +530,10 @@ mod tests {
                     events: 100,
                     secs: 0.5,
                 },
-                chunked: Some(Throughput {
+                chunked: Throughput {
                     events: 100,
                     secs: 0.1,
-                }),
+                },
             },
         ];
         let shard_rows = vec![
@@ -586,20 +571,6 @@ mod tests {
         let scaling = arr(&json, "shard_scaling");
         assert_eq!(scaling[1].get("shards").and_then(Json::as_u64), Some(4));
         assert_eq!(num(&scaling[1], "speedup_vs_1"), 4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "missing its chunked measurement")]
-    fn export_fails_loudly_on_missing_chunked_measurement() {
-        let rows = vec![StageRow {
-            stage: "mssp_step",
-            per_event: Throughput {
-                events: 100,
-                secs: 0.5,
-            },
-            chunked: None,
-        }];
-        let _ = to_json(&rows, &[], &ExpOptions::small());
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //! (for the artifact).
 
 use rsc_control::{
-    ChunkSummary, ControllerParams, Policy, ReactiveController, ReferenceController,
+    ChunkSummary, ControllerParams, NullSink, Policy, ReactiveController, ReferenceController,
     ResilienceConfig, ShardedController, SpecDecision, TransitionKind,
 };
 use rsc_trace::rng::Xoshiro256;
 use rsc_trace::{BranchId, BranchRecord};
+use std::sync::Arc;
 
 /// Largest chunk the chunked mode will slice off a trace. Small enough
 /// that boundaries land inside monitoring windows, pending-deployment
@@ -274,11 +275,13 @@ fn compare_sharded_final_state(
 
 /// One differential case over the policy zoo: the subject consumes the
 /// trace via `mode` under the named built-in [`Policy`]; the
-/// reference is the *same policy* consumed one event at a time (the
-/// per-event path is the semantic definition every fast path must
-/// match). For `"paper-fsm"` the reference is stronger — the golden
-/// [`ReferenceController`] — so the paper policy is checked against an
-/// independent implementation, not just against itself.
+/// reference is the *same policy* consumed one event at a time through
+/// the full FSM alone (an attached event sink keeps it off the in-place
+/// arms that the subject's `observe` and `observe_chunk` share, and,
+/// unlike a metrics registry, adds nothing to the checkpoint bytes
+/// compared at the end). For `"paper-fsm"` the reference is stronger —
+/// the golden [`ReferenceController`] — so the paper policy is checked
+/// against an independent implementation, not just against itself.
 ///
 /// `subject_params` and `reference_params` are identical in conformance
 /// mode; a campaign self-test passes faulted subject parameters.
@@ -312,14 +315,16 @@ pub fn run_policy_case(
     let build = |params: ControllerParams| {
         ReactiveController::builder(params)
             .policy(Policy::builtin(policy).expect("builtin policy id"))
-            .build()
-            .expect("params validate")
     };
-    let mut reference = build(reference_params);
+    let mut reference = build(reference_params)
+        .event_sink(Arc::new(NullSink))
+        .build()
+        .expect("params validate");
+    assert!(!reference.chunk_fast_path());
 
     match mode {
         Mode::PerEvent => {
-            let mut subject = build(subject_params);
+            let mut subject = build(subject_params).build().expect("params validate");
             for (i, r) in trace.iter().enumerate() {
                 let got = subject.observe(r);
                 let want = reference.observe(r);
@@ -337,7 +342,7 @@ pub fn run_policy_case(
             compare_policy_final_state(policy, &subject, &reference, trace)
         }
         Mode::Chunked { seed } => {
-            let mut subject = build(subject_params);
+            let mut subject = build(subject_params).build().expect("params validate");
             let mut sizes = Xoshiro256::seed_from(seed);
             let mut start = 0usize;
             while start < trace.len() {
@@ -359,8 +364,7 @@ pub fn run_policy_case(
             compare_policy_final_state(policy, &subject, &reference, trace)
         }
         Mode::Sharded { shards, seed } => {
-            let mut subject = ReactiveController::builder(subject_params)
-                .policy(Policy::builtin(policy).expect("builtin policy id"))
+            let mut subject = build(subject_params)
                 .shards(shards)
                 .build_sharded()
                 .expect("params validate");

@@ -42,7 +42,7 @@
 //! # Ok::<(), InvalidParamsError>(())
 //! ```
 
-use crate::controller::ReactiveController;
+use crate::controller::{Counters, ReactiveController};
 use crate::observe::{ControllerMetrics, EventSink, Telemetry};
 use crate::params::{ControllerParams, InvalidParamsError};
 use crate::policy::Policy;
@@ -222,10 +222,7 @@ impl ControllerBuilder {
             params: self.params,
             branches: Vec::new(),
             log,
-            events: 0,
-            instructions: 0,
-            correct: 0,
-            incorrect: 0,
+            counters: Counters::default(),
             resilience,
             telemetry,
             policy: self.policy,

@@ -46,7 +46,7 @@
 //! ```
 
 use crate::controller::{
-    BranchCtl, EvictTracker, ReactiveController, State, TransitionEvent, TransitionKind,
+    BranchCtl, Counters, EvictTracker, ReactiveController, State, TransitionEvent, TransitionKind,
 };
 use crate::counter::HysteresisCounter;
 use crate::observe::{ControllerMetrics, EventSink, ObsEvent, Telemetry};
@@ -1000,10 +1000,10 @@ fn write_controller_body(w: &mut Writer, ctl: &ReactiveController) {
             write_resilience(w, rs);
         }
     }
-    w.u64(ctl.events);
-    w.u64(ctl.instructions);
-    w.u64(ctl.correct);
-    w.u64(ctl.incorrect);
+    w.u64(ctl.counters.events);
+    w.u64(ctl.counters.instructions);
+    w.u64(ctl.counters.correct);
+    w.u64(ctl.counters.incorrect);
     write_log(w, &ctl.log);
     w.usize(ctl.branches.len());
     for b in &ctl.branches {
@@ -1029,10 +1029,12 @@ fn read_controller_body(r: &mut Reader<'_>) -> Result<ReactiveController, Checkp
         1 => Some(read_resilience(r)?),
         _ => return Err(r.corrupt("bad resilience tag")),
     };
-    let events = r.u64()?;
-    let instructions = r.u64()?;
-    let correct = r.u64()?;
-    let incorrect = r.u64()?;
+    let counters = Counters {
+        events: r.u64()?,
+        instructions: r.u64()?,
+        correct: r.u64()?,
+        incorrect: r.u64()?,
+    };
     let log = read_log(r)?;
     let n_branches = r.len_prefix()?;
     let mut branches = Vec::with_capacity(n_branches);
@@ -1045,10 +1047,7 @@ fn read_controller_body(r: &mut Reader<'_>) -> Result<ReactiveController, Checkp
         policy,
         branches,
         log,
-        events,
-        instructions,
-        correct,
-        incorrect,
+        counters,
         resilience,
         telemetry,
     })
@@ -1100,7 +1099,7 @@ impl ReactiveController {
         let cp = ControllerCheckpoint { bytes: w.buf };
         if let Some(t) = &self.telemetry {
             t.emit(&ObsEvent::CheckpointSaved {
-                events: self.events,
+                events: self.counters.events,
                 bytes: cp.len() as u64,
             });
         }
@@ -1151,7 +1150,7 @@ impl ReactiveController {
         ctl.attach_event_sink(sink);
         if let Some(t) = &ctl.telemetry {
             t.emit(&ObsEvent::CheckpointRestored {
-                events: ctl.events,
+                events: ctl.counters.events,
                 bytes: cp.len() as u64,
             });
         }

@@ -278,8 +278,8 @@ impl BranchSnapshot {
 ///
 /// The [`Policy`] picks the tracker (and its parametrization) on each
 /// biased entry via `Policy::evict`; outcomes fold into it through
-/// [`standard_observe`], whose `Counter`/`Never` arms
-/// [`observe_chunk`](ReactiveController::observe_chunk) inlines.
+/// [`standard_observe`], whose `Counter`/`Never` arms `step_in_place`
+/// repeats in place.
 #[derive(Debug, Clone)]
 pub(crate) enum EvictTracker {
     /// An asymmetric saturating counter; evicts when it trips.
@@ -343,6 +343,44 @@ impl State {
             taken: 0,
         }
     }
+
+    /// The unbiased parking state per the revisit policy.
+    fn unbiased(revisit: Revisit) -> State {
+        State::Unbiased {
+            remaining: match revisit {
+                Revisit::After(n) => Some(n),
+                Revisit::Never => None,
+            },
+        }
+    }
+}
+
+/// The state a branch moves to once a `kind` deployment for `dir`,
+/// requested at instruction `instr`, succeeds: the new code, or a wait for
+/// it while the optimization latency elapses.
+fn deployed(
+    kind: DeployKind,
+    dir: Direction,
+    instr: u64,
+    params: &ControllerParams,
+    policy: Policy,
+) -> State {
+    let latency = params.optimization_latency;
+    match kind {
+        DeployKind::Optimize if latency == 0 => State::Biased {
+            dir,
+            tracker: policy.evict(params),
+        },
+        DeployKind::Optimize => State::PendingBiased {
+            deadline: instr + latency,
+            dir,
+        },
+        DeployKind::Repair if latency == 0 => State::fresh_monitor(),
+        DeployKind::Repair => State::PendingMonitor {
+            deadline: instr + latency,
+            dir,
+        },
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -404,10 +442,7 @@ pub struct ReactiveController {
     pub(crate) params: ControllerParams,
     pub(crate) branches: Vec<BranchCtl>,
     pub(crate) log: TransitionLog,
-    pub(crate) events: u64,
-    pub(crate) instructions: u64,
-    pub(crate) correct: u64,
-    pub(crate) incorrect: u64,
+    pub(crate) counters: Counters,
     /// Opt-in resilience layer. `None` keeps the controller bit-identical
     /// to the pre-resilience implementation (and on the allocation-free
     /// chunked fast path).
@@ -419,6 +454,127 @@ pub struct ReactiveController {
     /// The decision rules: stateless configuration (all mutable
     /// per-branch state lives in [`BranchCtl`]).
     pub(crate) policy: Policy,
+}
+
+/// The controller's global counters.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Counters {
+    /// Dynamic branch events observed.
+    pub(crate) events: u64,
+    /// The largest instruction count seen.
+    pub(crate) instructions: u64,
+    /// Correct speculations.
+    pub(crate) correct: u64,
+    /// Misspeculations.
+    pub(crate) incorrect: u64,
+}
+
+impl Counters {
+    /// Counts one execution of live or stale speculative code that
+    /// speculates `dir`.
+    #[inline(always)]
+    fn speculate(&mut self, dir: Direction, taken: bool) -> SpecDecision {
+        if dir.matches(taken) {
+            self.correct += 1;
+            SpecDecision::Correct
+        } else {
+            self.incorrect += 1;
+            SpecDecision::Incorrect
+        }
+    }
+
+    /// What happened between `start` and these counters.
+    fn since(&self, start: Counters) -> ChunkSummary {
+        let correct = self.correct - start.correct;
+        let incorrect = self.incorrect - start.incorrect;
+        ChunkSummary {
+            events: self.events - start.events,
+            speculated: correct + incorrect,
+            correct,
+            incorrect,
+        }
+    }
+}
+
+/// One execution on a branch in a steady state, handled in place: the
+/// disabled state, an unbiased countdown short of the revisit, monitoring
+/// that cannot classify, and speculation under a counter (including its
+/// eviction) or no eviction. Returns `None`, touching nothing, when the
+/// full FSM must run. Only valid without resilience or telemetry, whose
+/// hooks it skips.
+#[inline(always)]
+fn step_in_place(
+    b: &mut BranchCtl,
+    r: &BranchRecord,
+    params: &ControllerParams,
+    policy: Policy,
+    c: &mut Counters,
+    log: &mut TransitionLog,
+) -> Option<SpecDecision> {
+    let mut evict = None;
+    let decision = match &mut b.state {
+        State::Disabled | State::Unbiased { remaining: None } => SpecDecision::NotSpeculated,
+        State::Unbiased { remaining: Some(n) } if *n > 1 => {
+            *n -= 1;
+            SpecDecision::NotSpeculated
+        }
+        State::Monitor {
+            execs,
+            samples,
+            taken,
+        } if policy.keeps_monitoring(
+            MonitorCounts {
+                execs: *execs,
+                samples: *samples,
+                taken: *taken,
+            },
+            params,
+        ) =>
+        {
+            let rate = params.monitor_sample_rate;
+            if rate == 1 || *execs % rate == 0 {
+                *samples += 1;
+                *taken += u64::from(r.taken);
+            }
+            *execs += 1;
+            SpecDecision::NotSpeculated
+        }
+        State::Biased {
+            dir,
+            tracker: EvictTracker::Counter(counter),
+        } => {
+            let decision = c.speculate(*dir, r.taken);
+            if decision == SpecDecision::Correct {
+                counter.correct();
+            } else {
+                counter.misspeculation();
+            }
+            if counter.should_evict() {
+                evict = Some(*dir);
+            }
+            decision
+        }
+        State::Biased {
+            dir,
+            tracker: EvictTracker::Never,
+        } => c.speculate(*dir, r.taken),
+        _ => return None,
+    };
+    c.events += 1;
+    c.instructions = c.instructions.max(r.instr);
+    b.execs += 1;
+    if let Some(dir) = evict {
+        b.evictions += 1;
+        log.push(TransitionEvent {
+            branch: r.branch,
+            kind: TransitionKind::ExitBiased,
+            event_index: c.events,
+            instr: r.instr,
+            direction: Some(dir),
+        });
+        b.state = deployed(DeployKind::Repair, dir, r.instr, params, policy);
+    }
+    Some(decision)
 }
 
 /// What a call to [`ReactiveController::observe_chunk`] did, in aggregate.
@@ -471,7 +627,7 @@ impl ReactiveController {
         let ev = TransitionEvent {
             branch,
             kind,
-            event_index: self.events,
+            event_index: self.counters.events,
             instr,
             direction,
         };
@@ -498,38 +654,71 @@ impl ReactiveController {
         }
     }
 
-    /// Routes a deployment request through the resilience layer; without
-    /// one, deployment is infallible (the paper's model).
+    /// Sends attempt `attempt` of a `kind` deployment for branch `idx`,
+    /// whose code speculates `dir`, and moves the branch to the outcome's
+    /// state: the new code (after the optimization latency), a retry after
+    /// the backoff, or the fail-safe state once retries run out. Without a
+    /// resilience layer, deployment is infallible (the paper's model).
+    /// Returns whether the code deployed.
     fn deploy(
         &mut self,
-        branch: BranchId,
+        idx: usize,
+        r: &BranchRecord,
         kind: DeployKind,
-        instr: u64,
+        dir: Direction,
         attempt: u32,
-    ) -> DeployOutcome {
+    ) -> bool {
         let outcome = match &mut self.resilience {
-            Some(rs) => rs.deployer.request(&DeployRequest {
-                branch,
-                kind,
-                instr,
-                attempt,
-            }),
+            Some(rs) => {
+                if attempt > 0 {
+                    rs.deploy_retries += 1;
+                }
+                rs.deployer.request(&DeployRequest {
+                    branch: r.branch,
+                    kind,
+                    instr: r.instr,
+                    attempt,
+                })
+            }
             None => DeployOutcome::Deployed,
         };
         if let Some(t) = &mut self.telemetry {
-            t.on_deploy(branch, kind, attempt, instr, outcome);
+            t.on_deploy(r.branch, kind, attempt, r.instr, outcome);
         }
-        outcome
-    }
-
-    /// The unbiased parking state per the revisit policy.
-    fn fresh_unbiased(&self) -> State {
-        State::Unbiased {
-            remaining: match self.params.revisit {
-                Revisit::After(n) => Some(n),
-                Revisit::Never => None,
-            },
-        }
+        let DeployOutcome::Failed { wasted } = outcome else {
+            self.branches[idx].state = deployed(kind, dir, r.instr, &self.params, self.policy);
+            return true;
+        };
+        let rs = self.resilience.as_mut().expect("faults need a layer");
+        rs.deploy_failures += 1;
+        let retry = rs.config.retry;
+        self.log_transition(r.branch, TransitionKind::DeployFailed, r.instr, Some(dir));
+        let failures = attempt + 1;
+        self.branches[idx].state = if failures < retry.max_attempts {
+            let next = r.instr + wasted + retry.backoff(failures);
+            match kind {
+                DeployKind::Optimize => State::RetryBiased {
+                    next,
+                    dir,
+                    attempt: failures,
+                },
+                DeployKind::Repair => State::RetryMonitor {
+                    next,
+                    dir,
+                    attempt: failures,
+                },
+            }
+        } else if kind == DeployKind::Optimize {
+            self.log_transition(r.branch, TransitionKind::EnterAbandoned, r.instr, None);
+            State::unbiased(self.params.revisit)
+        } else {
+            // Fail safe: never leave the branch speculating a stale
+            // assumption.
+            self.log_transition(r.branch, TransitionKind::ForcedDisable, r.instr, None);
+            self.resilience.as_mut().expect("checked").forced_disables += 1;
+            State::Disabled
+        };
+        false
     }
 
     /// Mass-evicts the `k` currently-biased branches with the most recent
@@ -569,7 +758,7 @@ impl ReactiveController {
         if miss {
             self.branches[r.branch.index()].recent_misses += 1;
         }
-        let events = self.events;
+        let events = self.counters.events;
         let signal = {
             let rs = self.resilience.as_mut().expect("breaker_tick gated");
             rs.breaker
@@ -611,6 +800,16 @@ impl ReactiveController {
     /// Feeds one dynamic branch execution through the branch's FSM and
     /// returns what the speculation system did with it.
     pub fn observe(&mut self, r: &BranchRecord) -> SpecDecision {
+        let idx = r.branch.index();
+        if idx >= self.branches.len() {
+            self.branches.resize_with(idx + 1, BranchCtl::new);
+        }
+        if self.chunk_fast_path() {
+            let (params, policy) = (&self.params, self.policy);
+            let b = &mut self.branches[idx];
+            return step_in_place(b, r, params, policy, &mut self.counters, &mut self.log)
+                .unwrap_or_else(|| self.observe_inner(r));
+        }
         let decision = self.observe_inner(r);
         let has_breaker = self
             .resilience
@@ -621,30 +820,28 @@ impl ReactiveController {
         }
         if decision == SpecDecision::Incorrect {
             if let Some(m) = self.telemetry.as_mut().and_then(|t| t.metrics.as_mut()) {
-                m.on_misspeculation(self.events);
+                m.on_misspeculation(self.counters.events);
             }
         }
         decision
     }
 
+    /// The full FSM: every arm, with deployment, resilience and transition
+    /// telemetry (the storm breaker and misspeculation metrics are the
+    /// caller's). The branch's slot must exist.
     fn observe_inner(&mut self, r: &BranchRecord) -> SpecDecision {
         let idx = r.branch.index();
-        if idx >= self.branches.len() {
-            self.branches.resize_with(idx + 1, BranchCtl::new);
-        }
-        self.events += 1;
-        self.instructions = self.instructions.max(r.instr);
+        self.counters.events += 1;
+        self.counters.instructions = self.counters.instructions.max(r.instr);
         self.branches[idx].execs += 1;
 
         // Deployment deadlines are checked before processing so that the
-        // first post-deadline execution already runs the new code.
+        // first post-deadline execution already runs the new code: those
+        // arms set the deployed state and go round again.
         loop {
             let state = std::mem::replace(&mut self.branches[idx].state, State::Disabled);
             match state {
-                State::Disabled => {
-                    self.branches[idx].state = State::Disabled;
-                    return SpecDecision::NotSpeculated;
-                }
+                State::Disabled => return SpecDecision::NotSpeculated,
                 State::Monitor {
                     mut execs,
                     mut samples,
@@ -655,23 +852,21 @@ impl ReactiveController {
                         taken += u64::from(r.taken);
                     }
                     execs += 1;
-                    let choice = self.policy.decide(
-                        MonitorCounts {
-                            execs,
-                            samples,
-                            taken,
-                        },
-                        &self.params,
-                    );
-                    let SpecChoice::Speculate(dir) = choice else {
-                        if choice == SpecChoice::Continue {
+                    let counts = MonitorCounts {
+                        execs,
+                        samples,
+                        taken,
+                    };
+                    match self.policy.decide(counts, &self.params) {
+                        SpecChoice::Continue => {
                             self.branches[idx].state = State::Monitor {
                                 execs,
                                 samples,
                                 taken,
                             };
-                        } else {
-                            self.branches[idx].state = self.fresh_unbiased();
+                        }
+                        SpecChoice::Reject => {
+                            self.branches[idx].state = State::unbiased(self.params.revisit);
                             self.log_transition(
                                 r.branch,
                                 TransitionKind::EnterUnbiased,
@@ -679,113 +874,14 @@ impl ReactiveController {
                                 None,
                             );
                         }
-                        return SpecDecision::NotSpeculated;
-                    };
-                    {
-                        // An open storm breaker suppresses the deployment:
-                        // the branch parks as unbiased (no entry, no log)
-                        // and the revisit arc re-monitors it after the
-                        // storm.
-                        if self
-                            .resilience
-                            .as_ref()
-                            .is_some_and(|rs| rs.breaker.as_ref().is_some_and(|b| b.suppressing()))
-                        {
-                            if let Some(rs) = &mut self.resilience {
-                                rs.suppressed_enters += 1;
-                            }
-                            self.branches[idx].state = self.fresh_unbiased();
-                            return SpecDecision::NotSpeculated;
-                        }
-                        // Oscillation cap: refuse the (limit+1)-th entry.
-                        if let Some(limit) = self.params.oscillation_limit {
-                            if self.branches[idx].entries_since_flush >= limit {
-                                self.branches[idx].state = State::Disabled;
-                                self.log_transition(
-                                    r.branch,
-                                    TransitionKind::Disabled,
-                                    r.instr,
-                                    None,
-                                );
-                                return SpecDecision::NotSpeculated;
-                            }
-                        }
-                        self.branches[idx].entries += 1;
-                        self.branches[idx].entries_since_flush += 1;
-                        self.log_transition(
-                            r.branch,
-                            TransitionKind::EnterBiased,
-                            r.instr,
-                            Some(dir),
-                        );
-                        match self.deploy(r.branch, DeployKind::Optimize, r.instr, 0) {
-                            DeployOutcome::Deployed => {
-                                if self.params.optimization_latency == 0 {
-                                    let tracker = self.policy.evict(&self.params);
-                                    self.branches[idx].state = State::Biased { dir, tracker };
-                                } else {
-                                    self.branches[idx].state = State::PendingBiased {
-                                        deadline: r.instr + self.params.optimization_latency,
-                                        dir,
-                                    };
-                                }
-                            }
-                            DeployOutcome::Failed { wasted } => {
-                                let retry = self
-                                    .resilience
-                                    .as_ref()
-                                    .expect("faults need a layer")
-                                    .config
-                                    .retry;
-                                self.resilience.as_mut().expect("checked").deploy_failures += 1;
-                                self.log_transition(
-                                    r.branch,
-                                    TransitionKind::DeployFailed,
-                                    r.instr,
-                                    Some(dir),
-                                );
-                                if retry.max_attempts <= 1 {
-                                    self.log_transition(
-                                        r.branch,
-                                        TransitionKind::EnterAbandoned,
-                                        r.instr,
-                                        None,
-                                    );
-                                    self.branches[idx].state = self.fresh_unbiased();
-                                } else {
-                                    self.branches[idx].state = State::RetryBiased {
-                                        next: r.instr + wasted + retry.backoff(1),
-                                        dir,
-                                        attempt: 1,
-                                    };
-                                }
-                            }
-                        }
+                        SpecChoice::Speculate(dir) => self.enter_biased(idx, r, dir),
                     }
-                    return SpecDecision::NotSpeculated;
-                }
-                State::PendingBiased { deadline, dir } => {
-                    if r.instr >= deadline {
-                        // New code deployed; reprocess this execution as
-                        // biased.
-                        let tracker = self.policy.evict(&self.params);
-                        self.branches[idx].state = State::Biased { dir, tracker };
-                        continue;
-                    }
-                    self.branches[idx].state = State::PendingBiased { deadline, dir };
                     return SpecDecision::NotSpeculated;
                 }
                 State::Biased { dir, mut tracker } => {
-                    let correct = dir.matches(r.taken);
-                    let decision = if correct {
-                        self.correct += 1;
-                        SpecDecision::Correct
-                    } else {
-                        self.incorrect += 1;
-                        SpecDecision::Incorrect
-                    };
-                    let evict = standard_observe(&mut tracker, correct, &self.params);
-                    if evict {
+                    let decision = self.counters.speculate(dir, r.taken);
+                    let correct = decision == SpecDecision::Correct;
+                    if standard_observe(&mut tracker, correct, &self.params) {
                         self.branches[idx].evictions += 1;
                         self.log_transition(
                             r.branch,
@@ -793,437 +889,142 @@ impl ReactiveController {
                             r.instr,
                             Some(dir),
                         );
-                        match self.deploy(r.branch, DeployKind::Repair, r.instr, 0) {
-                            DeployOutcome::Deployed => {
-                                if self.params.optimization_latency == 0 {
-                                    self.branches[idx].state = State::fresh_monitor();
-                                } else {
-                                    self.branches[idx].state = State::PendingMonitor {
-                                        deadline: r.instr + self.params.optimization_latency,
-                                        dir,
-                                    };
-                                }
-                            }
-                            DeployOutcome::Failed { wasted } => {
-                                let retry = self
-                                    .resilience
-                                    .as_ref()
-                                    .expect("faults need a layer")
-                                    .config
-                                    .retry;
-                                self.resilience.as_mut().expect("checked").deploy_failures += 1;
-                                self.log_transition(
-                                    r.branch,
-                                    TransitionKind::DeployFailed,
-                                    r.instr,
-                                    Some(dir),
-                                );
-                                if retry.max_attempts <= 1 {
-                                    // Fail safe: never leave the branch
-                                    // speculating a stale assumption.
-                                    self.log_transition(
-                                        r.branch,
-                                        TransitionKind::ForcedDisable,
-                                        r.instr,
-                                        None,
-                                    );
-                                    self.resilience.as_mut().expect("checked").forced_disables += 1;
-                                    self.branches[idx].state = State::Disabled;
-                                } else {
-                                    self.branches[idx].state = State::RetryMonitor {
-                                        next: r.instr + wasted + retry.backoff(1),
-                                        dir,
-                                        attempt: 1,
-                                    };
-                                }
-                            }
-                        }
+                        self.deploy(idx, r, DeployKind::Repair, dir, 0);
                     } else {
                         self.branches[idx].state = State::Biased { dir, tracker };
                     }
                     return decision;
                 }
-                State::PendingMonitor { deadline, dir } => {
-                    if r.instr >= deadline {
-                        // Repaired code deployed; this execution is
-                        // monitored, not speculated.
-                        self.branches[idx].state = State::fresh_monitor();
-                        continue;
-                    }
-                    // The stale speculative code is still running.
-                    self.branches[idx].state = State::PendingMonitor { deadline, dir };
-                    return if dir.matches(r.taken) {
-                        self.correct += 1;
-                        SpecDecision::Correct
-                    } else {
-                        self.incorrect += 1;
-                        SpecDecision::Incorrect
-                    };
-                }
-                State::Unbiased { remaining } => {
-                    match remaining {
-                        Some(n) if n <= 1 => {
-                            self.branches[idx].state = State::fresh_monitor();
-                            self.log_transition(
-                                r.branch,
-                                TransitionKind::RevisitMonitor,
-                                r.instr,
-                                None,
-                            );
-                        }
-                        Some(n) => {
-                            self.branches[idx].state = State::Unbiased {
-                                remaining: Some(n - 1),
-                            };
-                        }
-                        None => {
-                            self.branches[idx].state = State::Unbiased { remaining: None };
-                        }
-                    }
+                State::Unbiased { remaining: Some(n) } if n <= 1 => {
+                    self.branches[idx].state = State::fresh_monitor();
+                    self.log_transition(r.branch, TransitionKind::RevisitMonitor, r.instr, None);
                     return SpecDecision::NotSpeculated;
                 }
-                State::RetryBiased { next, dir, attempt } => {
-                    // The optimize deployment failed earlier; the branch
-                    // runs unoptimized code while waiting out the backoff.
-                    if r.instr < next {
-                        self.branches[idx].state = State::RetryBiased { next, dir, attempt };
+                State::Unbiased { remaining } => {
+                    self.branches[idx].state = State::Unbiased {
+                        remaining: remaining.map(|n| n - 1),
+                    };
+                    return SpecDecision::NotSpeculated;
+                }
+                State::PendingBiased { deadline, dir } if r.instr >= deadline => {
+                    let tracker = self.policy.evict(&self.params);
+                    self.branches[idx].state = State::Biased { dir, tracker };
+                }
+                // Repaired code deployed: this execution is monitored, not
+                // speculated.
+                State::PendingMonitor { deadline, .. } if r.instr >= deadline => {
+                    self.branches[idx].state = State::fresh_monitor();
+                }
+                State::RetryBiased { next, dir, attempt } if r.instr >= next => {
+                    if !self.deploy(idx, r, DeployKind::Optimize, dir, attempt) {
                         return SpecDecision::NotSpeculated;
                     }
-                    self.resilience
-                        .as_mut()
-                        .expect("retry needs a layer")
-                        .deploy_retries += 1;
-                    match self.deploy(r.branch, DeployKind::Optimize, r.instr, attempt) {
-                        DeployOutcome::Deployed => {
-                            self.branches[idx].state = if self.params.optimization_latency == 0 {
-                                State::Biased {
-                                    dir,
-                                    tracker: self.policy.evict(&self.params),
-                                }
-                            } else {
-                                State::PendingBiased {
-                                    deadline: r.instr + self.params.optimization_latency,
-                                    dir,
-                                }
-                            };
-                            // Reprocess: the first post-deploy execution
-                            // already runs the new code.
-                            continue;
-                        }
-                        DeployOutcome::Failed { wasted } => {
-                            let retry = self.resilience.as_ref().expect("checked").config.retry;
-                            self.resilience.as_mut().expect("checked").deploy_failures += 1;
-                            self.log_transition(
-                                r.branch,
-                                TransitionKind::DeployFailed,
-                                r.instr,
-                                Some(dir),
-                            );
-                            let failures = attempt + 1;
-                            if failures >= retry.max_attempts {
-                                self.log_transition(
-                                    r.branch,
-                                    TransitionKind::EnterAbandoned,
-                                    r.instr,
-                                    None,
-                                );
-                                self.branches[idx].state = self.fresh_unbiased();
-                            } else {
-                                self.branches[idx].state = State::RetryBiased {
-                                    next: r.instr + wasted + retry.backoff(failures),
-                                    dir,
-                                    attempt: failures,
-                                };
-                            }
-                            return SpecDecision::NotSpeculated;
-                        }
+                }
+                State::RetryMonitor { next, dir, attempt } if r.instr >= next => {
+                    if !self.deploy(idx, r, DeployKind::Repair, dir, attempt) {
+                        // The stale code keeps running unless the branch
+                        // was force-disabled.
+                        return match self.branches[idx].state {
+                            State::Disabled => SpecDecision::NotSpeculated,
+                            _ => self.counters.speculate(dir, r.taken),
+                        };
                     }
                 }
-                State::RetryMonitor { next, dir, attempt } => {
-                    // The repair deployment failed earlier: the stale
-                    // speculative code is still running (and possibly
-                    // misspeculating) while the backoff elapses.
-                    if r.instr >= next {
-                        self.resilience
-                            .as_mut()
-                            .expect("retry needs a layer")
-                            .deploy_retries += 1;
-                        match self.deploy(r.branch, DeployKind::Repair, r.instr, attempt) {
-                            DeployOutcome::Deployed => {
-                                self.branches[idx].state = if self.params.optimization_latency == 0
-                                {
-                                    State::fresh_monitor()
-                                } else {
-                                    State::PendingMonitor {
-                                        deadline: r.instr + self.params.optimization_latency,
-                                        dir,
-                                    }
-                                };
-                                // Reprocess under the repaired (or still
-                                // pending) code.
-                                continue;
-                            }
-                            DeployOutcome::Failed { wasted } => {
-                                let retry = self.resilience.as_ref().expect("checked").config.retry;
-                                self.resilience.as_mut().expect("checked").deploy_failures += 1;
-                                self.log_transition(
-                                    r.branch,
-                                    TransitionKind::DeployFailed,
-                                    r.instr,
-                                    Some(dir),
-                                );
-                                let failures = attempt + 1;
-                                if failures >= retry.max_attempts {
-                                    // Fail safe: repair is unreachable, so
-                                    // the branch is disabled rather than
-                                    // left speculating stale.
-                                    self.log_transition(
-                                        r.branch,
-                                        TransitionKind::ForcedDisable,
-                                        r.instr,
-                                        None,
-                                    );
-                                    self.resilience.as_mut().expect("checked").forced_disables += 1;
-                                    self.branches[idx].state = State::Disabled;
-                                    return SpecDecision::NotSpeculated;
-                                }
-                                self.branches[idx].state = State::RetryMonitor {
-                                    next: r.instr + wasted + retry.backoff(failures),
-                                    dir,
-                                    attempt: failures,
-                                };
-                            }
-                        }
-                    } else {
-                        self.branches[idx].state = State::RetryMonitor { next, dir, attempt };
-                    }
-                    // The stale speculative code is still running.
-                    return if dir.matches(r.taken) {
-                        self.correct += 1;
-                        SpecDecision::Correct
-                    } else {
-                        self.incorrect += 1;
-                        SpecDecision::Incorrect
-                    };
+                // Waiting for optimized code: the branch runs unoptimized.
+                waiting @ (State::PendingBiased { .. } | State::RetryBiased { .. }) => {
+                    self.branches[idx].state = waiting;
+                    return SpecDecision::NotSpeculated;
+                }
+                // Waiting for repaired code: the stale speculative code is
+                // still running (and possibly misspeculating).
+                waiting @ (State::PendingMonitor { dir, .. } | State::RetryMonitor { dir, .. }) => {
+                    self.branches[idx].state = waiting;
+                    return self.counters.speculate(dir, r.taken);
                 }
             }
         }
     }
 
-    /// Whether [`observe_chunk`](Self::observe_chunk) runs its inline fast
-    /// arms. A controller with a resilience layer or telemetry (a metrics
-    /// registry or an event sink) delegates every chunk to
-    /// [`observe`](Self::observe) instead.
+    /// The monitor classified branch `idx` biased toward `dir`: request
+    /// the optimized code, unless an open storm breaker suppresses the
+    /// request or the oscillation cap disables the branch.
+    fn enter_biased(&mut self, idx: usize, r: &BranchRecord, dir: Direction) {
+        // An open storm breaker parks the branch as unbiased (no entry, no
+        // log); the revisit arc re-monitors it after the storm.
+        if let Some(rs) = &mut self.resilience {
+            if rs.breaker.as_ref().is_some_and(|b| b.suppressing()) {
+                rs.suppressed_enters += 1;
+                self.branches[idx].state = State::unbiased(self.params.revisit);
+                return;
+            }
+        }
+        let b = &mut self.branches[idx];
+        // Oscillation cap: refuse the (limit+1)-th entry.
+        if self
+            .params
+            .oscillation_limit
+            .is_some_and(|limit| b.entries_since_flush >= limit)
+        {
+            b.state = State::Disabled;
+            self.log_transition(r.branch, TransitionKind::Disabled, r.instr, None);
+            return;
+        }
+        b.entries += 1;
+        b.entries_since_flush += 1;
+        self.log_transition(r.branch, TransitionKind::EnterBiased, r.instr, Some(dir));
+        self.deploy(idx, r, DeployKind::Optimize, dir, 0);
+    }
+
+    /// Whether [`observe`](Self::observe) and
+    /// [`observe_chunk`](Self::observe_chunk) try the in-place
+    /// steady-state arms before the full FSM. A controller with a
+    /// resilience layer or telemetry (a metrics registry or an event sink)
+    /// runs every event through the full FSM instead, so its hooks fire.
     pub fn chunk_fast_path(&self) -> bool {
         self.resilience.is_none() && self.telemetry.is_none()
     }
 
     /// Feeds a chunk of dynamic branch executions through the controller.
     ///
-    /// Semantically identical to calling [`observe`](Self::observe) on each
-    /// record in order — statistics, per-branch state, and the transition
-    /// log come out bit-identical — but the steady-state FSM arms
-    /// (disabled, unbiased waiting, mid-window monitoring, biased with a
-    /// hysteresis counter) are handled inline without the per-event
-    /// state-swap machinery, and the branch table is resized at most once
-    /// per chunk. Rare arms (classification decisions, deployment
-    /// deadlines, sampled eviction) fall back to `observe`.
+    /// Identical to calling [`observe`](Self::observe) on each record in
+    /// order — statistics, per-branch state, and the transition log come
+    /// out bit-identical — and runs the same per-record step, but resizes
+    /// the branch table at most once per chunk and keeps the global
+    /// counters in registers between full-FSM fallbacks.
     pub fn observe_chunk(&mut self, records: &[BranchRecord]) -> ChunkSummary {
-        // The resilience layer adds rare-arm states and a global breaker
-        // that the fast arms do not model, and telemetry hooks fire from
-        // the per-event path: delegate to it (still allocation-free — the
-        // summary falls out of counter deltas) and keep the fast path
-        // exact for the common, fully-disabled case.
+        let start = self.counters;
         if !self.chunk_fast_path() {
-            let start_events = self.events;
-            let start_correct = self.correct;
-            let start_incorrect = self.incorrect;
             for r in records {
                 self.observe(r);
             }
-            let correct = self.correct - start_correct;
-            let incorrect = self.incorrect - start_incorrect;
-            return ChunkSummary {
-                events: self.events - start_events,
-                speculated: correct + incorrect,
-                correct,
-                incorrect,
-            };
+            return self.counters.since(start);
         }
-
-        // One resize covers every record in the chunk.
-        let max_idx = records.iter().map(|r| r.branch.index()).max();
-        if let Some(max_idx) = max_idx {
+        if let Some(max_idx) = records.iter().map(|r| r.branch.index()).max() {
             if max_idx >= self.branches.len() {
                 self.branches.resize_with(max_idx + 1, BranchCtl::new);
             }
         }
-
-        let params = self.params;
-        let monitor_sample_rate = params.monitor_sample_rate;
-        let sample_every_exec = monitor_sample_rate == 1;
-        let optimization_latency = params.optimization_latency;
-        let policy = self.policy;
-
-        // The summary falls out of the counter deltas, and the counters
-        // live in locals so the hot loop keeps them in registers; they sync
-        // with `self` only around slow-path fallbacks.
-        let start_events = self.events;
-        let start_correct = self.correct;
-        let start_incorrect = self.incorrect;
-        let mut events = self.events;
-        let mut instructions = self.instructions;
-        let mut correct = self.correct;
-        let mut incorrect = self.incorrect;
-
+        let (params, policy) = (self.params, self.policy);
+        let mut counters = start;
         for r in records {
-            let idx = r.branch.index();
-            let b = &mut self.branches[idx];
-            // A fast arm either fully handles the event or backs out
-            // without mutating anything, so the `observe` fallback never
-            // double-counts. Eviction needs a state swap, which cannot
-            // happen while the match borrows the state: it is deferred.
-            let mut evict: Option<Direction> = None;
-            let mut slow = false;
-            match &mut b.state {
-                State::Disabled => {
-                    b.execs += 1;
-                    events += 1;
-                    instructions = instructions.max(r.instr);
-                }
-                State::Unbiased { remaining } => match remaining {
-                    // The revisit arc logs a transition: slow path.
-                    Some(n) if *n <= 1 => slow = true,
-                    Some(n) => {
-                        *n -= 1;
-                        b.execs += 1;
-                        events += 1;
-                        instructions = instructions.max(r.instr);
-                    }
-                    None => {
-                        b.execs += 1;
-                        events += 1;
-                        instructions = instructions.max(r.instr);
-                    }
-                },
-                State::Monitor {
-                    execs,
-                    samples,
-                    taken,
-                } => {
-                    // Inline only executions that cannot classify; any
-                    // event that could goes through `observe`.
-                    let counts = MonitorCounts {
-                        execs: *execs,
-                        samples: *samples,
-                        taken: *taken,
-                    };
-                    if policy.keeps_monitoring(counts, &params) {
-                        if sample_every_exec || *execs % monitor_sample_rate == 0 {
-                            *samples += 1;
-                            *taken += u64::from(r.taken);
-                        }
-                        *execs += 1;
-                        b.execs += 1;
-                        events += 1;
-                        instructions = instructions.max(r.instr);
-                    } else {
-                        slow = true;
-                    }
-                }
-                State::Biased { dir, tracker } => match tracker {
-                    EvictTracker::Counter(c) => {
-                        let matched = dir.matches(r.taken);
-                        if matched {
-                            c.correct();
-                            correct += 1;
-                        } else {
-                            c.misspeculation();
-                            incorrect += 1;
-                        }
-                        b.execs += 1;
-                        events += 1;
-                        instructions = instructions.max(r.instr);
-                        if c.should_evict() {
-                            evict = Some(*dir);
-                        }
-                    }
-                    EvictTracker::Never => {
-                        if dir.matches(r.taken) {
-                            correct += 1;
-                        } else {
-                            incorrect += 1;
-                        }
-                        b.execs += 1;
-                        events += 1;
-                        instructions = instructions.max(r.instr);
-                    }
-                    // Sampled eviction: per-event path.
-                    EvictTracker::Sampling { .. } => slow = true,
-                },
-                // Deployment deadlines can cascade through several states:
-                // slow path. Retry states only exist with the resilience
-                // layer, which already took the per-event path above.
-                State::PendingBiased { .. }
-                | State::PendingMonitor { .. }
-                | State::RetryBiased { .. }
-                | State::RetryMonitor { .. } => slow = true,
-            }
-
-            if let Some(dir) = evict {
-                b.evictions += 1;
-                self.log.push(TransitionEvent {
-                    branch: r.branch,
-                    kind: TransitionKind::ExitBiased,
-                    event_index: events,
-                    instr: r.instr,
-                    direction: Some(dir),
-                });
-                b.state = if optimization_latency == 0 {
-                    State::fresh_monitor()
-                } else {
-                    State::PendingMonitor {
-                        deadline: r.instr + optimization_latency,
-                        dir,
-                    }
-                };
-            }
-
-            if slow {
-                self.events = events;
-                self.instructions = instructions;
-                self.correct = correct;
-                self.incorrect = incorrect;
-                self.observe(r);
-                events = self.events;
-                instructions = self.instructions;
-                correct = self.correct;
-                incorrect = self.incorrect;
+            let b = &mut self.branches[r.branch.index()];
+            if step_in_place(b, r, &params, policy, &mut counters, &mut self.log).is_none() {
+                self.counters = counters;
+                self.observe_inner(r);
+                counters = self.counters;
             }
         }
-
-        self.events = events;
-        self.instructions = instructions;
-        self.correct = correct;
-        self.incorrect = incorrect;
-
-        let chunk_correct = correct - start_correct;
-        let chunk_incorrect = incorrect - start_incorrect;
-        ChunkSummary {
-            events: events - start_events,
-            speculated: chunk_correct + chunk_incorrect,
-            correct: chunk_correct,
-            incorrect: chunk_incorrect,
-        }
+        self.counters = counters;
+        counters.since(start)
     }
 
     /// Aggregate statistics so far.
     pub fn stats(&self) -> ControlStats {
         let mut s = ControlStats {
-            events: self.events,
-            instructions: self.instructions,
-            correct: self.correct,
-            incorrect: self.incorrect,
+            events: self.counters.events,
+            instructions: self.counters.instructions,
+            correct: self.counters.correct,
+            incorrect: self.counters.incorrect,
             ..ControlStats::default()
         };
         for b in &self.branches {

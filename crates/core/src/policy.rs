@@ -16,10 +16,11 @@
 //!   sampling/no-eviction tracker) a branch carries into the biased
 //!   state, updated there by the one tracker rule every policy shares;
 //! * `keeps_monitoring` — whether the next monitored execution cannot
-//!   classify whatever its outcome, which lets
-//!   [`observe_chunk`](crate::ReactiveController::observe_chunk) handle
-//!   it inline; it must never be `true` before an execution on which
-//!   `decide` would classify.
+//!   classify whatever its outcome, which lets the controller's in-place
+//!   step (shared by [`observe`](crate::ReactiveController::observe) and
+//!   [`observe_chunk`](crate::ReactiveController::observe_chunk)) handle
+//!   it; it must never be `true` before an execution on which `decide`
+//!   would classify.
 //!
 //! # The policies
 //!
@@ -108,8 +109,8 @@ pub(crate) enum SpecChoice {
 }
 
 /// The tracker update in the biased state: fold one speculated outcome
-/// into `tracker`; `true` evicts. The chunked path inlines the `Counter`
-/// and `Never` arms.
+/// into `tracker`; `true` evicts. The controller's in-place step repeats
+/// the `Counter` and `Never` arms.
 ///
 /// A [`EvictTracker::Sampling`] tracker under parameters whose eviction
 /// mode is not [`EvictionMode::Sampling`] never fires (there is no period
@@ -345,7 +346,7 @@ impl Policy {
 
     /// Whether the next monitored execution, on top of `counts`, is
     /// guaranteed to [`Continue`](SpecChoice::Continue) whatever its
-    /// outcome. The chunked path handles such executions inline and
+    /// outcome. The controller's in-place step handles such executions and
     /// sends every other one through [`decide`](Policy::decide).
     #[inline]
     pub(crate) fn keeps_monitoring(

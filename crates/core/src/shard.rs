@@ -31,7 +31,7 @@
 //! order, into one reusable record buffer per shard (a cached
 //! branch → shard table makes that one load and one push per event).
 //! Each shard then runs its own [`ReactiveController::observe_chunk`]
-//! over its buffer — the same fast arms a 1-shard run takes, and nothing
+//! over its buffer — the same path a 1-shard run takes, and nothing
 //! else. A single shard skips the scatter: it *is* the sequential
 //! controller.
 //!

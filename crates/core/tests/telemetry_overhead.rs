@@ -1,13 +1,13 @@
 //! Structural guard for the disabled-telemetry fast path.
 //!
 //! A controller built without `.metrics()`/`.event_sink(...)` must keep
-//! the allocation-free `observe_chunk` fast arms. The failure mode this
-//! guards against is structural: if telemetry ever became unconditionally
-//! attached, every chunk would fall back to the per-event path. The tests
-//! ask the controller which path `observe_chunk` takes
-//! ([`ReactiveController::chunk_fast_path`], the same predicate its
-//! delegation branch reads) instead of timing the two, so their outcome
-//! does not depend on the host's load.
+//! the in-place steady-state step that `observe` and `observe_chunk`
+//! share. The failure mode this guards against is structural: if
+//! telemetry ever became unconditionally attached, every event would run
+//! the full FSM. The tests ask the controller which path it takes
+//! ([`ReactiveController::chunk_fast_path`], the same predicate both
+//! entry points read) instead of timing the two, so their outcome does
+//! not depend on the host's load.
 
 use rsc_control::prelude::*;
 use rsc_control::{run_population_chunked, run_population_chunked_with, TransitionLogPolicy};

@@ -17,7 +17,7 @@ use crate::frame::RejectCode;
 use crate::storage::TenantRecord;
 use rsc_control::{
     CheckpointError, ControlStats, ControllerParams, InvalidParamsError, ReactiveController,
-    ShardedController,
+    ShardedController, TransitionLogPolicy,
 };
 use rsc_trace::io::{read_trace_with_limit, TraceIoError, MAX_TRACE_EVENTS};
 
@@ -77,6 +77,10 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 impl Tenant {
     /// Creates a fresh tenant with `shards` controller shards.
     ///
+    /// The controller keeps exact per-kind transition counts but no
+    /// transition events: nothing here reads them, and a long-lived
+    /// tenant's full history would grow every record without bound.
+    ///
     /// # Errors
     ///
     /// Propagates parameter validation from the builder.
@@ -87,6 +91,7 @@ impl Tenant {
         quota: QuotaConfig,
     ) -> Result<Self, InvalidParamsError> {
         let ctl = ReactiveController::builder(params)
+            .log_policy(TransitionLogPolicy::CountsOnly)
             .shards(shards)
             .build_sharded()?;
         Ok(Tenant {
@@ -327,6 +332,50 @@ mod tests {
         assert_eq!(back.bytes_ingested(), t.bytes_ingested());
         assert_eq!(back.to_record(), rec, "snapshot of restore is identical");
         assert_eq!(back.stats(), t.stats());
+    }
+
+    /// Restores a one-shard tenant record as a plain controller, which
+    /// exposes the transition log.
+    fn restored_log(t: &Tenant) -> rsc_control::TransitionLog {
+        ReactiveController::restore(&t.to_record().checkpoint)
+            .unwrap()
+            .transition_log()
+            .clone()
+    }
+
+    #[test]
+    fn records_keep_transition_counts_but_no_events() {
+        let mut t =
+            Tenant::new(1, ControllerParams::scaled(), 1, QuotaConfig::unlimited()).unwrap();
+        t.ingest(&payload(40_000, 4)).unwrap();
+        let log = restored_log(&t);
+        assert!(log.total() > 0, "the frame caused transitions");
+        assert!(log.is_empty(), "no transition events are retained");
+        assert_eq!(log.policy(), TransitionLogPolicy::CountsOnly);
+    }
+
+    #[test]
+    fn full_log_records_restore_with_their_policy() {
+        // A record written while tenants still kept every transition.
+        let mut ctl = ReactiveController::builder(ControllerParams::scaled())
+            .shards(1)
+            .build_sharded()
+            .unwrap();
+        let records = rsc_trace::io::read_trace(&mut &payload(40_000, 4)[..]).unwrap();
+        ctl.observe_chunk(&records);
+        let rec = TenantRecord {
+            tenant: 1,
+            bytes_ingested: 0,
+            rejected_events: 0,
+            stream_digest: FNV_OFFSET,
+            checkpoint: ctl.snapshot(),
+        };
+        let mut back = Tenant::from_record(&rec, QuotaConfig::unlimited()).unwrap();
+        assert_eq!(back.to_record(), rec);
+        back.ingest(&payload(40_000, 5)).unwrap();
+        let log = restored_log(&back);
+        assert_eq!(log.policy(), TransitionLogPolicy::Full);
+        assert_eq!(log.len() as u64, log.total());
     }
 
     #[test]

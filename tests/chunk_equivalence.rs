@@ -174,7 +174,10 @@ proptest! {
     /// time constant — and every built-in policy, every per-chunk
     /// `ChunkSummary` must equal the sum of the per-event decisions over
     /// exactly that chunk, and the final controller states must be
-    /// identical.
+    /// identical. The per-event side carries telemetry, which runs every
+    /// event through the full FSM: a per-event controller without it
+    /// would share the chunked path's in-place arms and check them
+    /// against themselves.
     #[test]
     fn tiny_chunk_summaries_equal_summed_per_event_decisions(
         policy in prop::sample::select(BUILTIN_POLICY_IDS.to_vec()),
@@ -205,9 +208,10 @@ proptest! {
         };
 
         let trace = oscillating_trace(branches, flip, 3_000);
-        let build = || ReactiveController::builder(params).policy(policy).build().unwrap();
-        let mut per_event = build();
-        let mut chunked = build();
+        let build = || ReactiveController::builder(params).policy(policy);
+        let mut per_event = build().metrics().build().unwrap();
+        prop_assert!(!per_event.chunk_fast_path());
+        let mut chunked = build().build().unwrap();
 
         for window in trace.chunks(chunk) {
             let mut expect = ChunkSummary::default();

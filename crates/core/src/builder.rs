@@ -22,7 +22,7 @@
 //!
 //! let ctl = ReactiveController::builder(ControllerParams::scaled())
 //!     .resilience(ResilienceConfig::reliable())
-//!     .log_policy(TransitionLogPolicy::RingBuffer(1024))
+//!     .log_policy(TransitionLogPolicy::CountsOnly)
 //!     .metrics()
 //!     .build()?;
 //! assert!(ctl.metrics().is_some());
@@ -64,7 +64,6 @@ pub struct ControllerBuilder {
     resilience: Option<ResilienceConfig>,
     log_policy: TransitionLogPolicy,
     metrics: bool,
-    interval_bounds: Option<Vec<u64>>,
     sink: Option<Arc<dyn EventSink>>,
     shards: usize,
     pool_threads: usize,
@@ -78,7 +77,6 @@ impl std::fmt::Debug for ControllerBuilder {
             .field("resilience", &self.resilience)
             .field("log_policy", &self.log_policy)
             .field("metrics", &self.metrics)
-            .field("interval_bounds", &self.interval_bounds)
             .field("sink", &self.sink.is_some())
             .field("shards", &self.shards)
             .field("pool_threads", &self.pool_threads)
@@ -94,7 +92,6 @@ impl ControllerBuilder {
             resilience: None,
             log_policy: TransitionLogPolicy::Full,
             metrics: false,
-            interval_bounds: None,
             sink: None,
             shards: 1,
             pool_threads: 0,
@@ -121,7 +118,7 @@ impl ControllerBuilder {
 
     /// Sets the transition-log retention policy (default:
     /// [`TransitionLogPolicy::Full`]). Per-kind counters stay exact under
-    /// every policy.
+    /// both policies.
     #[must_use]
     pub fn log_policy(mut self, policy: TransitionLogPolicy) -> Self {
         self.log_policy = policy;
@@ -135,18 +132,6 @@ impl ControllerBuilder {
     #[must_use]
     pub fn metrics(mut self) -> Self {
         self.metrics = true;
-        self
-    }
-
-    /// Overrides the bucket bounds of the four interval-style histograms
-    /// (misspeculation interval, biased residency, breaker open/half-open
-    /// durations). Implies [`metrics`](ControllerBuilder::metrics).
-    /// Bounds must be strictly increasing; [`build`](ControllerBuilder::build)
-    /// rejects anything else as an [`InvalidParamsError`].
-    #[must_use]
-    pub fn interval_bounds(mut self, bounds: &[u64]) -> Self {
-        self.metrics = true;
-        self.interval_bounds = Some(bounds.to_vec());
         self
     }
 
@@ -200,19 +185,9 @@ impl ControllerBuilder {
             Some(config) => Some(ResilienceState::new(config)?),
             None => None,
         };
-        let mut log = TransitionLog::default();
-        log.set_policy(self.log_policy);
         let telemetry = if self.metrics || self.sink.is_some() {
-            let metrics = if self.metrics {
-                Some(match &self.interval_bounds {
-                    Some(bounds) => ControllerMetrics::with_interval_bounds(bounds)?,
-                    None => ControllerMetrics::new(),
-                })
-            } else {
-                None
-            };
             Some(Box::new(Telemetry {
-                metrics,
+                metrics: self.metrics.then(ControllerMetrics::new),
                 sink: self.sink,
             }))
         } else {
@@ -221,7 +196,7 @@ impl ControllerBuilder {
         Ok(ReactiveController {
             params: self.params,
             branches: Vec::new(),
-            log,
+            log: TransitionLog::new(self.log_policy),
             counters: Counters::default(),
             resilience,
             telemetry,

@@ -2,13 +2,13 @@
 //!
 //! [`ReactiveController::snapshot`] serializes the *entire* controller —
 //! parameters, resilience configuration and runtime (deployer ordinal,
-//! breaker window), global counters, the transition log including its
-//! ring-buffer amortization state, and every per-branch FSM — into a
-//! versioned, self-contained binary blob. [`ReactiveController::restore`]
-//! rebuilds a controller from the blob such that feeding the restored
-//! controller the remainder of a trace produces **bit-identical** results
-//! (decisions, [`ControlStats`](crate::ControlStats), transition log) to a
-//! controller that ran the whole trace without interruption. That
+//! breaker window), global counters, the transition log, and every
+//! per-branch FSM — into a versioned, self-contained binary blob.
+//! [`ReactiveController::restore`] rebuilds a controller from the blob
+//! such that feeding the restored controller the remainder of a trace
+//! produces **bit-identical** results (decisions,
+//! [`ControlStats`](crate::ControlStats), transition log) to a controller
+//! that ran the whole trace without interruption. That
 //! resume-equals-straight-run property is what makes checkpointing safe to
 //! use for long-running deployments, and it is pinned by differential
 //! tests (`tests/checkpoint_restore.rs`).
@@ -49,7 +49,7 @@ use crate::controller::{
     BranchCtl, Counters, EvictTracker, ReactiveController, State, TransitionEvent, TransitionKind,
 };
 use crate::counter::HysteresisCounter;
-use crate::observe::{ControllerMetrics, EventSink, ObsEvent, Telemetry};
+use crate::observe::{ControllerMetrics, ObsEvent, Telemetry, INTERVAL_BOUNDS};
 use crate::params::{ControllerParams, EvictionMode, InvalidParamsError, MonitorPolicy, Revisit};
 use crate::policy::Policy;
 use crate::resilience::breaker::{BreakerConfig, BreakerPhase, StormBreaker};
@@ -58,7 +58,6 @@ use crate::resilience::{ResilienceConfig, ResilienceState};
 use crate::translog::{TransitionLog, TransitionLogPolicy};
 use rsc_trace::{BranchId, Direction};
 use std::fmt;
-use std::sync::Arc;
 
 /// Magic bytes opening every checkpoint.
 const MAGIC: [u8; 4] = *b"RSCK";
@@ -700,19 +699,12 @@ fn write_log(w: &mut Writer, log: &TransitionLog) {
     match log.policy() {
         TransitionLogPolicy::Full => w.u8(0),
         TransitionLogPolicy::CountsOnly => w.u8(1),
-        TransitionLogPolicy::RingBuffer(n) => {
-            w.u8(2);
-            w.usize(n);
-        }
     }
     let (events, counts) = log.raw_storage();
     w.usize(counts.len());
     for &c in counts {
         w.u64(c);
     }
-    // The raw vector, not `as_slice()`: a ring log holds up to `2n`
-    // events between compactions and resume must land on the same
-    // amortization boundary to stay bit-identical.
     w.usize(events.len());
     for ev in events {
         w.u32(ev.branch.index() as u32);
@@ -727,7 +719,6 @@ fn read_log(r: &mut Reader<'_>) -> Result<TransitionLog, CheckpointError> {
     let policy = match r.u8()? {
         0 => TransitionLogPolicy::Full,
         1 => TransitionLogPolicy::CountsOnly,
-        2 => TransitionLogPolicy::RingBuffer(r.usize()?),
         _ => return Err(r.corrupt("bad log-policy tag")),
     };
     let n_counts = r.len_prefix()?;
@@ -739,10 +730,18 @@ fn read_log(r: &mut Reader<'_>) -> Result<TransitionLog, CheckpointError> {
         *c = r.u64()?;
     }
     let n_events = r.len_prefix()?;
-    if let TransitionLogPolicy::RingBuffer(n) = policy {
-        if n_events > 2 * n {
-            return Err(r.corrupt("ring log holds more than 2n events"));
+    // A counts-only log stores no events, and a full log stores exactly
+    // one per counted transition.
+    match policy {
+        TransitionLogPolicy::CountsOnly if n_events != 0 => {
+            return Err(r.corrupt("counts-only log carries events"));
         }
+        TransitionLogPolicy::Full
+            if counts.iter().try_fold(0u64, |a, &c| a.checked_add(c)) != Some(n_events as u64) =>
+        {
+            return Err(r.corrupt("log event count disagrees with per-kind counts"));
+        }
+        _ => {}
     }
     let mut events = Vec::with_capacity(n_events);
     for _ in 0..n_events {
@@ -908,17 +907,18 @@ fn read_branch(r: &mut Reader<'_>) -> Result<BranchCtl, CheckpointError> {
 /// Telemetry section: only the metric state that cannot be re-derived is
 /// serialized — histogram buckets plus the interval bookkeeping. Counters
 /// and gauges are synthesized from controller state at export, and sinks
-/// are live I/O handles, so neither is written (reattach a sink with
-/// [`ReactiveController::restore_with_sink`]).
+/// are live I/O handles, so neither is written: a restored controller has
+/// no sink. The interval-histogram bounds are written too, and restore
+/// refuses any but [`INTERVAL_BOUNDS`], as it refuses a transition-kind
+/// count that disagrees with this build.
 fn write_telemetry(w: &mut Writer, telemetry: Option<&Telemetry>) {
     let Some(cm) = telemetry.and_then(|t| t.metrics.as_ref()) else {
         w.u8(0);
         return;
     };
     w.u8(1);
-    let bounds = cm.interval_bounds();
-    w.usize(bounds.len());
-    for &b in bounds {
+    w.usize(INTERVAL_BOUNDS.len());
+    for b in INTERVAL_BOUNDS {
         w.u64(b);
     }
     for id in cm.histograms_in_order() {
@@ -948,8 +948,10 @@ fn read_telemetry(r: &mut Reader<'_>) -> Result<Option<Box<Telemetry>>, Checkpoi
             for _ in 0..n {
                 bounds.push(r.u64()?);
             }
-            let mut cm = ControllerMetrics::with_interval_bounds(&bounds)
-                .map_err(|_| r.corrupt("histogram bounds must be strictly increasing"))?;
+            if bounds != INTERVAL_BOUNDS {
+                return Err(r.corrupt("interval-histogram bounds disagree with this build"));
+            }
+            let mut cm = ControllerMetrics::new();
             for id in cm.histograms_in_order() {
                 let n = r.len_prefix()?;
                 let mut buckets = Vec::with_capacity(n);
@@ -1084,8 +1086,7 @@ impl ReactiveController {
     /// The checkpoint captures everything that affects future behavior:
     /// parameters, the resilience configuration and its runtime state
     /// (deployer request ordinal, breaker phase and window), global
-    /// counters, the transition log (including the ring buffer's internal
-    /// amortization state), and every per-branch FSM. Restoring and
+    /// counters, the transition log, and every per-branch FSM. Restoring and
     /// replaying the rest of a trace is bit-identical to never having
     /// checkpointed.
     /// If telemetry is enabled, histogram state is serialized too (so
@@ -1127,32 +1128,6 @@ impl ReactiveController {
         let ctl = read_controller_body(&mut r)?;
         if r.pos != bytes.len() {
             return Err(r.corrupt("trailing bytes after checkpoint"));
-        }
-        Ok(ctl)
-    }
-
-    /// Rebuilds a controller from a checkpoint and attaches `sink` for
-    /// observability events, emitting [`ObsEvent::CheckpointRestored`]
-    /// once the restore succeeds.
-    ///
-    /// Sinks are live I/O handles and are never serialized, so a restored
-    /// controller is sink-less by default; this is the one-call way to
-    /// resume a run without losing its event stream.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`restore`](ReactiveController::restore).
-    pub fn restore_with_sink(
-        cp: &ControllerCheckpoint,
-        sink: Arc<dyn EventSink>,
-    ) -> Result<Self, CheckpointError> {
-        let mut ctl = Self::restore(cp)?;
-        ctl.attach_event_sink(sink);
-        if let Some(t) = &ctl.telemetry {
-            t.emit(&ObsEvent::CheckpointRestored {
-                events: ctl.counters.events,
-                bytes: cp.len() as u64,
-            });
         }
         Ok(ctl)
     }
@@ -1610,6 +1585,87 @@ mod tests {
                 ReactiveController::restore(&ControllerCheckpoint { bytes: w.buf }).unwrap_err();
             assert_eq!(err, CheckpointError::UnknownPolicy { id: id.to_owned() });
         }
+    }
+
+    /// Offset of the log-policy tag in `ctl`'s plain checkpoint: the
+    /// shard count, params, policy section, resilience tag (none) and the
+    /// four global counters come first.
+    fn log_tag_offset(ctl: &ReactiveController) -> usize {
+        assert!(ctl.resilience.is_none());
+        let mut w = Writer::new();
+        w.usize(1);
+        write_params(&mut w, &ctl.params);
+        w.bytes(ctl.policy.id().as_bytes());
+        w.bytes(&ctl.policy.config_blob());
+        w.u8(0);
+        let c = &ctl.counters;
+        for v in [c.events, c.instructions, c.correct, c.incorrect] {
+            w.u64(v);
+        }
+        w.buf.len()
+    }
+
+    /// `ctl`'s checkpoint with its log-policy tag (expected to be `from`)
+    /// overwritten by `to`, restored.
+    fn restore_with_log_tag(ctl: &ReactiveController, from: u8, to: u8) -> CheckpointError {
+        let mut bytes = ctl.snapshot().into_bytes();
+        let at = log_tag_offset(ctl);
+        assert_eq!(bytes[at], from, "log tag offset");
+        bytes[at] = to;
+        ReactiveController::restore(&ControllerCheckpoint::from_bytes(bytes)).unwrap_err()
+    }
+
+    #[test]
+    fn log_tags_must_agree_with_the_stored_events() {
+        let build = |policy| {
+            let mut ctl = ReactiveController::builder(ControllerParams::scaled())
+                .log_policy(policy)
+                .build()
+                .unwrap();
+            drive(&mut ctl, 5_000);
+            assert!(ctl.transition_log().total() > 0);
+            ctl
+        };
+        let full = build(TransitionLogPolicy::Full);
+        let counted = build(TransitionLogPolicy::CountsOnly);
+        // A counts-only log that carries events.
+        let err = restore_with_log_tag(&full, 0, 1);
+        assert!(matches!(err, CheckpointError::Corrupt { what, .. }
+            if what == "counts-only log carries events"));
+        // A full log with fewer events than its per-kind counts.
+        let err = restore_with_log_tag(&counted, 1, 0);
+        assert!(matches!(err, CheckpointError::Corrupt { what, .. }
+            if what == "log event count disagrees with per-kind counts"));
+        // Tag 2 names no policy.
+        for ctl in [&full, &counted] {
+            let tag = ctl.snapshot().as_bytes()[log_tag_offset(ctl)];
+            let err = restore_with_log_tag(ctl, tag, 2);
+            assert!(matches!(err, CheckpointError::Corrupt { what, .. }
+                if what == "bad log-policy tag"));
+        }
+    }
+
+    #[test]
+    fn non_default_interval_bounds_are_refused() {
+        let mut ctl = ReactiveController::builder(ControllerParams::scaled())
+            .metrics()
+            .build()
+            .unwrap();
+        drive(&mut ctl, 2_000);
+        let mut t = Writer::new();
+        let base = t.buf.len();
+        write_telemetry(&mut t, ctl.telemetry.as_deref());
+        let mut bytes = ctl.snapshot().into_bytes();
+        // Telemetry closes the body: tag 1, the bound count, then the
+        // bounds themselves (each small bound is a one-byte varint).
+        let at = bytes.len() - (t.buf.len() - base);
+        assert_eq!(bytes[at..at + 4], [1, 11, 1, 4]);
+        // [2, 4, 16, ...] is strictly increasing, but not this build's.
+        bytes[at + 2] = 2;
+        let err =
+            ReactiveController::restore(&ControllerCheckpoint::from_bytes(bytes)).unwrap_err();
+        assert!(matches!(err, CheckpointError::Corrupt { what, .. }
+            if what == "interval-histogram bounds disagree with this build"));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! repaired code is deployed.
 
 use crate::counter::HysteresisCounter;
-use crate::observe::{EventSink, MetricsRegistry, Telemetry};
+use crate::observe::{MetricsRegistry, Telemetry};
 use crate::params::{ControllerParams, Revisit};
 use crate::policy::{standard_observe, MonitorCounts, Policy, SpecChoice};
 use crate::resilience::breaker::BreakerSignal;
@@ -29,7 +29,6 @@ use crate::resilience::{ResilienceConfig, ResilienceState, BREAKER_BRANCH};
 use crate::stats::ControlStats;
 use crate::translog::TransitionLog;
 use rsc_trace::{BranchId, BranchRecord, Direction};
-use std::sync::Arc;
 
 /// What the controller did with one dynamic branch execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1066,16 +1065,7 @@ impl ReactiveController {
     /// [`MetricsRegistry::render_json`].
     pub fn metrics(&self) -> Option<MetricsRegistry> {
         let cm = self.telemetry.as_ref()?.metrics.as_ref()?;
-        let mut reg = cm.registry.clone();
-        let ids = &cm.ids;
         let s = self.stats();
-        reg.set_counter(ids.events, s.events);
-        reg.set_counter(ids.instructions, s.instructions);
-        reg.set_counter(ids.correct, s.correct);
-        reg.set_counter(ids.incorrect, s.incorrect);
-        for kind in TransitionKind::ALL {
-            reg.set_counter(ids.transitions[kind.index()], self.log.count(kind));
-        }
         // With the resilience layer every pipeline request is counted at
         // the deployer; without one, deployment is implicit and every
         // re-optimization request is exactly one deployment.
@@ -1083,54 +1073,13 @@ impl ReactiveController {
             Some(rs) => rs.deployer.requests(),
             None => s.reopt_requests,
         };
-        reg.set_counter(ids.deploy_requests, deploy_requests);
-        reg.set_counter(ids.deploy_failures, s.deploy_failures);
-        reg.set_counter(ids.deploy_retries, s.deploy_retries);
-        reg.set_counter(ids.forced_disables, s.forced_disables);
-        reg.set_counter(ids.suppressed_enters, s.suppressed_enters);
-        reg.set_gauge(ids.branches_tracked, s.touched as f64);
-        reg.set_gauge(ids.branches_disabled, s.disabled_branches as f64);
         let phase = self
             .resilience
             .as_ref()
             .and_then(|rs| rs.breaker.as_ref())
             .map_or(0, |b| b.phase().gauge_code());
-        reg.set_gauge(ids.breaker_state, f64::from(phase));
-        // Info-style metric: the label carries the active policy id, the
-        // value is always 1. Synthesized at export time so restored or
-        // rebuilt controllers always report their current policy.
-        let policy_info = reg.counter_labeled(
-            "rsc_policy_info",
-            "policy",
-            self.policy.id(),
-            "Active control policy (value is constant 1; the label is the payload)",
-        );
-        reg.set_counter(policy_info, 1);
-        Some(reg)
-    }
-
-    /// Attaches (or replaces) the event sink after construction.
-    ///
-    /// Normally sinks are attached via
-    /// [`event_sink`](crate::ControllerBuilder::event_sink); this exists
-    /// for controllers rebuilt from a checkpoint, where the sink cannot be
-    /// serialized (see
-    /// [`restore_with_sink`](ReactiveController::restore_with_sink)).
-    pub fn attach_event_sink(&mut self, sink: Arc<dyn EventSink>) {
-        match &mut self.telemetry {
-            Some(t) => t.sink = Some(sink),
-            None => {
-                self.telemetry = Some(Box::new(Telemetry {
-                    metrics: None,
-                    sink: Some(sink),
-                }));
-            }
-        }
-    }
-
-    /// The attached event sink, if any.
-    pub fn event_sink(&self) -> Option<&Arc<dyn EventSink>> {
-        self.telemetry.as_ref()?.sink.as_ref()
+        let transitions = TransitionKind::ALL.map(|kind| self.log.count(kind));
+        Some(cm.export(&s, &transitions, deploy_requests, phase, self.policy))
     }
 
     /// The retained transition events, oldest first — a convenience view
@@ -1138,12 +1087,9 @@ impl ReactiveController {
     ///
     /// Retention follows the configured
     /// [`TransitionLogPolicy`](crate::translog::TransitionLogPolicy):
-    /// `Full` returns every transition since construction, `CountsOnly`
-    /// always returns an empty slice, and `RingBuffer(n)` returns at most
-    /// the latest `n` events — anything older has been truncated and
-    /// cannot be recovered, though the per-kind counters on
-    /// [`transition_log`](Self::transition_log) remain exact across
-    /// truncation.
+    /// `Full` returns every transition since construction, and
+    /// `CountsOnly` always returns an empty slice, though the per-kind
+    /// counters on [`transition_log`](Self::transition_log) stay exact.
     pub fn transitions(&self) -> &[TransitionEvent] {
         self.transition_log().as_slice()
     }
@@ -1250,6 +1196,7 @@ mod tests {
     use super::*;
     use crate::params::{EvictionMode, MonitorPolicy};
     use crate::translog::TransitionLogPolicy;
+    use std::sync::Arc;
 
     fn rec(b: u32, taken: bool, instr: u64) -> BranchRecord {
         BranchRecord {
@@ -1526,30 +1473,6 @@ mod tests {
                 assert_eq!(total.incorrect, chunked.stats().incorrect);
                 assert_eq!(total.speculated, total.correct + total.incorrect);
             }
-        }
-    }
-
-    #[test]
-    fn observe_chunk_respects_ring_buffer_policy() {
-        let stream = lifecycle_stream();
-        let mut full = ReactiveController::builder(tiny()).build().unwrap();
-        let mut ring = ReactiveController::builder(tiny())
-            .log_policy(TransitionLogPolicy::RingBuffer(3))
-            .build()
-            .unwrap();
-        for chunk in stream.chunks(64) {
-            full.observe_chunk(chunk);
-            ring.observe_chunk(chunk);
-        }
-        let all = full.transitions();
-        assert!(all.len() > 3);
-        assert_eq!(ring.transitions(), &all[all.len() - 3..]);
-        for kind in TransitionKind::ALL {
-            assert_eq!(
-                ring.transition_log().count(kind),
-                full.transition_log().count(kind),
-                "{kind:?}"
-            );
         }
     }
 
@@ -2007,12 +1930,12 @@ mod tests {
             }
         }
 
-        /// Replays one workload under two log policies and demands exact
-        /// per-kind counter agreement plus the ring retention bound.
-        fn assert_ring_counts_exact(
+        /// Replays one workload under both log policies and demands exact
+        /// per-kind counter agreement, with no event retained by
+        /// `CountsOnly`.
+        fn assert_counts_only_exact(
             params: ControllerParams,
             config: ResilienceConfig,
-            ring: usize,
             workload: impl Fn(&mut ReactiveController),
         ) {
             let mut full = ReactiveController::builder(params)
@@ -2020,34 +1943,30 @@ mod tests {
                 .build()
                 .unwrap();
             workload(&mut full);
-            let mut ringed = ReactiveController::builder(params)
+            let mut counted = ReactiveController::builder(params)
                 .resilience(config)
-                .log_policy(TransitionLogPolicy::RingBuffer(ring))
+                .log_policy(TransitionLogPolicy::CountsOnly)
                 .build()
                 .unwrap();
-            workload(&mut ringed);
+            workload(&mut counted);
 
-            assert!(
-                ringed.transition_log().total() > ring as u64,
-                "workload too small to wrap the ring"
-            );
-            assert!(ringed.transitions().len() <= ring);
+            assert!(full.transitions().len() > 1, "workload too small");
+            assert!(counted.transitions().is_empty());
             for kind in TransitionKind::ALL {
                 assert_eq!(
-                    ringed.transition_log().count(kind),
+                    counted.transition_log().count(kind),
                     full.transition_log().count(kind),
-                    "{kind:?} count must survive the wrap"
+                    "{kind:?} count must not depend on retention"
                 );
             }
-            assert_eq!(ringed.stats(), full.stats());
+            assert_eq!(counted.stats(), full.stats());
         }
 
         #[test]
-        fn ring_buffer_counts_survive_wrap_under_forced_disables() {
+        fn counts_only_counts_stay_exact_under_forced_disables() {
             // Every repair fails: branches 0..3 each enter biased, get
-            // evicted, exhaust their retries, and are force-disabled —
-            // far more transitions than the 2-slot ring retains.
-            assert_ring_counts_exact(tiny(), always_fail(FaultScope::RepairOnly, 2), 2, |ctl| {
+            // evicted, exhaust their retries, and are force-disabled.
+            assert_counts_only_exact(tiny(), always_fail(FaultScope::RepairOnly, 2), |ctl| {
                 let mut instr = 0;
                 for b in 0..4 {
                     drive(ctl, b, true, 10, &mut instr);
@@ -2071,11 +1990,10 @@ mod tests {
         }
 
         #[test]
-        fn ring_buffer_counts_survive_wrap_under_mass_evictions() {
+        fn counts_only_counts_stay_exact_under_mass_evictions() {
             // Repeated storms: each opens the breaker and mass-evicts the
-            // offender, then healthy traffic closes it again. The 1-slot
-            // ring forgets almost everything; the counters must not.
-            assert_ring_counts_exact(tiny().without_eviction(), small_breaker(1), 1, |ctl| {
+            // offender, then healthy traffic closes it again.
+            assert_counts_only_exact(tiny().without_eviction(), small_breaker(1), |ctl| {
                 let mut instr = 0;
                 for _ in 0..3 {
                     drive(ctl, 0, true, 10, &mut instr);

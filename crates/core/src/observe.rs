@@ -4,7 +4,7 @@
 //! The paper's whole argument is closed-loop reaction to *observed*
 //! behavior, yet until this module the runtime was open-loop to its own
 //! operators: the only visibility was post-hoc scraping of
-//! [`ControlStats`](crate::ControlStats) or the transition log. This
+//! [`ControlStats`] or the transition log. This
 //! module makes the controller observable in flight:
 //!
 //! * [`MetricsRegistry`] — monotonic counters, gauges, and fixed-bucket
@@ -17,7 +17,7 @@
 //!   controller's existing exact state at export time.
 //! * [`EventSink`] — a trait receiving [`ObsEvent`]s (classification
 //!   transitions, deployment attempts, breaker phase changes, checkpoint
-//!   save/restore) as they happen. Ships with [`NullSink`] (drop
+//!   saves) as they happen. Ships with [`NullSink`] (drop
 //!   everything), [`VecSink`] (buffer in memory, for tests and
 //!   programmatic consumers), and [`JsonlSink`] (stream one JSON object
 //!   per line to any writer).
@@ -42,13 +42,16 @@
 //! ```
 //!
 //! A controller built *without* telemetry carries only a `None` check on
-//! the chunked hot path, keeping `BENCH_pipeline.json` throughput within
-//! noise of the pre-observability build (pinned by
-//! `tests/telemetry_overhead.rs`).
+//! the chunked hot path and keeps the in-place fast path.
+//! `tests/telemetry_overhead.rs` checks that structurally rather than by
+//! timing: it asks the controller which path it takes
+//! ([`chunk_fast_path`](crate::ReactiveController::chunk_fast_path)) and
+//! that the chunked and per-event runs agree.
 
 use crate::controller::{TransitionEvent, TransitionKind};
-use crate::params::InvalidParamsError;
+use crate::policy::Policy;
 use crate::resilience::deployer::{DeployKind, DeployOutcome};
+use crate::stats::ControlStats;
 use rsc_trace::BranchId;
 use std::fmt;
 use std::fmt::Write as _;
@@ -303,37 +306,12 @@ impl MetricsRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if the bounds are not strictly increasing; use
-    /// [`try_histogram`](MetricsRegistry::try_histogram) to surface the
-    /// problem as an error instead.
+    /// Panics if the bounds are not strictly increasing: with unordered
+    /// or duplicate bounds the bucket search would silently misclassify
+    /// observations.
     pub fn histogram(&mut self, name: &str, help: &'static str, bounds: &[u64]) -> HistogramId {
-        self.try_histogram(name, help, bounds)
-            .expect("histogram bounds must be strictly increasing")
-    }
-
-    /// Registers (or finds) a fixed-bucket histogram, rejecting bounds
-    /// that are not strictly increasing.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`InvalidParamsError`] naming the offending bounds when
-    /// they are not strictly increasing — with unordered or duplicate
-    /// bounds the bucket search would silently misclassify observations.
-    pub fn try_histogram(
-        &mut self,
-        name: &str,
-        help: &'static str,
-        bounds: &[u64],
-    ) -> Result<HistogramId, InvalidParamsError> {
-        let h = Histogram::try_new(bounds).map_err(|reason| {
-            InvalidParamsError::bad_field("histogram_bounds", format!("{bounds:?}"), reason)
-        })?;
-        Ok(HistogramId(self.register(
-            name,
-            None,
-            help,
-            MetricValue::Histogram(h),
-        )))
+        let h = Histogram::try_new(bounds).expect("histogram bounds must be strictly increasing");
+        HistogramId(self.register(name, None, help, MetricValue::Histogram(h)))
     }
 
     /// Increments a counter by one.
@@ -554,9 +532,9 @@ fn json_str(s: &str) -> String {
 /// One observability event emitted by the controller.
 ///
 /// Marked `#[non_exhaustive]`: new controller subsystems add event
-/// kinds over time (deployment, breaker, checkpoint events all arrived
-/// after the first release of this enum), so downstream matches must
-/// keep a wildcard arm.
+/// kinds over time (deployment and checkpoint events arrived after the
+/// first release of this enum), so downstream matches must keep a
+/// wildcard arm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum ObsEvent {
@@ -583,14 +561,6 @@ pub enum ObsEvent {
     /// produced a checkpoint.
     CheckpointSaved {
         /// Events observed at save time.
-        events: u64,
-        /// Serialized size.
-        bytes: u64,
-    },
-    /// A controller was rebuilt from a checkpoint (emitted by
-    /// [`restore_with_sink`](crate::ReactiveController::restore_with_sink)).
-    CheckpointRestored {
-        /// Events observed at the original save.
         events: u64,
         /// Serialized size.
         bytes: u64,
@@ -634,9 +604,6 @@ impl ObsEvent {
             ),
             ObsEvent::CheckpointSaved { events, bytes } => format!(
                 "{{\"type\":\"checkpoint_saved\",\"events\":{events},\"bytes\":{bytes}}}"
-            ),
-            ObsEvent::CheckpointRestored { events, bytes } => format!(
-                "{{\"type\":\"checkpoint_restored\",\"events\":{events},\"bytes\":{bytes}}}"
             ),
         }
     }
@@ -764,9 +731,12 @@ impl EventSink for JsonlSink {
 // Controller-side telemetry wiring
 // ---------------------------------------------------------------------------
 
-/// Histogram bounds: event-count intervals spanning tight loops to whole
-/// scaled runs (powers of four).
-const INTERVAL_BOUNDS: [u64; 11] = [
+/// Bounds of the four interval-style histograms (misspeculation
+/// interval, biased residency, breaker open/half-open durations):
+/// event-count intervals spanning tight loops to whole scaled runs
+/// (powers of four). Checkpoints carry them, and restore refuses any
+/// others.
+pub(crate) const INTERVAL_BOUNDS: [u64; 11] = [
     1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576,
 ];
 
@@ -828,23 +798,6 @@ pub(crate) const NOT_BIASED: u64 = u64::MAX;
 
 impl ControllerMetrics {
     pub(crate) fn new() -> Self {
-        ControllerMetrics::with_interval_bounds(&INTERVAL_BOUNDS)
-            .expect("default interval bounds are strictly increasing")
-    }
-
-    /// Builds the controller metric schema with custom bounds for the
-    /// four interval-style histograms (misspeculation interval, biased
-    /// residency, breaker open/half-open durations). The retry-depth
-    /// bounds stay fixed: retry counts are bounded by policy, not by the
-    /// workload's time scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`InvalidParamsError`] when the bounds are not strictly
-    /// increasing.
-    pub(crate) fn with_interval_bounds(
-        interval_bounds: &[u64],
-    ) -> Result<Self, InvalidParamsError> {
         let mut registry = MetricsRegistry::new();
         let events = registry.counter("rsc_events_total", "dynamic branch events observed");
         let instructions = registry.counter(
@@ -899,32 +852,32 @@ impl ControllerMetrics {
             "rsc_breaker_state",
             "storm breaker phase (0 closed, 1 half-open, 2 open; 0 when unconfigured)",
         );
-        let misspec_interval = registry.try_histogram(
+        let misspec_interval = registry.histogram(
             "rsc_misspec_interval_events",
             "branch events between consecutive misspeculations",
-            interval_bounds,
-        )?;
-        let biased_residency = registry.try_histogram(
+            &INTERVAL_BOUNDS,
+        );
+        let biased_residency = registry.histogram(
             "rsc_biased_residency_events",
             "branch events between a branch entering the biased state and its eviction",
-            interval_bounds,
-        )?;
+            &INTERVAL_BOUNDS,
+        );
         let retry_depth = registry.histogram(
             "rsc_retry_depth",
             "failed attempts preceding each deployment request",
             &RETRY_BOUNDS,
         );
-        let breaker_open_duration = registry.try_histogram(
+        let breaker_open_duration = registry.histogram(
             "rsc_breaker_open_duration_events",
             "branch events the breaker spent open before probing",
-            interval_bounds,
-        )?;
-        let breaker_half_open_duration = registry.try_histogram(
+            &INTERVAL_BOUNDS,
+        );
+        let breaker_half_open_duration = registry.histogram(
             "rsc_breaker_half_open_duration_events",
             "branch events the breaker spent half-open before closing or reopening",
-            interval_bounds,
-        )?;
-        Ok(ControllerMetrics {
+            &INTERVAL_BOUNDS,
+        );
+        ControllerMetrics {
             registry,
             ids: MetricIds {
                 events,
@@ -950,15 +903,7 @@ impl ControllerMetrics {
             enter_event: Vec::new(),
             breaker_open_since: None,
             breaker_half_since: None,
-        })
-    }
-
-    /// The bounds of the four interval-style histograms (serialized into
-    /// checkpoints so a restore rebuilds the same schema).
-    pub(crate) fn interval_bounds(&self) -> &[u64] {
-        self.registry
-            .histogram_ref(self.ids.misspec_interval)
-            .bounds()
+        }
     }
 
     /// The controller's histograms in the fixed order the checkpoint
@@ -971,6 +916,53 @@ impl ControllerMetrics {
             self.ids.breaker_open_duration,
             self.ids.breaker_half_open_duration,
         ]
+    }
+
+    /// Exports a copy of the registry with every counter and gauge filled
+    /// in from the controller's exact state: aggregate `stats`, per-kind
+    /// `transitions` (indexed by [`TransitionKind::index`]), the
+    /// deployment-request count, the storm breaker's gauge code and the
+    /// active `policy`. The one place counters and gauges are synthesized:
+    /// [`ReactiveController::metrics`](crate::ReactiveController::metrics)
+    /// passes its own state, and
+    /// [`ShardedController::metrics`](crate::ShardedController::metrics)
+    /// the merged state over a registry of merged histograms.
+    pub(crate) fn export(
+        &self,
+        stats: &ControlStats,
+        transitions: &[u64; TransitionKind::ALL.len()],
+        deploy_requests: u64,
+        breaker_phase: u8,
+        policy: Policy,
+    ) -> MetricsRegistry {
+        let mut reg = self.registry.clone();
+        let ids = &self.ids;
+        reg.set_counter(ids.events, stats.events);
+        reg.set_counter(ids.instructions, stats.instructions);
+        reg.set_counter(ids.correct, stats.correct);
+        reg.set_counter(ids.incorrect, stats.incorrect);
+        for (&id, &count) in ids.transitions.iter().zip(transitions) {
+            reg.set_counter(id, count);
+        }
+        reg.set_counter(ids.deploy_requests, deploy_requests);
+        reg.set_counter(ids.deploy_failures, stats.deploy_failures);
+        reg.set_counter(ids.deploy_retries, stats.deploy_retries);
+        reg.set_counter(ids.forced_disables, stats.forced_disables);
+        reg.set_counter(ids.suppressed_enters, stats.suppressed_enters);
+        reg.set_gauge(ids.branches_tracked, stats.touched as f64);
+        reg.set_gauge(ids.branches_disabled, stats.disabled_branches as f64);
+        reg.set_gauge(ids.breaker_state, f64::from(breaker_phase));
+        // Info-style metric: the label carries the active policy id, the
+        // value is always 1. Synthesized at export time so restored or
+        // rebuilt controllers always report their current policy.
+        let policy_info = reg.counter_labeled(
+            "rsc_policy_info",
+            "policy",
+            policy.id(),
+            "Active control policy (value is constant 1; the label is the payload)",
+        );
+        reg.set_counter(policy_info, 1);
+        reg
     }
 
     /// Hot-path hook: a misspeculation at global event ordinal `now`.
@@ -1204,16 +1196,20 @@ mod tests {
             events: 1,
             bytes: 2,
         });
-        sink.emit(&ObsEvent::CheckpointRestored {
-            events: 1,
-            bytes: 2,
+        sink.emit(&ObsEvent::Deploy {
+            branch: BranchId::new(3),
+            kind: DeployKind::Repair,
+            attempt: 1,
+            instr: 40,
+            deployed: false,
+            wasted: 5,
         });
         sink.flush();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"type\":\"checkpoint_saved\""));
-        assert!(lines[1].contains("\"type\":\"checkpoint_restored\""));
+        assert!(lines[1].contains("\"type\":\"deploy\""));
         assert_eq!(sink.dropped(), 0);
     }
 
@@ -1223,12 +1219,6 @@ mod tests {
         assert!(Histogram::try_new(&[]).is_ok());
         assert!(Histogram::try_new(&[4, 1]).is_err());
         assert!(Histogram::try_new(&[1, 1]).is_err());
-
-        let mut reg = MetricsRegistry::new();
-        let err = reg.try_histogram("h", "h", &[8, 2]).unwrap_err();
-        assert_eq!(err.field(), Some("histogram_bounds"));
-        assert!(err.to_string().contains("[8, 2]"));
-        assert!(reg.is_empty(), "a rejected histogram must not register");
     }
 
     #[test]
@@ -1261,21 +1251,6 @@ mod tests {
         assert_eq!(a.buckets(), &[2, 2, 1]);
         assert_eq!(a.count(), 5);
         assert_eq!(a.sum(), 106);
-    }
-
-    #[test]
-    fn custom_interval_bounds_shape_the_schema() {
-        let m = ControllerMetrics::with_interval_bounds(&[10, 20, 30]).unwrap();
-        assert_eq!(m.interval_bounds(), &[10, 20, 30]);
-        let h = m
-            .registry
-            .histogram_value("rsc_biased_residency_events")
-            .unwrap();
-        assert_eq!(h.bounds(), &[10, 20, 30]);
-        // Retry depth keeps its fixed policy-scale bounds.
-        let r = m.registry.histogram_value("rsc_retry_depth").unwrap();
-        assert_eq!(r.bounds(), &RETRY_BOUNDS);
-        assert!(ControllerMetrics::with_interval_bounds(&[5, 5]).is_err());
     }
 
     #[test]

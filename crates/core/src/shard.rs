@@ -314,12 +314,6 @@ impl ShardedController {
         self.owner(branch).branch_snapshot(branch)
     }
 
-    /// One shard's own metrics registry (shard-local view), or `None`
-    /// without metrics or for an out-of-range index.
-    pub fn shard_metrics(&self, shard: usize) -> Option<MetricsRegistry> {
-        self.shards.get(shard)?.metrics()
-    }
-
     /// The merged metrics registry, or `None` unless the engine was
     /// built with [`metrics`](crate::ControllerBuilder::metrics).
     ///
@@ -331,57 +325,30 @@ impl ShardedController {
     /// (`rsc_shard_*_total{shard="k"}`) are appended after the standard
     /// schema.
     pub fn metrics(&self) -> Option<MetricsRegistry> {
-        let views: Vec<(Option<&ControllerMetrics>, ControlStats, Vec<u64>)> = self
-            .shards
-            .iter()
-            .map(|ctl| {
-                (
-                    ctl.telemetry.as_ref().and_then(|t| t.metrics.as_ref()),
-                    ctl.stats(),
-                    TransitionKind::ALL
-                        .iter()
-                        .map(|&kind| ctl.transition_log().count(kind))
-                        .collect(),
-                )
-            })
-            .collect();
-        let first = views[0].0?;
-        let bounds = first.interval_bounds().to_vec();
-        let cm = ControllerMetrics::with_interval_bounds(&bounds)
-            .expect("bounds were validated at build time");
-        let mut reg = cm.registry.clone();
-        let ids = &cm.ids;
-        for (scm, _, _) in &views {
-            let scm = (*scm)?;
-            for (agg, shard) in cm
+        let mut merged = ControllerMetrics::new();
+        for ctl in &self.shards {
+            let cm = ctl.telemetry.as_ref()?.metrics.as_ref()?;
+            for (agg, shard) in merged
                 .histograms_in_order()
-                .iter()
-                .zip(scm.histograms_in_order())
+                .into_iter()
+                .zip(cm.histograms_in_order())
             {
-                reg.histogram_mut(*agg)
-                    .merge_from(scm.registry.histogram_ref(shard));
+                merged
+                    .registry
+                    .histogram_mut(agg)
+                    .merge_from(cm.registry.histogram_ref(shard));
             }
         }
         let s = self.stats();
-        reg.set_counter(ids.events, s.events);
-        reg.set_counter(ids.instructions, s.instructions);
-        reg.set_counter(ids.correct, s.correct);
-        reg.set_counter(ids.incorrect, s.incorrect);
-        for kind in TransitionKind::ALL {
-            let total: u64 = views.iter().map(|(_, _, c)| c[kind.index()]).sum();
-            reg.set_counter(ids.transitions[kind.index()], total);
-        }
+        let transitions = TransitionKind::ALL.map(|kind| self.transition_count(kind));
+        let policy = self.shards[0].policy();
         // Sharding rejects the resilience layer, so deployment is
-        // implicit: one deployment per re-optimization request.
-        reg.set_counter(ids.deploy_requests, s.reopt_requests);
-        reg.set_counter(ids.deploy_failures, s.deploy_failures);
-        reg.set_counter(ids.deploy_retries, s.deploy_retries);
-        reg.set_counter(ids.forced_disables, s.forced_disables);
-        reg.set_counter(ids.suppressed_enters, s.suppressed_enters);
-        reg.set_gauge(ids.branches_tracked, s.touched as f64);
-        reg.set_gauge(ids.branches_disabled, s.disabled_branches as f64);
-        for (k, (_, ss, counts)) in views.iter().enumerate() {
+        // implicit (one deployment per re-optimization request) and there
+        // is no breaker.
+        let mut reg = merged.export(&s, &transitions, s.reopt_requests, 0, policy);
+        for (k, ctl) in self.shards.iter().enumerate() {
             let label = k.to_string();
+            let ss = ctl.stats();
             let id = reg.counter_labeled(
                 "rsc_shard_events_total",
                 "shard",
@@ -402,7 +369,7 @@ impl ShardedController {
                 &label,
                 "classification transitions of every kind, per shard",
             );
-            reg.set_counter(id, counts.iter().sum());
+            reg.set_counter(id, ctl.transition_log().total());
         }
         Some(reg)
     }
@@ -813,10 +780,32 @@ mod tests {
             })
             .sum();
         assert_eq!(Some(per_shard), mreg.counter_value("rsc_events_total"));
-        // A shard's own registry is the standard schema.
-        let one = shd.shard_metrics(0).unwrap();
-        assert!(one.counter_value("rsc_events_total").is_some());
-        assert!(shd.shard_metrics(99).is_none());
+        // The merged exposition is the sequential schema plus exactly the
+        // three per-shard families.
+        let families = |text: &str| -> std::collections::BTreeSet<String> {
+            text.lines()
+                .filter_map(|l| l.strip_prefix("# TYPE "))
+                .map(str::to_owned)
+                .collect()
+        };
+        let mut expect = families(&sreg.render_prometheus());
+        for name in [
+            "rsc_shard_events_total",
+            "rsc_shard_spec_incorrect_total",
+            "rsc_shard_transitions_total",
+        ] {
+            expect.insert(format!("{name} counter"));
+        }
+        assert_eq!(families(&mreg.render_prometheus()), expect);
+        let policy = Some(("policy", "paper-fsm"));
+        assert_eq!(
+            mreg.counter_value_labeled("rsc_policy_info", policy),
+            Some(1)
+        );
+        assert_eq!(
+            mreg.counter_value_labeled("rsc_policy_info", policy),
+            sreg.counter_value_labeled("rsc_policy_info", policy)
+        );
     }
 
     #[test]

@@ -1,31 +1,27 @@
-//! Bounded-memory transition logging.
+//! Transition logging with exact per-kind counters.
 //!
-//! The controller historically pushed every [`TransitionEvent`] into an
-//! unbounded `Vec`, which is fine for 16M-event experiments but grows
-//! without limit on runs scaled toward the paper's 9–45B-instruction
-//! regime. [`TransitionLog`] keeps the per-kind counters exact under every
-//! policy while letting long runs cap (or drop) event storage.
+//! [`TransitionLog`] keeps the per-kind counters exact under both
+//! policies: `Full` also stores every [`TransitionEvent`] (the ordered log
+//! behind the eviction windows and distances), while `CountsOnly` stores
+//! none and keeps long runs at O(1) memory.
 
 use crate::controller::{TransitionEvent, TransitionKind};
 
 /// How much of the transition stream a controller retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransitionLogPolicy {
-    /// Keep every transition event (the historical default).
+    /// Keep every transition event (the default).
     Full,
     /// Keep no events, only the per-kind counters — O(1) memory, the right
     /// choice for throughput runs.
     CountsOnly,
-    /// Keep the most recent `n` events plus the counters — bounded memory
-    /// with a tail window for post-mortem analysis.
-    RingBuffer(usize),
 }
 
 /// A transition log with a retention policy and exact per-kind counters.
 ///
-/// Counters are maintained under every policy, so
+/// Counters are maintained under both policies, so
 /// [`count`](TransitionLog::count) is always the true number of
-/// transitions regardless of how many events are retained.
+/// transitions regardless of whether events are retained.
 ///
 /// # Examples
 ///
@@ -47,15 +43,9 @@ pub struct TransitionLog {
 impl TransitionLog {
     /// Creates an empty log with the given retention policy.
     pub fn new(policy: TransitionLogPolicy) -> Self {
-        let capacity = match policy {
-            TransitionLogPolicy::Full => 0,
-            TransitionLogPolicy::CountsOnly => 0,
-            // Amortized ring: compact from 2n back to n (see `push`).
-            TransitionLogPolicy::RingBuffer(n) => 2 * n,
-        };
         TransitionLog {
             policy,
-            events: Vec::with_capacity(capacity),
+            events: Vec::new(),
             counts: [0; TransitionKind::ALL.len()],
         }
     }
@@ -65,52 +55,19 @@ impl TransitionLog {
         self.policy
     }
 
-    /// Switches the retention policy. Tightening the policy drops already
-    /// retained events as needed; loosening it cannot recover dropped ones.
-    pub fn set_policy(&mut self, policy: TransitionLogPolicy) {
-        self.policy = policy;
-        match policy {
-            TransitionLogPolicy::Full => {}
-            TransitionLogPolicy::CountsOnly => self.events.clear(),
-            TransitionLogPolicy::RingBuffer(n) => {
-                let len = self.events.len();
-                if len > n {
-                    self.events.copy_within(len - n.., 0);
-                    self.events.truncate(n);
-                }
-            }
-        }
-    }
-
-    /// Records one transition (counters always; storage per policy).
+    /// Records one transition (counters always; the event under `Full`).
     #[inline]
     pub fn push(&mut self, ev: TransitionEvent) {
         self.counts[ev.kind.index()] += 1;
-        match self.policy {
-            TransitionLogPolicy::Full => self.events.push(ev),
-            TransitionLogPolicy::CountsOnly => {}
-            TransitionLogPolicy::RingBuffer(0) => {}
-            TransitionLogPolicy::RingBuffer(n) => {
-                // Amortized O(1): let the vec grow to 2n, then slide the
-                // most recent n back to the front.
-                if self.events.len() == 2 * n {
-                    self.events.copy_within(n.., 0);
-                    self.events.truncate(n);
-                }
-                self.events.push(ev);
-            }
+        if self.policy == TransitionLogPolicy::Full {
+            self.events.push(ev);
         }
     }
 
-    /// The retained events, oldest first. `Full` returns everything,
-    /// `RingBuffer(n)` at most the last `n`, `CountsOnly` nothing.
+    /// The retained events, oldest first: everything under `Full`,
+    /// nothing under `CountsOnly`.
     pub fn as_slice(&self) -> &[TransitionEvent] {
-        match self.policy {
-            TransitionLogPolicy::RingBuffer(n) => {
-                &self.events[self.events.len().saturating_sub(n)..]
-            }
-            _ => &self.events,
-        }
+        &self.events
     }
 
     /// Exact number of transitions of `kind` seen so far (independent of
@@ -126,20 +83,18 @@ impl TransitionLog {
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.events.len()
     }
 
     /// Returns `true` if no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.events.is_empty()
     }
 }
 
 impl TransitionLog {
-    /// Raw internal storage for checkpointing: the *full* retained vector
-    /// (a `RingBuffer(n)` log may hold up to `2n` events between
-    /// compactions, and resume must reproduce that amortization state
-    /// bit-identically) plus the exact per-kind counters.
+    /// Raw internal storage for checkpointing: the retained events plus
+    /// the exact per-kind counters.
     pub(crate) fn raw_storage(&self) -> (&[TransitionEvent], &[u64; TransitionKind::ALL.len()]) {
         (&self.events, &self.counts)
     }
@@ -205,103 +160,5 @@ mod tests {
         assert_eq!(log.count(TransitionKind::EnterBiased), 25);
         assert_eq!(log.count(TransitionKind::ExitBiased), 25);
         assert_eq!(log.total(), 50);
-    }
-
-    #[test]
-    fn ring_buffer_keeps_exactly_the_tail() {
-        let mut log = TransitionLog::new(TransitionLogPolicy::RingBuffer(8));
-        for i in 0..1000 {
-            log.push(ev(i, TransitionKind::RevisitMonitor));
-            // Invariant at every step: the retained slice is the suffix.
-            let s = log.as_slice();
-            assert!(s.len() <= 8);
-            let lo = (i + 1).saturating_sub(8);
-            let expect: Vec<u64> = (lo..=i).collect();
-            let got: Vec<u64> = s.iter().map(|e| e.event_index).collect();
-            assert_eq!(got, expect, "after push {i}");
-        }
-        assert_eq!(log.count(TransitionKind::RevisitMonitor), 1000);
-    }
-
-    #[test]
-    fn ring_buffer_of_zero_stores_nothing() {
-        let mut log = TransitionLog::new(TransitionLogPolicy::RingBuffer(0));
-        for i in 0..10 {
-            log.push(ev(i, TransitionKind::Disabled));
-        }
-        assert!(log.is_empty());
-        assert_eq!(log.count(TransitionKind::Disabled), 10);
-    }
-
-    #[test]
-    fn ring_buffer_of_one_keeps_only_the_newest() {
-        let mut log = TransitionLog::new(TransitionLogPolicy::RingBuffer(1));
-        for i in 0..10 {
-            log.push(ev(i, TransitionKind::EnterBiased));
-            let got: Vec<u64> = log.as_slice().iter().map(|e| e.event_index).collect();
-            assert_eq!(got, vec![i], "after push {i}");
-        }
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.count(TransitionKind::EnterBiased), 10);
-    }
-
-    #[test]
-    fn ring_buffer_wrap_exactly_at_capacity() {
-        // n pushes fill the window without evicting; push n+1 is the
-        // first eviction. Check the boundary on both sides, including the
-        // internal 2n compaction point.
-        let n = 4;
-        let mut log = TransitionLog::new(TransitionLogPolicy::RingBuffer(n));
-        for i in 0..n as u64 {
-            log.push(ev(i, TransitionKind::EnterBiased));
-        }
-        let got: Vec<u64> = log.as_slice().iter().map(|e| e.event_index).collect();
-        assert_eq!(got, vec![0, 1, 2, 3], "full window, nothing evicted");
-
-        log.push(ev(n as u64, TransitionKind::EnterBiased));
-        let got: Vec<u64> = log.as_slice().iter().map(|e| e.event_index).collect();
-        assert_eq!(got, vec![1, 2, 3, 4], "oldest evicted on push n+1");
-
-        // Drive through the 2n amortization boundary (push 2n triggers
-        // the internal compaction) and verify the visible window is
-        // unaffected.
-        for i in (n as u64 + 1)..(2 * n as u64 + 2) {
-            log.push(ev(i, TransitionKind::EnterBiased));
-        }
-        let got: Vec<u64> = log.as_slice().iter().map(|e| e.event_index).collect();
-        assert_eq!(got, vec![6, 7, 8, 9]);
-        assert_eq!(log.count(TransitionKind::EnterBiased), 2 * n as u64 + 2);
-    }
-
-    #[test]
-    fn per_kind_counts_stay_exact_after_wrap() {
-        // A window far smaller than the stream, fed a mix of kinds; the
-        // retained slice forgets, the counters must not.
-        let mut log = TransitionLog::new(TransitionLogPolicy::RingBuffer(3));
-        let mut expect = [0u64; TransitionKind::ALL.len()];
-        for i in 0..500u64 {
-            let kind = TransitionKind::ALL[(i % 5) as usize];
-            expect[kind.index()] += 1;
-            log.push(ev(i, kind));
-        }
-        assert_eq!(log.len(), 3);
-        for kind in TransitionKind::ALL {
-            assert_eq!(log.count(kind), expect[kind.index()], "{kind:?}");
-        }
-        assert_eq!(log.total(), 500);
-    }
-
-    #[test]
-    fn set_policy_tightens_and_preserves_counts() {
-        let mut log = TransitionLog::new(TransitionLogPolicy::Full);
-        for i in 0..20 {
-            log.push(ev(i, TransitionKind::EnterUnbiased));
-        }
-        log.set_policy(TransitionLogPolicy::RingBuffer(5));
-        let got: Vec<u64> = log.as_slice().iter().map(|e| e.event_index).collect();
-        assert_eq!(got, vec![15, 16, 17, 18, 19]);
-        log.set_policy(TransitionLogPolicy::CountsOnly);
-        assert!(log.is_empty());
-        assert_eq!(log.count(TransitionKind::EnterUnbiased), 20);
     }
 }

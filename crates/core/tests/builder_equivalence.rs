@@ -112,7 +112,6 @@ fn log_policy() -> impl Strategy<Value = TransitionLogPolicy> {
     prop::sample::select(vec![
         TransitionLogPolicy::Full,
         TransitionLogPolicy::CountsOnly,
-        TransitionLogPolicy::RingBuffer(5),
     ])
 }
 

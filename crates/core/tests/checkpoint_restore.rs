@@ -2,7 +2,7 @@
 //! restore, replay the rest of the trace — the resumed controller must be
 //! **bit-identical** to one that ran straight through. Checked on the
 //! per-event decisions, the final `ControlStats`, the retained transition
-//! log (including ring-buffer amortization state), per-branch snapshots,
+//! log, per-branch snapshots,
 //! and a re-snapshot of both controllers at the end (byte equality of the
 //! serialized state is the strongest form of the property).
 //!
@@ -163,13 +163,6 @@ fn plain_controller_full_log() {
 }
 
 #[test]
-fn plain_controller_ring_log() {
-    // Small ring: split points land on both sides of the internal 2n
-    // compaction boundary, which the checkpoint must preserve.
-    resume_equals_straight_run(None, TransitionLogPolicy::RingBuffer(7), 202, 8);
-}
-
-#[test]
 fn plain_controller_counts_only() {
     resume_equals_straight_run(None, TransitionLogPolicy::CountsOnly, 303, 6);
 }
@@ -190,20 +183,20 @@ fn faulty_deployer_with_breaker_full_log() {
 }
 
 #[test]
-fn faulty_deployer_with_breaker_ring_log() {
+fn faulty_deployer_with_breaker_counts_only() {
     resume_equals_straight_run(
         Some(faulty_config(true)),
-        TransitionLogPolicy::RingBuffer(9),
+        TransitionLogPolicy::CountsOnly,
         606,
         8,
     );
 }
 
 #[test]
-fn reliable_layer_ring_log() {
+fn reliable_layer_counts_only() {
     resume_equals_straight_run(
         Some(ResilienceConfig::reliable()),
-        TransitionLogPolicy::RingBuffer(5),
+        TransitionLogPolicy::CountsOnly,
         707,
         6,
     );
@@ -214,10 +207,7 @@ fn reliable_layer_ring_log() {
 fn byte_round_trip_through_storage() {
     use rsc_control::ControllerCheckpoint;
     let stream = gen_stream(11, 3_000);
-    let mut ctl = build(
-        Some(faulty_config(true)),
-        TransitionLogPolicy::RingBuffer(6),
-    );
+    let mut ctl = build(Some(faulty_config(true)), TransitionLogPolicy::CountsOnly);
     for r in &stream {
         ctl.observe(r);
     }

@@ -2,8 +2,8 @@
 //! state (and the interval bookkeeping behind it) must survive a
 //! snapshot/restore round trip, and a restored controller that replays
 //! the tail of a trace must end with exactly the registry a straight run
-//! produces. Checkpoint save/restore notifications flow to sinks without
-//! ever altering the serialized bytes.
+//! produces. Checkpoint-save notifications flow to sinks without ever
+//! altering the serialized bytes, and sinks are never serialized.
 
 use rsc_control::prelude::*;
 use rsc_control::resilience::{
@@ -169,22 +169,16 @@ fn checkpoint_events_reach_the_sink_but_not_the_bytes() {
         ]
     );
 
-    // Sinks are not serialized; `restore_with_sink` re-attaches one and
-    // announces the restore.
-    let restored = ReactiveController::restore(&cp1).unwrap();
-    assert!(restored.event_sink().is_none());
-
-    let sink2 = Arc::new(VecSink::new());
-    let restored = ReactiveController::restore_with_sink(&cp1, sink2.clone()).unwrap();
-    assert!(restored.event_sink().is_some());
-    assert_eq!(
-        sink2.take(),
-        vec![ObsEvent::CheckpointRestored {
-            events: ctl.stats().events,
-            bytes: cp1.len() as u64,
-        }]
-    );
+    // Sinks are not serialized: the restored controller streams nowhere,
+    // not even its own checkpoint saves.
+    let mut restored = ReactiveController::restore(&cp1).unwrap();
     assert_eq!(restored.stats(), ctl.stats());
+    let emitted = sink.len();
+    for r in &stream(4, 500) {
+        restored.observe(r);
+    }
+    let _ = restored.snapshot();
+    assert_eq!(sink.len(), emitted, "a restored controller has no sink");
 }
 
 #[test]
@@ -193,14 +187,18 @@ fn sink_only_telemetry_serializes_as_absent() {
     // controller carries no telemetry at all.
     let sink = Arc::new(VecSink::new());
     let mut ctl = ReactiveController::builder(params())
-        .event_sink(sink)
+        .event_sink(sink.clone())
         .build()
         .unwrap();
     for r in &stream(7, 1_000) {
         ctl.observe(r);
     }
-    let restored = ReactiveController::restore(&ctl.snapshot()).unwrap();
+    let mut restored = ReactiveController::restore(&ctl.snapshot()).unwrap();
     assert!(restored.metrics().is_none());
-    assert!(restored.event_sink().is_none());
     assert_eq!(restored.stats(), ctl.stats());
+    let emitted = sink.len();
+    for r in &stream(8, 1_000) {
+        restored.observe(r);
+    }
+    assert_eq!(sink.len(), emitted, "a restored controller has no sink");
 }

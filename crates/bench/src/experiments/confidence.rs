@@ -10,8 +10,8 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::{ControlStats, ControllerParams, TransitionLogPolicy};
-use rsc_trace::{spec2000, InputId};
+use rsc_control::{ControlStats, ControllerParams};
+use rsc_trace::spec2000;
 
 /// Fixed-window vs confidence-monitor results for one benchmark.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,32 +39,20 @@ pub fn confidence_params() -> ControllerParams {
     fixed_params().with_confidence_monitor(2.58, 32, BUDGET)
 }
 
-/// Runs both monitors over the selected benchmarks.
+/// Runs both monitors over the selected benchmarks, side by side on one
+/// generation of each benchmark's stream.
 pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
-    names
-        .iter()
-        .map(|name| {
-            let model = spec2000::benchmark(name).expect("known benchmark");
-            let pop = model.population(opts.events);
-            let run = |params| {
-                rsc_control::run_population_chunked(
-                    params,
-                    &pop,
-                    InputId::Eval,
-                    opts.events,
-                    opts.seed,
-                    TransitionLogPolicy::CountsOnly,
-                )
-                .expect("valid params")
-                .stats
-            };
-            Row {
-                name: model.name,
-                fixed: run(fixed_params()),
-                confidence: run(confidence_params()),
-            }
-        })
-        .collect()
+    crate::parallel::par_map(names.to_vec(), |name| {
+        let model = spec2000::benchmark(name).expect("known benchmark");
+        let pop = model.population(opts.events);
+        let [fixed, confidence] =
+            super::run_side_by_side([fixed_params(), confidence_params()], &pop, opts, |_| {});
+        Row {
+            name: model.name,
+            fixed,
+            confidence,
+        }
+    })
 }
 
 /// Runs all benchmarks.

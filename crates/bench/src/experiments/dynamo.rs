@@ -11,7 +11,7 @@
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
 use rsc_control::{ControlStats, ControllerParams, ReactiveController, TransitionLogPolicy};
-use rsc_trace::{spec2000, InputId, Population};
+use rsc_trace::{spec2000, BranchRecord, InputId, Population};
 
 /// Misspeculation rates for the three policies on one benchmark.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,6 +26,64 @@ pub struct Row {
     pub open: ControlStats,
 }
 
+/// The open loop: one-shot classification, no eviction and no revisit.
+fn open_loop() -> ControllerParams {
+    ControllerParams::scaled()
+        .without_eviction()
+        .without_revisit()
+}
+
+/// The open loop with a periodic whole-table flush, fed chunk by chunk.
+/// Dynamo has no per-branch reactivity: no eviction arc, and unbiased
+/// fragments are reconsidered only via the flush.
+pub struct FlushPolicy {
+    ctl: ReactiveController,
+    flush_every: u64,
+    observed: u64,
+    next_flush: u64,
+}
+
+impl FlushPolicy {
+    /// A flush policy that flushes before every `flush_every`-th event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flush_every` is 0.
+    pub fn new(flush_every: u64) -> Self {
+        assert!(flush_every > 0, "flush period must be positive");
+        FlushPolicy {
+            ctl: ReactiveController::builder(open_loop())
+                .log_policy(TransitionLogPolicy::CountsOnly)
+                .build()
+                .expect("valid params"),
+            flush_every,
+            observed: 0,
+            next_flush: flush_every,
+        }
+    }
+
+    /// Observes the next chunk of the stream. The chunk is split at flush
+    /// points, so each flush lands between the same two events as on the
+    /// per-event path.
+    pub fn observe_chunk(&mut self, mut chunk: &[BranchRecord]) {
+        while !chunk.is_empty() {
+            if self.observed >= self.next_flush {
+                self.ctl.flush_all();
+                self.next_flush += self.flush_every;
+            }
+            let take = (self.next_flush - self.observed).min(chunk.len() as u64) as usize;
+            self.ctl.observe_chunk(&chunk[..take]);
+            self.observed += take as u64;
+            chunk = &chunk[take..];
+        }
+    }
+
+    /// Aggregate statistics so far.
+    pub fn stats(&self) -> ControlStats {
+        self.ctl.stats()
+    }
+}
+
 /// Runs a one-shot controller with a periodic whole-table flush.
 pub fn run_flush_policy(
     population: &Population,
@@ -33,66 +91,34 @@ pub fn run_flush_policy(
     seed: u64,
     flush_every: u64,
 ) -> ControlStats {
-    assert!(flush_every > 0, "flush period must be positive");
-    // Dynamo has no per-branch reactivity: no eviction arc; unbiased
-    // fragments are reconsidered only via the flush.
-    let params = ControllerParams::scaled()
-        .without_eviction()
-        .without_revisit();
-    let mut ctl = ReactiveController::builder(params)
-        .log_policy(TransitionLogPolicy::CountsOnly)
-        .build()
-        .expect("valid params");
-    // Chunks are split at flush points, so each flush lands between the
-    // same two events as on the per-event path.
-    let mut observed = 0u64;
-    let mut next_flush = flush_every;
+    let mut flush = FlushPolicy::new(flush_every);
     population
         .trace(InputId::Eval, events, seed)
-        .for_each_chunk(|mut chunk| {
-            while !chunk.is_empty() {
-                if observed >= next_flush {
-                    ctl.flush_all();
-                    next_flush += flush_every;
-                }
-                let take = (next_flush - observed).min(chunk.len() as u64) as usize;
-                ctl.observe_chunk(&chunk[..take]);
-                observed += take as u64;
-                chunk = &chunk[take..];
-            }
-        });
-    ctl.stats()
+        .for_each_chunk(|chunk| flush.observe_chunk(chunk));
+    flush.stats()
 }
 
-/// Runs all three policies over the selected benchmarks. The flush period
-/// defaults to a third of the run (a couple of "phase changes" — Dynamo
-/// flushes are rare events, and each flush forces every branch through a
-/// fresh monitor period).
+/// Runs all three policies over the selected benchmarks, on one generation
+/// of each benchmark's stream: the closed and open loops side by side, the
+/// flush policy on the same chunks. The flush period defaults to a third
+/// of the run (a couple of "phase changes" — Dynamo flushes are rare
+/// events, and each flush forces every branch through a fresh monitor
+/// period).
 pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
     crate::parallel::par_map(names.to_vec(), |name| {
         let model = spec2000::benchmark(name).expect("known benchmark");
         let pop = model.population(opts.events);
-        let run = |params| {
-            rsc_control::run_population_chunked(
-                params,
-                &pop,
-                InputId::Eval,
-                opts.events,
-                opts.seed,
-                TransitionLogPolicy::CountsOnly,
-            )
-            .expect("valid params")
-            .stats
-        };
-        let closed = run(ControllerParams::scaled());
-        let open = run(ControllerParams::scaled()
-            .without_eviction()
-            .without_revisit());
-        let flush = run_flush_policy(&pop, opts.events, opts.seed, opts.events / 3);
+        let mut flush = FlushPolicy::new(opts.events / 3);
+        let [closed, open] = super::run_side_by_side(
+            [ControllerParams::scaled(), open_loop()],
+            &pop,
+            opts,
+            |chunk| flush.observe_chunk(chunk),
+        );
         Row {
             name: model.name,
             closed,
-            flush,
+            flush: flush.stats(),
             open,
         }
     })

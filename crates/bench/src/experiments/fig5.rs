@@ -9,9 +9,8 @@
 use crate::experiments::table4;
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::{ControllerParams, ReactiveController, TransitionLogPolicy};
 use rsc_profile::{pareto, BranchProfile};
-use rsc_trace::{spec2000, InputId};
+use rsc_trace::spec2000;
 
 /// Reactive-vs-self-training points for one benchmark.
 #[derive(Debug, Clone)]
@@ -25,31 +24,18 @@ pub struct Row {
     pub reactive: Vec<(&'static str, f64, f64)>,
 }
 
-/// Runs the experiment: one chunked controller pass per configuration,
-/// with the self-training profile built on the first pass's chunks.
+/// Runs the experiment: per benchmark, one chunked generation feeds the
+/// seven Table 4 controllers ([`table4::run_configs`]) and the
+/// self-training profile.
 pub fn run(opts: &ExpOptions) -> Vec<Row> {
     crate::parallel::par_map(spec2000::all(), |model| {
         let pop = model.population(opts.events);
         let mut profile = BranchProfile::new();
+        let stats = table4::run_configs(&pop, opts, |chunk| profile.record_chunk(chunk));
         let reactive = table4::CONFIG_NAMES
             .iter()
-            .enumerate()
-            .map(|(i, &name)| {
-                let params = table4::config(ControllerParams::scaled(), name);
-                let mut ctl = ReactiveController::builder(params)
-                    .log_policy(TransitionLogPolicy::CountsOnly)
-                    .build()
-                    .expect("valid params");
-                pop.trace(InputId::Eval, opts.events, opts.seed)
-                    .for_each_chunk(|chunk| {
-                        if i == 0 {
-                            profile.record_chunk(chunk);
-                        }
-                        ctl.observe_chunk(chunk);
-                    });
-                let stats = ctl.stats();
-                (name, stats.incorrect_frac(), stats.correct_frac())
-            })
+            .zip(stats)
+            .map(|(&name, s)| (name, s.incorrect_frac(), s.correct_frac()))
             .collect();
         let st = pareto::threshold_point(&profile, 0.99);
         Row {
@@ -85,6 +71,8 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsc_control::ControllerParams;
+    use rsc_trace::InputId;
 
     fn one_benchmark(events: u64) -> Row {
         let model = spec2000::benchmark("gzip").unwrap();
@@ -113,6 +101,26 @@ mod tests {
         );
         // ...at a very low misspeculation rate.
         assert!(inc < 0.01, "incorrect fraction {inc}");
+    }
+
+    #[test]
+    fn per_model_fractions_average_to_table4() {
+        let opts = ExpOptions::small().with_events(100_000).with_seed(5);
+        let rows = run(&opts);
+        let n = rows.len() as f64;
+        let averaged: Vec<table4::Row> = table4::CONFIG_NAMES
+            .iter()
+            .zip(table4::PAPER_RESULTS)
+            .enumerate()
+            .map(|(i, (&name, paper))| table4::Row {
+                name,
+                correct: rows.iter().map(|r| r.reactive[i].2).sum::<f64>() / n,
+                incorrect: rows.iter().map(|r| r.reactive[i].1).sum::<f64>() / n,
+                paper,
+            })
+            .collect();
+        // `{:?}` prints each f64 exactly, so this is bit equality.
+        assert_eq!(format!("{averaged:?}"), format!("{:?}", table4::run(&opts)));
     }
 
     #[test]

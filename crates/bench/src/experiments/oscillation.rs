@@ -6,8 +6,8 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::{ControllerParams, TransitionLogPolicy};
-use rsc_trace::{spec2000, InputId};
+use rsc_control::ControllerParams;
+use rsc_trace::spec2000;
 
 /// Re-optimization load with and without the oscillation cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,7 +31,8 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
     run_subset(opts, &spec2000::NAMES)
 }
 
-/// Runs both configurations over selected benchmarks.
+/// Runs both configurations over selected benchmarks, side by side on one
+/// generation of each benchmark's stream.
 pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
     let capped = ControllerParams::scaled();
     let uncapped = ControllerParams {
@@ -41,20 +42,8 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
     crate::parallel::par_map(names.to_vec(), |name| {
         let model = spec2000::benchmark(name).expect("known benchmark");
         let pop = model.population(opts.events);
-        let run = |params| {
-            rsc_control::run_population_chunked(
-                params,
-                &pop,
-                InputId::Eval,
-                opts.events,
-                opts.seed,
-                TransitionLogPolicy::CountsOnly,
-            )
-            .expect("valid params")
-            .stats
-        };
-        let with_cap = run(capped);
-        let without_cap = run(uncapped);
+        let [with_cap, without_cap] =
+            super::run_side_by_side([capped, uncapped], &pop, opts, |_| {});
         Row {
             name: model.name,
             capped_reopts: with_cap.reopt_requests,

@@ -7,8 +7,8 @@
 
 use crate::options::ExpOptions;
 use crate::table::{pct, TextTable};
-use rsc_control::{ControlStats, ControllerParams, TransitionLogPolicy};
-use rsc_trace::{spec2000, InputId, Population};
+use rsc_control::{ControlStats, ControllerParams};
+use rsc_trace::{spec2000, BranchRecord, Population};
 
 /// The named configurations of the paper's Table 4, in its row order.
 pub const CONFIG_NAMES: [&str; 7] = [
@@ -69,60 +69,44 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
     run_subset(opts, &spec2000::NAMES)
 }
 
-/// Runs the seven configurations over a subset of benchmarks, each
-/// (configuration, benchmark) pair as one chunked controller pass.
-///
-/// The controllers run one at a time per benchmark rather than fused onto
-/// one generation: each holds a per-branch table, and seven live at once
-/// raise peak memory by about a third (DESIGN.md §8).
+/// Runs the seven configurations over a subset of benchmarks: each
+/// benchmark's population is built inside its own fan-out item, and its
+/// seven controllers share one generation of its stream.
 pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
-    rows(opts, names, |params, pop| {
-        rsc_control::run_population_chunked(
-            params,
-            pop,
-            InputId::Eval,
-            opts.events,
-            opts.seed,
-            TransitionLogPolicy::CountsOnly,
-        )
-        .expect("valid params")
-        .stats
-    })
+    let per_model = crate::parallel::par_map(names.to_vec(), |name| {
+        let pop = spec2000::benchmark(name)
+            .expect("known benchmark")
+            .population(opts.events);
+        run_configs(&pop, opts, |_| {})
+    });
+    average(&per_model)
 }
 
-/// Averages `run(params, population)` over the benchmarks for each
-/// configuration, fanning each configuration out over the benchmarks.
-fn rows(
+/// Runs the seven configurations, in [`CONFIG_NAMES`] order, side by side
+/// on one chunked generation of `population`'s Eval stream, and hands each
+/// chunk to `on_chunk` too. Table 4 and Fig. 5 share it.
+pub fn run_configs(
+    population: &Population,
     opts: &ExpOptions,
-    names: &[&str],
-    run: impl Fn(ControllerParams, &Population) -> ControlStats + Sync,
-) -> Vec<Row> {
-    let populations: Vec<_> = names
-        .iter()
-        .map(|n| {
-            spec2000::benchmark(n)
-                .expect("known benchmark")
-                .population(opts.events)
-        })
-        .collect();
+    on_chunk: impl FnMut(&[BranchRecord]),
+) -> [ControlStats; CONFIG_NAMES.len()] {
+    let params = CONFIG_NAMES.map(|name| config(ControllerParams::scaled(), name));
+    super::run_side_by_side(params, population, opts, on_chunk)
+}
+
+/// Table 4's rows from each benchmark's stats per configuration: each
+/// configuration's fractions averaged over the benchmarks, in order.
+fn average(per_model: &[[ControlStats; CONFIG_NAMES.len()]]) -> Vec<Row> {
+    let n = per_model.len() as f64;
     CONFIG_NAMES
         .iter()
         .zip(PAPER_RESULTS)
-        .map(|(&name, paper)| {
-            let params = config(ControllerParams::scaled(), name);
-            let fracs = crate::parallel::par_map(populations.iter().collect::<Vec<_>>(), |pop| {
-                let stats = run(params, pop);
-                (stats.correct_frac(), stats.incorrect_frac())
-            });
-            let n = fracs.len() as f64;
-            let correct: f64 = fracs.iter().map(|f| f.0).sum::<f64>() / n;
-            let incorrect: f64 = fracs.iter().map(|f| f.1).sum::<f64>() / n;
-            Row {
-                name,
-                correct,
-                incorrect,
-                paper,
-            }
+        .enumerate()
+        .map(|(i, (&name, paper))| Row {
+            name,
+            correct: per_model.iter().map(|m| m[i].correct_frac()).sum::<f64>() / n,
+            incorrect: per_model.iter().map(|m| m[i].incorrect_frac()).sum::<f64>() / n,
+            paper,
         })
         .collect()
 }
@@ -151,6 +135,7 @@ pub fn render(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsc_trace::InputId;
 
     /// The per-event composition `run_subset` replaced: one
     /// `engine::run_population` pass per (configuration, benchmark).
@@ -160,6 +145,44 @@ mod tests {
                 .expect("valid params")
                 .stats
         })
+    }
+
+    /// Averages `run(params, population)` over the benchmarks for each
+    /// configuration, fanning each configuration out over the benchmarks.
+    fn rows(
+        opts: &ExpOptions,
+        names: &[&str],
+        run: impl Fn(ControllerParams, &Population) -> ControlStats + Sync,
+    ) -> Vec<Row> {
+        let populations: Vec<_> = names
+            .iter()
+            .map(|n| {
+                spec2000::benchmark(n)
+                    .expect("known benchmark")
+                    .population(opts.events)
+            })
+            .collect();
+        CONFIG_NAMES
+            .iter()
+            .zip(PAPER_RESULTS)
+            .map(|(&name, paper)| {
+                let params = config(ControllerParams::scaled(), name);
+                let fracs =
+                    crate::parallel::par_map(populations.iter().collect::<Vec<_>>(), |pop| {
+                        let stats = run(params, pop);
+                        (stats.correct_frac(), stats.incorrect_frac())
+                    });
+                let n = fracs.len() as f64;
+                let correct: f64 = fracs.iter().map(|f| f.0).sum::<f64>() / n;
+                let incorrect: f64 = fracs.iter().map(|f| f.1).sum::<f64>() / n;
+                Row {
+                    name,
+                    correct,
+                    incorrect,
+                    paper,
+                }
+            })
+            .collect()
     }
 
     #[test]

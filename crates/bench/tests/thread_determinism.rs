@@ -6,7 +6,7 @@
 //! function — Rust's default parallel test runner would otherwise race on
 //! the cap.
 
-use rsc_bench::experiments::{fig2, oscillation, table3};
+use rsc_bench::experiments::{confidence, dynamo, fig2, fig5, oscillation, table3, table4};
 use rsc_bench::options::ExpOptions;
 use rsc_bench::parallel::set_max_threads;
 use rsc_control::{engine, ControlStats, ControllerParams};
@@ -62,19 +62,37 @@ fn seeds_and_thread_counts_are_deterministic() {
     }
 
     // The experiments that fan out over models compute the same rows at
-    // one thread and at two: fig. 2's fused pass and oscillation's
-    // controller pairs. `{:?}` prints each f64 exactly.
+    // one thread and at two: fig. 2's fused pass, and the controller sets
+    // that share one generation per model (Table 4 and Fig. 5's seven,
+    // oscillation's and confidence's pairs, dynamo's closed and open loops
+    // with the flush policy). `{:?}` prints each f64 exactly.
     let rows_at = |threads: usize| {
         set_max_threads(threads);
-        let rows = format!("{:?}", (fig2::run(&opts), oscillation::run(&opts)));
+        let rows = [
+            format!("{:?}", fig2::run(&opts)),
+            format!("{:?}", oscillation::run(&opts)),
+            format!("{:?}", table4::run(&opts)),
+            format!("{:?}", fig5::run(&opts)),
+            format!("{:?}", dynamo::run(&opts)),
+            format!("{:?}", confidence::run(&opts)),
+        ];
         set_max_threads(0);
         rows
     };
-    assert_eq!(
-        rows_at(1),
-        rows_at(2),
-        "--threads 2 changed fig2 or oscillation rows"
-    );
+    let (one, two) = (rows_at(1), rows_at(2));
+    for (experiment, (a, b)) in [
+        "fig2",
+        "oscillation",
+        "table4",
+        "fig5",
+        "dynamo",
+        "confidence",
+    ]
+    .into_iter()
+    .zip(one.iter().zip(&two))
+    {
+        assert_eq!(a, b, "--threads 2 changed {experiment} rows");
+    }
 
     // Part 3: the sharded profiler merges shards in seed order, so the
     // averaged profile is also thread-count independent.

@@ -201,6 +201,7 @@ impl ControllerBuilder {
             resilience,
             telemetry,
             policy: self.policy,
+            eviction: self.policy.evict(&self.params),
         })
     }
 

@@ -46,12 +46,12 @@
 //! ```
 
 use crate::controller::{
-    BranchCtl, Counters, EvictTracker, ReactiveController, State, TransitionEvent, TransitionKind,
+    revisit_countdown, BranchCtl, Counters, EvictTracker, ReactiveController, State,
+    TransitionEvent, TransitionKind, NEVER_REVISIT,
 };
-use crate::counter::HysteresisCounter;
 use crate::observe::{ControllerMetrics, ObsEvent, Telemetry, INTERVAL_BOUNDS};
 use crate::params::{ControllerParams, EvictionMode, InvalidParamsError, MonitorPolicy, Revisit};
-use crate::policy::Policy;
+use crate::policy::{Eviction, Policy};
 use crate::resilience::breaker::{BreakerConfig, BreakerPhase, StormBreaker};
 use crate::resilience::deployer::{DeployerSpec, FaultMode, FaultScope, FaultSpec, RetryPolicy};
 use crate::resilience::{ResilienceConfig, ResilienceState};
@@ -64,8 +64,10 @@ const MAGIC: [u8; 4] = *b"RSCK";
 /// Current format version. Version 4 added a policy section to each
 /// controller body (stable policy id + config blob, right after the
 /// params) and widened biased counter trackers to their full shape
-/// (value, up, down, threshold) because policies now parametrize
-/// trackers independently of `params.eviction`. Version 3 added a
+/// (value, up, down, threshold) because policies parametrize trackers
+/// independently of `params.eviction`. The shape is still a function of
+/// the policy and params (`Policy::evict`), so the reader refuses one
+/// that disagrees with it. Version 3 added a
 /// shard-count varint after the version byte followed by one controller
 /// body per shard (a plain controller writes count 1), plus the
 /// interval-histogram bounds in the telemetry section; version 2
@@ -330,6 +332,12 @@ impl<'a> Reader<'a> {
             }
         }
         unreachable!()
+    }
+
+    /// A `u64` count the controller keeps as `u32`; larger is corrupt.
+    fn u32_count(&mut self) -> Result<u32, CheckpointError> {
+        let v = self.u64()?;
+        u32::try_from(v).map_err(|_| self.corrupt("count exceeds u32"))
     }
 
     fn u32(&mut self) -> Result<u32, CheckpointError> {
@@ -764,7 +772,13 @@ fn read_log(r: &mut Reader<'_>) -> Result<TransitionLog, CheckpointError> {
     Ok(TransitionLog::from_raw_storage(policy, events, counts))
 }
 
-fn write_branch(w: &mut Writer, b: &BranchCtl) {
+/// One branch slot. The eviction tracker is written under the
+/// controller's rule `eviction`, and a counter tracker carries the rule's
+/// full shape (value, up, down, threshold) even though `Policy::evict`
+/// derives it from the policy and params: the v4 layout keeps it, and the
+/// reader refuses a shape that disagrees. `recent_misses` is the storm
+/// breaker's rank of the branch (0 without a breaker).
+fn write_branch(w: &mut Writer, b: &BranchCtl, eviction: &Eviction, recent_misses: u64) {
     match &b.state {
         State::Monitor {
             execs,
@@ -772,9 +786,9 @@ fn write_branch(w: &mut Writer, b: &BranchCtl) {
             taken,
         } => {
             w.u8(0);
-            w.u64(*execs);
-            w.u64(*samples);
-            w.u64(*taken);
+            w.u64(u64::from(*execs));
+            w.u64(u64::from(*samples));
+            w.u64(u64::from(*taken));
         }
         State::PendingBiased { deadline, dir } => {
             w.u8(1);
@@ -784,28 +798,21 @@ fn write_branch(w: &mut Writer, b: &BranchCtl) {
         State::Biased { dir, tracker } => {
             w.u8(2);
             w.dir(*dir);
-            match tracker {
-                EvictTracker::Counter(c) => {
+            match eviction {
+                Eviction::Counter(c) => {
                     w.u8(0);
-                    // The full counter shape: policies parametrize
-                    // trackers independently of the eviction mode, so the
-                    // shape cannot be re-derived from the params.
-                    w.u32(c.value());
+                    w.u32(tracker.value);
                     w.u32(c.up());
                     w.u32(c.down());
                     w.u32(c.threshold());
                 }
-                EvictTracker::Sampling {
-                    pos,
-                    matched,
-                    sampled,
-                } => {
+                Eviction::Sampling { .. } => {
                     w.u8(1);
-                    w.u64(*pos);
-                    w.u64(*matched);
-                    w.u64(*sampled);
+                    w.u64(u64::from(tracker.value));
+                    w.u64(u64::from(tracker.matched));
+                    w.u64(u64::from(tracker.sampled));
                 }
-                EvictTracker::Never => w.u8(2),
+                Eviction::Never => w.u8(2),
             }
         }
         State::PendingMonitor { deadline, dir } => {
@@ -815,7 +822,7 @@ fn write_branch(w: &mut Writer, b: &BranchCtl) {
         }
         State::Unbiased { remaining } => {
             w.u8(4);
-            w.opt_u64(*remaining);
+            w.opt_u64(revisit_countdown(*remaining));
         }
         State::Disabled => w.u8(5),
         State::RetryBiased { next, dir, attempt } => {
@@ -835,15 +842,21 @@ fn write_branch(w: &mut Writer, b: &BranchCtl) {
     w.u32(b.entries_since_flush);
     w.u32(b.evictions);
     w.u64(b.execs);
-    w.u64(b.recent_misses);
+    w.u64(recent_misses);
 }
 
-fn read_branch(r: &mut Reader<'_>) -> Result<BranchCtl, CheckpointError> {
+/// Reads one branch slot written by [`write_branch`] under the
+/// controller's rule `eviction`, returning it with its storm-breaker miss
+/// rank.
+fn read_branch(
+    r: &mut Reader<'_>,
+    eviction: &Eviction,
+) -> Result<(BranchCtl, u64), CheckpointError> {
     let state = match r.u8()? {
         0 => State::Monitor {
-            execs: r.u64()?,
-            samples: r.u64()?,
-            taken: r.u64()?,
+            execs: r.u32_count()?,
+            samples: r.u32_count()?,
+            taken: r.u32_count()?,
         },
         1 => State::PendingBiased {
             deadline: r.u64()?,
@@ -851,25 +864,30 @@ fn read_branch(r: &mut Reader<'_>) -> Result<BranchCtl, CheckpointError> {
         },
         2 => {
             let dir = r.dir()?;
-            let tracker = match r.u8()? {
-                0 => {
+            let tracker = match (r.u8()?, eviction) {
+                (0, Eviction::Counter(c)) => {
                     let value = r.u32()?;
-                    let up = r.u32()?;
-                    let down = r.u32()?;
-                    let threshold = r.u32()?;
-                    if up == 0 || down == 0 || threshold < up {
-                        return Err(r.corrupt("invalid counter tracker shape"));
+                    let shape = (r.u32()?, r.u32()?, r.u32()?);
+                    if shape != (c.up(), c.down(), c.threshold()) {
+                        return Err(r.corrupt("counter tracker shape disagrees with the policy"));
                     }
-                    let mut c = HysteresisCounter::new(up, down, threshold);
-                    c.set_value(value);
-                    EvictTracker::Counter(c)
+                    if value > c.threshold() {
+                        return Err(r.corrupt("counter tracker value exceeds its threshold"));
+                    }
+                    EvictTracker {
+                        value,
+                        ..EvictTracker::default()
+                    }
                 }
-                1 => EvictTracker::Sampling {
-                    pos: r.u64()?,
-                    matched: r.u64()?,
-                    sampled: r.u64()?,
+                (1, Eviction::Sampling { .. }) => EvictTracker {
+                    value: r.u32_count()?,
+                    matched: r.u32_count()?,
+                    sampled: r.u32_count()?,
                 },
-                2 => EvictTracker::Never,
+                (2, Eviction::Never) => EvictTracker::default(),
+                (0..=2, _) => {
+                    return Err(r.corrupt("evict tracker disagrees with the policy"));
+                }
                 _ => return Err(r.corrupt("bad evict-tracker tag")),
             };
             State::Biased { dir, tracker }
@@ -879,7 +897,11 @@ fn read_branch(r: &mut Reader<'_>) -> Result<BranchCtl, CheckpointError> {
             dir: r.dir()?,
         },
         4 => State::Unbiased {
-            remaining: r.opt_u64()?,
+            remaining: match r.opt_u64()? {
+                None => NEVER_REVISIT,
+                Some(NEVER_REVISIT) => return Err(r.corrupt("revisit countdown out of range")),
+                Some(n) => n,
+            },
         },
         5 => State::Disabled,
         6 => State::RetryBiased {
@@ -894,14 +916,14 @@ fn read_branch(r: &mut Reader<'_>) -> Result<BranchCtl, CheckpointError> {
         },
         _ => return Err(r.corrupt("bad branch-state tag")),
     };
-    Ok(BranchCtl {
+    let b = BranchCtl {
         state,
         entries: r.u32()?,
         entries_since_flush: r.u32()?,
         evictions: r.u32()?,
         execs: r.u64()?,
-        recent_misses: r.u64()?,
-    })
+    };
+    Ok((b, r.u64()?))
 }
 
 /// Telemetry section: only the metric state that cannot be re-derived is
@@ -1008,8 +1030,13 @@ fn write_controller_body(w: &mut Writer, ctl: &ReactiveController) {
     w.u64(ctl.counters.incorrect);
     write_log(w, &ctl.log);
     w.usize(ctl.branches.len());
-    for b in &ctl.branches {
-        write_branch(w, b);
+    let recent_misses = ctl
+        .resilience
+        .as_ref()
+        .map_or(&[][..], |rs| &rs.recent_misses);
+    for (i, b) in ctl.branches.iter().enumerate() {
+        let misses = recent_misses.get(i).copied().unwrap_or(0);
+        write_branch(w, b, &ctl.eviction, misses);
     }
     write_telemetry(w, ctl.telemetry.as_deref());
 }
@@ -1026,11 +1053,12 @@ fn read_controller_body(r: &mut Reader<'_>) -> Result<ReactiveController, Checkp
         Some(p) => p,
         None => return Err(CheckpointError::UnknownPolicy { id }),
     };
-    let resilience = match r.u8()? {
+    let mut resilience = match r.u8()? {
         0 => None,
         1 => Some(read_resilience(r)?),
         _ => return Err(r.corrupt("bad resilience tag")),
     };
+    let eviction = policy.evict(&params);
     let counters = Counters {
         events: r.u64()?,
         instructions: r.u64()?,
@@ -1040,8 +1068,22 @@ fn read_controller_body(r: &mut Reader<'_>) -> Result<ReactiveController, Checkp
     let log = read_log(r)?;
     let n_branches = r.len_prefix()?;
     let mut branches = Vec::with_capacity(n_branches);
-    for _ in 0..n_branches {
-        branches.push(read_branch(r)?);
+    // Misses are only ranked under a storm breaker.
+    let mut recent_misses = resilience
+        .as_mut()
+        .filter(|rs| rs.breaker.is_some())
+        .map(|rs| &mut rs.recent_misses);
+    for i in 0..n_branches {
+        let (b, misses) = read_branch(r, &eviction)?;
+        branches.push(b);
+        match recent_misses.as_deref_mut() {
+            _ if misses == 0 => {}
+            Some(ranks) => {
+                ranks.resize(i, 0);
+                ranks.push(misses);
+            }
+            None => return Err(r.corrupt("recent misses without a storm breaker")),
+        }
     }
     let telemetry = read_telemetry(r)?;
     Ok(ReactiveController {
@@ -1052,6 +1094,7 @@ fn read_controller_body(r: &mut Reader<'_>) -> Result<ReactiveController, Checkp
         counters,
         resilience,
         telemetry,
+        eviction,
     })
 }
 
@@ -1220,6 +1263,7 @@ impl crate::shard::ShardedController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counter::HysteresisCounter;
     use crate::resilience::DeployOutcome;
     use rsc_trace::BranchRecord;
 
@@ -1744,5 +1788,169 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { what, .. }
             if what == "shards disagree on policy configuration"));
+    }
+
+    /// Restores `cp`, expecting corruption described as `want`.
+    fn refused_as(cp: ControllerCheckpoint, want: &str) {
+        match ReactiveController::restore(&cp) {
+            Err(CheckpointError::Corrupt { what, .. }) => assert_eq!(what, want),
+            other => panic!("expected Corrupt({want}), got {other:?}"),
+        }
+    }
+
+    /// `ctl`'s checkpoint with branch `idx`'s slot re-encoded by `patch`.
+    fn with_branch(
+        ctl: &ReactiveController,
+        idx: usize,
+        patch: impl FnOnce(&mut Writer),
+    ) -> ControllerCheckpoint {
+        // A fresh writer opens with the magic and version.
+        let header = MAGIC.len() + 1;
+        let mut old = Writer::new();
+        write_branch(&mut old, &ctl.branches[idx], &ctl.eviction, 0);
+        let old = &old.buf[header..];
+        let mut new = Writer::new();
+        patch(&mut new);
+        let bytes = ctl.snapshot().into_bytes();
+        let at = bytes
+            .windows(old.len())
+            .rposition(|w| w == old)
+            .expect("branch slot in the blob");
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(&new.buf[header..]);
+        out.extend_from_slice(&bytes[at + old.len()..]);
+        ControllerCheckpoint::from_bytes(out)
+    }
+
+    /// Scaled params that select branch 0 of [`drive`] within 5,000 events.
+    fn fast_params() -> ControllerParams {
+        ControllerParams::scaled()
+            .with_latency(0)
+            .with_monitor_period(100)
+    }
+
+    /// The trailing counters of a branch slot that executed `execs` times.
+    fn branch_tail(w: &mut Writer, entries: u32, execs: u64) {
+        for v in [entries, entries, 0] {
+            w.u32(v);
+        }
+        w.u64(execs);
+        w.u64(0);
+    }
+
+    #[test]
+    fn counter_tracker_shape_must_match_the_policy() {
+        let mut ctl = ReactiveController::builder(fast_params()).build().unwrap();
+        drive(&mut ctl, 5_000);
+        assert!(ctl.is_speculating(BranchId::new(0)));
+        let Eviction::Counter(c) = ctl.eviction else {
+            panic!("scaled params evict by counter")
+        };
+        ctl.eviction =
+            Eviction::Counter(HysteresisCounter::new(c.up(), c.down(), c.threshold() + 1));
+        refused_as(
+            ctl.snapshot(),
+            "counter tracker shape disagrees with the policy",
+        );
+        ctl.eviction = Eviction::Never;
+        refused_as(ctl.snapshot(), "evict tracker disagrees with the policy");
+    }
+
+    #[test]
+    fn sampling_tracker_under_a_counter_policy_is_refused() {
+        let mut ctl = ReactiveController::builder(fast_params()).build().unwrap();
+        drive(&mut ctl, 5_000);
+        let b = ctl.branch_snapshot(BranchId::new(0));
+        let cp = with_branch(&ctl, 0, |w| {
+            w.u8(2);
+            w.dir(Direction::Taken);
+            w.u8(1);
+            for _ in 0..3 {
+                w.u64(0);
+            }
+            branch_tail(w, b.entries, b.execs);
+        });
+        refused_as(cp, "evict tracker disagrees with the policy");
+    }
+
+    #[test]
+    fn counter_tracker_value_must_not_exceed_its_threshold() {
+        let mut ctl = ReactiveController::builder(fast_params()).build().unwrap();
+        drive(&mut ctl, 5_000);
+        let State::Biased { tracker, .. } = &mut ctl.branches[0].state else {
+            panic!("branch 0 is biased")
+        };
+        tracker.value = 1_001;
+        refused_as(
+            ctl.snapshot(),
+            "counter tracker value exceeds its threshold",
+        );
+    }
+
+    #[test]
+    fn monitor_counts_above_u32_are_refused() {
+        let mut ctl = ReactiveController::builder(ControllerParams::scaled())
+            .build()
+            .unwrap();
+        drive(&mut ctl, 30);
+        assert!(matches!(
+            ctl.branches[0].state,
+            State::Monitor { execs: 20, .. }
+        ));
+        let cp = with_branch(&ctl, 0, |w| {
+            w.u8(0);
+            w.u64(u64::from(u32::MAX) + 1);
+            w.u64(20);
+            w.u64(20);
+            branch_tail(w, 0, 20);
+        });
+        refused_as(cp, "count exceeds u32");
+    }
+
+    #[test]
+    fn sampling_counts_above_u32_are_refused() {
+        let mut ctl = ReactiveController::builder(fast_params().with_sampled_eviction())
+            .build()
+            .unwrap();
+        drive(&mut ctl, 5_000);
+        let b = ctl.branch_snapshot(BranchId::new(0));
+        assert!(matches!(b.state, crate::BranchStateView::Biased { .. }));
+        for field in 0..3 {
+            let cp = with_branch(&ctl, 0, |w| {
+                w.u8(2);
+                w.dir(Direction::Taken);
+                w.u8(1);
+                for f in 0..3 {
+                    w.u64(if f == field {
+                        u64::from(u32::MAX) + 1
+                    } else {
+                        0
+                    });
+                }
+                branch_tail(w, b.entries, b.execs);
+            });
+            refused_as(cp, "count exceeds u32");
+        }
+    }
+
+    #[test]
+    fn recent_misses_need_a_storm_breaker() {
+        let mut ctl = ReactiveController::builder(ControllerParams::scaled())
+            .build()
+            .unwrap();
+        drive(&mut ctl, 30);
+        let cp = with_branch(&ctl, 0, |w| {
+            write_branch(w, &ctl.branches[0], &ctl.eviction, 3);
+        });
+        refused_as(cp, "recent misses without a storm breaker");
+    }
+
+    #[test]
+    fn golden_breaker_checkpoint_keeps_its_miss_ranks() {
+        let golden: &[u8] = include_bytes!("../tests/fixtures/paper-fsm-breaker-4100.rsck");
+        let ctl = ReactiveController::restore(&ControllerCheckpoint::from_bytes(golden)).unwrap();
+        let ranks = &ctl.resilience.as_ref().unwrap().recent_misses;
+        assert!(ranks.iter().any(|&m| m > 0), "{ranks:?}");
+        assert_eq!(ctl.snapshot().as_bytes(), golden);
     }
 }

@@ -19,10 +19,9 @@
 //! eviction, speculation (and its misspeculations) continue until the
 //! repaired code is deployed.
 
-use crate::counter::HysteresisCounter;
 use crate::observe::{MetricsRegistry, Telemetry};
 use crate::params::{ControllerParams, Revisit};
-use crate::policy::{standard_observe, MonitorCounts, Policy, SpecChoice};
+use crate::policy::{Eviction, MonitorCounts, Policy, SpecChoice};
 use crate::resilience::breaker::BreakerSignal;
 use crate::resilience::deployer::{DeployKind, DeployOutcome, DeployRequest};
 use crate::resilience::{ResilienceConfig, ResilienceState, BREAKER_BRANCH};
@@ -273,38 +272,41 @@ impl BranchSnapshot {
     }
 }
 
-/// Eviction bookkeeping inside the biased state.
-///
-/// The [`Policy`] picks the tracker (and its parametrization) on each
-/// biased entry via `Policy::evict`; outcomes fold into it through
-/// [`standard_observe`], whose `Counter`/`Never` arms `step_in_place`
-/// repeats in place.
-#[derive(Debug, Clone)]
-pub(crate) enum EvictTracker {
-    /// An asymmetric saturating counter; evicts when it trips.
-    Counter(HysteresisCounter),
-    /// Periodic re-sampling against
-    /// [`EvictionMode::Sampling`](crate::params::EvictionMode::Sampling)
-    /// parameters.
-    Sampling {
-        /// Position within the current sampling period.
-        pos: u64,
-        /// Correct speculations among this period's samples.
-        matched: u64,
-        /// Samples taken this period.
-        sampled: u64,
-    },
-    /// No eviction bookkeeping (the open-loop configuration).
-    Never,
+/// One branch's eviction bookkeeping inside the biased state: the numbers
+/// the controller's [`Eviction`] rule updates. Which fields are live is
+/// fixed per controller by that rule, so the branch stores no rule of its
+/// own: a counter rule keeps its value in `value`; a sampling rule keeps
+/// its position in the period there, plus `matched` and `sampled`; the
+/// open loop keeps nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct EvictTracker {
+    /// Counter value, or executions into the current sampling period.
+    pub(crate) value: u32,
+    /// Correct speculations among this period's samples.
+    pub(crate) matched: u32,
+    /// Samples taken this period.
+    pub(crate) sampled: u32,
 }
 
-/// Per-branch controller state.
+/// [`State::Unbiased`]'s `remaining` for a branch that never revisits.
+/// [`ControllerParams::validate`] refuses `Revisit::After(u64::MAX)`, so
+/// no countdown starts at this value.
+pub(crate) const NEVER_REVISIT: u64 = u64::MAX;
+
+/// `remaining` of a [`State::Unbiased`] branch as the countdown it
+/// stands for: `None` never revisits.
+pub(crate) fn revisit_countdown(remaining: u64) -> Option<u64> {
+    (remaining != NEVER_REVISIT).then_some(remaining)
+}
+
+/// Per-branch controller state: 16 bytes. The monitor counts fit `u32`
+/// because [`ControllerParams::validate`] bounds every monitor window.
 #[derive(Debug, Clone)]
 pub(crate) enum State {
     Monitor {
-        execs: u64,
-        samples: u64,
-        taken: u64,
+        execs: u32,
+        samples: u32,
+        taken: u32,
     },
     PendingBiased {
         deadline: u64,
@@ -318,8 +320,9 @@ pub(crate) enum State {
         deadline: u64,
         dir: Direction,
     },
+    /// Executions left before the revisit, or [`NEVER_REVISIT`].
     Unbiased {
-        remaining: Option<u64>,
+        remaining: u64,
     },
     Disabled,
     RetryBiased {
@@ -347,8 +350,8 @@ impl State {
     fn unbiased(revisit: Revisit) -> State {
         State::Unbiased {
             remaining: match revisit {
-                Revisit::After(n) => Some(n),
-                Revisit::Never => None,
+                Revisit::After(n) => n,
+                Revisit::Never => NEVER_REVISIT,
             },
         }
     }
@@ -362,13 +365,13 @@ fn deployed(
     dir: Direction,
     instr: u64,
     params: &ControllerParams,
-    policy: Policy,
+    eviction: &Eviction,
 ) -> State {
     let latency = params.optimization_latency;
     match kind {
         DeployKind::Optimize if latency == 0 => State::Biased {
             dir,
-            tracker: policy.evict(params),
+            tracker: eviction.start(),
         },
         DeployKind::Optimize => State::PendingBiased {
             deadline: instr + latency,
@@ -382,6 +385,11 @@ fn deployed(
     }
 }
 
+/// One branch slot of a controller: 40 bytes, so that the seven
+/// controllers of a sensitivity study fit side by side on one stream.
+/// What the controller already knows (the counter shape, the eviction
+/// rule) is kept once per controller, and the storm breaker's per-branch
+/// miss ranks live in the resilience layer.
 #[derive(Debug, Clone)]
 pub(crate) struct BranchCtl {
     pub(crate) state: State,
@@ -391,11 +399,10 @@ pub(crate) struct BranchCtl {
     pub(crate) entries_since_flush: u32,
     pub(crate) evictions: u32,
     pub(crate) execs: u64,
-    /// Misspeculations since the storm breaker last opened; ranks the
-    /// mass-eviction candidates. Only maintained when a breaker is
-    /// configured, and never part of the comparable snapshot.
-    pub(crate) recent_misses: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<State>() <= 16);
+const _: () = assert!(std::mem::size_of::<BranchCtl>() <= 40);
 
 impl BranchCtl {
     pub(crate) fn new() -> Self {
@@ -405,7 +412,6 @@ impl BranchCtl {
             entries_since_flush: 0,
             evictions: 0,
             execs: 0,
-            recent_misses: 0,
         }
     }
 }
@@ -453,6 +459,8 @@ pub struct ReactiveController {
     /// The decision rules: stateless configuration (all mutable
     /// per-branch state lives in [`BranchCtl`]).
     pub(crate) policy: Policy,
+    /// `policy.evict(&params)`, kept once for every branch.
+    pub(crate) eviction: Eviction,
 }
 
 /// The controller's global counters.
@@ -497,66 +505,52 @@ impl Counters {
 
 /// One execution on a branch in a steady state, handled in place: the
 /// disabled state, an unbiased countdown short of the revisit, monitoring
-/// that cannot classify, and speculation under a counter (including its
-/// eviction) or no eviction. Returns `None`, touching nothing, when the
-/// full FSM must run. Only valid without resilience or telemetry, whose
-/// hooks it skips.
+/// that cannot classify, and speculation under any eviction rule
+/// (including the eviction itself). Returns `None`, touching nothing, when
+/// the full FSM must run. Only valid without resilience or telemetry,
+/// whose hooks it skips.
 #[inline(always)]
 fn step_in_place(
     b: &mut BranchCtl,
     r: &BranchRecord,
     params: &ControllerParams,
     policy: Policy,
+    eviction: &Eviction,
     c: &mut Counters,
     log: &mut TransitionLog,
 ) -> Option<SpecDecision> {
     let mut evict = None;
     let decision = match &mut b.state {
-        State::Disabled | State::Unbiased { remaining: None } => SpecDecision::NotSpeculated,
-        State::Unbiased { remaining: Some(n) } if *n > 1 => {
-            *n -= 1;
+        State::Disabled
+        | State::Unbiased {
+            remaining: NEVER_REVISIT,
+        } => SpecDecision::NotSpeculated,
+        State::Unbiased { remaining } if *remaining > 1 => {
+            *remaining -= 1;
             SpecDecision::NotSpeculated
         }
         State::Monitor {
             execs,
             samples,
             taken,
-        } if policy.keeps_monitoring(
-            MonitorCounts {
-                execs: *execs,
-                samples: *samples,
-                taken: *taken,
-            },
-            params,
-        ) =>
+        } if policy
+            .keeps_monitoring(MonitorCounts::from_window(*execs, *samples, *taken), params) =>
         {
             let rate = params.monitor_sample_rate;
-            if rate == 1 || *execs % rate == 0 {
+            if rate == 1 || u64::from(*execs) % rate == 0 {
                 *samples += 1;
-                *taken += u64::from(r.taken);
+                *taken += u32::from(r.taken);
             }
             *execs += 1;
             SpecDecision::NotSpeculated
         }
-        State::Biased {
-            dir,
-            tracker: EvictTracker::Counter(counter),
-        } => {
+        State::Biased { dir, tracker } => {
             let decision = c.speculate(*dir, r.taken);
-            if decision == SpecDecision::Correct {
-                counter.correct();
-            } else {
-                counter.misspeculation();
-            }
-            if counter.should_evict() {
+            if eviction.observe(tracker, decision == SpecDecision::Correct) {
                 evict = Some(*dir);
             }
             decision
         }
-        State::Biased {
-            dir,
-            tracker: EvictTracker::Never,
-        } => c.speculate(*dir, r.taken),
         _ => return None,
     };
     c.events += 1;
@@ -571,7 +565,7 @@ fn step_in_place(
             instr: r.instr,
             direction: Some(dir),
         });
-        b.state = deployed(DeployKind::Repair, dir, r.instr, params, policy);
+        b.state = deployed(DeployKind::Repair, dir, r.instr, params, eviction);
     }
     Some(decision)
 }
@@ -685,7 +679,7 @@ impl ReactiveController {
             t.on_deploy(r.branch, kind, attempt, r.instr, outcome);
         }
         let DeployOutcome::Failed { wasted } = outcome else {
-            self.branches[idx].state = deployed(kind, dir, r.instr, &self.params, self.policy);
+            self.branches[idx].state = deployed(kind, dir, r.instr, &self.params, &self.eviction);
             return true;
         };
         let rs = self.resilience.as_mut().expect("faults need a layer");
@@ -725,12 +719,17 @@ impl ReactiveController {
     /// deterministic). Modeled as a fragment-cache invalidation — reliable
     /// and immediate, bypassing the deployment pipeline.
     fn mass_evict(&mut self, k: usize, instr: u64) {
+        let recent_misses = &self
+            .resilience
+            .as_ref()
+            .expect("breaker gated")
+            .recent_misses;
         let mut candidates: Vec<(u64, usize)> = self
             .branches
             .iter()
             .enumerate()
             .filter(|(_, b)| matches!(b.state, State::Biased { .. }))
-            .map(|(i, b)| (b.recent_misses, i))
+            .map(|(i, _)| (recent_misses.get(i).copied().unwrap_or(0), i))
             .collect();
         candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         candidates.truncate(k);
@@ -754,12 +753,12 @@ impl ReactiveController {
     /// phase change. Only called when a breaker is configured.
     fn breaker_tick(&mut self, r: &BranchRecord, decision: SpecDecision) {
         let miss = decision == SpecDecision::Incorrect;
-        if miss {
-            self.branches[r.branch.index()].recent_misses += 1;
-        }
         let events = self.counters.events;
         let signal = {
             let rs = self.resilience.as_mut().expect("breaker_tick gated");
+            if miss {
+                rs.note_miss(r.branch.index());
+            }
             rs.breaker
                 .as_mut()
                 .expect("breaker_tick gated")
@@ -778,9 +777,11 @@ impl ReactiveController {
                     self.mass_evict(top_k, r.instr);
                 }
                 // Each storm ranks offenders afresh.
-                for b in &mut self.branches {
-                    b.recent_misses = 0;
-                }
+                self.resilience
+                    .as_mut()
+                    .expect("breaker_tick gated")
+                    .recent_misses
+                    .clear();
             }
             BreakerSignal::HalfOpened => {
                 self.log_transition(
@@ -804,10 +805,18 @@ impl ReactiveController {
             self.branches.resize_with(idx + 1, BranchCtl::new);
         }
         if self.chunk_fast_path() {
-            let (params, policy) = (&self.params, self.policy);
+            let (params, policy, eviction) = (&self.params, self.policy, &self.eviction);
             let b = &mut self.branches[idx];
-            return step_in_place(b, r, params, policy, &mut self.counters, &mut self.log)
-                .unwrap_or_else(|| self.observe_inner(r));
+            return step_in_place(
+                b,
+                r,
+                params,
+                policy,
+                eviction,
+                &mut self.counters,
+                &mut self.log,
+            )
+            .unwrap_or_else(|| self.observe_inner(r));
         }
         let decision = self.observe_inner(r);
         let has_breaker = self
@@ -846,16 +855,12 @@ impl ReactiveController {
                     mut samples,
                     mut taken,
                 } => {
-                    if execs % self.params.monitor_sample_rate == 0 {
+                    if u64::from(execs) % self.params.monitor_sample_rate == 0 {
                         samples += 1;
-                        taken += u64::from(r.taken);
+                        taken += u32::from(r.taken);
                     }
                     execs += 1;
-                    let counts = MonitorCounts {
-                        execs,
-                        samples,
-                        taken,
-                    };
+                    let counts = MonitorCounts::from_window(execs, samples, taken);
                     match self.policy.decide(counts, &self.params) {
                         SpecChoice::Continue => {
                             self.branches[idx].state = State::Monitor {
@@ -880,7 +885,7 @@ impl ReactiveController {
                 State::Biased { dir, mut tracker } => {
                     let decision = self.counters.speculate(dir, r.taken);
                     let correct = decision == SpecDecision::Correct;
-                    if standard_observe(&mut tracker, correct, &self.params) {
+                    if self.eviction.observe(&mut tracker, correct) {
                         self.branches[idx].evictions += 1;
                         self.log_transition(
                             r.branch,
@@ -894,19 +899,22 @@ impl ReactiveController {
                     }
                     return decision;
                 }
-                State::Unbiased { remaining: Some(n) } if n <= 1 => {
+                State::Unbiased { remaining } if remaining <= 1 => {
                     self.branches[idx].state = State::fresh_monitor();
                     self.log_transition(r.branch, TransitionKind::RevisitMonitor, r.instr, None);
                     return SpecDecision::NotSpeculated;
                 }
                 State::Unbiased { remaining } => {
                     self.branches[idx].state = State::Unbiased {
-                        remaining: remaining.map(|n| n - 1),
+                        remaining: match remaining {
+                            NEVER_REVISIT => NEVER_REVISIT,
+                            n => n - 1,
+                        },
                     };
                     return SpecDecision::NotSpeculated;
                 }
                 State::PendingBiased { deadline, dir } if r.instr >= deadline => {
-                    let tracker = self.policy.evict(&self.params);
+                    let tracker = self.eviction.start();
                     self.branches[idx].state = State::Biased { dir, tracker };
                 }
                 // Repaired code deployed: this execution is monitored, not
@@ -1003,11 +1011,12 @@ impl ReactiveController {
                 self.branches.resize_with(max_idx + 1, BranchCtl::new);
             }
         }
-        let (params, policy) = (self.params, self.policy);
+        let (params, policy, eviction) = (self.params, self.policy, self.eviction);
         let mut counters = start;
         for r in records {
             let b = &mut self.branches[r.branch.index()];
-            if step_in_place(b, r, &params, policy, &mut counters, &mut self.log).is_none() {
+            let log = &mut self.log;
+            if step_in_place(b, r, &params, policy, &eviction, &mut counters, log).is_none() {
                 self.counters = counters;
                 self.observe_inner(r);
                 counters = self.counters;
@@ -1138,9 +1147,9 @@ impl ReactiveController {
                 samples,
                 taken,
             } => BranchStateView::Monitor {
-                execs: *execs,
-                samples: *samples,
-                taken: *taken,
+                execs: u64::from(*execs),
+                samples: u64::from(*samples),
+                taken: u64::from(*taken),
             },
             State::PendingBiased { deadline, dir } => BranchStateView::PendingBiased {
                 deadline: *deadline,
@@ -1148,26 +1157,14 @@ impl ReactiveController {
             },
             State::Biased { dir, tracker } => BranchStateView::Biased {
                 dir: *dir,
-                tracker: match tracker {
-                    EvictTracker::Counter(c) => TrackerView::Counter { value: c.value() },
-                    EvictTracker::Sampling {
-                        pos,
-                        matched,
-                        sampled,
-                    } => TrackerView::Sampling {
-                        pos: *pos,
-                        matched: *matched,
-                        sampled: *sampled,
-                    },
-                    EvictTracker::Never => TrackerView::Never,
-                },
+                tracker: self.eviction.view(tracker),
             },
             State::PendingMonitor { deadline, dir } => BranchStateView::PendingMonitor {
                 deadline: *deadline,
                 dir: *dir,
             },
             State::Unbiased { remaining } => BranchStateView::Unbiased {
-                remaining: *remaining,
+                remaining: revisit_countdown(*remaining),
             },
             State::Disabled => BranchStateView::Disabled,
             State::RetryBiased { next, dir, attempt } => BranchStateView::RetryBiased {

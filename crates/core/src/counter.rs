@@ -50,12 +50,23 @@ impl HysteresisCounter {
 
     /// Records a misspeculation; saturates at the threshold.
     pub fn misspeculation(&mut self) {
-        self.value = self.value.saturating_add(self.up).min(self.threshold);
+        self.value = self.next(self.value, false);
     }
 
     /// Records a correct speculation; saturates at zero.
     pub fn correct(&mut self) {
-        self.value = self.value.saturating_sub(self.down);
+        self.value = self.next(self.value, true);
+    }
+
+    /// The value after one speculation from `value` under this counter's
+    /// shape. A controller keeps one shape and a bare value per branch.
+    #[inline(always)]
+    pub(crate) fn next(&self, value: u32, correct: bool) -> u32 {
+        if correct {
+            value.saturating_sub(self.down)
+        } else {
+            value.saturating_add(self.up).min(self.threshold)
+        }
     }
 
     /// Returns `true` once the counter has reached the eviction threshold.

@@ -129,7 +129,8 @@ pub fn run_population_chunked(
 /// Chunked-driver counterpart of [`run_trace_with`]: runs a fully
 /// configured [`ControllerBuilder`] over one benchmark population through
 /// [`ReactiveController::observe_chunk`] and returns the finished
-/// controller alongside the summary.
+/// controller alongside the summary. The one-controller case of
+/// [`run_population_chunked_many`].
 ///
 /// # Errors
 ///
@@ -141,15 +142,71 @@ pub fn run_population_chunked_with(
     events: u64,
     seed: u64,
 ) -> Result<(RunResult, ReactiveController), InvalidParamsError> {
-    let mut ctl = builder.build()?;
+    let mut runs =
+        run_population_chunked_many(vec![builder], population, input, events, seed, |_| {})?;
+    Ok(runs.pop().expect("one run per builder"))
+}
+
+/// Runs every builder's controller side by side over **one** generation
+/// of a population's trace: [`rsc_trace::Trace::for_each_chunk`] hands
+/// each chunk to every controller's
+/// [`observe_chunk`](ReactiveController::observe_chunk), then to
+/// `on_chunk`, which lets another consumer (a profile, a controller with
+/// its own chunk handling) ride on the same stream.
+///
+/// Each controller's results are bit-identical to running it alone on its
+/// own generation; only the generation is shared. Returns one summary and
+/// controller per builder, in order.
+///
+/// # Errors
+///
+/// Returns an error if any builder's configuration is inconsistent.
+///
+/// # Examples
+///
+/// ```
+/// use rsc_control::{engine, prelude::*};
+/// use rsc_trace::{spec2000, InputId};
+///
+/// let pop = spec2000::benchmark("mcf").unwrap().population(50_000);
+/// let builders = [ControllerParams::scaled(), ControllerParams::scaled().without_eviction()]
+///     .map(ReactiveController::builder);
+/// let mut seen = 0;
+/// let runs = engine::run_population_chunked_many(builders, &pop, InputId::Eval, 50_000, 1, |c| {
+///     seen += c.len()
+/// })?;
+/// assert_eq!(seen, 50_000);
+/// assert!(runs[0].0.stats.incorrect <= runs[1].0.stats.incorrect);
+/// # Ok::<(), InvalidParamsError>(())
+/// ```
+pub fn run_population_chunked_many(
+    builders: impl IntoIterator<Item = ControllerBuilder>,
+    population: &Population,
+    input: InputId,
+    events: u64,
+    seed: u64,
+    mut on_chunk: impl FnMut(&[BranchRecord]),
+) -> Result<Vec<(RunResult, ReactiveController)>, InvalidParamsError> {
+    let mut ctls = builders
+        .into_iter()
+        .map(ControllerBuilder::build)
+        .collect::<Result<Vec<_>, _>>()?;
     population
         .trace(input, events, seed)
         .for_each_chunk(|chunk| {
-            ctl.observe_chunk(chunk);
+            for ctl in &mut ctls {
+                ctl.observe_chunk(chunk);
+            }
+            on_chunk(chunk);
         });
-    let stats = ctl.stats();
-    let transitions = ctl.transitions().to_vec();
-    Ok((RunResult { stats, transitions }, ctl))
+    Ok(ctls
+        .into_iter()
+        .map(|ctl| {
+            let stats = ctl.stats();
+            let transitions = ctl.transitions().to_vec();
+            (RunResult { stats, transitions }, ctl)
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -208,6 +265,32 @@ mod tests {
         .unwrap();
         assert_eq!(a.stats, b.stats);
         assert!(b.transitions.is_empty());
+    }
+
+    #[test]
+    fn fused_runs_equal_separate_runs() {
+        let pop = spec2000::benchmark("gcc").unwrap().population(60_000);
+        let params = [
+            ControllerParams::scaled(),
+            ControllerParams::scaled().without_revisit(),
+            ControllerParams::scaled().with_sampled_eviction(),
+        ];
+        let mut profile_events = 0;
+        let fused = run_population_chunked_many(
+            params.map(ReactiveController::builder),
+            &pop,
+            InputId::Eval,
+            60_000,
+            11,
+            |chunk| profile_events += chunk.len(),
+        )
+        .unwrap();
+        assert_eq!(profile_events, 60_000);
+        for (p, (got, _)) in params.into_iter().zip(&fused) {
+            let alone = run_population(p, &pop, InputId::Eval, 60_000, 11).unwrap();
+            assert_eq!(got.stats, alone.stats);
+            assert_eq!(got.transitions, alone.transitions);
+        }
     }
 
     #[test]

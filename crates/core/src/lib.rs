@@ -75,8 +75,8 @@ pub use controller::{
     TransitionEvent, TransitionKind,
 };
 pub use engine::{
-    run_population, run_population_chunked, run_population_chunked_with, run_trace, run_trace_with,
-    RunResult,
+    run_population, run_population_chunked, run_population_chunked_many,
+    run_population_chunked_with, run_trace, run_trace_with, RunResult,
 };
 pub use observe::{EventSink, JsonlSink, MetricsRegistry, NullSink, ObsEvent, VecSink};
 pub use params::{ControllerParams, EvictionMode, InvalidParamsError, MonitorPolicy, Revisit};

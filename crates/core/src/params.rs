@@ -55,6 +55,9 @@ pub enum MonitorPolicy {
     },
 }
 
+/// The longest window [`ControllerParams::validate`] accepts.
+const U32_WINDOW: u64 = u32::MAX as u64;
+
 /// Whether (and when) an unbiased branch returns to the monitor state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Revisit {
@@ -241,6 +244,11 @@ impl ControllerParams {
 
     /// Validates internal consistency.
     ///
+    /// Window lengths the controller counts per branch (the monitor
+    /// window, the confidence monitor's cap on its executions, and the
+    /// sampling eviction's period and samples) must fit in `u32`, which
+    /// keeps the per-branch record at 40 bytes.
+    ///
     /// # Errors
     ///
     /// Returns a description of the first problem found.
@@ -250,6 +258,13 @@ impl ControllerParams {
                 "monitor_period",
                 self.monitor_period,
                 "must be positive",
+            ));
+        }
+        if self.monitor_period > U32_WINDOW {
+            return Err(InvalidParamsError::bad_field(
+                "monitor_period",
+                self.monitor_period,
+                "must fit in u32",
             ));
         }
         if self.monitor_sample_rate == 0 {
@@ -313,6 +328,20 @@ impl ControllerParams {
                         "needs 0 < samples <= period",
                     ));
                 }
+                if samples > U32_WINDOW {
+                    return Err(InvalidParamsError::bad_field(
+                        "eviction.samples",
+                        samples,
+                        "must fit in u32",
+                    ));
+                }
+                if period > U32_WINDOW {
+                    return Err(InvalidParamsError::bad_field(
+                        "eviction.period",
+                        period,
+                        "must fit in u32",
+                    ));
+                }
                 if !(bias_threshold > 0.5 && bias_threshold <= 1.0) {
                     return Err(InvalidParamsError::bad_field(
                         "eviction.bias_threshold",
@@ -343,13 +372,32 @@ impl ControllerParams {
                     "needs 0 < min_execs <= max_execs",
                 ));
             }
+            // The window closes once `max_execs` samples are in, after
+            // at most `max_execs × monitor_sample_rate` executions.
+            if max_execs.saturating_mul(self.monitor_sample_rate) > U32_WINDOW {
+                return Err(InvalidParamsError::bad_field(
+                    "monitor_policy.max_execs",
+                    max_execs,
+                    "times monitor_sample_rate must fit in u32",
+                ));
+            }
         }
-        if let Revisit::After(0) = self.revisit {
-            return Err(InvalidParamsError::bad_field(
-                "revisit",
-                0u64,
-                "period must be positive",
-            ));
+        match self.revisit {
+            Revisit::After(0) => {
+                return Err(InvalidParamsError::bad_field(
+                    "revisit",
+                    0u64,
+                    "period must be positive",
+                ));
+            }
+            Revisit::After(u64::MAX) => {
+                return Err(InvalidParamsError::bad_field(
+                    "revisit",
+                    u64::MAX,
+                    "period must be below u64::MAX (use Revisit::Never)",
+                ));
+            }
+            _ => {}
         }
         if self.oscillation_limit == Some(0) {
             return Err(InvalidParamsError::bad_field(
@@ -593,6 +641,71 @@ mod tests {
         let err = InvalidParamsError::Message("something inconsistent");
         assert_eq!(err.field(), None);
         assert!(err.to_string().contains("something inconsistent"));
+    }
+
+    /// Asserts that `p` is refused for `field`.
+    fn refused_for(p: ControllerParams, field: &str) {
+        let err = p.validate().unwrap_err();
+        assert_eq!(err.field(), Some(field), "{err}");
+    }
+
+    const PAST_U32: u64 = u32::MAX as u64 + 1;
+
+    #[test]
+    fn monitor_period_must_fit_u32() {
+        let mut p = ControllerParams::table2();
+        p.monitor_period = u64::from(u32::MAX);
+        assert!(p.validate().is_ok());
+        p.monitor_period = PAST_U32;
+        refused_for(p, "monitor_period");
+    }
+
+    #[test]
+    fn confidence_max_execs_must_fit_u32() {
+        let p = ControllerParams::table2().with_confidence_monitor(2.58, 32, u64::from(u32::MAX));
+        assert!(p.validate().is_ok());
+        refused_for(
+            ControllerParams::table2().with_confidence_monitor(2.58, 32, PAST_U32),
+            "monitor_policy.max_execs",
+        );
+        // Sampling every 8th execution stretches the window eightfold.
+        refused_for(
+            ControllerParams::table2()
+                .with_confidence_monitor(2.58, 32, u64::from(u32::MAX / 4))
+                .with_monitor_sampling(8),
+            "monitor_policy.max_execs",
+        );
+    }
+
+    #[test]
+    fn sampling_period_must_fit_u32() {
+        let mut p = ControllerParams::table2();
+        p.eviction = EvictionMode::Sampling {
+            period: PAST_U32,
+            samples: 1_000,
+            bias_threshold: 0.98,
+        };
+        refused_for(p, "eviction.period");
+    }
+
+    #[test]
+    fn sampling_samples_must_fit_u32() {
+        let mut p = ControllerParams::table2();
+        p.eviction = EvictionMode::Sampling {
+            period: PAST_U32,
+            samples: PAST_U32,
+            bias_threshold: 0.98,
+        };
+        refused_for(p, "eviction.samples");
+    }
+
+    #[test]
+    fn revisit_period_must_be_below_the_never_sentinel() {
+        let mut p = ControllerParams::table2();
+        p.revisit = Revisit::After(u64::MAX - 1);
+        assert!(p.validate().is_ok());
+        p.revisit = Revisit::After(u64::MAX);
+        refused_for(p, "revisit");
     }
 
     #[test]

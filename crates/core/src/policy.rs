@@ -12,9 +12,10 @@
 //! * `decide` — monitor-state classification: given the window counters
 //!   accumulated so far, keep monitoring, speculate in a direction, or
 //!   reject the branch as unbiased;
-//! * `evict` — eviction parametrization: the saturating counter (or
-//!   sampling/no-eviction tracker) a branch carries into the biased
-//!   state, updated there by the one tracker rule every policy shares;
+//! * `evict` — eviction parametrization: the rule (a saturating
+//!   counter's shape and starting value, sampling, or none) that every
+//!   biased episode of a controller follows. The controller keeps the rule
+//!   once, and each branch only the numbers the rule updates;
 //! * `keeps_monitoring` — whether the next monitored execution cannot
 //!   classify whatever its outcome, which lets the controller's in-place
 //!   step (shared by [`observe`](crate::ReactiveController::observe) and
@@ -53,7 +54,7 @@
 //! # Ok::<(), InvalidParamsError>(())
 //! ```
 
-use crate::controller::EvictTracker;
+use crate::controller::{EvictTracker, TrackerView};
 use crate::counter::HysteresisCounter;
 use crate::params::{ControllerParams, EvictionMode, MonitorPolicy};
 use rsc_trace::Direction;
@@ -70,6 +71,16 @@ pub(crate) struct MonitorCounts {
 }
 
 impl MonitorCounts {
+    /// The counts of a branch's monitor state.
+    #[inline(always)]
+    pub(crate) fn from_window(execs: u32, samples: u32, taken: u32) -> Self {
+        MonitorCounts {
+            execs: u64::from(execs),
+            samples: u64::from(samples),
+            taken: u64::from(taken),
+        }
+    }
+
     /// The majority outcome count.
     fn majority(&self) -> u64 {
         self.taken.max(self.samples - self.taken)
@@ -108,58 +119,83 @@ pub(crate) enum SpecChoice {
     Reject,
 }
 
-/// The tracker update in the biased state: fold one speculated outcome
-/// into `tracker`; `true` evicts. The controller's in-place step repeats
-/// the `Counter` and `Never` arms.
-///
-/// A [`EvictTracker::Sampling`] tracker under parameters whose eviction
-/// mode is not [`EvictionMode::Sampling`] never fires (there is no period
-/// to schedule against).
-pub(crate) fn standard_observe(
-    tracker: &mut EvictTracker,
-    correct: bool,
-    params: &ControllerParams,
-) -> bool {
-    match tracker {
-        EvictTracker::Counter(c) => {
-            if correct {
-                c.correct();
-            } else {
-                c.misspeculation();
-            }
-            c.should_evict()
+/// The eviction rule of one controller: what every biased episode of
+/// every branch tracks, fixed at build by [`Policy::evict`]. Each branch
+/// keeps only an [`EvictTracker`] of numbers this rule reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Eviction {
+    /// An asymmetric saturating counter: its shape, and the value every
+    /// episode starts from.
+    Counter(HysteresisCounter),
+    /// Periodic re-sampling (the params' [`EvictionMode::Sampling`]).
+    Sampling {
+        /// Re-sampling period in executions.
+        period: u32,
+        /// Executions sampled at the start of each period.
+        samples: u32,
+        /// Evict when the sampled bias falls below this.
+        bias_threshold: f64,
+    },
+    /// No eviction (the open-loop configuration).
+    Never,
+}
+
+impl Eviction {
+    /// The bookkeeping a branch carries into a new biased episode.
+    pub(crate) fn start(&self) -> EvictTracker {
+        EvictTracker {
+            value: match self {
+                Eviction::Counter(c) => c.value(),
+                Eviction::Sampling { .. } | Eviction::Never => 0,
+            },
+            matched: 0,
+            sampled: 0,
         }
-        EvictTracker::Sampling {
-            pos,
-            matched,
-            sampled,
-        } => {
-            let EvictionMode::Sampling {
+    }
+
+    /// Folds one speculated outcome into `t`; `true` evicts.
+    #[inline(always)]
+    pub(crate) fn observe(&self, t: &mut EvictTracker, correct: bool) -> bool {
+        match *self {
+            Eviction::Counter(c) => {
+                t.value = c.next(t.value, correct);
+                t.value >= c.threshold()
+            }
+            Eviction::Sampling {
                 period,
                 samples,
                 bias_threshold,
-            } = params.eviction
-            else {
-                return false;
-            };
-            let mut fire = false;
-            if *pos < samples {
-                *sampled += 1;
-                *matched += u64::from(correct);
-                if *sampled == samples {
-                    let bias = *matched as f64 / *sampled as f64;
-                    fire = bias < bias_threshold;
+            } => {
+                let mut fire = false;
+                if t.value < samples {
+                    t.sampled += 1;
+                    t.matched += u32::from(correct);
+                    if t.sampled == samples {
+                        let bias = f64::from(t.matched) / f64::from(t.sampled);
+                        fire = bias < bias_threshold;
+                    }
                 }
+                t.value += 1;
+                if t.value >= period {
+                    *t = EvictTracker::default();
+                }
+                fire
             }
-            *pos += 1;
-            if *pos >= period {
-                *pos = 0;
-                *matched = 0;
-                *sampled = 0;
-            }
-            fire
+            Eviction::Never => false,
         }
-        EvictTracker::Never => false,
+    }
+
+    /// The externally comparable view of `t` under this rule.
+    pub(crate) fn view(&self, t: &EvictTracker) -> TrackerView {
+        match self {
+            Eviction::Counter(_) => TrackerView::Counter { value: t.value },
+            Eviction::Sampling { .. } => TrackerView::Sampling {
+                pos: u64::from(t.value),
+                matched: u64::from(t.matched),
+                sampled: u64::from(t.sampled),
+            },
+            Eviction::Never => TrackerView::Never,
+        }
     }
 }
 
@@ -371,22 +407,28 @@ impl Policy {
         }
     }
 
-    /// The eviction bookkeeping a branch carries into the biased state,
-    /// at its initial value.
-    pub(crate) fn evict(&self, params: &ControllerParams) -> EvictTracker {
+    /// The eviction rule every biased episode follows under `params`.
+    /// The params must have passed
+    /// [`validate`](ControllerParams::validate), which bounds the sampling
+    /// lengths to `u32`.
+    pub(crate) fn evict(&self, params: &ControllerParams) -> Eviction {
         match self {
             Policy::PaperFsm => match params.eviction {
                 EvictionMode::Counter {
                     up,
                     down,
                     threshold,
-                } => EvictTracker::Counter(HysteresisCounter::new(up, down, threshold)),
-                EvictionMode::Sampling { .. } => EvictTracker::Sampling {
-                    pos: 0,
-                    matched: 0,
-                    sampled: 0,
+                } => Eviction::Counter(HysteresisCounter::new(up, down, threshold)),
+                EvictionMode::Sampling {
+                    period,
+                    samples,
+                    bias_threshold,
+                } => Eviction::Sampling {
+                    period: u32::try_from(period).expect("validated period"),
+                    samples: u32::try_from(samples).expect("validated samples"),
+                    bias_threshold,
                 },
-                EvictionMode::Never => EvictTracker::Never,
+                EvictionMode::Never => Eviction::Never,
             },
             Policy::Perceptron(z) => {
                 let w_max = z.w_max.max(2).max(z.miss_weight.max(1));
@@ -395,7 +437,7 @@ impl Policy {
                 // so the weight starts at w_max / 2 and eviction
                 // (value ≥ w_max) is weight exhaustion.
                 c.set_value(w_max - w_max / 2);
-                EvictTracker::Counter(c)
+                Eviction::Counter(c)
             }
             Policy::CostAware(z) => {
                 let recovery = z.recovery_clamped();
@@ -405,7 +447,7 @@ impl Policy {
                 // credit; eviction (value ≥ cap) is the episode going
                 // net-negative.
                 c.set_value(cap - recovery.saturating_mul(2).min(cap));
-                EvictTracker::Counter(c)
+                Eviction::Counter(c)
             }
         }
     }
@@ -545,12 +587,10 @@ mod tests {
         // Window expires without the margin: reject.
         assert_eq!(z.decide(counts(10, 10, 6), &p), SpecChoice::Reject);
         // Weight exhaustion: w starts at w_max/2 = 8, one miss costs 4.
-        let mut t = z.evict(&p);
-        assert!(!standard_observe(&mut t, false, &p));
-        assert!(
-            standard_observe(&mut t, false, &p),
-            "two misses exhaust the weight"
-        );
+        let rule = z.evict(&p);
+        let mut t = rule.start();
+        assert!(!rule.observe(&mut t, false));
+        assert!(rule.observe(&mut t, false), "two misses exhaust the weight");
     }
 
     #[test]
@@ -566,12 +606,10 @@ mod tests {
         );
         assert_eq!(z.decide(counts(10, 10, 9), &p), SpecChoice::Reject);
         // Net-benefit eviction: 2·recovery of credit, each miss costs 400.
-        let mut t = z.evict(&p);
-        assert!(!standard_observe(&mut t, false, &p));
-        assert!(
-            standard_observe(&mut t, false, &p),
-            "second miss goes net-negative"
-        );
+        let rule = z.evict(&p);
+        let mut t = rule.start();
+        assert!(!rule.observe(&mut t, false));
+        assert!(rule.observe(&mut t, false), "second miss goes net-negative");
     }
 
     #[test]
@@ -585,18 +623,5 @@ mod tests {
         }
         assert!(Policy::from_blob("no-such-policy", &[]).is_none());
         assert!(Policy::from_blob("perceptron", &[1, 2, 3]).is_none());
-    }
-
-    #[test]
-    fn standard_observe_is_safe_for_mismatched_sampling() {
-        // A Sampling tracker under counter params never fires.
-        let mut t = EvictTracker::Sampling {
-            pos: 0,
-            matched: 0,
-            sampled: 0,
-        };
-        for _ in 0..100 {
-            assert!(!standard_observe(&mut t, false, &tiny()));
-        }
     }
 }

@@ -141,6 +141,12 @@ pub(crate) struct ResilienceState {
     pub(crate) forced_disables: u64,
     /// `EnterBiased` decisions suppressed by an open breaker.
     pub(crate) suppressed_enters: u64,
+    /// [`ReactiveController`](crate::ReactiveController)'s misspeculations
+    /// per branch index since the storm breaker last opened, which rank
+    /// the mass-eviction candidates. Only counted when a breaker is
+    /// configured; branches past the end have none. (The reference
+    /// controller keeps its own count per branch.)
+    pub(crate) recent_misses: Vec<u64>,
 }
 
 impl ResilienceState {
@@ -157,7 +163,17 @@ impl ResilienceState {
             deploy_retries: 0,
             forced_disables: 0,
             suppressed_enters: 0,
+            recent_misses: Vec::new(),
         })
+    }
+
+    /// Counts one misspeculation of branch `idx` toward its
+    /// [`recent_misses`](Self::recent_misses) rank.
+    pub(crate) fn note_miss(&mut self, idx: usize) {
+        if idx >= self.recent_misses.len() {
+            self.recent_misses.resize(idx + 1, 0);
+        }
+        self.recent_misses[idx] += 1;
     }
 }
 

@@ -163,7 +163,7 @@ pub(crate) static COMMANDS: &[Command] = &[
             text("--artifact-dir", "DIR", Some("conformance-artifacts"), "where counterexamples are written"),
             text("--metrics-out", "F", None, "export one instrumented campaign run's metrics to F"),
             int("--shards", 1, None, "sharded lockstep over 1..=N shards"),
-            switch("--policies", "lockstep every builtin policy's fast paths instead"),
+            switch("--policies", "lockstep every builtin policy, not only paper-fsm"),
         ],
         run: conformance_cli::run,
     },

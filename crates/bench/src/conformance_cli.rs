@@ -13,6 +13,7 @@
 
 use crate::cli::Args;
 use rsc_conformance::{campaign, CampaignConfig, Counterexample, Fault};
+use rsc_control::BUILTIN_POLICY_IDS;
 use std::path::Path;
 
 /// Runs the parsed subcommand and returns the process exit code.
@@ -37,17 +38,14 @@ pub(crate) fn run(args: &Args) -> Result<i32, String> {
         seed_end,
         events: args.int("--events")?,
         fault,
+        all_policies: args.given("--policies"),
+        shards: args.int_opt("--shards")?,
     };
 
     if let Some(path) = args.text_opt("--replay") {
         return Ok(run_replay(path.as_ref()));
     }
-    let code = if args.given("--policies") {
-        run_policy_campaign(&config)
-    } else {
-        let shards = args.int_opt("--shards")?;
-        run_campaign(&config, shards, args.text("--artifact-dir").as_ref())
-    };
+    let code = run_campaign(&config, args.text("--artifact-dir").as_ref());
     if let Some(mpath) = args.text_opt("--metrics-out") {
         export_campaign_metrics(&config, mpath.as_ref());
     }
@@ -90,8 +88,9 @@ fn run_replay(path: &Path) -> i32 {
         }
     };
     println!(
-        "replaying {}: scenario {}, seed {}, mode {}, {} events{}",
+        "replaying {}: policy {}, scenario {}, seed {}, mode {}, {} events{}",
         path.display(),
+        cx.policy.id(),
         cx.scenario,
         cx.seed,
         cx.mode.name(),
@@ -113,55 +112,18 @@ fn run_replay(path: &Path) -> i32 {
     }
 }
 
-/// The `--policies` sweep: every builtin policy locksteps its chunked
-/// and sharded fast paths against its own per-event semantics (and the
-/// paper FSM against the golden reference). Exit semantics mirror the
-/// plain campaign: with a fault injected, catching it is success.
-fn run_policy_campaign(config: &CampaignConfig) -> i32 {
+fn run_campaign(config: &CampaignConfig, artifact_dir: &Path) -> i32 {
     println!(
-        "policy-zoo campaign: seeds {}..{}, {} events/trace, policies {}{}",
+        "conformance campaign: seeds {}..{}, {} events/trace{}{}{}",
         config.seed_start,
         config.seed_end,
         config.events,
-        rsc_control::BUILTIN_POLICY_IDS.join(", "),
-        match config.fault {
-            Some(f) => format!(", injected fault {f}"),
-            None => String::new(),
+        if config.all_policies {
+            format!(", policies {}", BUILTIN_POLICY_IDS.join(", "))
+        } else {
+            String::new()
         },
-    );
-    let report = campaign::run_policies(config);
-    println!(
-        "ran {} differential cases ({} events per controller)",
-        report.cases, report.events_fed
-    );
-    match (report.failure, config.fault) {
-        (None, None) => {
-            println!("no divergences: every policy's fast paths match its per-event semantics");
-            0
-        }
-        (None, Some(fault)) => {
-            println!("FAIL: injected fault {fault} was NOT caught");
-            1
-        }
-        (Some(div), fault) => {
-            println!("{div}");
-            if fault.is_some() {
-                println!("injected fault caught: harness self-test passed");
-                0
-            } else {
-                1
-            }
-        }
-    }
-}
-
-fn run_campaign(config: &CampaignConfig, shards: Option<usize>, artifact_dir: &Path) -> i32 {
-    println!(
-        "conformance campaign: seeds {}..{}, {} events/trace{}{}",
-        config.seed_start,
-        config.seed_end,
-        config.events,
-        match shards {
+        match config.shards {
             Some(n) => format!(", sharded lockstep over 1..={n} shards"),
             None => String::new(),
         },
@@ -170,10 +132,7 @@ fn run_campaign(config: &CampaignConfig, shards: Option<usize>, artifact_dir: &P
             None => String::new(),
         },
     );
-    let report = match shards {
-        Some(n) => campaign::run_sharded(config, n),
-        None => campaign::run(config),
-    };
+    let report = campaign::run(config);
     println!(
         "ran {} differential cases ({} events per controller)",
         report.cases, report.events_fed
@@ -192,7 +151,9 @@ fn run_campaign(config: &CampaignConfig, shards: Option<usize>, artifact_dir: &P
             let path =
                 artifact_dir.join(format!("counterexample-{}-{}.json", cx.scenario, cx.seed));
             println!(
-                "divergence found ({} events after shrinking): {}",
+                "policy {} diverged ({} mode, {} events after shrinking): {}",
+                cx.policy.id(),
+                cx.mode.name(),
                 cx.trace.len(),
                 cx.detail
             );
@@ -239,28 +200,29 @@ mod tests {
     #[test]
     fn self_test_catches_fault_and_writes_artifact() {
         let dir = std::env::temp_dir().join("rsc_conformance_cli_test");
-        std::fs::remove_dir_all(&dir).ok();
-        let code = run_as(
-            "conformance",
-            &[
-                "--seeds",
-                "0..2",
-                "--events",
-                "1500",
+        for (fault, sweep) in [
+            ("hysteresis-off-by-one", &[][..]),
+            ("monitor-window-off-by-one", &["--policies"][..]),
+        ] {
+            std::fs::remove_dir_all(&dir).ok();
+            let mut args = vec!["--seeds", "0..2", "--events", "1500"];
+            args.extend([
                 "--inject-fault",
-                "hysteresis-off-by-one",
+                fault,
                 "--artifact-dir",
                 dir.to_str().unwrap(),
-            ],
-        );
-        assert_eq!(code, 0, "self-test should catch the fault");
-        let artifacts: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert_eq!(artifacts.len(), 1, "exactly one artifact expected");
-        let path = artifacts[0].as_ref().unwrap().path();
-        assert_eq!(
-            run_as("conformance", &["--replay", path.to_str().unwrap()]),
-            1
-        );
+            ]);
+            args.extend(sweep);
+            let code = run_as("conformance", &args);
+            assert_eq!(code, 0, "self-test should catch {fault}");
+            let artifacts: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+            assert_eq!(artifacts.len(), 1, "exactly one artifact expected");
+            let path = artifacts[0].as_ref().unwrap().path();
+            assert_eq!(
+                run_as("conformance", &["--replay", path.to_str().unwrap()]),
+                1
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,15 +2,15 @@
 //!
 //! When a campaign finds (and shrinks) a divergence, the evidence is
 //! written as a self-contained `.json` file: the true parameters, the
-//! injected fault (if any), the subject's execution mode, the minimized
-//! trace, and the observed divergence. `repro conformance --replay
+//! injected fault (if any), the policy, the subject's execution mode, the
+//! minimized trace, and the observed divergence. `repro conformance --replay
 //! <file>` reloads the file and re-runs the exact case, so a failure
 //! found in CI reproduces on any machine with just the artifact.
 
 use crate::differ::{run_case, CaseSpec, Divergence, Mode};
 use crate::fault::Fault;
 use crate::json::Json;
-use rsc_control::{ControllerParams, EvictionMode, MonitorPolicy, Revisit};
+use rsc_control::{ControllerParams, EvictionMode, MonitorPolicy, Policy, Revisit};
 use rsc_trace::{BranchId, BranchRecord};
 use std::path::Path;
 
@@ -23,6 +23,10 @@ pub struct Counterexample {
     pub seed: u64,
     /// Fault injected into the subject, if this was a harness self-test.
     pub fault: Option<Fault>,
+    /// The policy both sides ran: a built-in at its default
+    /// configuration, stored by id. An artifact without one predates
+    /// policy artifacts and ran `paper-fsm`.
+    pub policy: Policy,
     /// The true (reference) controller parameters.
     pub params: ControllerParams,
     /// How the subject consumed the trace.
@@ -44,6 +48,7 @@ impl Counterexample {
             reference: self.params,
             mode: self.mode,
             resilience: None,
+            policy: self.policy,
         }
     }
 
@@ -71,6 +76,7 @@ impl Counterexample {
                     None => Json::Null,
                 },
             ),
+            ("policy", Json::str(self.policy.id())),
             ("params", params_to_json(&self.params)),
             (
                 "mode",
@@ -121,6 +127,13 @@ impl Counterexample {
                 Some(Fault::from_name(name).ok_or(ArtifactError::Malformed("unknown fault"))?)
             }
         };
+        let policy = match v.get("policy") {
+            None => Policy::PaperFsm,
+            Some(p) => {
+                let id = p.as_str().ok_or(ArtifactError::Malformed("policy"))?;
+                Policy::builtin(id).ok_or(ArtifactError::Malformed("unknown policy"))?
+            }
+        };
         let mode_v = v.get("mode").ok_or(ArtifactError::Malformed("mode"))?;
         let mode = match mode_v.get("kind").and_then(Json::as_str) {
             Some("per-event") => Mode::PerEvent,
@@ -162,6 +175,7 @@ impl Counterexample {
                 .to_string(),
             seed: field_u64(v, "seed")?,
             fault,
+            policy,
             params: params_from_json(v.get("params").ok_or(ArtifactError::Malformed("params"))?)?,
             mode,
             trace,
@@ -375,6 +389,7 @@ mod tests {
             scenario: "hysteresis_straddle".to_string(),
             seed: 7,
             fault: Some(Fault::HysteresisOffByOne),
+            policy: Policy::PaperFsm,
             params,
             mode,
             trace: vec![
@@ -462,5 +477,80 @@ mod tests {
             Counterexample::from_json(&v),
             Err(ArtifactError::Malformed("params fail validation"))
         ));
+    }
+
+    fn set_key(v: &mut Json, key: &str, value: Option<Json>) {
+        let Json::Obj(pairs) = v else { unreachable!() };
+        pairs.retain(|(k, _)| k != key);
+        if let Some(value) = value {
+            pairs.push((key.to_string(), value));
+        }
+    }
+
+    #[test]
+    fn every_builtin_policy_roundtrips() {
+        for id in rsc_control::BUILTIN_POLICY_IDS {
+            let cx = Counterexample {
+                policy: Policy::builtin(id).unwrap(),
+                ..sample(Mode::Chunked { seed: 3 }, ControllerParams::scaled())
+            };
+            let text = cx.to_json().to_string();
+            let back = Counterexample::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, cx, "{id}");
+        }
+    }
+
+    #[test]
+    fn artifact_without_a_policy_loads_as_paper_fsm() {
+        let cx = sample(Mode::PerEvent, ControllerParams::scaled());
+        let mut v = cx.to_json();
+        set_key(&mut v, "policy", None);
+        let back = Counterexample::from_json(&v).unwrap();
+        assert_eq!(back.policy, Policy::PaperFsm);
+        assert_eq!(back, cx);
+    }
+
+    #[test]
+    fn unknown_policy_is_refused() {
+        let mut v = sample(Mode::PerEvent, ControllerParams::scaled()).to_json();
+        set_key(&mut v, "policy", Some(Json::str("martian-fsm")));
+        assert!(matches!(
+            Counterexample::from_json(&v),
+            Err(ArtifactError::Malformed("unknown policy"))
+        ));
+    }
+
+    #[test]
+    fn faulted_perceptron_case_shrinks_saves_and_replays() {
+        use crate::campaign::{param_matrix, scenarios_for};
+        use crate::shrink::shrink;
+
+        let fault = Fault::MonitorWindowOffByOne;
+        let (_, params) = param_matrix()[0];
+        let scenario = scenarios_for(&params)[4];
+        let trace = scenario.generate(2_000, 5);
+        let mut cx = Counterexample {
+            scenario: scenario.name().to_string(),
+            seed: 5,
+            fault: Some(fault),
+            policy: Policy::builtin("perceptron").unwrap(),
+            params,
+            mode: Mode::Chunked { seed: 5 },
+            trace,
+            detail: String::new(),
+        };
+        let (small, div) = shrink(&cx.spec(), &cx.trace);
+        assert!(small.len() < cx.trace.len(), "shrinking must cut the trace");
+        cx.trace = small;
+        cx.detail = div.to_string();
+
+        let path = std::env::temp_dir()
+            .join("rsc_conformance_policy_artifact_test")
+            .join("cx.json");
+        cx.save(&path).unwrap();
+        let back = Counterexample::load(&path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        assert_eq!(back, cx);
+        assert!(back.replay().is_err(), "reloaded artifact must diverge");
     }
 }

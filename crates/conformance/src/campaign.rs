@@ -2,19 +2,19 @@
 //!
 //! A campaign sweeps a seed range over the cross-product of a controller
 //! parameter matrix, the adversarial scenarios tuned to each parameter
-//! set, and both execution modes (per-event and chunked). The first
-//! divergence aborts the sweep: the failing trace is shrunk and packaged
-//! as a [`Counterexample`].
+//! set, the selected policies, and the execution modes (per-event,
+//! chunked and sharded). The first divergence aborts the sweep: the
+//! failing trace is shrunk and packaged as a [`Counterexample`].
 //!
 //! With no [`Fault`] injected, a campaign is the conformance check
 //! proper — it must find nothing. With a fault, it is a self-test of the
 //! harness — it must find something, quickly and minimally.
 
 use crate::artifact::Counterexample;
-use crate::differ::{run_case, run_policy_case, CaseSpec, Mode};
+use crate::differ::{run_case, CaseSpec, Mode};
 use crate::fault::Fault;
 use crate::shrink::shrink;
-use rsc_control::{ControllerParams, EvictionMode, Revisit, BUILTIN_POLICY_IDS};
+use rsc_control::{ControllerParams, EvictionMode, Policy, Revisit, BUILTIN_POLICY_IDS};
 use rsc_trace::rng::SplitMix64;
 use rsc_trace::Scenario;
 
@@ -29,6 +29,11 @@ pub struct CampaignConfig {
     pub events: u64,
     /// Fault to inject into the subject (harness self-test mode).
     pub fault: Option<Fault>,
+    /// Sweep every built-in policy, not only `paper-fsm`.
+    pub all_policies: bool,
+    /// Replace the per-cell modes with the sharded lockstep at every
+    /// shard count in `1..=N`.
+    pub shards: Option<usize>,
 }
 
 impl Default for CampaignConfig {
@@ -38,6 +43,8 @@ impl Default for CampaignConfig {
             seed_end: 64,
             events: 2_000,
             fault: None,
+            all_policies: false,
+            shards: None,
         }
     }
 }
@@ -45,7 +52,7 @@ impl Default for CampaignConfig {
 /// Outcome of a campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
-    /// Differential cases executed (trace × mode pairs).
+    /// Differential cases executed (trace × policy × mode).
     pub cases: u64,
     /// Total events fed to each controller.
     pub events_fed: u64,
@@ -133,78 +140,47 @@ pub fn scenarios_for(p: &ControllerParams) -> Vec<Scenario> {
     ]
 }
 
-/// Runs the campaign, stopping at the first divergence.
+/// Runs the campaign, stopping at the first divergence, which is shrunk
+/// and returned as a [`Counterexample`].
 ///
-/// Every (seed, params, scenario) cell runs in three modes: per-event,
-/// chunked, and sharded (the shard count cycles through 1..=8 with the
-/// case's sub-seed, so a sweep of a few seeds covers every count).
-pub fn run(config: &CampaignConfig) -> CampaignReport {
-    sweep(config, &|sub_seed| {
-        vec![
-            Mode::PerEvent,
-            Mode::Chunked { seed: sub_seed },
-            Mode::Sharded {
-                shards: 1 + (sub_seed % 8) as usize,
-                seed: sub_seed,
-            },
-        ]
-    })
-}
-
-/// A divergence found by the policy-zoo sweep. Policy cases compare a
-/// fast path against the same policy's per-event semantics, so there is
-/// no cross-implementation artifact to shrink and replay — the sweep
-/// reports the cell instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PolicyDivergence {
-    /// Id of the diverging policy.
-    pub policy: &'static str,
-    /// Scenario that produced the trace.
-    pub scenario: String,
-    /// Seed the trace (and chunk layout) derived from.
-    pub seed: u64,
-    /// How the subject consumed the trace.
-    pub mode: Mode,
-    /// Human-readable description of what differed.
-    pub detail: String,
-}
-
-impl std::fmt::Display for PolicyDivergence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "policy {} diverged ({}, scenario {}, seed {}): {}",
-            self.policy,
-            self.mode.name(),
-            self.scenario,
-            self.seed,
-            self.detail
-        )
-    }
-}
-
-/// Outcome of the policy-zoo sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyCampaignReport {
-    /// Differential cases executed (trace × policy × mode).
-    pub cases: u64,
-    /// Total events fed to each controller.
-    pub events_fed: u64,
-    /// The first divergence found. `None` is conformance.
-    pub failure: Option<PolicyDivergence>,
-}
-
-/// Runs the policy-zoo sweep: every builtin policy, over the same seed ×
-/// parameter-matrix × scenario grid as [`run`], each cell checked in
-/// chunked and sharded mode against the policy's own per-event
-/// semantics (`paper-fsm` is additionally held to the golden
-/// [`ReferenceController`](rsc_control::ReferenceController)).
+/// Every (seed, params, scenario) cell runs once per policy and mode:
+/// `paper-fsm` alone, or every built-in policy with
+/// [`all_policies`](CampaignConfig::all_policies); per-event, chunked and
+/// sharded (the shard count cycles through 1..=8 with the case's
+/// sub-seed, so a sweep of a few seeds covers every count), or sharded
+/// once per shard count in `1..=N` with [`shards`](CampaignConfig::shards).
 ///
 /// A configured [`Fault`] perturbs the *subject's* parameters only, so
 /// the sweep doubles as a harness self-test — though only faults in
 /// machinery a policy actually consults (e.g. the monitor window) are
 /// observable for every policy.
-pub fn run_policies(config: &CampaignConfig) -> PolicyCampaignReport {
+pub fn run(config: &CampaignConfig) -> CampaignReport {
+    let policies: Vec<Policy> = if config.all_policies {
+        BUILTIN_POLICY_IDS
+            .iter()
+            .map(|id| Policy::builtin(id).expect("builtin policy id"))
+            .collect()
+    } else {
+        vec![Policy::PaperFsm]
+    };
+    let modes = |sub_seed: u64| -> Vec<Mode> {
+        match config.shards {
+            Some(n) => (1..=n.max(1))
+                .map(|shards| Mode::Sharded {
+                    shards,
+                    seed: sub_seed,
+                })
+                .collect(),
+            None => vec![
+                Mode::PerEvent,
+                Mode::Chunked { seed: sub_seed },
+                Mode::Sharded {
+                    shards: 1 + (sub_seed % 8) as usize,
+                    seed: sub_seed,
+                },
+            ],
+        }
+    };
     let matrix = param_matrix();
     let mut cases = 0u64;
     let mut events_fed = 0u64;
@@ -221,102 +197,37 @@ pub fn run_policies(config: &CampaignConfig) -> PolicyCampaignReport {
                 )
                 .next_u64();
                 let trace = scenario.generate(config.events, sub_seed);
-                for policy in BUILTIN_POLICY_IDS {
-                    for mode in [
-                        Mode::Chunked { seed: sub_seed },
-                        Mode::Sharded {
-                            shards: 1 + (sub_seed % 8) as usize,
-                            seed: sub_seed,
-                        },
-                    ] {
+                for &policy in &policies {
+                    for mode in modes(sub_seed) {
+                        let spec = CaseSpec {
+                            subject,
+                            reference: *params,
+                            mode,
+                            // The campaign pins the legacy layerless
+                            // behavior; resilient lockstep has its own
+                            // differ tests.
+                            resilience: None,
+                            policy,
+                        };
                         cases += 1;
                         events_fed += trace.len() as u64;
-                        if let Err(div) = run_policy_case(policy, subject, *params, mode, &trace) {
-                            return PolicyCampaignReport {
+                        if run_case(&spec, &trace).is_err() {
+                            let (minimized, div) = shrink(&spec, &trace);
+                            return CampaignReport {
                                 cases,
                                 events_fed,
-                                failure: Some(PolicyDivergence {
-                                    policy,
+                                counterexample: Some(Counterexample {
                                     scenario: scenario.name().to_string(),
                                     seed: sub_seed,
+                                    fault: config.fault,
+                                    policy,
+                                    params: *params,
                                     mode,
+                                    trace: minimized,
                                     detail: div.to_string(),
                                 }),
                             };
                         }
-                    }
-                }
-            }
-        }
-    }
-
-    PolicyCampaignReport {
-        cases,
-        events_fed,
-        failure: None,
-    }
-}
-
-/// Runs a sharded-only campaign: every cell runs the sharded lockstep
-/// once per shard count in `1..=max_shards`. This is the exhaustive
-/// shard-count sweep behind `repro conformance --shards N`.
-pub fn run_sharded(config: &CampaignConfig, max_shards: usize) -> CampaignReport {
-    sweep(config, &|sub_seed| {
-        (1..=max_shards.max(1))
-            .map(|shards| Mode::Sharded {
-                shards,
-                seed: sub_seed,
-            })
-            .collect()
-    })
-}
-
-/// The sweep skeleton shared by [`run`] and [`run_sharded`]: seed ×
-/// parameter matrix × scenario, with the per-cell mode list supplied by
-/// the caller.
-fn sweep(config: &CampaignConfig, modes_for: &dyn Fn(u64) -> Vec<Mode>) -> CampaignReport {
-    let matrix = param_matrix();
-    let mut cases = 0u64;
-    let mut events_fed = 0u64;
-
-    for seed in config.seed_start..config.seed_end {
-        for (pi, (_, params)) in matrix.iter().enumerate() {
-            let subject = match config.fault {
-                Some(f) => f.apply(*params),
-                None => *params,
-            };
-            for (si, scenario) in scenarios_for(params).into_iter().enumerate() {
-                let sub_seed = SplitMix64::new(
-                    seed.wrapping_mul(0x0100_0000_01b3) ^ ((pi as u64) << 32) ^ (si as u64),
-                )
-                .next_u64();
-                let trace = scenario.generate(config.events, sub_seed);
-                for mode in modes_for(sub_seed) {
-                    let spec = CaseSpec {
-                        subject,
-                        reference: *params,
-                        mode,
-                        // The campaign pins the legacy layerless behavior;
-                        // resilient lockstep has its own differ tests.
-                        resilience: None,
-                    };
-                    cases += 1;
-                    events_fed += trace.len() as u64;
-                    if run_case(&spec, &trace).is_err() {
-                        let (minimized, div) = shrink(&spec, &trace);
-                        return CampaignReport {
-                            cases,
-                            events_fed,
-                            counterexample: Some(Counterexample {
-                                scenario: scenario.name().to_string(),
-                                seed: sub_seed,
-                                fault: config.fault,
-                                params: *params,
-                                mode,
-                                trace: minimized,
-                                detail: div.to_string(),
-                            }),
-                        };
                     }
                 }
             }
@@ -340,14 +251,15 @@ mod tests {
             seed_start: 0,
             seed_end: 2,
             events: 1_200,
-            fault: None,
+            ..CampaignConfig::default()
         });
         assert!(
             report.counterexample.is_none(),
             "unexpected divergence: {:?}",
             report.counterexample.map(|c| c.detail)
         );
-        assert!(report.cases > 0);
+        // 6 param sets × 7 scenarios × 3 modes per seed.
+        assert_eq!(report.cases, 2 * 6 * 7 * 3);
         assert_eq!(report.events_fed, report.cases * 1_200);
     }
 
@@ -358,6 +270,7 @@ mod tests {
             seed_end: 4,
             events: 800,
             fault: Some(Fault::HysteresisOffByOne),
+            ..CampaignConfig::default()
         };
         assert_eq!(run(&config), run(&config));
     }
@@ -368,9 +281,10 @@ mod tests {
             seed_start: 0,
             seed_end: 1,
             events: 1_000,
-            fault: None,
+            shards: Some(8),
+            ..CampaignConfig::default()
         };
-        let report = run_sharded(&config, 8);
+        let report = run(&config);
         assert!(
             report.counterexample.is_none(),
             "unexpected divergence: {:?}",
@@ -387,17 +301,34 @@ mod tests {
             seed_start: 0,
             seed_end: 1,
             events: 1_000,
-            fault: None,
+            all_policies: true,
+            ..CampaignConfig::default()
         };
-        let report = run_policies(&config);
+        let report = run(&config);
         assert!(
-            report.failure.is_none(),
-            "unexpected divergence: {}",
-            report.failure.unwrap()
+            report.counterexample.is_none(),
+            "unexpected divergence: {:?}",
+            report.counterexample.map(|c| c.detail)
         );
-        // 6 param sets × 7 scenarios × 3 policies × 2 modes per seed.
-        assert_eq!(report.cases, 6 * 7 * 3 * 2);
+        // 6 param sets × 7 scenarios × 3 policies × 3 modes per seed.
+        assert_eq!(report.cases, 6 * 7 * 3 * 3);
         assert_eq!(report.events_fed, report.cases * 1_000);
+    }
+
+    #[test]
+    fn policies_and_shards_compose() {
+        let config = CampaignConfig {
+            seed_start: 0,
+            seed_end: 1,
+            events: 600,
+            all_policies: true,
+            shards: Some(2),
+            ..CampaignConfig::default()
+        };
+        let report = run(&config);
+        assert!(report.counterexample.is_none());
+        // 6 param sets × 7 scenarios × 3 policies × 2 shard counts.
+        assert_eq!(report.cases, 6 * 7 * 3 * 2);
     }
 
     #[test]
@@ -409,9 +340,11 @@ mod tests {
             seed_end: 2,
             events: 1_200,
             fault: Some(Fault::MonitorWindowOffByOne),
+            all_policies: true,
+            ..CampaignConfig::default()
         };
-        let report = run_policies(&config);
-        assert!(report.failure.is_some(), "fault must be caught");
+        let cx = run(&config).counterexample.expect("fault must be caught");
+        assert!(cx.replay().is_err(), "artifact must reproduce");
     }
 
     #[test]
@@ -421,9 +354,10 @@ mod tests {
             seed_end: 2,
             events: 1_200,
             fault: Some(Fault::HysteresisOffByOne),
+            shards: Some(4),
+            ..CampaignConfig::default()
         };
-        let report = run_sharded(&config, 4);
-        let cx = report.counterexample.expect("fault must be caught");
+        let cx = run(&config).counterexample.expect("fault must be caught");
         assert!(matches!(cx.mode, Mode::Sharded { .. }));
         assert!(cx.replay().is_err(), "artifact must reproduce");
     }

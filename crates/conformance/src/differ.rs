@@ -1,28 +1,34 @@
-//! Lockstep differential execution of the optimized controller against
-//! the golden reference.
+//! Lockstep differential execution of an optimized controller against
+//! its reference.
 //!
 //! A [`CaseSpec`] names the subject's parameters, the reference's
 //! parameters (identical unless a [`Fault`](crate::fault::Fault) was
-//! injected), and the execution [`Mode`]. [`run_case`] then feeds one
-//! trace to both controllers and checks, in order:
+//! injected), the [`Policy`] both run, and the execution [`Mode`].
+//! [`run_case`] then feeds one trace to both controllers and checks, in
+//! order:
 //!
 //! 1. the per-event [`SpecDecision`] stream (per-event mode) or the
 //!    per-chunk [`ChunkSummary`] against the sum of the reference's
-//!    per-event decisions (chunked mode);
-//! 2. final [`ControlStats`](rsc_control::ControlStats);
-//! 3. exact per-kind transition counts and the full transition event log;
-//! 4. a [`BranchSnapshot`](rsc_control::BranchSnapshot) for every branch the trace touched.
+//!    per-event decisions (chunked and sharded modes);
+//! 2. final [`ControlStats`];
+//! 3. exact per-kind transition counts and, for a plain subject, the
+//!    ordered transition event log;
+//! 4. a [`BranchSnapshot`] for every branch the trace touched;
+//! 5. when both sides are plain [`ReactiveController`]s, the checkpoint
+//!    bytes.
 //!
 //! The first mismatch aborts the run with a [`Divergence`] carrying the
 //! event index (for the shrinker) and a human-readable detail string
 //! (for the artifact).
 
 use rsc_control::{
-    ChunkSummary, ControllerParams, NullSink, Policy, ReactiveController, ReferenceController,
-    ResilienceConfig, ShardedController, SpecDecision, TransitionKind,
+    BranchSnapshot, ChunkSummary, ControlStats, ControllerCheckpoint, ControllerParams, NullSink,
+    Policy, ReactiveController, ReferenceController, ResilienceConfig, ShardedController,
+    SpecDecision, TransitionEvent, TransitionKind,
 };
 use rsc_trace::rng::Xoshiro256;
 use rsc_trace::{BranchId, BranchRecord};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Largest chunk the chunked mode will slice off a trace. Small enough
@@ -64,6 +70,26 @@ impl Mode {
             Mode::Sharded { .. } => "sharded",
         }
     }
+
+    /// The chunk layout the subject consumes `len` events in: single
+    /// events per-event, random lengths in `1..=MAX_CHUNK` otherwise.
+    fn chunks(self, len: usize) -> impl Iterator<Item = Range<usize>> {
+        let mut sizes = match self {
+            Mode::PerEvent => None,
+            Mode::Chunked { seed } | Mode::Sharded { seed, .. } => {
+                Some(Xoshiro256::seed_from(seed))
+            }
+        };
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let step = sizes
+                .as_mut()
+                .map_or(1, |s| 1 + s.gen_range(MAX_CHUNK) as usize);
+            let chunk = start..(start + step).min(len);
+            start = chunk.end;
+            (!chunk.is_empty()).then_some(chunk)
+        })
+    }
 }
 
 /// One differential test case: who runs against whom, and how.
@@ -71,14 +97,21 @@ impl Mode {
 pub struct CaseSpec {
     /// Parameters of the optimized controller under test.
     pub subject: ControllerParams,
-    /// Parameters of the golden reference (the truth).
+    /// Parameters of the reference (the truth).
     pub reference: ControllerParams,
     /// How the subject consumes the trace.
     pub mode: Mode,
     /// Resilience layer attached to *both* controllers (each gets its own
     /// instance; the layer is deterministic, so identical configs keep
-    /// the pair in lockstep). `None` runs the layerless legacy path.
+    /// the pair in lockstep). `None` runs the layerless legacy path. The
+    /// sharded engine rejects the layer, so pairing it with
+    /// [`Mode::Sharded`] is a harness bug.
     pub resilience: Option<ResilienceConfig>,
+    /// The policy both sides run. [`Policy::PaperFsm`] is held to the
+    /// golden [`ReferenceController`], an independent implementation;
+    /// any other policy to a [`ReactiveController`] of the same policy
+    /// that consumes every event through the full FSM.
+    pub policy: Policy,
 }
 
 /// A detected behavioral difference between subject and reference.
@@ -107,389 +140,195 @@ impl std::fmt::Display for Divergence {
 /// # Panics
 ///
 /// Panics if either parameter set fails validation — campaign parameters
-/// are constructed from validated presets.
+/// are constructed from validated presets — or if a sharded subject is
+/// given a resilience layer.
 pub fn run_case(spec: &CaseSpec, trace: &[BranchRecord]) -> Result<(), Divergence> {
-    if let Mode::Sharded { shards, seed } = spec.mode {
-        return run_sharded_case(spec, trace, shards, seed);
-    }
-    let mut subject = match spec.resilience {
-        None => ReactiveController::builder(spec.subject)
-            .build()
-            .expect("subject params validate"),
-        Some(c) => ReactiveController::builder(spec.subject)
-            .resilience(c)
-            .build()
-            .expect("subject params validate"),
+    let build = |params| {
+        let builder = ReactiveController::builder(params).policy(spec.policy);
+        match spec.resilience {
+            Some(c) => builder.resilience(c),
+            None => builder,
+        }
     };
-    let mut reference = match spec.resilience {
-        None => ReferenceController::new(spec.reference).expect("reference params validate"),
-        Some(c) => ReferenceController::with_resilience(spec.reference, c)
+    let mut reference: Box<dyn Side> = match spec.policy {
+        Policy::PaperFsm => Box::new(
+            match spec.resilience {
+                None => ReferenceController::new(spec.reference),
+                Some(c) => ReferenceController::with_resilience(spec.reference, c),
+            }
             .expect("reference params validate"),
+        ),
+        // An attached event sink keeps the reference off the in-place
+        // arms that the subject's `observe` and `observe_chunk` share,
+        // and, unlike a metrics registry, adds nothing to the checkpoint
+        // bytes compared at the end.
+        _ => {
+            let full_fsm = build(spec.reference)
+                .event_sink(Arc::new(NullSink))
+                .build()
+                .expect("reference params validate");
+            assert!(!full_fsm.chunk_fast_path());
+            Box::new(full_fsm)
+        }
     };
-
-    match spec.mode {
-        Mode::PerEvent => {
-            for (i, r) in trace.iter().enumerate() {
-                let got = subject.observe(r);
-                let want = reference.observe(r);
-                if got != want {
-                    return Err(Divergence {
-                        index: i,
-                        detail: format!(
-                            "decision mismatch on branch {}: subject {got:?}, reference {want:?}",
-                            r.branch.index()
-                        ),
-                    });
-                }
-            }
-        }
-        Mode::Chunked { seed } => {
-            let mut sizes = Xoshiro256::seed_from(seed);
-            let mut start = 0usize;
-            while start < trace.len() {
-                let len = (1 + sizes.gen_range(MAX_CHUNK)) as usize;
-                let end = (start + len).min(trace.len());
-                let got = subject.observe_chunk(&trace[start..end]);
-                let mut want = ChunkSummary::default();
-                for r in &trace[start..end] {
-                    let d = reference.observe(r);
-                    want.events += 1;
-                    want.speculated += u64::from(d.speculated());
-                    want.correct += u64::from(d == SpecDecision::Correct);
-                    want.incorrect += u64::from(d == SpecDecision::Incorrect);
-                }
-                if got != want {
-                    return Err(Divergence {
-                        index: end - 1,
-                        detail: format!(
-                            "chunk summary mismatch over events {start}..{end}: \
-                             subject {got:?}, reference {want:?}"
-                        ),
-                    });
-                }
-                start = end;
-            }
-        }
-        Mode::Sharded { .. } => unreachable!("handled by run_sharded_case above"),
-    }
-
-    compare_final_state(&subject, &reference, trace).map_err(|detail| Divergence {
-        index: trace.len(),
-        detail,
-    })
-}
-
-/// The sharded lockstep: the subject is a [`ShardedController`], fed the
-/// same random chunk layout as [`Mode::Chunked`]; the reference stays
-/// per-event. The sharded engine rejects the resilience layer, so a
-/// [`CaseSpec`] pairing the two is a harness bug.
-fn run_sharded_case(
-    spec: &CaseSpec,
-    trace: &[BranchRecord],
-    shards: usize,
-    seed: u64,
-) -> Result<(), Divergence> {
-    assert!(
-        spec.resilience.is_none(),
-        "sharded mode does not compose with the resilience layer"
-    );
-    let mut subject = ReactiveController::builder(spec.subject)
-        .shards(shards)
-        .build_sharded()
-        .expect("subject params validate");
-    let mut reference =
-        ReferenceController::new(spec.reference).expect("reference params validate");
-
-    let mut sizes = Xoshiro256::seed_from(seed);
-    let mut start = 0usize;
-    while start < trace.len() {
-        let len = (1 + sizes.gen_range(MAX_CHUNK)) as usize;
-        let end = (start + len).min(trace.len());
-        let got = subject.observe_chunk(&trace[start..end]);
-        let mut want = ChunkSummary::default();
-        for r in &trace[start..end] {
-            let d = reference.observe(r);
-            want.events += 1;
-            want.speculated += u64::from(d.speculated());
-            want.correct += u64::from(d == SpecDecision::Correct);
-            want.incorrect += u64::from(d == SpecDecision::Incorrect);
-        }
-        if got != want {
-            return Err(Divergence {
-                index: end - 1,
-                detail: format!(
-                    "sharded ({shards}) chunk summary mismatch over events {start}..{end}: \
-                     subject {got:?}, reference {want:?}"
-                ),
-            });
-        }
-        start = end;
-    }
-
-    compare_sharded_final_state(&subject, &reference, trace).map_err(|detail| Divergence {
-        index: trace.len(),
-        detail,
-    })
-}
-
-/// Final-state comparison for the sharded engine: everything the
-/// deterministic merge covers. The ordered transition log is skipped —
-/// `event_index` is a shard-local ordinal, which is per-shard semantics,
-/// not a divergence.
-fn compare_sharded_final_state(
-    subject: &ShardedController,
-    reference: &ReferenceController,
-    trace: &[BranchRecord],
-) -> Result<(), String> {
-    let got = subject.stats();
-    let want = reference.stats();
-    if got != want {
-        return Err(format!(
-            "final stats mismatch: subject {got:?}, reference {want:?}"
-        ));
-    }
-
-    for kind in TransitionKind::ALL {
-        let got = subject.transition_count(kind);
-        let want = reference.transition_count(kind);
-        if got != want {
-            return Err(format!(
-                "transition count mismatch for {kind:?}: subject {got}, reference {want}"
-            ));
-        }
-    }
-
-    let max_branch = trace.iter().map(|r| r.branch.index()).max().unwrap_or(0);
-    for b in 0..=max_branch {
-        let id = BranchId::new(b as u32);
-        let got = subject.branch_snapshot(id);
-        let want = reference.branch_snapshot(id);
-        if got != want {
-            return Err(format!(
-                "branch {b} snapshot mismatch: subject {got:?}, reference {want:?}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// One differential case over the policy zoo: the subject consumes the
-/// trace via `mode` under the named built-in [`Policy`]; the
-/// reference is the *same policy* consumed one event at a time through
-/// the full FSM alone (an attached event sink keeps it off the in-place
-/// arms that the subject's `observe` and `observe_chunk` share, and,
-/// unlike a metrics registry, adds nothing to the checkpoint bytes
-/// compared at the end). For `"paper-fsm"` the reference is stronger —
-/// the golden [`ReferenceController`] — so the paper policy is checked
-/// against an independent implementation, not just against itself.
-///
-/// `subject_params` and `reference_params` are identical in conformance
-/// mode; a campaign self-test passes faulted subject parameters.
-///
-/// # Errors
-///
-/// Returns the first [`Divergence`] found.
-///
-/// # Panics
-///
-/// Panics if `policy` is not a builtin id or the parameters fail
-/// validation.
-pub fn run_policy_case(
-    policy: &'static str,
-    subject_params: ControllerParams,
-    reference_params: ControllerParams,
-    mode: Mode,
-    trace: &[BranchRecord],
-) -> Result<(), Divergence> {
-    if policy == "paper-fsm" {
-        return run_case(
-            &CaseSpec {
-                subject: subject_params,
-                reference: reference_params,
-                mode,
-                resilience: None,
-            },
-            trace,
-        );
-    }
-    let build = |params: ControllerParams| {
-        ReactiveController::builder(params)
-            .policy(Policy::builtin(policy).expect("builtin policy id"))
-    };
-    let mut reference = build(reference_params)
-        .event_sink(Arc::new(NullSink))
-        .build()
-        .expect("params validate");
-    assert!(!reference.chunk_fast_path());
-
-    match mode {
-        Mode::PerEvent => {
-            let mut subject = build(subject_params).build().expect("params validate");
-            for (i, r) in trace.iter().enumerate() {
-                let got = subject.observe(r);
-                let want = reference.observe(r);
-                if got != want {
-                    return Err(Divergence {
-                        index: i,
-                        detail: format!(
-                            "[{policy}] decision mismatch on branch {}: \
-                             subject {got:?}, reference {want:?}",
-                            r.branch.index()
-                        ),
-                    });
-                }
-            }
-            compare_policy_final_state(policy, &subject, &reference, trace)
-        }
-        Mode::Chunked { seed } => {
-            let mut subject = build(subject_params).build().expect("params validate");
-            let mut sizes = Xoshiro256::seed_from(seed);
-            let mut start = 0usize;
-            while start < trace.len() {
-                let len = (1 + sizes.gen_range(MAX_CHUNK)) as usize;
-                let end = (start + len).min(trace.len());
-                let got = subject.observe_chunk(&trace[start..end]);
-                let want = reference_summary(&mut reference, &trace[start..end]);
-                if got != want {
-                    return Err(Divergence {
-                        index: end - 1,
-                        detail: format!(
-                            "[{policy}] chunk summary mismatch over events {start}..{end}: \
-                             subject {got:?}, reference {want:?}"
-                        ),
-                    });
-                }
-                start = end;
-            }
-            compare_policy_final_state(policy, &subject, &reference, trace)
-        }
-        Mode::Sharded { shards, seed } => {
-            let mut subject = build(subject_params)
+    let mut subject: Box<dyn Side> = match spec.mode {
+        Mode::Sharded { shards, .. } => Box::new(
+            build(spec.subject)
                 .shards(shards)
                 .build_sharded()
-                .expect("params validate");
-            let mut sizes = Xoshiro256::seed_from(seed);
-            let mut start = 0usize;
-            while start < trace.len() {
-                let len = (1 + sizes.gen_range(MAX_CHUNK)) as usize;
-                let end = (start + len).min(trace.len());
-                let got = subject.observe_chunk(&trace[start..end]);
-                let want = reference_summary(&mut reference, &trace[start..end]);
-                if got != want {
-                    return Err(Divergence {
-                        index: end - 1,
-                        detail: format!(
-                            "[{policy}] sharded ({shards}) chunk summary mismatch over \
-                             events {start}..{end}: subject {got:?}, reference {want:?}"
-                        ),
-                    });
-                }
-                start = end;
-            }
-            compare_policy_sharded_final_state(policy, &subject, &reference, trace).map_err(
-                |detail| Divergence {
-                    index: trace.len(),
-                    detail,
-                },
-            )
-        }
-    }
-}
-
-/// Sums per-event reference decisions into the summary a chunked subject
-/// must report.
-fn reference_summary(reference: &mut ReactiveController, recs: &[BranchRecord]) -> ChunkSummary {
-    let mut want = ChunkSummary::default();
-    for r in recs {
-        let d = reference.observe(r);
-        want.events += 1;
-        want.speculated += u64::from(d.speculated());
-        want.correct += u64::from(d == SpecDecision::Correct);
-        want.incorrect += u64::from(d == SpecDecision::Incorrect);
-    }
-    want
-}
-
-/// Final-state comparison for a same-policy pair of plain controllers:
-/// stats, the full transition log, per-branch snapshots, and — the
-/// strongest check — bit-identical checkpoint bytes.
-fn compare_policy_final_state(
-    policy: &str,
-    subject: &ReactiveController,
-    reference: &ReactiveController,
-    trace: &[BranchRecord],
-) -> Result<(), Divergence> {
-    let err = |detail: String| Divergence {
-        index: trace.len(),
-        detail: format!("[{policy}] {detail}"),
+                .expect("sharded subject builds"),
+        ),
+        _ => Box::new(
+            build(spec.subject)
+                .build()
+                .expect("subject params validate"),
+        ),
     };
-    if subject.stats() != reference.stats() {
-        return Err(err(format!(
-            "final stats mismatch: subject {:?}, reference {:?}",
-            subject.stats(),
-            reference.stats()
-        )));
-    }
-    if subject.transitions() != reference.transitions() {
-        return Err(err("transition log mismatch".to_string()));
-    }
-    let max_branch = trace.iter().map(|r| r.branch.index()).max().unwrap_or(0);
-    for b in 0..=max_branch {
-        let id = BranchId::new(b as u32);
-        if subject.branch_snapshot(id) != reference.branch_snapshot(id) {
-            return Err(err(format!("branch {b} snapshot mismatch")));
+
+    for chunk in spec.mode.chunks(trace.len()) {
+        let recs = &trace[chunk.clone()];
+        if spec.mode == Mode::PerEvent {
+            let r = &recs[0];
+            let (got, want) = (subject.observe(r), reference.observe(r));
+            if got != want {
+                return Err(Divergence {
+                    index: chunk.start,
+                    detail: format!(
+                        "decision mismatch on branch {}: subject {got:?}, reference {want:?}",
+                        r.branch.index()
+                    ),
+                });
+            }
+        } else {
+            let got = subject.observe_chunk(recs);
+            let want = reference.observe_each(recs);
+            if got != want {
+                return Err(Divergence {
+                    index: chunk.end - 1,
+                    detail: format!(
+                        "chunk summary mismatch over events {chunk:?}: \
+                         subject {got:?}, reference {want:?}"
+                    ),
+                });
+            }
         }
     }
-    if subject.snapshot() != reference.snapshot() {
-        return Err(err("checkpoint bytes differ".to_string()));
-    }
-    Ok(())
+
+    compare_final_state(&*subject, &*reference, trace).map_err(|detail| Divergence {
+        index: trace.len(),
+        detail,
+    })
 }
 
-/// Final-state comparison for a sharded subject against a same-policy
-/// per-event reference — everything the deterministic merge covers.
-fn compare_policy_sharded_final_state(
-    policy: &str,
-    subject: &ShardedController,
-    reference: &ReactiveController,
-    trace: &[BranchRecord],
-) -> Result<(), String> {
-    if subject.stats() != reference.stats() {
-        return Err(format!(
-            "[{policy}] final stats mismatch: subject {:?}, reference {:?}",
-            subject.stats(),
-            reference.stats()
-        ));
-    }
-    for kind in TransitionKind::ALL {
-        let got = subject.transition_count(kind);
-        let want = reference.transition_log().count(kind);
-        if got != want {
-            return Err(format!(
-                "[{policy}] transition count mismatch for {kind:?}: \
-                 subject {got}, reference {want}"
-            ));
+/// Either side of a lockstep, as [`run_case`] drives and compares it.
+trait Side {
+    fn observe(&mut self, r: &BranchRecord) -> SpecDecision;
+    /// The fast path under test; the reference is never asked.
+    fn observe_chunk(&mut self, recs: &[BranchRecord]) -> ChunkSummary;
+    fn stats(&self) -> ControlStats;
+    fn kind_count(&self, kind: TransitionKind) -> u64;
+    /// The ordered transition log; `None` for a sharded controller, whose
+    /// `event_index` is a shard-local ordinal.
+    fn log(&self) -> Option<&[TransitionEvent]>;
+    fn branch(&self, id: BranchId) -> BranchSnapshot;
+    /// Checkpoint bytes, which only a plain controller writes.
+    fn checkpoint(&self) -> Option<ControllerCheckpoint>;
+
+    /// The summary a chunked subject must report: the per-event
+    /// decisions over `recs`, summed.
+    fn observe_each(&mut self, recs: &[BranchRecord]) -> ChunkSummary {
+        let mut sum = ChunkSummary::default();
+        for r in recs {
+            let d = self.observe(r);
+            sum.events += 1;
+            sum.speculated += u64::from(d.speculated());
+            sum.correct += u64::from(d == SpecDecision::Correct);
+            sum.incorrect += u64::from(d == SpecDecision::Incorrect);
         }
+        sum
     }
-    let max_branch = trace.iter().map(|r| r.branch.index()).max().unwrap_or(0);
-    for b in 0..=max_branch {
-        let id = BranchId::new(b as u32);
-        if subject.branch_snapshot(id) != reference.branch_snapshot(id) {
-            return Err(format!("[{policy}] branch {b} snapshot mismatch"));
-        }
+}
+
+impl Side for ReactiveController {
+    fn observe(&mut self, r: &BranchRecord) -> SpecDecision {
+        ReactiveController::observe(self, r)
     }
-    Ok(())
+    fn observe_chunk(&mut self, recs: &[BranchRecord]) -> ChunkSummary {
+        ReactiveController::observe_chunk(self, recs)
+    }
+    fn stats(&self) -> ControlStats {
+        ReactiveController::stats(self)
+    }
+    fn kind_count(&self, kind: TransitionKind) -> u64 {
+        self.transition_log().count(kind)
+    }
+    fn log(&self) -> Option<&[TransitionEvent]> {
+        Some(self.transitions())
+    }
+    fn branch(&self, id: BranchId) -> BranchSnapshot {
+        self.branch_snapshot(id)
+    }
+    fn checkpoint(&self) -> Option<ControllerCheckpoint> {
+        Some(self.snapshot())
+    }
+}
+
+impl Side for ShardedController {
+    fn observe(&mut self, r: &BranchRecord) -> SpecDecision {
+        ShardedController::observe(self, r)
+    }
+    fn observe_chunk(&mut self, recs: &[BranchRecord]) -> ChunkSummary {
+        ShardedController::observe_chunk(self, recs)
+    }
+    fn stats(&self) -> ControlStats {
+        ShardedController::stats(self)
+    }
+    fn kind_count(&self, kind: TransitionKind) -> u64 {
+        self.transition_count(kind)
+    }
+    fn log(&self) -> Option<&[TransitionEvent]> {
+        None
+    }
+    fn branch(&self, id: BranchId) -> BranchSnapshot {
+        self.branch_snapshot(id)
+    }
+    fn checkpoint(&self) -> Option<ControllerCheckpoint> {
+        None
+    }
+}
+
+impl Side for ReferenceController {
+    fn observe(&mut self, r: &BranchRecord) -> SpecDecision {
+        ReferenceController::observe(self, r)
+    }
+    fn observe_chunk(&mut self, recs: &[BranchRecord]) -> ChunkSummary {
+        self.observe_each(recs)
+    }
+    fn stats(&self) -> ControlStats {
+        ReferenceController::stats(self)
+    }
+    fn kind_count(&self, kind: TransitionKind) -> u64 {
+        self.transition_count(kind)
+    }
+    fn log(&self) -> Option<&[TransitionEvent]> {
+        Some(self.transitions())
+    }
+    fn branch(&self, id: BranchId) -> BranchSnapshot {
+        self.branch_snapshot(id)
+    }
+    fn checkpoint(&self) -> Option<ControllerCheckpoint> {
+        None
+    }
 }
 
 /// Compares everything that should be identical once the trace is fully
 /// consumed. Returns a description of the first mismatch.
 fn compare_final_state(
-    subject: &ReactiveController,
-    reference: &ReferenceController,
+    subject: &dyn Side,
+    reference: &dyn Side,
     trace: &[BranchRecord],
 ) -> Result<(), String> {
-    let got = subject.stats();
-    let want = reference.stats();
+    let (got, want) = (subject.stats(), reference.stats());
     if got != want {
         return Err(format!(
             "final stats mismatch: subject {got:?}, reference {want:?}"
@@ -497,37 +336,42 @@ fn compare_final_state(
     }
 
     for kind in TransitionKind::ALL {
-        let got = subject.transition_log().count(kind);
-        let want = reference.transition_count(kind);
+        let (got, want) = (subject.kind_count(kind), reference.kind_count(kind));
         if got != want {
             return Err(format!(
                 "transition count mismatch for {kind:?}: subject {got}, reference {want}"
             ));
         }
     }
-    if subject.transitions() != reference.transitions() {
-        let (got, want) = (subject.transitions(), reference.transitions());
-        let i = got
-            .iter()
-            .zip(want)
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| got.len().min(want.len()));
-        return Err(format!(
-            "transition log mismatch at entry {i}: subject {:?}, reference {:?}",
-            got.get(i),
-            want.get(i)
-        ));
+    if let (Some(got), Some(want)) = (subject.log(), reference.log()) {
+        if got != want {
+            let i = got
+                .iter()
+                .zip(want)
+                .position(|(a, b)| a != b)
+                .unwrap_or_else(|| got.len().min(want.len()));
+            return Err(format!(
+                "transition log mismatch at entry {i}: subject {:?}, reference {:?}",
+                got.get(i),
+                want.get(i)
+            ));
+        }
     }
 
     let max_branch = trace.iter().map(|r| r.branch.index()).max().unwrap_or(0);
     for b in 0..=max_branch {
         let id = BranchId::new(b as u32);
-        let got = subject.branch_snapshot(id);
-        let want = reference.branch_snapshot(id);
+        let (got, want) = (subject.branch(id), reference.branch(id));
         if got != want {
             return Err(format!(
                 "branch {b} snapshot mismatch: subject {got:?}, reference {want:?}"
             ));
+        }
+    }
+
+    if let Some(want) = reference.checkpoint() {
+        if subject.checkpoint().is_some_and(|got| got != want) {
+            return Err("checkpoint bytes differ".to_string());
         }
     }
     Ok(())
@@ -559,6 +403,7 @@ mod tests {
             reference: tiny(),
             mode,
             resilience: None,
+            policy: Policy::PaperFsm,
         }
     }
 
@@ -608,6 +453,7 @@ mod tests {
             reference: tiny(),
             mode: Mode::PerEvent,
             resilience: None,
+            policy: Policy::PaperFsm,
         };
         let trace = Scenario::HysteresisStraddle {
             warmup: 10,
@@ -625,9 +471,29 @@ mod tests {
             reference: tiny(),
             mode: Mode::Chunked { seed: 5 },
             resilience: None,
+            policy: Policy::PaperFsm,
         };
         let trace = Scenario::ThresholdOscillator { window: 10 }.generate(4_000, 3);
         run_case(&spec, &trace).unwrap_err();
+    }
+
+    #[test]
+    fn monitor_fault_diverges_for_every_policy_and_mode() {
+        let trace = Scenario::ThresholdOscillator { window: 10 }.generate(4_000, 3);
+        for id in rsc_control::BUILTIN_POLICY_IDS {
+            for mode in [
+                Mode::PerEvent,
+                Mode::Chunked { seed: 5 },
+                Mode::Sharded { shards: 3, seed: 5 },
+            ] {
+                let spec = CaseSpec {
+                    subject: Fault::MonitorWindowOffByOne.apply(tiny()),
+                    policy: Policy::builtin(id).unwrap(),
+                    ..conforming(mode)
+                };
+                assert!(run_case(&spec, &trace).is_err(), "{id} {mode:?}");
+            }
+        }
     }
 
     #[test]
@@ -659,6 +525,7 @@ mod tests {
             reference: tiny(),
             mode: Mode::PerEvent,
             resilience: Some(storm_config()),
+            policy: Policy::PaperFsm,
         };
         let trace = Scenario::HysteresisStraddle {
             warmup: 10,
@@ -695,6 +562,7 @@ mod tests {
             reference: tiny(),
             mode: Mode::Sharded { shards: 4, seed: 5 },
             resilience: None,
+            policy: Policy::PaperFsm,
         };
         let trace = Scenario::HysteresisStraddle {
             warmup: 10,

@@ -5,10 +5,12 @@
 //! lockstep against the golden
 //! [`ReferenceController`](rsc_control::ReferenceController) — a naive,
 //! obviously-correct transliteration of the paper's three-state FSM —
-//! over adversarial traces from [`rsc_trace::adversary`]. Both the
-//! per-event `observe` path and the chunked `observe_chunk` fast path
-//! (at arbitrary chunk boundaries) must produce identical decision
-//! streams, transition logs, statistics, and per-branch states.
+//! over adversarial traces from [`rsc_trace::adversary`]. The per-event
+//! `observe` path, the chunked `observe_chunk` fast path (at arbitrary
+//! chunk boundaries) and the sharded engine must produce identical
+//! decision streams, transition logs, statistics, and per-branch states.
+//! Every other built-in policy is held the same way to a full-FSM
+//! controller of that policy.
 //!
 //! When a divergence is found, [`shrink`](shrink::shrink) minimizes the
 //! failing trace and [`Counterexample`] writes
@@ -25,7 +27,7 @@
 //!     seed_start: 0,
 //!     seed_end: 1,
 //!     events: 500,
-//!     fault: None,
+//!     ..CampaignConfig::default()
 //! });
 //! assert!(report.counterexample.is_none(), "controller conforms");
 //! ```
@@ -40,9 +42,7 @@ pub mod json;
 pub mod shrink;
 
 pub use artifact::{params_from_json, params_to_json, ArtifactError, Counterexample};
-pub use campaign::{
-    run, run_policies, CampaignConfig, CampaignReport, PolicyCampaignReport, PolicyDivergence,
-};
-pub use differ::{run_case, run_policy_case, CaseSpec, Divergence, Mode};
+pub use campaign::{run, CampaignConfig, CampaignReport};
+pub use differ::{run_case, CaseSpec, Divergence, Mode};
 pub use fault::Fault;
 pub use shrink::{shrink, shrink_by};

@@ -151,7 +151,7 @@ mod tests {
     use super::*;
     use crate::differ::Mode;
     use crate::fault::Fault;
-    use rsc_control::{ControllerParams, EvictionMode, Revisit};
+    use rsc_control::{ControllerParams, EvictionMode, Policy, Revisit};
     use rsc_trace::Scenario;
 
     fn tiny() -> ControllerParams {
@@ -174,6 +174,7 @@ mod tests {
             reference: tiny(),
             mode,
             resilience: None,
+            policy: Policy::PaperFsm,
         }
     }
 
@@ -250,6 +251,7 @@ mod tests {
             reference: tiny(),
             mode: Mode::PerEvent,
             resilience: None,
+            policy: Policy::PaperFsm,
         };
         let trace = Scenario::UniformRandom { branches: 4 }.generate(500, 1);
         shrink(&spec, &trace);

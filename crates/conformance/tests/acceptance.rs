@@ -15,7 +15,7 @@ fn clean_campaign_finds_zero_divergences() {
         seed_start: 0,
         seed_end: 8,
         events: 2_000,
-        fault: None,
+        ..CampaignConfig::default()
     });
     assert!(
         report.counterexample.is_none(),
@@ -33,6 +33,7 @@ fn every_seeded_fault_is_caught_shrunk_and_replayable() {
             seed_end: 8,
             events: 2_000,
             fault: Some(fault),
+            ..CampaignConfig::default()
         });
         let cx = report
             .counterexample
@@ -66,6 +67,7 @@ fn fault_free_replay_of_a_faulty_artifact_passes() {
         seed_end: 8,
         events: 2_000,
         fault: Some(Fault::HysteresisOffByOne),
+        ..CampaignConfig::default()
     });
     let mut cx = report.counterexample.expect("fault should be caught");
     cx.fault = None;

@@ -5,7 +5,8 @@
 //! Exit status encodes the verdict for CI:
 //!
 //! * plain campaign — `0` when no divergence is found, `1` when one is
-//!   (the shrunk counterexample is written to the artifact directory);
+//!   (each diverging policy's shrunk counterexample is written to the
+//!   artifact directory as `counterexample-<policy>-<scenario>-<seed>.json`);
 //! * `--inject-fault` self-test — inverted: `0` when the fault IS
 //!   caught, `1` when the harness misses it;
 //! * `--replay` — `1` while the stored divergence still reproduces, `0`
@@ -138,37 +139,45 @@ fn run_campaign(config: &CampaignConfig, artifact_dir: &Path) -> i32 {
         report.cases, report.events_fed
     );
 
-    match (report.counterexample, config.fault) {
-        (None, None) => {
-            println!("no divergences: optimized controller conforms to the reference");
-            0
-        }
-        (None, Some(fault)) => {
-            println!("FAIL: injected fault {fault} was NOT caught");
-            1
-        }
-        (Some(cx), fault) => {
-            let path =
-                artifact_dir.join(format!("counterexample-{}-{}.json", cx.scenario, cx.seed));
-            println!(
-                "policy {} diverged ({} mode, {} events after shrinking): {}",
-                cx.policy.id(),
-                cx.mode.name(),
-                cx.trace.len(),
-                cx.detail
-            );
-            match cx.save(&path) {
-                Ok(()) => println!("wrote {}", path.display()),
-                Err(e) => eprintln!("failed to write artifact: {e}"),
-            }
-            if fault.is_some() {
-                println!("injected fault caught and minimized: harness self-test passed");
+    if report.counterexamples.is_empty() {
+        return match config.fault {
+            None => {
+                println!("no divergences: optimized controller conforms to the reference");
                 0
-            } else {
-                println!("replay with: repro conformance --replay {}", path.display());
+            }
+            Some(fault) => {
+                println!("FAIL: injected fault {fault} was NOT caught");
                 1
             }
+        };
+    }
+    for cx in &report.counterexamples {
+        let path = artifact_dir.join(format!(
+            "counterexample-{}-{}-{}.json",
+            cx.policy.id(),
+            cx.scenario,
+            cx.seed
+        ));
+        println!(
+            "policy {} diverged ({} mode, {} events after shrinking): {}",
+            cx.policy.id(),
+            cx.mode.name(),
+            cx.trace.len(),
+            cx.detail
+        );
+        match cx.save(&path) {
+            Ok(()) => println!("wrote {}", path.display()),
+            Err(e) => eprintln!("failed to write artifact: {e}"),
         }
+        if config.fault.is_none() {
+            println!("replay with: repro conformance --replay {}", path.display());
+        }
+    }
+    if config.fault.is_some() {
+        println!("injected fault caught and minimized: harness self-test passed");
+        0
+    } else {
+        1
     }
 }
 
@@ -200,9 +209,13 @@ mod tests {
     #[test]
     fn self_test_catches_fault_and_writes_artifact() {
         let dir = std::env::temp_dir().join("rsc_conformance_cli_test");
-        for (fault, sweep) in [
-            ("hysteresis-off-by-one", &[][..]),
-            ("monitor-window-off-by-one", &["--policies"][..]),
+        for (fault, sweep, policies) in [
+            ("hysteresis-off-by-one", &[][..], &["paper-fsm"][..]),
+            (
+                "monitor-window-off-by-one",
+                &["--policies"][..],
+                &BUILTIN_POLICY_IDS[..],
+            ),
         ] {
             std::fs::remove_dir_all(&dir).ok();
             let mut args = vec!["--seeds", "0..2", "--events", "1500"];
@@ -215,13 +228,29 @@ mod tests {
             args.extend(sweep);
             let code = run_as("conformance", &args);
             assert_eq!(code, 0, "self-test should catch {fault}");
-            let artifacts: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-            assert_eq!(artifacts.len(), 1, "exactly one artifact expected");
-            let path = artifacts[0].as_ref().unwrap().path();
-            assert_eq!(
-                run_as("conformance", &["--replay", path.to_str().unwrap()]),
-                1
-            );
+            let mut artifacts: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            artifacts.sort();
+            assert_eq!(artifacts.len(), policies.len(), "one artifact per policy");
+            for policy in policies {
+                let prefix = format!("counterexample-{policy}-");
+                let path = artifacts
+                    .iter()
+                    .find(|p| {
+                        p.file_name()
+                            .unwrap()
+                            .to_str()
+                            .unwrap()
+                            .starts_with(&prefix)
+                    })
+                    .unwrap_or_else(|| panic!("{fault}: no {policy} artifact"));
+                assert_eq!(
+                    run_as("conformance", &["--replay", path.to_str().unwrap()]),
+                    1
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

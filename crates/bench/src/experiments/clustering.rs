@@ -35,32 +35,26 @@ impl Row {
 /// Runs the task-size sweep over selected benchmarks.
 pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
     let events = mssp_events(opts);
-    names
-        .iter()
-        .map(|name| {
-            let model = spec2000::benchmark(name).expect("known benchmark");
-            let pop = model.population(events);
-            let sweeps = TASK_SIZES
-                .iter()
-                .map(|&task_events| {
-                    let mut params = MsspParams::new();
-                    params.task_events = task_events;
-                    let r = machine::run_mssp_only_chunked(
-                        &pop,
-                        InputId::Eval,
-                        events,
-                        opts.seed,
-                        &params,
-                    );
-                    (task_events, r.branch_misspecs, r.task_misspecs)
-                })
-                .collect();
-            Row {
-                name: model.name,
-                sweeps,
-            }
-        })
-        .collect()
+    crate::parallel::par_map(names.to_vec(), |name| {
+        let model = spec2000::benchmark(name).expect("known benchmark");
+        let pop = model.population(events);
+        // Each task size cuts the stream into different blocks, so each
+        // is its own one-master run.
+        let sweeps = TASK_SIZES
+            .iter()
+            .map(|&task_events| {
+                let mut params = MsspParams::new();
+                params.task_events = task_events;
+                let r =
+                    machine::run_mssp_only_chunked(&pop, InputId::Eval, events, opts.seed, &params);
+                (task_events, r.branch_misspecs, r.task_misspecs)
+            })
+            .collect();
+        Row {
+            name: model.name,
+            sweeps,
+        }
+    })
 }
 
 /// Runs all benchmarks.

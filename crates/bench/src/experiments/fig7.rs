@@ -15,7 +15,7 @@
 use crate::options::ExpOptions;
 use crate::table::TextTable;
 use rsc_control::ControllerParams;
-use rsc_mssp::{machine, MsspParams};
+use rsc_mssp::{machine, MsspParams, MsspResult};
 use rsc_trace::{spec2000, InputId};
 
 /// Normalized performance of the four configurations for one benchmark.
@@ -54,43 +54,28 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
     // per-branch execution counts at this scale, a 4x extension occupies
     // the same fraction of a branch's lifetime.
     let long_monitor = base_ctl.monitor_period * 4;
-    type Assign = fn(&mut Row, f64);
-    let configs: [(ControllerParams, Assign); 4] = [
-        (base_ctl, |r, v| r.closed = v),
-        (base_ctl.without_eviction(), |r, v| r.open = v),
-        (base_ctl.with_monitor_period(long_monitor), |r, v| {
-            r.closed_long = v
-        }),
-        (
-            base_ctl
-                .without_eviction()
-                .with_monitor_period(long_monitor),
-            |r, v| r.open_long = v,
-        ),
-    ];
+    // c, o, C, O: one master each on a single program stream.
+    let params = [
+        base_ctl,
+        base_ctl.without_eviction(),
+        base_ctl.with_monitor_period(long_monitor),
+        base_ctl
+            .without_eviction()
+            .with_monitor_period(long_monitor),
+    ]
+    .map(|ctl| MsspParams::new().with_controller(ctl));
     crate::parallel::par_map(names.to_vec(), |name| {
         let model = spec2000::benchmark(name).expect("known benchmark");
         let pop = model.population(events);
-        let baseline = machine::run_baseline_chunked(
-            &pop,
-            InputId::Eval,
-            events,
-            opts.seed,
-            &MsspParams::new().machine,
-        );
-        let mut row = Row {
+        let r = machine::run_mssp_many(&pop, InputId::Eval, events, opts.seed, true, &params);
+        let perf = |r: &MsspResult| r.baseline_cycles as f64 / r.mssp_cycles as f64;
+        Row {
             name: model.name,
-            closed: 0.0,
-            open: 0.0,
-            closed_long: 0.0,
-            open_long: 0.0,
-        };
-        for (ctl, set) in configs {
-            let params = MsspParams::new().with_controller(ctl);
-            let r = machine::run_mssp_only_chunked(&pop, InputId::Eval, events, opts.seed, &params);
-            set(&mut row, baseline as f64 / r.mssp_cycles as f64);
+            closed: perf(&r[0]),
+            open: perf(&r[1]),
+            closed_long: perf(&r[2]),
+            open_long: perf(&r[3]),
         }
-        row
     })
 }
 

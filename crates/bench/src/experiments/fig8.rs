@@ -34,26 +34,16 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
 /// Runs the latency sweep over selected benchmarks.
 pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
     let events = mssp_events(opts);
+    // One master per latency on a single program stream.
+    let params = LATENCIES
+        .map(|lat| MsspParams::new().with_controller(ControllerParams::scaled().with_latency(lat)));
     crate::parallel::par_map(names.to_vec(), |name| {
         let model = spec2000::benchmark(name).expect("known benchmark");
         let pop = model.population(events);
-        let baseline = machine::run_baseline_chunked(
-            &pop,
-            InputId::Eval,
-            events,
-            opts.seed,
-            &MsspParams::new().machine,
-        );
-        let mut perf = [0.0; 3];
-        for (i, &lat) in LATENCIES.iter().enumerate() {
-            let params =
-                MsspParams::new().with_controller(ControllerParams::scaled().with_latency(lat));
-            let r = machine::run_mssp_only_chunked(&pop, InputId::Eval, events, opts.seed, &params);
-            perf[i] = baseline as f64 / r.mssp_cycles as f64;
-        }
+        let r = machine::run_mssp_many(&pop, InputId::Eval, events, opts.seed, true, &params);
         Row {
             name: model.name,
-            perf,
+            perf: [0, 1, 2].map(|i| r[i].baseline_cycles as f64 / r[i].mssp_cycles as f64),
         }
     })
 }

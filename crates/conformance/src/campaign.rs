@@ -3,8 +3,9 @@
 //! A campaign sweeps a seed range over the cross-product of a controller
 //! parameter matrix, the adversarial scenarios tuned to each parameter
 //! set, the selected policies, and the execution modes (per-event,
-//! chunked and sharded). The first divergence aborts the sweep: the
-//! failing trace is shrunk and packaged as a [`Counterexample`].
+//! chunked and sharded). A policy's first divergence ends that policy's
+//! sweep: the failing trace is shrunk and packaged as a
+//! [`Counterexample`], and the other policies sweep on.
 //!
 //! With no [`Fault`] injected, a campaign is the conformance check
 //! proper — it must find nothing. With a fault, it is a self-test of the
@@ -56,8 +57,9 @@ pub struct CampaignReport {
     pub cases: u64,
     /// Total events fed to each controller.
     pub events_fed: u64,
-    /// The first divergence found, already shrunk. `None` is conformance.
-    pub counterexample: Option<Counterexample>,
+    /// Each diverging policy's first divergence, already shrunk, in
+    /// policy order. Empty is conformance.
+    pub counterexamples: Vec<Counterexample>,
 }
 
 /// The controller parameterizations every campaign sweeps.
@@ -140,8 +142,9 @@ pub fn scenarios_for(p: &ControllerParams) -> Vec<Scenario> {
     ]
 }
 
-/// Runs the campaign, stopping at the first divergence, which is shrunk
-/// and returned as a [`Counterexample`].
+/// Runs the campaign. Each policy stops at its own first divergence,
+/// which is shrunk and returned as a [`Counterexample`]; the sweep ends
+/// early once every policy has diverged.
 ///
 /// Every (seed, params, scenario) cell runs once per policy and mode:
 /// `paper-fsm` alone, or every built-in policy with
@@ -184,8 +187,9 @@ pub fn run(config: &CampaignConfig) -> CampaignReport {
     let matrix = param_matrix();
     let mut cases = 0u64;
     let mut events_fed = 0u64;
+    let mut counterexamples: Vec<Counterexample> = Vec::new();
 
-    for seed in config.seed_start..config.seed_end {
+    'sweep: for seed in config.seed_start..config.seed_end {
         for (pi, (_, params)) in matrix.iter().enumerate() {
             let subject = match config.fault {
                 Some(f) => f.apply(*params),
@@ -198,6 +202,9 @@ pub fn run(config: &CampaignConfig) -> CampaignReport {
                 .next_u64();
                 let trace = scenario.generate(config.events, sub_seed);
                 for &policy in &policies {
+                    if counterexamples.iter().any(|c| c.policy == policy) {
+                        continue;
+                    }
                     for mode in modes(sub_seed) {
                         let spec = CaseSpec {
                             subject,
@@ -213,20 +220,20 @@ pub fn run(config: &CampaignConfig) -> CampaignReport {
                         events_fed += trace.len() as u64;
                         if run_case(&spec, &trace).is_err() {
                             let (minimized, div) = shrink(&spec, &trace);
-                            return CampaignReport {
-                                cases,
-                                events_fed,
-                                counterexample: Some(Counterexample {
-                                    scenario: scenario.name().to_string(),
-                                    seed: sub_seed,
-                                    fault: config.fault,
-                                    policy,
-                                    params: *params,
-                                    mode,
-                                    trace: minimized,
-                                    detail: div.to_string(),
-                                }),
-                            };
+                            counterexamples.push(Counterexample {
+                                scenario: scenario.name().to_string(),
+                                seed: sub_seed,
+                                fault: config.fault,
+                                policy,
+                                params: *params,
+                                mode,
+                                trace: minimized,
+                                detail: div.to_string(),
+                            });
+                            if counterexamples.len() == policies.len() {
+                                break 'sweep;
+                            }
+                            break;
                         }
                     }
                 }
@@ -234,10 +241,12 @@ pub fn run(config: &CampaignConfig) -> CampaignReport {
         }
     }
 
+    // Report in policy order, whichever diverged first.
+    counterexamples.sort_by_key(|c| policies.iter().position(|&p| p == c.policy));
     CampaignReport {
         cases,
         events_fed,
-        counterexample: None,
+        counterexamples,
     }
 }
 
@@ -254,9 +263,9 @@ mod tests {
             ..CampaignConfig::default()
         });
         assert!(
-            report.counterexample.is_none(),
+            report.counterexamples.is_empty(),
             "unexpected divergence: {:?}",
-            report.counterexample.map(|c| c.detail)
+            report.counterexamples.first().map(|c| &c.detail)
         );
         // 6 param sets × 7 scenarios × 3 modes per seed.
         assert_eq!(report.cases, 2 * 6 * 7 * 3);
@@ -286,9 +295,9 @@ mod tests {
         };
         let report = run(&config);
         assert!(
-            report.counterexample.is_none(),
+            report.counterexamples.is_empty(),
             "unexpected divergence: {:?}",
-            report.counterexample.map(|c| c.detail)
+            report.counterexamples.first().map(|c| &c.detail)
         );
         // 6 param sets × 7 scenarios × 8 shard counts per seed.
         assert_eq!(report.cases, 6 * 7 * 8);
@@ -306,9 +315,9 @@ mod tests {
         };
         let report = run(&config);
         assert!(
-            report.counterexample.is_none(),
+            report.counterexamples.is_empty(),
             "unexpected divergence: {:?}",
-            report.counterexample.map(|c| c.detail)
+            report.counterexamples.first().map(|c| &c.detail)
         );
         // 6 param sets × 7 scenarios × 3 policies × 3 modes per seed.
         assert_eq!(report.cases, 6 * 7 * 3 * 3);
@@ -326,7 +335,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let report = run(&config);
-        assert!(report.counterexample.is_none());
+        assert!(report.counterexamples.is_empty());
         // 6 param sets × 7 scenarios × 3 policies × 2 shard counts.
         assert_eq!(report.cases, 6 * 7 * 3 * 2);
     }
@@ -343,8 +352,44 @@ mod tests {
             all_policies: true,
             ..CampaignConfig::default()
         };
-        let cx = run(&config).counterexample.expect("fault must be caught");
-        assert!(cx.replay().is_err(), "artifact must reproduce");
+        let report = run(&config);
+        let ids: Vec<&str> = report
+            .counterexamples
+            .iter()
+            .map(|c| c.policy.id())
+            .collect();
+        assert_eq!(ids, BUILTIN_POLICY_IDS, "every policy must diverge");
+        for cx in &report.counterexamples {
+            assert!(
+                cx.replay().is_err(),
+                "{} artifact must reproduce",
+                cx.policy.id()
+            );
+        }
+    }
+
+    #[test]
+    fn each_policy_stops_at_its_own_first_divergence() {
+        // Under this fault `perceptron` diverges on an earlier case than
+        // `paper-fsm`. The sweep must go on past it, and `paper-fsm`'s
+        // counterexample must be the one a `paper-fsm`-only sweep finds.
+        let config = CampaignConfig {
+            seed_start: 0,
+            seed_end: 1,
+            events: 1_000,
+            fault: Some(Fault::HysteresisOffByOne),
+            ..CampaignConfig::default()
+        };
+        let alone = run(&config);
+        let all = run(&CampaignConfig {
+            all_policies: true,
+            ..config
+        });
+        let ids: Vec<&str> = all.counterexamples.iter().map(|c| c.policy.id()).collect();
+        assert_eq!(ids, BUILTIN_POLICY_IDS);
+        assert_eq!(alone.counterexamples.len(), 1);
+        assert_eq!(all.counterexamples[0], alone.counterexamples[0]);
+        assert!(all.cases > alone.cases);
     }
 
     #[test]
@@ -357,7 +402,13 @@ mod tests {
             shards: Some(4),
             ..CampaignConfig::default()
         };
-        let cx = run(&config).counterexample.expect("fault must be caught");
+        let report = run(&config);
+        let [cx] = &report.counterexamples[..] else {
+            panic!(
+                "one policy, one counterexample: {:?}",
+                report.counterexamples
+            );
+        };
         assert!(matches!(cx.mode, Mode::Sharded { .. }));
         assert!(cx.replay().is_err(), "artifact must reproduce");
     }

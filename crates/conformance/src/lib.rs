@@ -29,7 +29,7 @@
 //!     events: 500,
 //!     ..CampaignConfig::default()
 //! });
-//! assert!(report.counterexample.is_none(), "controller conforms");
+//! assert!(report.counterexamples.is_empty(), "controller conforms");
 //! ```
 //!
 //! [`ReactiveController`]: rsc_control::ReactiveController

@@ -18,9 +18,9 @@ fn clean_campaign_finds_zero_divergences() {
         ..CampaignConfig::default()
     });
     assert!(
-        report.counterexample.is_none(),
+        report.counterexamples.is_empty(),
         "optimized controller diverged from the reference: {:?}",
-        report.counterexample.map(|c| c.detail)
+        report.counterexamples.first().map(|c| &c.detail)
     );
     assert!(report.cases >= 8 * 6 * 7 * 2, "campaign under-covered");
 }
@@ -35,9 +35,9 @@ fn every_seeded_fault_is_caught_shrunk_and_replayable() {
             fault: Some(fault),
             ..CampaignConfig::default()
         });
-        let cx = report
-            .counterexample
-            .unwrap_or_else(|| panic!("{fault} was not caught"));
+        let [cx] = &report.counterexamples[..] else {
+            panic!("{fault} was not caught exactly once by the one policy swept");
+        };
         assert!(
             cx.trace.len() <= 1_000,
             "{fault}: counterexample not minimal enough ({} events)",
@@ -50,7 +50,7 @@ fn every_seeded_fault_is_caught_shrunk_and_replayable() {
 
         let text = cx.to_json().to_string();
         let reloaded = Counterexample::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(reloaded, cx, "{fault}: artifact must round-trip");
+        assert_eq!(&reloaded, cx, "{fault}: artifact must round-trip");
         let div = reloaded
             .replay()
             .expect_err("reloaded artifact must reproduce the divergence");
@@ -69,7 +69,11 @@ fn fault_free_replay_of_a_faulty_artifact_passes() {
         fault: Some(Fault::HysteresisOffByOne),
         ..CampaignConfig::default()
     });
-    let mut cx = report.counterexample.expect("fault should be caught");
+    let mut cx = report
+        .counterexamples
+        .into_iter()
+        .next()
+        .expect("fault should be caught");
     cx.fault = None;
     assert!(cx.replay().is_ok());
 }

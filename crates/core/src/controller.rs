@@ -1026,6 +1026,15 @@ impl ReactiveController {
         counters.since(start)
     }
 
+    /// Reserves room in the per-branch table for branch indices below
+    /// `branches`, so a run over a population of known size allocates the
+    /// table once, at its exact size, instead of growing it by doubling
+    /// as new indices appear. Changes no behavior.
+    pub fn reserve_branches(&mut self, branches: usize) {
+        self.branches
+            .reserve_exact(branches.saturating_sub(self.branches.len()));
+    }
+
     /// Aggregate statistics so far.
     pub fn stats(&self) -> ControlStats {
         let mut s = ControlStats {

@@ -9,9 +9,22 @@ pub enum Access {
     Miss,
 }
 
+/// Marks an empty way. Block numbers are checked to stay below it.
+const EMPTY: u32 = u32::MAX;
+
 /// A set-associative, write-allocate cache with true-LRU replacement.
 ///
 /// Only hit/miss behavior is modeled (timing lives in the core models).
+///
+/// Every set's blocks sit MRU-first in one flat array of `sets * assoc`
+/// `u32` block numbers, so an access is a scan of at most `assoc`
+/// adjacent words and an LRU rotation is a `copy_within` of the few
+/// words in front of the hit. The leading slot is the set's MRU block,
+/// which makes the dominant repeat-access pattern a single compare.
+/// Block numbers are narrowed to `u32` with a checked conversion: an
+/// address whose block number does not fit panics rather than aliasing
+/// another block. (Simulated data lives below `0x1000_0000 + 8 MiB`, so
+/// 64-byte blocks use well under 2^23 of the 2^32 numbers.)
 ///
 /// # Examples
 ///
@@ -23,10 +36,12 @@ pub enum Access {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<u64>>, // tags, most-recently-used first
+    /// `sets * assoc` block numbers, each set's ways adjacent and
+    /// MRU-first; [`EMPTY`] marks a way never filled.
+    ways: Box<[u32]>,
     assoc: usize,
     block_shift: u32,
-    set_mask: u64,
+    set_mask: u32,
     hits: u64,
     misses: u64,
 }
@@ -51,35 +66,68 @@ impl Cache {
         let blocks = kib as u64 * 1024 / block_bytes as u64;
         let sets = (blocks / assoc as u64).max(1);
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let set_mask = u32::try_from(sets - 1).expect("set count fits in u32");
         Cache {
-            sets: vec![Vec::with_capacity(assoc as usize); sets as usize],
+            ways: vec![EMPTY; sets as usize * assoc as usize].into_boxed_slice(),
             assoc: assoc as usize,
             block_shift: block_bytes.trailing_zeros(),
-            set_mask: sets - 1,
+            set_mask,
             hits: 0,
             misses: 0,
         }
     }
 
     /// Accesses `addr`, updating LRU state and filling on a miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr`'s block number does not fit in a `u32` below
+    /// the empty-way marker.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
-        let block = addr >> self.block_shift;
-        let set = (block & self.set_mask) as usize;
-        let tag = block >> self.sets.len().trailing_zeros();
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&t| t == tag) {
-            let t = ways.remove(pos);
-            ways.insert(0, t);
-            self.hits += 1;
-            Access::Hit
-        } else {
-            if ways.len() >= self.assoc {
-                ways.pop();
-            }
-            ways.insert(0, tag);
-            self.misses += 1;
-            Access::Miss
+        let a = self.lookup(addr);
+        match a {
+            Access::Hit => self.hits += 1,
+            Access::Miss => self.misses += 1,
         }
+        a
+    }
+
+    /// [`Cache::access`] without the counter update, for hot loops that
+    /// tally hits and misses in locals and credit them once per batch
+    /// with [`Cache::add_counts`].
+    #[inline]
+    pub(crate) fn lookup(&mut self, addr: u64) -> Access {
+        let block = addr >> self.block_shift;
+        let block = match u32::try_from(block) {
+            Ok(b) if b != EMPTY => b,
+            _ => block_too_wide(block),
+        };
+        let start = (block & self.set_mask) as usize * self.assoc;
+        let ways = &mut self.ways[start..start + self.assoc];
+        if ways[0] == block {
+            // The block is already this set's MRU: hit, LRU unchanged.
+            return Access::Hit;
+        }
+        for i in 1..ways.len() {
+            if ways[i] == block {
+                ways.copy_within(0..i, 1);
+                ways[0] = block;
+                return Access::Hit;
+            }
+        }
+        // Miss: shift every way down (the last one, LRU or empty, falls
+        // off) and fill the MRU slot.
+        ways.copy_within(0..ways.len() - 1, 1);
+        ways[0] = block;
+        Access::Miss
+    }
+
+    /// Credits `hits` and `misses` tallied outside [`Cache::access`].
+    #[inline]
+    pub(crate) fn add_counts(&mut self, hits: u64, misses: u64) {
+        self.hits += hits;
+        self.misses += misses;
     }
 
     /// Hits so far.
@@ -104,115 +152,74 @@ impl Cache {
 
     /// Number of sets (exposed for tests and diagnostics).
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.ways.len() / self.assoc
     }
 }
 
-/// A caller-held flat mirror of a [`Cache`]'s contents: the batched
-/// timing loop's cache fast path.
-///
-/// The shadow stores every set's blocks MRU-first in one contiguous
-/// array (`sets * assoc` slots, `u64::MAX` marking an empty way), so an
-/// access is a strided scan of at most `assoc` adjacent words and an LRU
-/// rotation is a `copy_within` of the few words in front of the hit —
-/// no per-set `Vec` headers to chase and no `remove`/`insert` shuffles.
-/// The leading slot is the set's MRU block, which makes the dominant
-/// repeat-access pattern a single compare. Replacement semantics are
-/// exactly [`Cache::access`]'s true-LRU, and the hit/miss counters keep
-/// living on the shadowed `Cache`, which stays the one source of
-/// accounting truth.
-///
-/// [`ShadowCache::access`] is bit-identical to [`Cache::access`]
-/// **provided every access to the underlying cache flows through the
-/// same shadow for the shadow's lifetime**: the shadow owns the
-/// *contents* from construction on, so an access that bypasses it leaves
-/// the two copies permanently diverged. The chunked machine loops
-/// therefore create one shadow per cache per run and route all traffic
-/// through it; the per-event oracle path never constructs one.
-#[derive(Debug, Clone)]
-pub struct ShadowCache {
-    /// `sets * assoc` block numbers, each set's ways adjacent and
-    /// MRU-first; `u64::MAX` means "empty way" (addresses are < 2^48, so
-    /// real block numbers never collide with the sentinel).
-    ways: Box<[u64]>,
-    assoc: usize,
-    block_shift: u32,
-    set_mask: u64,
-}
-
-impl ShadowCache {
-    /// Creates a shadow holding `cache`'s current contents (empty sets
-    /// included), after which all accesses must flow through it.
-    pub fn new(cache: &Cache) -> Self {
-        let assoc = cache.assoc;
-        let set_bits = cache.sets.len().trailing_zeros();
-        let mut ways = vec![u64::MAX; cache.sets.len() * assoc].into_boxed_slice();
-        for (s, set) in cache.sets.iter().enumerate() {
-            for (i, &tag) in set.iter().enumerate() {
-                ways[s * assoc + i] = (tag << set_bits) | s as u64;
-            }
-        }
-        ShadowCache {
-            ways,
-            assoc,
-            block_shift: cache.block_shift,
-            set_mask: cache.set_mask,
-        }
-    }
-
-    /// Accesses `addr` through the shadow, updating `cache`'s hit/miss
-    /// counters; identical results to [`Cache::access`] under the
-    /// exclusive-routing invariant above.
-    #[inline]
-    pub fn access(&mut self, cache: &mut Cache, addr: u64) -> Access {
-        let a = self.access_uncounted(addr);
-        match a {
-            Access::Hit => cache.hits += 1,
-            Access::Miss => cache.misses += 1,
-        }
-        a
-    }
-
-    /// [`ShadowCache::access`] without the counter update, for hot loops
-    /// that tally hits/misses in locals and flush them to the shadowed
-    /// [`Cache`] once per batch (the totals are what must stay identical).
-    #[inline]
-    pub fn access_uncounted(&mut self, addr: u64) -> Access {
-        let block = addr >> self.block_shift;
-        let start = (block & self.set_mask) as usize * self.assoc;
-        let ways = &mut self.ways[start..start + self.assoc];
-        if ways[0] == block {
-            // The block is already this set's MRU: hit, LRU unchanged.
-            return Access::Hit;
-        }
-        for i in 1..ways.len() {
-            if ways[i] == block {
-                ways.copy_within(0..i, 1);
-                ways[0] = block;
-                return Access::Hit;
-            }
-        }
-        // Miss: shift every way down (the last one — LRU or an empty
-        // sentinel — falls off) and fill the MRU slot.
-        ways.copy_within(0..self.assoc - 1, 1);
-        ways[0] = block;
-        Access::Miss
-    }
-}
-
-/// Adds externally tallied hit/miss counts to a cache's counters: the
-/// flush half of the [`ShadowCache::access_uncounted`] protocol.
-impl Cache {
-    /// Credits `hits` and `misses` accumulated outside [`Cache::access`].
-    pub fn add_counts(&mut self, hits: u64, misses: u64) {
-        self.hits += hits;
-        self.misses += misses;
-    }
+#[cold]
+#[inline(never)]
+fn block_too_wide(block: u64) -> ! {
+    panic!("block number {block:#x} does not fit the cache's u32 block layout")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The textbook true-LRU cache the flat layout replaced: one `Vec` of
+    /// `u64` block numbers per set, most recently used first. It is the
+    /// reference model [`Cache`] is checked against.
+    struct ReferenceLru {
+        sets: Vec<Vec<u64>>,
+        assoc: usize,
+        block_shift: u32,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ReferenceLru {
+        fn new(kib: u32, assoc: u32, block_bytes: u32) -> Self {
+            let blocks = kib as u64 * 1024 / block_bytes as u64;
+            let sets = (blocks / assoc as u64).max(1);
+            ReferenceLru {
+                sets: vec![Vec::new(); sets as usize],
+                assoc: assoc as usize,
+                block_shift: block_bytes.trailing_zeros(),
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> Access {
+            let block = addr >> self.block_shift;
+            let set = (block % self.sets.len() as u64) as usize;
+            let ways = &mut self.sets[set];
+            if let Some(pos) = ways.iter().position(|&b| b == block) {
+                let b = ways.remove(pos);
+                ways.insert(0, b);
+                self.hits += 1;
+                Access::Hit
+            } else {
+                if ways.len() >= self.assoc {
+                    ways.pop();
+                }
+                ways.insert(0, block);
+                self.misses += 1;
+                Access::Miss
+            }
+        }
+    }
+
+    /// `cache`'s set `s`, MRU first, without empty ways.
+    fn set_contents(cache: &Cache, s: usize) -> Vec<u64> {
+        cache.ways[s * cache.assoc..(s + 1) * cache.assoc]
+            .iter()
+            .take_while(|&&b| b != EMPTY)
+            .map(|&b| u64::from(b))
+            .collect()
+    }
+
+    const GEOMETRIES: [(u32, u32); 3] = [(8, 2), (64, 8), (1, 1)];
 
     #[test]
     fn geometry() {
@@ -275,11 +282,10 @@ mod tests {
     }
 
     #[test]
-    fn shadow_is_bit_identical_to_direct_access() {
-        for (kib, assoc) in [(8, 2), (64, 8), (1, 1)] {
-            let mut plain = Cache::new(kib, assoc, 64);
-            let mut shadowed = Cache::new(kib, assoc, 64);
-            let mut shadow = ShadowCache::new(&shadowed);
+    fn matches_the_reference_lru_on_an_lcg_stream() {
+        for (kib, assoc) in GEOMETRIES {
+            let mut flat = Cache::new(kib, assoc, 64);
+            let mut reference = ReferenceLru::new(kib, assoc, 64);
             // A mix of repeats, conflicts, and strides; LCG-driven.
             let mut x = 0xDEADBEEFu64;
             for i in 0..20_000u64 {
@@ -292,45 +298,87 @@ mod tests {
                     (x >> 40) % (64 * 1024)
                 };
                 assert_eq!(
-                    plain.access(addr),
-                    shadow.access(&mut shadowed, addr),
-                    "{kib} KiB {assoc}-way"
+                    flat.access(addr),
+                    reference.access(addr),
+                    "{kib} KiB {assoc}-way, access {i}"
                 );
             }
-            assert_eq!(plain.hits(), shadowed.hits());
-            assert_eq!(plain.misses(), shadowed.misses());
+            assert_eq!(flat.hits(), reference.hits, "{kib} KiB {assoc}-way");
+            assert_eq!(flat.misses(), reference.misses, "{kib} KiB {assoc}-way");
+            for (s, set) in reference.sets.iter().enumerate() {
+                assert_eq!(
+                    &set_contents(&flat, s),
+                    set,
+                    "{kib} KiB {assoc}-way set {s}"
+                );
+            }
         }
     }
 
     #[test]
-    fn shadow_of_a_warm_cache_keeps_its_contents_and_lru_order() {
-        let mut plain = Cache::new(1, 2, 64); // 8 sets
-        let mut shadowed = Cache::new(1, 2, 64);
-        let stride = 8 * 64;
-        for addr in [0, stride, 0] {
-            plain.access(addr);
-            shadowed.access(addr); // set 0 now holds [0, stride], 0 MRU
+    fn warm_sets_keep_the_reference_lru_order() {
+        for (kib, assoc) in GEOMETRIES {
+            let mut flat = Cache::new(kib, assoc, 64);
+            let mut reference = ReferenceLru::new(kib, assoc, 64);
+            let sets = flat.set_count() as u64;
+            let stride = sets * 64; // every address below maps to set 0
+                                    // Fill set 0 past capacity, then touch its ways out of order so
+                                    // the LRU order differs from the fill order.
+            let mut x = 0x1234_5678u64;
+            for i in 0..(4 * u64::from(assoc) + 8) {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let tag = if i < u64::from(assoc) + 2 {
+                    i
+                } else {
+                    (x >> 33) % (u64::from(assoc) + 2)
+                };
+                assert_eq!(flat.access(tag * stride), reference.access(tag * stride));
+                assert_eq!(
+                    set_contents(&flat, 0),
+                    reference.sets[0],
+                    "{kib} KiB {assoc}-way, access {i}"
+                );
+            }
+            assert_eq!(set_contents(&flat, 0).len(), assoc as usize);
+            assert!((1..sets as usize).all(|s| set_contents(&flat, s).is_empty()));
         }
-        let mut shadow = ShadowCache::new(&shadowed);
-        // 2*stride evicts `stride` (LRU), keeping 0 — in both copies.
-        assert_eq!(plain.access(2 * stride), Access::Miss);
-        assert_eq!(shadow.access(&mut shadowed, 2 * stride), Access::Miss);
-        assert_eq!(plain.access(0), Access::Hit);
-        assert_eq!(shadow.access(&mut shadowed, 0), Access::Hit);
-        assert_eq!(plain.access(stride), Access::Miss);
-        assert_eq!(shadow.access(&mut shadowed, stride), Access::Miss);
     }
 
     #[test]
-    fn shadow_fast_path_triggers_on_repeats() {
+    fn lookup_leaves_the_counters_to_add_counts() {
         let mut c = Cache::new(8, 2, 64);
-        let mut shadow = ShadowCache::new(&c);
-        assert_eq!(shadow.access(&mut c, 0x100), Access::Miss);
-        assert_eq!(
-            shadow.access(&mut c, 0x104),
-            Access::Hit,
-            "same block, MRU slot"
-        );
-        assert_eq!(c.hits(), 1);
+        assert_eq!(c.lookup(0x100), Access::Miss);
+        assert_eq!(c.lookup(0x104), Access::Hit, "same block, MRU slot");
+        assert_eq!((c.hits(), c.misses()), (0, 0));
+        c.add_counts(1, 1);
+        assert_eq!((c.hits(), c.misses()), (1, 1));
+    }
+
+    #[test]
+    fn the_largest_simulated_data_address_fits() {
+        let mut c = Cache::new(1024, 8, 64);
+        let last = 0x1000_0000 + 8 * 1024 * 1024 - 1;
+        assert_eq!(c.access(last), Access::Miss);
+        assert_eq!(c.access(last), Access::Hit);
+        // Block numbers run right up to the empty-way marker.
+        let top = u64::from(EMPTY - 1) << 6;
+        assert_eq!(c.access(top), Access::Miss);
+        assert_eq!(c.access(top), Access::Hit);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn a_block_number_above_u32_max_panics() {
+        let mut c = Cache::new(8, 2, 64);
+        c.access((u64::from(u32::MAX) + 1) << 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn the_empty_way_marker_is_not_a_block_number() {
+        let mut c = Cache::new(8, 2, 64);
+        c.access(u64::from(EMPTY) << 6);
     }
 }

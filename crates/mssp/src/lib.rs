@@ -17,10 +17,13 @@
 //!
 //! The simulator has two execution paths with bit-identical results.
 //! [`run_baseline`] and [`run_mssp_only`] step one instruction at a time
-//! and serve as the oracle; [`run_baseline_chunked`] and
-//! [`run_mssp_only_chunked`] step whole task blocks through the batched
-//! [`CoreModel`] arms. [`run_mssp`] and the paper's experiments use the
-//! batched path.
+//! and serve as the oracle. The chunked path steps whole task blocks
+//! through the batched [`CoreModel`] arms: [`run_mssp_many`] generates
+//! the program once and feeds each task to one trailing core, an
+//! optional baseline core, and one master per [`MsspParams`] of a sweep.
+//! [`run_mssp`] and [`run_mssp_only_chunked`] are its one-master cases,
+//! and [`run_baseline_chunked`] steps the baseline alone. The paper's
+//! experiments use the chunked path.
 //!
 //! ```
 //! use rsc_mssp::{run_mssp, MsspParams};
@@ -40,12 +43,12 @@ pub mod predictor;
 pub mod program;
 pub mod timing;
 
-pub use cache::{Cache, ShadowCache};
+pub use cache::Cache;
 pub use config::{CoreConfig, MachineConfig};
 pub use distill::Distiller;
 pub use machine::{
-    run_baseline, run_baseline_chunked, run_mssp, run_mssp_only, run_mssp_only_chunked, MsspParams,
-    MsspResult,
+    run_baseline, run_baseline_chunked, run_mssp, run_mssp_many, run_mssp_only,
+    run_mssp_only_chunked, MsspParams, MsspResult,
 };
 pub use program::{BlockOp, Instr, InstrBlock, MemoryModel, OpKind, ProgramStream};
 pub use timing::{CoreModel, StepMemo, TimingStats};

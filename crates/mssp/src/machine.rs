@@ -8,7 +8,7 @@
 //! the fact), and recovery restarts the master from the checkpoint.
 
 use crate::cache::Cache;
-use crate::config::MachineConfig;
+use crate::config::{CoreConfig, MachineConfig};
 use crate::distill::{Distiller, SkipAccumulator};
 use crate::program::{Instr, InstrBlock, MemoryModel, OpKind, ProgramStream};
 use crate::timing::{CoreModel, StepMemo};
@@ -128,9 +128,7 @@ pub fn run_baseline_chunked(
     machine: &MachineConfig,
 ) -> u64 {
     let mem = MemoryModel::for_benchmark(population.name());
-    let mut core = CoreModel::new(machine.leading, machine);
-    let mut l2 = Cache::new(machine.l2_kib, machine.l2_assoc, machine.block_bytes);
-    let mut memo = StepMemo::new(&core, &l2);
+    let mut core = BlockCore::new(machine.leading, machine);
     let mut stream = ProgramStream::new(population, input, events, seed, mem);
     let mut block = InstrBlock::default();
     loop {
@@ -138,14 +136,15 @@ pub fn run_baseline_chunked(
         if block.is_empty() {
             break;
         }
-        core.step_block(&block, &mut l2, &mut memo);
+        core.step_block(&block);
     }
-    core.cycles()
+    core.core.cycles()
 }
 
 /// Runs the MSSP machine with the given speculation-control policy and
-/// returns cycles for both MSSP and the baseline. Steps the chunked paths;
-/// the result equals [`run_baseline`] plus [`run_mssp_only`] bit for bit.
+/// returns cycles for both MSSP and the baseline: [`run_mssp_many`] with
+/// one master and the baseline core. The result equals [`run_baseline`]
+/// plus [`run_mssp_only`] bit for bit.
 ///
 /// # Panics
 ///
@@ -157,10 +156,14 @@ pub fn run_mssp(
     seed: u64,
     params: &MsspParams,
 ) -> MsspResult {
-    let baseline_cycles = run_baseline_chunked(population, input, events, seed, &params.machine);
-    let mut r = run_mssp_only_chunked(population, input, events, seed, params);
-    r.baseline_cycles = baseline_cycles;
-    r
+    run_mssp_many(
+        population,
+        input,
+        events,
+        seed,
+        true,
+        std::slice::from_ref(params),
+    )[0]
 }
 
 /// What the master side of one task produced, captured so commit-time
@@ -257,81 +260,127 @@ impl Bookkeeper {
     }
 }
 
-/// Executes one distilled task (one block) on the master: controller
-/// observations, distillation skips, and selective stepping of the
-/// surviving ops. Identical decision and draw order to the per-event
-/// loop: the ALU gap before each op is skip-tested instruction by
-/// instruction (the accumulator is f64 state, so closed forms would
-/// round differently), but when no elimination is active the gap retires
-/// in closed form — the common case, since `elim_frac` starts at zero
-/// every task.
-fn master_task(
-    master: &mut CoreModel,
-    master_l2: &mut Cache,
-    memo: &mut StepMemo,
-    controller: &mut ReactiveController,
-    distiller: &Distiller,
-    skip: &mut SkipAccumulator,
-    block: &InstrBlock,
-) -> TaskOutcome {
-    let cycles_before = master.cycles();
-    let mut elim_frac = 0.0f64;
-    let mut failed = false;
-    let mut misspecs = 0u64;
-    for op in block.ops() {
-        let gap = u64::from(op.gap);
-        if gap > 0 {
-            if elim_frac > 0.0 {
-                let mut kept = 0u64;
-                for _ in 0..gap {
-                    if !skip.skip(elim_frac) {
-                        kept += 1;
-                    }
-                }
-                master.retire_alus(kept);
-            } else {
-                master.retire_alus(gap);
-            }
-        }
-        if op.kind == OpKind::Branch {
-            let record = op.record();
-            match controller.observe(&record) {
-                SpecDecision::Correct => {
-                    // Branch (and, downstream, part of its feeding
-                    // computation) vanishes from the master.
-                    elim_frac = distiller.elim_frac(record.branch);
-                }
-                SpecDecision::Incorrect => {
-                    misspecs += 1;
-                    failed = true;
-                    elim_frac = 0.0;
-                    master.exec_op(op, master_l2, memo);
-                }
-                SpecDecision::NotSpeculated => {
-                    elim_frac = 0.0;
-                    master.exec_op(op, master_l2, memo);
-                }
-            }
-        } else if elim_frac > 0.0 && skip.skip(elim_frac) {
-            // Dead-code elimination from the most recent correct
-            // speculation thins the surrounding block.
-        } else {
-            master.exec_op(op, master_l2, memo);
+/// One core stepped block by block on the chunked path: the core, its
+/// private copy of the shared L2, and the memo tied to both.
+struct BlockCore {
+    core: CoreModel,
+    l2: Cache,
+    memo: StepMemo,
+}
+
+impl BlockCore {
+    fn new(cfg: CoreConfig, machine: &MachineConfig) -> Self {
+        BlockCore {
+            core: CoreModel::new(cfg, machine),
+            l2: Cache::new(machine.l2_kib, machine.l2_assoc, machine.block_bytes),
+            memo: StepMemo::new(),
         }
     }
-    TaskOutcome {
-        orig_instr: block.instructions(),
-        failed,
-        branch_misspecs: misspecs,
-        master_cycles_delta: master.cycles() - cycles_before,
-        master_instr_after: master.stats().instructions,
+
+    /// Steps the whole block through the batched arms and returns the
+    /// cycles it took.
+    fn step_block(&mut self, block: &InstrBlock) -> u64 {
+        let before = self.core.cycles();
+        self.core.step_block(block, &mut self.l2, &mut self.memo);
+        self.core.cycles() - before
     }
 }
 
-/// Runs only the MSSP side (no baseline), leaving
-/// [`MsspResult::baseline_cycles`] at zero. Use this with a separately
-/// computed [`run_baseline`] when sweeping several policies over the same
-/// workload.
+/// One master of a fan-out: the controller that drives its optimizer,
+/// the leading core that runs its distilled tasks, its skip accumulator
+/// and its commit-order bookkeeping.
+struct Master {
+    controller: ReactiveController,
+    lead: BlockCore,
+    skip: SkipAccumulator,
+    book: Bookkeeper,
+}
+
+impl Master {
+    fn new(params: &MsspParams, static_branches: usize) -> Self {
+        let machine = &params.machine;
+        let mut controller = ReactiveController::builder(params.controller)
+            .log_policy(TransitionLogPolicy::CountsOnly)
+            .build()
+            .expect("controller parameters must be valid");
+        // N masters hold N branch tables at once: size each exactly.
+        controller.reserve_branches(static_branches);
+        Master {
+            controller,
+            lead: BlockCore::new(machine.leading, machine),
+            skip: SkipAccumulator::new(),
+            book: Bookkeeper::new(machine, params),
+        }
+    }
+
+    /// Executes one distilled task (one block) and commits it with the
+    /// trailing core's `verify_cycles`. Identical decision and draw order
+    /// to the per-event loop: the ALU gap before each op is skip-tested
+    /// instruction by instruction (the accumulator is f64 state, so
+    /// closed forms would round differently), but when no elimination is
+    /// active the gap retires in closed form — the common case, since
+    /// `elim_frac` starts at zero every task.
+    fn run_task(&mut self, distiller: &Distiller, block: &InstrBlock, verify_cycles: u64) {
+        let BlockCore { core, l2, memo } = &mut self.lead;
+        let cycles_before = core.cycles();
+        let mut elim_frac = 0.0f64;
+        let mut failed = false;
+        let mut misspecs = 0u64;
+        for op in block.ops() {
+            let gap = u64::from(op.gap);
+            if gap > 0 {
+                if elim_frac > 0.0 {
+                    let mut kept = 0u64;
+                    for _ in 0..gap {
+                        if !self.skip.skip(elim_frac) {
+                            kept += 1;
+                        }
+                    }
+                    core.retire_alus(kept);
+                } else {
+                    core.retire_alus(gap);
+                }
+            }
+            if op.kind == OpKind::Branch {
+                let record = op.record();
+                match self.controller.observe(&record) {
+                    SpecDecision::Correct => {
+                        // Branch (and, downstream, part of its feeding
+                        // computation) vanishes from the master.
+                        elim_frac = distiller.elim_frac(record.branch);
+                    }
+                    SpecDecision::Incorrect => {
+                        misspecs += 1;
+                        failed = true;
+                        elim_frac = 0.0;
+                        core.exec_op(op, l2, memo);
+                    }
+                    SpecDecision::NotSpeculated => {
+                        elim_frac = 0.0;
+                        core.exec_op(op, l2, memo);
+                    }
+                }
+            } else if elim_frac > 0.0 && self.skip.skip(elim_frac) {
+                // Dead-code elimination from the most recent correct
+                // speculation thins the surrounding block.
+            } else {
+                core.exec_op(op, l2, memo);
+            }
+        }
+        let outcome = TaskOutcome {
+            orig_instr: block.instructions(),
+            failed,
+            branch_misspecs: misspecs,
+            master_cycles_delta: core.cycles() - cycles_before,
+            master_instr_after: core.stats().instructions,
+        };
+        self.book.commit(&outcome, verify_cycles);
+    }
+}
+
+/// Runs only the MSSP side (no baseline), one instruction at a time,
+/// leaving [`MsspResult::baseline_cycles`] at zero. This is the per-event
+/// oracle that [`run_mssp_many`] must match for each of its masters.
 ///
 /// # Panics
 ///
@@ -433,10 +482,8 @@ pub fn run_mssp_only(
     book.result(master.stats().instructions)
 }
 
-/// [`run_mssp_only`] on the chunked fast path: each task is generated as
-/// one [`InstrBlock`], the trailing check consumes it through the batched
-/// arms, and the master selectively steps the surviving ops.
-/// Bit-identical results.
+/// [`run_mssp_only`] on the chunked fast path: [`run_mssp_many`] with one
+/// master and no baseline core. Bit-identical results.
 ///
 /// # Panics
 ///
@@ -448,52 +495,94 @@ pub fn run_mssp_only_chunked(
     seed: u64,
     params: &MsspParams,
 ) -> MsspResult {
+    run_mssp_many(
+        population,
+        input,
+        events,
+        seed,
+        false,
+        std::slice::from_ref(params),
+    )[0]
+}
+
+/// Runs one MSSP machine per entry of `params` over a single program
+/// stream, on the chunked fast path, and returns their results in
+/// `params` order.
+///
+/// Each task is generated once, as one [`InstrBlock`]. One trailing core
+/// steps it through the batched arms and prices its verification. Its
+/// cycles do not depend on any controller, so every master shares them.
+/// With `with_baseline`, a leading core with no master also steps every
+/// block, and its cycles (the [`run_baseline`] cycles) fill each result's
+/// [`MsspResult::baseline_cycles`]; without it they stay zero. Each
+/// master then runs the task under its own controller, core, L2, skip
+/// accumulator and bookkeeper; all masters share one [`Distiller`].
+///
+/// Every result equals [`run_mssp_only`] for its params bit for bit, so
+/// sweeping N controller configurations costs one stream generation and
+/// one trailing check instead of N.
+///
+/// # Panics
+///
+/// Panics if `params` is empty, if its entries disagree on `machine` or
+/// `task_events`, if `task_events` is 0, or if any controller parameters
+/// are invalid.
+pub fn run_mssp_many(
+    population: &Population,
+    input: InputId,
+    events: u64,
+    seed: u64,
+    with_baseline: bool,
+    params: &[MsspParams],
+) -> Vec<MsspResult> {
+    let first = params
+        .first()
+        .expect("a fan-out needs at least one MsspParams");
     assert!(
-        params.task_events > 0,
+        params
+            .iter()
+            .all(|p| p.machine == first.machine && p.task_events == first.task_events),
+        "every MsspParams of one fan-out must share `machine` and `task_events`"
+    );
+    assert!(
+        first.task_events > 0,
         "tasks must contain at least one event"
     );
-    let machine = &params.machine;
+    let machine = &first.machine;
     let mem = MemoryModel::for_benchmark(population.name());
 
-    let mut controller = ReactiveController::builder(params.controller)
-        .log_policy(TransitionLogPolicy::CountsOnly)
-        .build()
-        .expect("controller parameters must be valid");
     let distiller = Distiller::new(population.static_branches(), seed);
+    let mut masters: Vec<Master> = params
+        .iter()
+        .map(|p| Master::new(p, population.static_branches()))
+        .collect();
+    let mut trail = BlockCore::new(machine.trailing, machine);
+    let mut baseline = with_baseline.then(|| BlockCore::new(machine.leading, machine));
 
-    let mut master = CoreModel::new(machine.leading, machine);
-    let mut master_l2 = Cache::new(machine.l2_kib, machine.l2_assoc, machine.block_bytes);
-    let mut master_memo = StepMemo::new(&master, &master_l2);
-    let mut trail = CoreModel::new(machine.trailing, machine);
-    let mut trail_l2 = Cache::new(machine.l2_kib, machine.l2_assoc, machine.block_bytes);
-    let mut trail_memo = StepMemo::new(&trail, &trail_l2);
-
-    let mut book = Bookkeeper::new(machine, params);
     let mut stream = ProgramStream::new(population, input, events, seed, mem);
-    let mut skip = SkipAccumulator::new();
     let mut block = InstrBlock::default();
-
     loop {
-        stream.fill_block(&mut block, params.task_events);
+        stream.fill_block(&mut block, first.task_events);
         if block.is_empty() {
             break;
         }
-        let trail_before = trail.cycles();
-        trail.step_block(&block, &mut trail_l2, &mut trail_memo);
-        let verify_cycles = trail.cycles() - trail_before;
-        let outcome = master_task(
-            &mut master,
-            &mut master_l2,
-            &mut master_memo,
-            &mut controller,
-            &distiller,
-            &mut skip,
-            &block,
-        );
-        book.commit(&outcome, verify_cycles);
+        if let Some(core) = &mut baseline {
+            core.step_block(&block);
+        }
+        let verify_cycles = trail.step_block(&block);
+        for master in &mut masters {
+            master.run_task(&distiller, &block, verify_cycles);
+        }
     }
 
-    book.result(master.stats().instructions)
+    let baseline_cycles = baseline.map_or(0, |core| core.core.cycles());
+    masters
+        .iter()
+        .map(|m| MsspResult {
+            baseline_cycles,
+            ..m.book.result(m.lead.core.stats().instructions)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! performance, and it is deterministic and fast enough to simulate
 //! hundreds of millions of instructions.
 
-use crate::cache::{Access, Cache, ShadowCache};
+use crate::cache::{Access, Cache};
 use crate::config::{CoreConfig, MachineConfig};
 use crate::predictor::{Gshare, IndirectPredictor, ReturnAddressStack};
 use crate::program::{BlockOp, Instr, InstrBlock, OpKind};
@@ -159,7 +159,7 @@ impl CoreModel {
     /// path. ALU instructions fold into a single closed-form addition to
     /// the dispatch term (they touch no other state), and the remaining
     /// ops stream through tight per-kind arms with `memo` short-circuiting
-    /// repeated cache-set and predictor transitions.
+    /// repeated predictor transitions.
     ///
     /// The arms run kind-segregated rather than in program order: loads
     /// and stores touch only the caches, conditional branches only the
@@ -173,7 +173,7 @@ impl CoreModel {
     ///
     /// Bit-identical to feeding the block's instructions through
     /// [`CoreModel::step`] one at a time, **provided** all of this core's
-    /// traffic (and `l2`'s) flows through the same `memo` for the memo's
+    /// conditional branches flow through the same `memo` for the memo's
     /// lifetime.
     pub fn step_block(&mut self, block: &InstrBlock, l2: &mut Cache, memo: &mut StepMemo) {
         use crate::program::{BRANCH_PC_BASE, STORE_BIT};
@@ -189,12 +189,12 @@ impl CoreModel {
         let miss_lat = u64::from(self.l2_latency + self.memory_latency);
         for &entry in block.mem_ops() {
             let addr = entry & !STORE_BIT;
-            if memo.l1.access_uncounted(addr) == Access::Hit {
+            if self.l1.lookup(addr) == Access::Hit {
                 l1_hits += 1;
                 continue;
             }
             l1_misses += 1;
-            let raw = match memo.l2.access_uncounted(addr) {
+            let raw = match l2.lookup(addr) {
                 Access::Hit => {
                     l2_hits += 1;
                     l2_lat
@@ -259,14 +259,14 @@ impl CoreModel {
     fn block_op(&mut self, op: &BlockOp, l2: &mut Cache, memo: &mut StepMemo) {
         match op.kind {
             OpKind::Load => {
-                if memo.l1.access(&mut self.l1, op.a) == Access::Miss {
-                    let raw = self.l2_or_memory_latency(memo.l2.access(l2, op.a));
+                if self.l1.access(op.a) == Access::Miss {
+                    let raw = self.l2_or_memory_latency(l2.access(op.a));
                     self.charge_memory(raw * 4);
                 }
             }
             OpKind::Store => {
-                if memo.l1.access(&mut self.l1, op.a) == Access::Miss {
-                    let raw = self.l2_or_memory_latency(memo.l2.access(l2, op.a));
+                if self.l1.access(op.a) == Access::Miss {
+                    let raw = self.l2_or_memory_latency(l2.access(op.a));
                     self.charge_memory(raw);
                 }
             }
@@ -334,33 +334,28 @@ impl CoreModel {
     }
 }
 
-/// Per-run memo state for the chunked fast path: flat shadows of the
-/// core's L1 and the shared L2, plus a one-entry gshare fixed-point memo
-/// for consecutive repeats of the same `(pc, taken)` branch.
+/// Per-run memo state for the chunked fast path: a one-entry gshare
+/// fixed-point memo for consecutive repeats of the same `(pc, taken)`
+/// branch.
 ///
-/// A memo is tied to one `(core, l2)` pair for one run: every access to
-/// those state machines must flow through it (see [`ShadowCache`]), which
-/// is why the machine loops construct one per core per run and the
-/// per-event oracle path never uses one.
-#[derive(Debug, Clone)]
+/// A memo is tied to one core for one run: every conditional branch that
+/// core executes must flow through it, since a branch stepped around it
+/// could move the predictor off the remembered fixed point. That is why
+/// the machine loops construct one per core per run and the per-event
+/// oracle path never uses one.
+#[derive(Debug, Clone, Default)]
 pub struct StepMemo {
-    l1: ShadowCache,
-    l2: ShadowCache,
     gshare_pc: u64,
     gshare_taken: bool,
+    /// Whether `(gshare_pc, gshare_taken)` is at a predictor fixed point;
+    /// the other two fields mean nothing while this is `false`.
     gshare_fixed: bool,
 }
 
 impl StepMemo {
-    /// Creates a memo shadowing `core`'s L1 and the shared `l2`.
-    pub fn new(core: &CoreModel, l2: &Cache) -> Self {
-        StepMemo {
-            l1: ShadowCache::new(&core.l1),
-            l2: ShadowCache::new(l2),
-            gshare_pc: u64::MAX,
-            gshare_taken: false,
-            gshare_fixed: false,
-        }
+    /// Creates an empty memo (no fixed point remembered).
+    pub fn new() -> Self {
+        StepMemo::default()
     }
 }
 

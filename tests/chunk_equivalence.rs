@@ -326,19 +326,11 @@ fn chunked_baseline_timing_matches_per_event_for_every_benchmark_and_seed() {
     }
 }
 
-#[test]
-fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
-    use rsc_mssp::{run_mssp_only, run_mssp_only_chunked, MsspParams};
-    // task_events = 1 is the degenerate block size where every chunk
-    // boundary falls inside a gap; 64 is the default; 1000 spans many
-    // trace-refill chunks.
+/// The controller configs the MSSP experiments sweep: fig7's closed
+/// loop, open loop, 4x monitor and both, then fig8's optimization
+/// latencies (`rsc_bench::experiments::fig8::LATENCIES`).
+fn mssp_sweep_configs() -> Vec<ControllerParams> {
     let base = ControllerParams::scaled();
-    let mut cases: Vec<(u64, ControllerParams)> =
-        [1u64, 64, 1000].iter().map(|&t| (t, base)).collect();
-    // Then, at the default task size, the controller configs the
-    // experiments run on the chunked path: fig7's closed loop, open loop,
-    // 4x monitor and both, and fig8's optimization latencies
-    // (`rsc_bench::experiments::fig8::LATENCIES`).
     let long = base.monitor_period * 4;
     let fig7 = [
         base,
@@ -347,25 +339,116 @@ fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
         base.without_eviction().with_monitor_period(long),
     ];
     let fig8 = [0u64, 10_000, 100_000].map(|lat| base.with_latency(lat));
-    for ctl in fig7.into_iter().chain(fig8) {
-        if !cases.contains(&(64, ctl)) {
-            cases.push((64, ctl));
-        }
-    }
+    fig7.into_iter().chain(fig8).collect()
+}
+
+/// Every master of a fan-out equals the per-event `run_mssp_only` for its
+/// params, and the fan-out's baseline equals `run_baseline`.
+///
+/// N = 1..4 masters take consecutive windows of the sweep configs (N = 1
+/// is `run_mssp_only_chunked`), so the 1 + 2 + 3 + 4 slots cover all
+/// seven configs at every task size. task_events = 1 is the degenerate
+/// block size where every chunk boundary falls inside a gap; 64 is the
+/// default; 1000 spans many trace-refill chunks.
+#[test]
+fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
+    use rsc_mssp::{
+        run_baseline, run_mssp_many, run_mssp_only, run_mssp_only_chunked, MsspParams, MsspResult,
+    };
+    let configs = mssp_sweep_configs();
     for name in BENCHMARKS {
         let pop = spec2000::benchmark(name).unwrap().population(EVENTS);
         for seed in SEEDS {
-            for &(task_events, ctl) in &cases {
-                let mut params = MsspParams::new().with_controller(ctl);
-                params.task_events = task_events;
+            let baseline = run_baseline(
+                &pop,
+                InputId::Eval,
+                EVENTS,
+                seed,
+                &MsspParams::new().machine,
+            );
+            for task_events in [1u64, 64, 1000] {
+                let params: Vec<MsspParams> = configs
+                    .iter()
+                    .map(|&ctl| MsspParams {
+                        task_events,
+                        ..MsspParams::new().with_controller(ctl)
+                    })
+                    .collect();
+                let oracle: Vec<_> = params
+                    .iter()
+                    .map(|p| run_mssp_only(&pop, InputId::Eval, EVENTS, seed, p))
+                    .collect();
+                let case = format!("{name} seed {seed} task_events {task_events}");
                 assert_eq!(
-                    run_mssp_only(&pop, InputId::Eval, EVENTS, seed, &params),
-                    run_mssp_only_chunked(&pop, InputId::Eval, EVENTS, seed, &params),
-                    "{name} seed {seed} task_events {task_events} {ctl:?}"
+                    run_mssp_only_chunked(&pop, InputId::Eval, EVENTS, seed, &params[0]),
+                    oracle[0],
+                    "{case}: one master, {:?}",
+                    configs[0]
                 );
+                let mut next = 1;
+                for n in 2..=4 {
+                    let picks: Vec<usize> = (next..next + n).map(|i| i % configs.len()).collect();
+                    next += n;
+                    let sweep: Vec<MsspParams> = picks.iter().map(|&i| params[i]).collect();
+                    // Every other fan-out also steps the baseline core.
+                    let with_baseline = n % 2 == 0;
+                    let got =
+                        run_mssp_many(&pop, InputId::Eval, EVENTS, seed, with_baseline, &sweep);
+                    assert_eq!(got.len(), n, "{case}: {n} masters");
+                    for (r, &i) in got.iter().zip(&picks) {
+                        let expected = MsspResult {
+                            baseline_cycles: if with_baseline { baseline } else { 0 },
+                            ..oracle[i]
+                        };
+                        assert_eq!(*r, expected, "{case}: {n} masters, {:?}", configs[i]);
+                    }
+                }
             }
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "must share `machine` and `task_events`")]
+fn mssp_fan_out_rejects_mixed_task_sizes() {
+    use rsc_mssp::{run_mssp_many, MsspParams};
+    let pop = spec2000::benchmark("gzip").unwrap().population(1_000);
+    let short = MsspParams {
+        task_events: 16,
+        ..MsspParams::new()
+    };
+    run_mssp_many(
+        &pop,
+        InputId::Eval,
+        1_000,
+        7,
+        false,
+        &[MsspParams::new(), short],
+    );
+}
+
+#[test]
+#[should_panic(expected = "must share `machine` and `task_events`")]
+fn mssp_fan_out_rejects_mixed_machines() {
+    use rsc_mssp::{run_mssp_many, MsspParams};
+    let pop = spec2000::benchmark("gzip").unwrap().population(1_000);
+    let mut narrow = MsspParams::new();
+    narrow.machine.trailing_count = 4;
+    run_mssp_many(
+        &pop,
+        InputId::Eval,
+        1_000,
+        7,
+        true,
+        &[MsspParams::new(), narrow],
+    );
+}
+
+#[test]
+#[should_panic(expected = "at least one MsspParams")]
+fn mssp_fan_out_rejects_an_empty_sweep() {
+    let pop = spec2000::benchmark("gzip").unwrap().population(1_000);
+    rsc_mssp::run_mssp_many(&pop, InputId::Eval, 1_000, 7, true, &[]);
 }
 
 #[test]

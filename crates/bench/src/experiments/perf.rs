@@ -2,9 +2,11 @@
 //!
 //! Measures the simulation pipeline's throughput stage by stage: trace
 //! generation, the trace→controller loop, offline profile accumulation,
-//! and one MSSP machine step pass. For each stage with both code paths,
-//! the per-event baseline (the `Iterator`/`observe`/`record` path, full
-//! transition logging) and the chunked hot path
+//! one superscalar core pass over the program (`mssp_step`) and one MSSP
+//! machine run, master and trailing core (`mssp_master`). For each stage
+//! with both code paths, the per-event baseline (the
+//! `Iterator`/`observe`/`record` path, full transition logging) and the
+//! chunked hot path
 //! ([`rsc_trace::Trace::fill`] into a reusable buffer feeding
 //! `observe_chunk`/`record_chunk`, counts-only logging) are timed in the
 //! same run so the speedup column compares like with like.
@@ -260,8 +262,43 @@ fn mssp_step(pop: &Population, events: u64, seed: u64, reps: u32) -> StageRow {
     }
 }
 
+/// The MSSP master: the per-event `run_mssp_only` oracle against the
+/// chunked one-master machine, whose master decides each task, then
+/// steps it as one block. Both sides also run the trailing core, as the
+/// experiments do.
+fn mssp_master(pop: &Population, events: u64, seed: u64, reps: u32) -> StageRow {
+    // Same slice as `mssp_step`: the machine is the costly stage.
+    let events = (events / 8).max(50_000);
+    let params = machine::MsspParams::new();
+    // The chunked path must be bit-identical, not just fast; assert it on
+    // the measured workload before timing.
+    assert_eq!(
+        machine::run_mssp_only(pop, InputId::Eval, events, seed, &params),
+        machine::run_mssp_only_chunked(pop, InputId::Eval, events, seed, &params),
+        "chunked mssp master diverged from the per-event oracle"
+    );
+    let (per_event, chunked) = time_pair(
+        || {
+            let r = machine::run_mssp_only(pop, InputId::Eval, events, seed, &params);
+            black_box(r.mssp_cycles);
+            events
+        },
+        || {
+            let r = machine::run_mssp_only_chunked(pop, InputId::Eval, events, seed, &params);
+            black_box(r.mssp_cycles);
+            events
+        },
+        reps,
+    );
+    StageRow {
+        stage: "mssp_master",
+        per_event,
+        chunked,
+    }
+}
+
 /// Runs every stage measurement. `opts.events` sets the per-repetition
-/// event count; the MSSP stage runs a smaller slice (see its row's
+/// event count; the MSSP stages run a smaller slice (see their rows'
 /// `events` field).
 pub fn run(opts: &ExpOptions) -> Vec<StageRow> {
     let pop = spec2000::benchmark(BENCHMARK)
@@ -273,6 +310,7 @@ pub fn run(opts: &ExpOptions) -> Vec<StageRow> {
         trace_to_controller(&pop, opts.events, opts.seed, reps),
         offline_profile(&pop, opts.events, opts.seed, reps),
         mssp_step(&pop, opts.events, opts.seed, reps),
+        mssp_master(&pop, opts.events, opts.seed, reps),
     ]
 }
 
@@ -489,7 +527,7 @@ mod tests {
     #[test]
     fn stages_report_positive_throughput() {
         let rows = run(&ExpOptions::small().with_events(60_000));
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 5);
         for r in &rows {
             assert!(r.per_event.events_per_sec() > 0.0, "{}", r.stage);
             assert!(r.per_event.events > 0, "{}", r.stage);
@@ -501,7 +539,8 @@ mod tests {
                 "trace_gen",
                 "trace_to_controller",
                 "offline_profile",
-                "mssp_step"
+                "mssp_step",
+                "mssp_master"
             ]
         );
         // Every stage, MSSP included, reports a chunked speedup.

@@ -370,14 +370,15 @@ mod tests {
 
     #[test]
     fn each_policy_stops_at_its_own_first_divergence() {
-        // Under this fault `perceptron` diverges on an earlier case than
-        // `paper-fsm`. The sweep must go on past it, and `paper-fsm`'s
-        // counterexample must be the one a `paper-fsm`-only sweep finds.
+        // Every policy diverges behaviorally under the monitor fault. The
+        // sweep must go on past the first policy's divergence, and
+        // `paper-fsm`'s counterexample must be the one a `paper-fsm`-only
+        // sweep finds.
         let config = CampaignConfig {
             seed_start: 0,
             seed_end: 1,
             events: 1_000,
-            fault: Some(Fault::HysteresisOffByOne),
+            fault: Some(Fault::MonitorWindowOffByOne),
             ..CampaignConfig::default()
         };
         let alone = run(&config);
@@ -390,6 +391,14 @@ mod tests {
         assert_eq!(alone.counterexamples.len(), 1);
         assert_eq!(all.counterexamples[0], alone.counterexamples[0]);
         assert!(all.cases > alone.cases);
+        for cx in &all.counterexamples {
+            assert!(
+                !cx.detail.contains("checkpoint bytes"),
+                "{}: the faulted params alone must not count as a divergence: {}",
+                cx.policy.id(),
+                cx.detail
+            );
+        }
     }
 
     #[test]

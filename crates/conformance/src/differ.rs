@@ -14,8 +14,8 @@
 //! 3. exact per-kind transition counts and, for a plain subject, the
 //!    ordered transition event log;
 //! 4. a [`BranchSnapshot`] for every branch the trace touched;
-//! 5. when both sides are plain [`ReactiveController`]s, the checkpoint
-//!    bytes.
+//! 5. when both sides are plain [`ReactiveController`]s with the same
+//!    parameters, the checkpoint bytes (which serialize the parameters).
 //!
 //! The first mismatch aborts the run with a [`Divergence`] carrying the
 //! event index (for the shrinker) and a human-readable detail string
@@ -214,7 +214,8 @@ pub fn run_case(spec: &CaseSpec, trace: &[BranchRecord]) -> Result<(), Divergenc
         }
     }
 
-    compare_final_state(&*subject, &*reference, trace).map_err(|detail| Divergence {
+    let same_params = spec.subject == spec.reference;
+    compare_final_state(&*subject, &*reference, same_params, trace).map_err(|detail| Divergence {
         index: trace.len(),
         detail,
     })
@@ -323,9 +324,15 @@ impl Side for ReferenceController {
 
 /// Compares everything that should be identical once the trace is fully
 /// consumed. Returns a description of the first mismatch.
+///
+/// A checkpoint serializes the controller's params, so its bytes are
+/// compared only when both sides run the same params (`same_params`):
+/// with a fault injected into the subject's params they would differ
+/// before any behavior does.
 fn compare_final_state(
     subject: &dyn Side,
     reference: &dyn Side,
+    same_params: bool,
     trace: &[BranchRecord],
 ) -> Result<(), String> {
     let (got, want) = (subject.stats(), reference.stats());
@@ -369,7 +376,7 @@ fn compare_final_state(
         }
     }
 
-    if let Some(want) = reference.checkpoint() {
+    if let Some(want) = reference.checkpoint().filter(|_| same_params) {
         if subject.checkpoint().is_some_and(|got| got != want) {
             return Err("checkpoint bytes differ".to_string());
         }

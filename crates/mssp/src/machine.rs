@@ -13,7 +13,7 @@ use crate::distill::{Distiller, SkipAccumulator};
 use crate::program::{Instr, InstrBlock, MemoryModel, OpKind, ProgramStream};
 use crate::timing::{CoreModel, StepMemo};
 use rsc_control::{ControllerParams, ReactiveController, SpecDecision, TransitionLogPolicy};
-use rsc_trace::{InputId, Population};
+use rsc_trace::{BranchId, InputId, Population};
 
 /// Branch events per block on the chunked baseline path (tasks set the
 /// block size on the MSSP paths).
@@ -288,12 +288,18 @@ impl BlockCore {
 
 /// One master of a fan-out: the controller that drives its optimizer,
 /// the leading core that runs its distilled tasks, its skip accumulator
-/// and its commit-order bookkeeping.
+/// and its commit-order bookkeeping, plus two buffers reused task after
+/// task.
 struct Master {
     controller: ReactiveController,
     lead: BlockCore,
     skip: SkipAccumulator,
     book: Bookkeeper,
+    /// The controller's decision on each branch of the current task.
+    decisions: Vec<SpecDecision>,
+    /// The current task as the master executes it, when a correct
+    /// speculation removed part of it.
+    distilled: InstrBlock,
 }
 
 impl Master {
@@ -310,71 +316,84 @@ impl Master {
             lead: BlockCore::new(machine.leading, machine),
             skip: SkipAccumulator::new(),
             book: Bookkeeper::new(machine, params),
+            decisions: Vec::new(),
+            distilled: InstrBlock::default(),
         }
     }
 
-    /// Executes one distilled task (one block) and commits it with the
-    /// trailing core's `verify_cycles`. Identical decision and draw order
-    /// to the per-event loop: the ALU gap before each op is skip-tested
-    /// instruction by instruction (the accumulator is f64 state, so
-    /// closed forms would round differently), but when no elimination is
-    /// active the gap retires in closed form — the common case, since
-    /// `elim_frac` starts at zero every task.
+    /// Executes one task and commits it with the trailing core's
+    /// `verify_cycles`: decide, then step.
+    ///
+    /// The controller first decides every branch of the task. Decisions
+    /// and skip draws read only the trace and the controller, never core
+    /// state, so deciding ahead of stepping changes no outcome. A task
+    /// with no correct speculation runs whole: the master steps the shared
+    /// task block. Otherwise [`Master::distill`] builds the task the
+    /// master executes and the master steps that. Either way the core
+    /// moves through one `step_block` per task, and its cycles are read
+    /// only at task boundaries, where the batched arms agree with the
+    /// per-event loop.
     fn run_task(&mut self, distiller: &Distiller, block: &InstrBlock, verify_cycles: u64) {
-        let BlockCore { core, l2, memo } = &mut self.lead;
-        let cycles_before = core.cycles();
-        let mut elim_frac = 0.0f64;
-        let mut failed = false;
+        self.decisions.clear();
         let mut misspecs = 0u64;
-        for op in block.ops() {
-            let gap = u64::from(op.gap);
-            if gap > 0 {
-                if elim_frac > 0.0 {
-                    let mut kept = 0u64;
-                    for _ in 0..gap {
-                        if !self.skip.skip(elim_frac) {
-                            kept += 1;
-                        }
-                    }
-                    core.retire_alus(kept);
-                } else {
-                    core.retire_alus(gap);
-                }
-            }
-            if op.kind == OpKind::Branch {
-                let record = op.record();
-                match self.controller.observe(&record) {
-                    SpecDecision::Correct => {
-                        // Branch (and, downstream, part of its feeding
-                        // computation) vanishes from the master.
-                        elim_frac = distiller.elim_frac(record.branch);
-                    }
-                    SpecDecision::Incorrect => {
-                        misspecs += 1;
-                        failed = true;
-                        elim_frac = 0.0;
-                        core.exec_op(op, l2, memo);
-                    }
-                    SpecDecision::NotSpeculated => {
-                        elim_frac = 0.0;
-                        core.exec_op(op, l2, memo);
-                    }
-                }
-            } else if elim_frac > 0.0 && self.skip.skip(elim_frac) {
-                // Dead-code elimination from the most recent correct
-                // speculation thins the surrounding block.
-            } else {
-                core.exec_op(op, l2, memo);
-            }
+        let mut any_correct = false;
+        for record in block.records() {
+            let decision = self.controller.observe(record);
+            misspecs += u64::from(decision == SpecDecision::Incorrect);
+            any_correct |= decision == SpecDecision::Correct;
+            self.decisions.push(decision);
         }
+        let master_cycles_delta = if any_correct {
+            self.distill(distiller, block);
+            self.lead.step_block(&self.distilled)
+        } else {
+            self.lead.step_block(block)
+        };
         let outcome = TaskOutcome {
             orig_instr: block.instructions(),
-            failed,
+            failed: misspecs > 0,
             branch_misspecs: misspecs,
-            master_cycles_delta: core.cycles() - cycles_before,
-            master_instr_after: core.stats().instructions,
+            master_cycles_delta,
+            master_instr_after: self.lead.core.stats().instructions,
         };
         self.book.commit(&outcome, verify_cycles);
+    }
+
+    /// Fills `self.distilled` with the part of `block` the master
+    /// executes under `self.decisions`, in the per-event loop's draw
+    /// order. A correctly speculated branch vanishes from the master and
+    /// sets its elimination fraction for the ops that follow, up to the
+    /// next branch. Each of those ops, and each ALU of the gaps before
+    /// them, takes one skip draw (the accumulator is f64 state, so closed
+    /// forms would round differently). With no elimination active, a gap
+    /// is kept whole and takes no draw.
+    fn distill(&mut self, distiller: &Distiller, block: &InstrBlock) {
+        let out = &mut self.distilled;
+        let skip = &mut self.skip;
+        out.clear();
+        let mut decisions = self.decisions.iter();
+        let mut elim_frac = 0.0f64;
+        for op in block.ops() {
+            let gap = u64::from(op.gap);
+            if elim_frac > 0.0 {
+                out.push_alus((0..gap).filter(|_| !skip.skip(elim_frac)).count() as u64);
+            } else {
+                out.push_alus(gap);
+            }
+            if op.kind == OpKind::Branch {
+                let decision = decisions.next().expect("one decision per branch");
+                if *decision == SpecDecision::Correct {
+                    elim_frac = distiller.elim_frac(BranchId::new(op.id));
+                    continue;
+                }
+                elim_frac = 0.0;
+            } else if elim_frac > 0.0 && skip.skip(elim_frac) {
+                // Dead-code elimination from the most recent correct
+                // speculation thins the surrounding block.
+                continue;
+            }
+            out.push_op(op);
+        }
     }
 }
 
@@ -515,7 +534,8 @@ pub fn run_mssp_only_chunked(
 /// With `with_baseline`, a leading core with no master also steps every
 /// block, and its cycles (the [`run_baseline`] cycles) fill each result's
 /// [`MsspResult::baseline_cycles`]; without it they stay zero. Each
-/// master then runs the task under its own controller, core, L2, skip
+/// master then decides the task under its own controller and steps it,
+/// whole or distilled, on its own core and L2, with its own skip
 /// accumulator and bookkeeper; all masters share one [`Distiller`].
 ///
 /// Every result equals [`run_mssp_only`] for its params bit for bit, so

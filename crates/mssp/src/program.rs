@@ -142,7 +142,7 @@ pub const BRANCH_PC_BASE: u64 = 0x40_0000;
 /// bits never reach it).
 pub const STORE_BIT: u64 = 1 << 63;
 
-/// A batch of instructions in flat form, carried in two views at once:
+/// A batch of instructions in flat form, carried in up to three views:
 ///
 /// * **per-kind arms** — the memory accesses (`mem`, addresses in order
 ///   with [`STORE_BIT`] tagging stores), the conditional branches
@@ -154,21 +154,25 @@ pub const STORE_BIT: u64 = 1 << 63;
 ///   fixed-point penalty accumulator is order-associative, so splitting
 ///   program order *across* arms while preserving it *within* each arm
 ///   is result-identical;
+/// * a **records arm** — the trace record of every branch event, in
+///   order, which a master's controller decides on before its core steps
+///   anything;
 /// * an **interleaved `ops` mirror** in full program order, each op
-///   carrying the ALU gap before it, for consumers that must walk the
-///   block selectively (the distilled master couples branch decisions to
-///   the ops that follow them).
+///   carrying the ALU gap before it, which a master walks to build its
+///   distilled task when a correct speculation removes work.
 ///
-/// Produced by [`ProgramStream::fill_block`] (both views) or
-/// [`ProgramStream::fill_block_arms`] (arms only); reuse one block
-/// across calls to stay allocation-free.
+/// Produced by [`ProgramStream::fill_block`] (every view) or
+/// [`ProgramStream::fill_block_arms`] (per-kind arms only); reuse one
+/// block across calls to stay allocation-free. A master's distilled task
+/// is assembled op by op into a block of its own (per-kind arms only).
 ///
-/// Blocks always end at a branch (the stream's gap structure guarantees
-/// trailing ALUs cannot occur), so `ops.last()` of a non-empty block is
-/// its final branch event.
+/// Stream blocks always end at a branch (the stream's gap structure
+/// guarantees trailing ALUs cannot occur), so `ops.last()` of a non-empty
+/// block is its final branch event.
 #[derive(Debug, Clone, Default)]
 pub struct InstrBlock {
     ops: Vec<BlockOp>,
+    records: Vec<BranchRecord>,
     mem: Vec<u64>,
     cond: Vec<u32>,
     misc: Vec<BlockOp>,
@@ -181,6 +185,12 @@ impl InstrBlock {
     /// [`ProgramStream::fill_block_arms`]).
     pub fn ops(&self) -> &[BlockOp] {
         &self.ops
+    }
+
+    /// The trace record of every branch event, in program order (empty
+    /// after [`ProgramStream::fill_block_arms`]).
+    pub fn records(&self) -> &[BranchRecord] {
+        &self.records
     }
 
     /// The memory arm: load/store addresses in program order, stores
@@ -218,11 +228,35 @@ impl InstrBlock {
     /// Empties the block, keeping its allocations.
     pub fn clear(&mut self) {
         self.ops.clear();
+        self.records.clear();
         self.mem.clear();
         self.cond.clear();
         self.misc.clear();
         self.instructions = 0;
         self.branches = 0;
+    }
+
+    /// Appends `n` ALU instructions to the per-kind view.
+    #[inline]
+    pub(crate) fn push_alus(&mut self, n: u64) {
+        self.instructions += n;
+    }
+
+    /// Appends one op to the arm of its kind (the per-kind view only).
+    #[inline]
+    pub(crate) fn push_op(&mut self, op: &BlockOp) {
+        self.instructions += 1;
+        match op.kind {
+            OpKind::Load => self.mem.push(op.a),
+            OpKind::Store => self.mem.push(op.a | STORE_BIT),
+            OpKind::Branch => {
+                self.branches += 1;
+                self.cond.push((op.id << 1) | u32::from(op.taken));
+            }
+            OpKind::Call | OpKind::Return | OpKind::IndirectJump => {
+                self.misc.push(BlockOp { gap: 0, ..*op });
+            }
+        }
     }
 }
 
@@ -450,8 +484,9 @@ impl<'a> ProgramStream<'a> {
     }
 
     /// Fills `block` with up to `max_branches` branch events' worth of
-    /// instructions and returns the number of branch events produced (0
-    /// at end of stream). The block is cleared first.
+    /// instructions, in every view (per-kind arms, records arm and `ops`
+    /// mirror), and returns the number of branch events produced (0 at
+    /// end of stream). The block is cleared first.
     ///
     /// Draw-for-draw identical to pulling the same instructions through
     /// the [`Iterator`] — one shared generation point (`filler_op`)
@@ -462,10 +497,10 @@ impl<'a> ProgramStream<'a> {
         self.fill_block_impl::<true>(block, max_branches)
     }
 
-    /// [`ProgramStream::fill_block`] without the interleaved `ops`
-    /// mirror: same stream, same draws, arms only. For consumers that
-    /// batch-step whole blocks and never walk them selectively (the
-    /// superscalar baseline, the trailing check).
+    /// [`ProgramStream::fill_block`] without the records arm and the
+    /// interleaved `ops` mirror: same stream, same draws, per-kind arms
+    /// only. For consumers that batch-step whole blocks and run no
+    /// controller (the superscalar baseline).
     pub fn fill_block_arms(&mut self, block: &mut InstrBlock, max_branches: u64) -> u64 {
         self.fill_block_impl::<false>(block, max_branches)
     }
@@ -515,6 +550,7 @@ impl<'a> ProgramStream<'a> {
                 debug_assert!(index < u32::MAX / 2, "branch index fits the cond arm");
                 block.cond.push((index << 1) | u32::from(record.taken));
                 if WITH_OPS {
+                    block.records.push(record);
                     block.ops.push(BlockOp {
                         kind: OpKind::Branch,
                         taken: record.taken,
@@ -743,12 +779,16 @@ mod tests {
             // The arms are a projection of the interleaved ops...
             let mut mem_v = Vec::new();
             let mut cond_v = Vec::new();
+            let mut records_v = Vec::new();
             let mut misc_v = Vec::new();
             for op in fb.ops() {
                 match op.kind {
                     OpKind::Load => mem_v.push(op.a),
                     OpKind::Store => mem_v.push(op.a | STORE_BIT),
-                    OpKind::Branch => cond_v.push((op.id << 1) | u32::from(op.taken)),
+                    OpKind::Branch => {
+                        cond_v.push((op.id << 1) | u32::from(op.taken));
+                        records_v.push(op.record());
+                    }
                     _ => {
                         let mut flat = *op;
                         flat.gap = 0;
@@ -758,15 +798,29 @@ mod tests {
             }
             assert_eq!(fb.mem_ops(), mem_v);
             assert_eq!(fb.cond_ops(), cond_v);
+            assert_eq!(fb.records(), records_v);
             assert_eq!(fb.misc_ops(), misc_v);
             // ...and fill_block_arms produces the same arms and counts
-            // from the same draws, with an empty ops mirror.
+            // from the same draws, with no records and no ops mirror.
             assert_eq!(ab.ops(), &[]);
+            assert_eq!(ab.records(), &[]);
             assert_eq!(fb.mem_ops(), ab.mem_ops());
             assert_eq!(fb.cond_ops(), ab.cond_ops());
             assert_eq!(fb.misc_ops(), ab.misc_ops());
             assert_eq!(fb.instructions(), ab.instructions());
             assert_eq!(fb.branches(), ab.branches());
+            // Pushing every op after its gap rebuilds the per-kind arms,
+            // as a master builds its distilled task.
+            let mut rebuilt = InstrBlock::default();
+            for op in fb.ops() {
+                rebuilt.push_alus(u64::from(op.gap));
+                rebuilt.push_op(op);
+            }
+            assert_eq!(rebuilt.mem_ops(), fb.mem_ops());
+            assert_eq!(rebuilt.cond_ops(), fb.cond_ops());
+            assert_eq!(rebuilt.misc_ops(), fb.misc_ops());
+            assert_eq!(rebuilt.instructions(), fb.instructions());
+            assert_eq!(rebuilt.branches(), fb.branches());
         }
         // Both streams ended in the same state.
         assert!(full.next().is_none() && arms.next().is_none());

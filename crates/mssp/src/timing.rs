@@ -234,61 +234,15 @@ impl CoreModel {
 
         // Rare-op arm: calls, returns, and indirect jumps in stream order.
         for op in block.misc_ops() {
-            self.block_op(op, l2, memo);
+            self.misc_op(op);
         }
     }
 
-    /// Executes one non-ALU block op *and counts its instruction*: the
-    /// selective-stepping primitive for the distilled master, which walks
-    /// a block op-by-op and skips eliminated work.
+    /// One op of the rare-op arm: a call, return, or indirect jump.
     #[inline]
-    pub fn exec_op(&mut self, op: &BlockOp, l2: &mut Cache, memo: &mut StepMemo) {
-        self.stats.instructions += 1;
-        self.block_op(op, l2, memo);
-    }
-
-    /// Retires `n` ALU instructions in closed form (dispatch term only).
-    #[inline]
-    pub fn retire_alus(&mut self, n: u64) {
-        self.stats.instructions += n;
-    }
-
-    /// The per-kind batched arms shared by [`CoreModel::step_block`] and
-    /// [`CoreModel::exec_op`]. Does *not* count the instruction.
-    #[inline]
-    fn block_op(&mut self, op: &BlockOp, l2: &mut Cache, memo: &mut StepMemo) {
+    fn misc_op(&mut self, op: &BlockOp) {
         match op.kind {
-            OpKind::Load => {
-                if self.l1.access(op.a) == Access::Miss {
-                    let raw = self.l2_or_memory_latency(l2.access(op.a));
-                    self.charge_memory(raw * 4);
-                }
-            }
-            OpKind::Store => {
-                if self.l1.access(op.a) == Access::Miss {
-                    let raw = self.l2_or_memory_latency(l2.access(op.a));
-                    self.charge_memory(raw);
-                }
-            }
-            OpKind::Branch => {
-                self.stats.branches += 1;
-                let pc = op.a;
-                if memo.gshare_fixed && memo.gshare_pc == pc && memo.gshare_taken == op.taken {
-                    // Repeat of a branch at a predictor fixed point:
-                    // predicts correctly, changes no state — skip it.
-                } else {
-                    if !self.gshare.predict_and_update(pc, op.taken) {
-                        self.stats.mispredicts += 1;
-                        self.stats.branch_penalty += u64::from(self.cfg.pipeline_depth);
-                    }
-                    memo.gshare_pc = pc;
-                    memo.gshare_taken = op.taken;
-                    memo.gshare_fixed = self.gshare.at_fixed_point(pc, op.taken);
-                }
-            }
-            OpKind::Call => {
-                self.ras.push(op.a);
-            }
+            OpKind::Call => self.ras.push(op.a),
             OpKind::Return => {
                 self.stats.returns += 1;
                 if !self.ras.predict_return(op.a) {
@@ -302,6 +256,9 @@ impl CoreModel {
                     self.stats.indirect_mispredicts += 1;
                     self.stats.branch_penalty += u64::from(self.cfg.pipeline_depth);
                 }
+            }
+            OpKind::Load | OpKind::Store | OpKind::Branch => {
+                unreachable!("memory ops and conditional branches have their own arms")
             }
         }
     }

@@ -326,9 +326,20 @@ fn chunked_baseline_timing_matches_per_event_for_every_benchmark_and_seed() {
     }
 }
 
+/// An optimization latency longer than any run here: no optimized code
+/// is ever deployed, so no branch is speculated.
+const NEVER_DEPLOYED: u64 = 1 << 40;
+
 /// The controller configs the MSSP experiments sweep: fig7's closed
 /// loop, open loop, 4x monitor and both, then fig8's optimization
-/// latencies (`rsc_bench::experiments::fig8::LATENCIES`).
+/// latencies (`rsc_bench::experiments::fig8::LATENCIES`), then
+/// [`NEVER_DEPLOYED`].
+///
+/// A master steps a task whole when none of its branches is speculated
+/// correctly, and builds a distilled task otherwise. The experiment
+/// configs take both paths (on gzip and vortex; at this length gcc and
+/// crafty never distill); the last config takes only the whole-task
+/// path, so each path is pinned on its own.
 fn mssp_sweep_configs() -> Vec<ControllerParams> {
     let base = ControllerParams::scaled();
     let long = base.monitor_period * 4;
@@ -339,7 +350,10 @@ fn mssp_sweep_configs() -> Vec<ControllerParams> {
         base.without_eviction().with_monitor_period(long),
     ];
     let fig8 = [0u64, 10_000, 100_000].map(|lat| base.with_latency(lat));
-    fig7.into_iter().chain(fig8).collect()
+    fig7.into_iter()
+        .chain(fig8)
+        .chain([base.with_latency(NEVER_DEPLOYED)])
+        .collect()
 }
 
 /// Every master of a fan-out equals the per-event `run_mssp_only` for its
@@ -347,7 +361,7 @@ fn mssp_sweep_configs() -> Vec<ControllerParams> {
 ///
 /// N = 1..4 masters take consecutive windows of the sweep configs (N = 1
 /// is `run_mssp_only_chunked`), so the 1 + 2 + 3 + 4 slots cover all
-/// seven configs at every task size. task_events = 1 is the degenerate
+/// eight configs at every task size. task_events = 1 is the degenerate
 /// block size where every chunk boundary falls inside a gap; 64 is the
 /// default; 1000 spans many trace-refill chunks.
 #[test]
@@ -356,6 +370,7 @@ fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
         run_baseline, run_mssp_many, run_mssp_only, run_mssp_only_chunked, MsspParams, MsspResult,
     };
     let configs = mssp_sweep_configs();
+    let mut distilled_cases = 0;
     for name in BENCHMARKS {
         let pop = spec2000::benchmark(name).unwrap().population(EVENTS);
         for seed in SEEDS {
@@ -379,6 +394,17 @@ fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
                     .map(|p| run_mssp_only(&pop, InputId::Eval, EVENTS, seed, p))
                     .collect();
                 let case = format!("{name} seed {seed} task_events {task_events}");
+                // The never-deployed config runs every task whole.
+                let whole = oracle.last().unwrap();
+                assert_eq!(
+                    whole.master_instructions, whole.original_instructions,
+                    "{case}: nothing speculated, nothing distilled"
+                );
+                assert_eq!(whole.branch_misspecs, 0, "{case}");
+                distilled_cases += oracle
+                    .iter()
+                    .filter(|r| r.master_instructions < r.original_instructions)
+                    .count();
                 assert_eq!(
                     run_mssp_only_chunked(&pop, InputId::Eval, EVENTS, seed, &params[0]),
                     oracle[0],
@@ -406,6 +432,7 @@ fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
             }
         }
     }
+    assert!(distilled_cases > 0, "no case exercised a distilled task");
 }
 
 #[test]

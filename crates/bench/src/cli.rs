@@ -146,7 +146,6 @@ pub(crate) static COMMANDS: &[Command] = &[
             switch("--full", "shorthand for --events 40000000 (wins over --events)"),
             int("--seed", 0, Some("42"), "root trace seed"),
             int("--threads", 1, None, "worker-thread cap for parallel stages"),
-            int("--shards", 1, None, "(perf) also sweep sharded controller scaling up to N shards"),
             text("--csv", "DIR", None, "write CSV/JSON outputs under DIR"),
             text("--metrics-out", "F", None, "write a Prometheus exposition of the perf run to F"),
         ],
@@ -154,7 +153,7 @@ pub(crate) static COMMANDS: &[Command] = &[
     },
     Command {
         name: "conformance",
-        summary: "differential fuzzing campaign / artifact replay",
+        summary: "differential fuzzing campaign / artifact replay (--shards: sharded engine)",
         flags: &[
             text("--seeds", "A..B", Some("0..64"), "trace seeds; a bare N means 0..N"),
             int("--events", 0, Some("2000"), "events per generated trace"),
@@ -162,7 +161,7 @@ pub(crate) static COMMANDS: &[Command] = &[
             text("--replay", "FILE", None, "replay a saved counterexample; exits 1 while it reproduces"),
             text("--artifact-dir", "DIR", Some("conformance-artifacts"), "where counterexamples are written"),
             text("--metrics-out", "F", None, "export one instrumented campaign run's metrics to F"),
-            int("--shards", 1, None, "sharded lockstep over 1..=N shards"),
+            int("--shards", 1, None, "sharded lockstep over 1..=N shards (the sharded engine's only CLI path)"),
             switch("--policies", "lockstep every builtin policy, not only paper-fsm"),
         ],
         run: conformance_cli::run,
@@ -217,7 +216,6 @@ pub(crate) static COMMANDS: &[Command] = &[
             int("--quota-bytes", 0, Some("0"), "per-tenant lifetime payload-byte quota (0 = unlimited)"),
             int("--queue-depth", 1, Some("8"), "per-tenant concurrent-operation bound"),
             int("--max-live", 0, Some("0"), "live tenants before coldest-first eviction (0 = never shed)"),
-            int("--shards", 1, Some("2"), "controller shards per tenant"),
             text("--chaos", "PROFILE", Some("off"), "storage fault-injection profile: off|light|heavy"),
             int("--chaos-seed", 0, Some("0"), "chaos RNG seed"),
             text("--port-file", "PATH", None, "write the bound address here once listening"),
@@ -455,7 +453,6 @@ mod tests {
         );
         assert!(args.positional.is_empty());
         assert_eq!(args.int_opt::<usize>("--threads"), Ok(None));
-        assert_eq!(args.int_opt::<usize>("--shards"), Ok(None));
     }
 
     #[test]
@@ -470,8 +467,6 @@ mod tests {
                 "9",
                 "--threads",
                 "2",
-                "--shards",
-                "4",
                 "--csv",
                 "out",
                 "--metrics-out",
@@ -483,7 +478,6 @@ mod tests {
         assert_eq!(args.int("--events"), Ok(1234u64));
         assert_eq!(args.int("--seed"), Ok(9u64));
         assert_eq!(args.int_opt("--threads"), Ok(Some(2usize)));
-        assert_eq!(args.int_opt("--shards"), Ok(Some(4usize)));
         assert_eq!(args.text_opt("--csv"), Some("out"));
         assert_eq!(args.text_opt("--metrics-out"), Some("m.prom"));
     }
@@ -508,7 +502,6 @@ mod tests {
             err(&["--events", "lots"]),
             "--events needs an integer, got \"lots\""
         );
-        assert_eq!(err(&["--shards", "0"]), "--shards must be at least 1");
         assert_eq!(err(&["--threads", "0"]), "--threads must be at least 1");
         assert_eq!(err(&["--bogus"]), "unknown option: --bogus");
         assert_eq!(

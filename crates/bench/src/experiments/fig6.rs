@@ -25,19 +25,21 @@ pub struct Fig6Data {
 /// Window length (the paper captures up to 64 executions).
 pub const WINDOW: usize = 64;
 
-/// Runs the experiment across all benchmarks.
+/// Runs the experiment across all benchmarks, one model per worker;
+/// the windows keep benchmark order.
 pub fn run(opts: &ExpOptions) -> Fig6Data {
-    let mut windows = Vec::new();
-    for model in spec2000::all() {
+    let windows: Vec<EvictionWindow> = crate::parallel::par_map(spec2000::all(), |model| {
         let pop = model.population(opts.events);
-        let w = transition::eviction_windows(
+        transition::eviction_windows(
             ControllerParams::scaled(),
             pop.trace(InputId::Eval, opts.events, opts.seed),
             WINDOW,
         )
-        .expect("valid params");
-        windows.extend(w);
-    }
+        .expect("valid params")
+    })
+    .into_iter()
+    .flatten()
+    .collect();
     let by_offset = transition::mean_misprediction_by_offset(&windows, WINDOW);
     let summary = transition::summarize_exits(&windows);
     Fig6Data {

@@ -14,6 +14,7 @@
 use crate::options::ExpOptions;
 use crate::table::TextTable;
 use rsc_conformance::json::Json;
+use rsc_control::engine::DEFAULT_CHUNK_EVENTS;
 use rsc_control::{ControllerParams, ReactiveController, TransitionLogPolicy};
 use rsc_mssp::{machine, MachineConfig};
 use rsc_profile::BranchProfile;
@@ -24,17 +25,6 @@ use std::time::Instant;
 /// The benchmark model driving the measurement (mid-sized branch
 /// population, both stationary and phased behaviors).
 const BENCHMARK: &str = "gcc";
-
-/// Chunk size for the chunked paths (matches the engine default).
-const CHUNK: usize = 4096;
-
-/// Chunk size for the sharded scaling sweep. The engine fans a chunk out
-/// to threads only when it holds at least
-/// [`MIN_EVENTS_PER_THREAD`](rsc_control::shard::MIN_EVENTS_PER_THREAD)
-/// (64Ki) events per thread; 1M events reaches every thread the host
-/// allows and keeps each spawn and join far below the per-chunk
-/// controller work.
-const SHARD_CHUNK: usize = 1 << 20;
 
 /// One timed code path: how many events it processed and the best
 /// wall-clock time over the measurement repetitions.
@@ -76,20 +66,6 @@ impl StageRow {
     }
 }
 
-/// Times `f` (which returns the number of events it processed) and keeps
-/// the best of `reps` repetitions after one untimed warmup.
-fn time<F: FnMut() -> u64>(mut f: F, reps: u32) -> Throughput {
-    black_box(f());
-    let mut events = 0;
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        events = black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    Throughput { events, secs: best }
-}
-
 /// Times two code paths with interleaved repetitions (a, b, a, b, …) so
 /// both sample the same machine conditions; background interference then
 /// perturbs the two best-of times together instead of skewing their ratio.
@@ -129,7 +105,7 @@ fn record_buf() -> Vec<BranchRecord> {
             taken: false,
             instr: 0
         };
-        CHUNK
+        DEFAULT_CHUNK_EVENTS
     ]
 }
 
@@ -314,129 +290,6 @@ pub fn run(opts: &ExpOptions) -> Vec<StageRow> {
     ]
 }
 
-/// One shard count's controller-phase throughput in the `--shards`
-/// scaling sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardRow {
-    /// Worker shard count the engine was built with.
-    pub shards: usize,
-    /// Best-of-reps controller-phase throughput at this count.
-    pub throughput: Throughput,
-    /// Speedup relative to the sweep's first row (shard count 1).
-    pub speedup_vs_1: f64,
-}
-
-/// The shard counts measured for `--shards N`: powers of two up to `N`,
-/// plus `N` itself when it is not a power of two.
-pub fn shard_counts(max: usize) -> Vec<usize> {
-    let mut counts = vec![1usize];
-    while counts.last().copied().unwrap_or(1) * 2 <= max {
-        counts.push(counts.last().unwrap() * 2);
-    }
-    if counts.last().copied() != Some(max) && max >= 1 {
-        counts.push(max);
-    }
-    counts
-}
-
-/// Measures the controller phase alone (trace pre-materialized, so no
-/// generation cost in the timed region) once per shard count. The trace
-/// is fed in `SHARD_CHUNK`-event chunks through
-/// [`rsc_control::ShardedController::observe_chunk`]; speedups are
-/// relative to the first row, which callers should make shard count 1.
-///
-/// Every chunk is scattered to the shards on the calling thread, then
-/// the shards' sequential `observe_chunk` passes run on up to
-/// `min(shards, max_threads())` scoped threads. A shard count of 1 skips the
-/// scatter — plain sequential `observe_chunk` — so the first row is an
-/// honest baseline. Where the threads share one core the scatter is pure
-/// overhead; each further core runs another shard range in parallel.
-pub fn run_shards(opts: &ExpOptions, counts: &[usize]) -> Vec<ShardRow> {
-    let pop = spec2000::benchmark(BENCHMARK)
-        .expect("benchmark exists")
-        .population(opts.events);
-    let trace: Vec<BranchRecord> = pop.trace(InputId::Eval, opts.events, opts.seed).collect();
-    let params = ControllerParams::scaled();
-    let reps = 3;
-    let mut rows: Vec<ShardRow> = Vec::new();
-    for &n in counts {
-        let throughput = time(
-            || {
-                let mut ctl = ReactiveController::builder(params)
-                    .log_policy(TransitionLogPolicy::CountsOnly)
-                    .shards(n)
-                    .build_sharded()
-                    .expect("valid params");
-                for chunk in trace.chunks(SHARD_CHUNK) {
-                    ctl.observe_chunk(chunk);
-                }
-                black_box(ctl.stats().correct);
-                trace.len() as u64
-            },
-            reps,
-        );
-        let base = rows
-            .first()
-            .map(|r| r.throughput.events_per_sec())
-            .unwrap_or_else(|| throughput.events_per_sec());
-        rows.push(ShardRow {
-            shards: n,
-            throughput,
-            speedup_vs_1: throughput.events_per_sec() / base,
-        });
-    }
-    rows
-}
-
-/// Renders the shard-scaling table.
-pub fn render_shards(rows: &[ShardRow]) -> String {
-    let mut t = TextTable::new(vec!["shards", "events", "ev/s", "speedup vs 1"]);
-    for r in rows {
-        t.row(vec![
-            r.shards.to_string(),
-            r.throughput.events.to_string(),
-            format!("{:.3e}", r.throughput.events_per_sec()),
-            format!("{:.2}x", r.speedup_vs_1),
-        ]);
-    }
-    t.render()
-}
-
-/// Runs the `--shards N` workload once more with metrics attached and
-/// returns the merged aggregate registry (per-shard labeled families
-/// included) — the `--metrics-out` payload for a sharded perf run.
-pub fn instrumented_sharded_registry(
-    opts: &ExpOptions,
-    shards: usize,
-) -> rsc_control::MetricsRegistry {
-    let pop = spec2000::benchmark(BENCHMARK)
-        .expect("benchmark exists")
-        .population(opts.events);
-    let mut ctl = ReactiveController::builder(ControllerParams::scaled())
-        .log_policy(TransitionLogPolicy::CountsOnly)
-        .metrics()
-        .shards(shards)
-        .build_sharded()
-        .expect("valid params");
-    let mut buf = vec![
-        BranchRecord {
-            branch: BranchId::new(0),
-            taken: false,
-            instr: 0
-        };
-        SHARD_CHUNK
-    ];
-    let mut trace = pop.trace(InputId::Eval, opts.events, opts.seed);
-    loop {
-        let n = trace.fill(&mut buf);
-        if n == 0 {
-            break;
-        }
-        ctl.observe_chunk(&buf[..n]);
-    }
-    ctl.metrics().expect("metrics were enabled")
-}
-
 /// Runs the perf workload once more with the metrics registry attached
 /// and returns it — the payload behind `repro perf --metrics-out`. Uses
 /// the same benchmark, event count, and seed as the timed rows so the
@@ -480,18 +333,8 @@ pub fn render(rows: &[StageRow]) -> String {
     t.render()
 }
 
-/// The rows as JSON (the `BENCH_pipeline.json` payload). `shard_rows` is
-/// empty when the run had no `--shards` sweep; the `shard_scaling` array
-/// is emitted either way so consumers can probe one stable schema.
-pub fn to_json(rows: &[StageRow], shard_rows: &[ShardRow], opts: &ExpOptions) -> Json {
-    let shard = |r: &ShardRow| {
-        Json::obj([
-            ("shards", Json::Int(r.shards as u64)),
-            ("events", Json::Int(r.throughput.events)),
-            ("events_per_sec", Json::Num(r.throughput.events_per_sec())),
-            ("speedup_vs_1", Json::Num(r.speedup_vs_1)),
-        ])
-    };
+/// The rows as JSON (the `BENCH_pipeline.json` payload).
+pub fn to_json(rows: &[StageRow], opts: &ExpOptions) -> Json {
     let stage = |r: &StageRow| {
         Json::obj([
             ("stage", Json::str(r.stage)),
@@ -510,12 +353,8 @@ pub fn to_json(rows: &[StageRow], shard_rows: &[ShardRow], opts: &ExpOptions) ->
     Json::obj([
         ("benchmark", Json::str(BENCHMARK)),
         ("seed", Json::Int(opts.seed)),
-        ("chunk_events", Json::Int(CHUNK as u64)),
+        ("chunk_events", Json::Int(DEFAULT_CHUNK_EVENTS as u64)),
         ("threads", Json::Int(crate::parallel::max_threads() as u64)),
-        (
-            "shard_scaling",
-            Json::Arr(shard_rows.iter().map(shard).collect()),
-        ),
         ("stages", Json::Arr(rows.iter().map(stage).collect())),
     ])
 }
@@ -575,82 +414,20 @@ mod tests {
                 },
             },
         ];
-        let shard_rows = vec![
-            ShardRow {
-                shards: 1,
-                throughput: Throughput {
-                    events: 1000,
-                    secs: 0.4,
-                },
-                speedup_vs_1: 1.0,
-            },
-            ShardRow {
-                shards: 4,
-                throughput: Throughput {
-                    events: 1000,
-                    secs: 0.1,
-                },
-                speedup_vs_1: 4.0,
-            },
-        ];
-        let arr = |json: &Json, key: &str| json.get(key).and_then(Json::as_arr).unwrap().to_vec();
         let num = |json: &Json, key: &str| json.get(key).and_then(Json::as_f64).unwrap();
-        for shards in [&[][..], &shard_rows[..]] {
-            let text = to_json(&rows, shards, &ExpOptions::small()).to_string();
-            assert!(!text.contains("null"), "no stage may export null");
-            let json = Json::parse(&text).unwrap();
-            let stages = arr(&json, "stages");
-            let speedups: Vec<f64> = stages.iter().map(|s| num(s, "speedup")).collect();
-            assert_eq!(speedups, vec![2.0, 5.0]);
-            assert_eq!(num(&stages[1], "chunked_events_per_sec"), 1000.0);
-            assert_eq!(arr(&json, "shard_scaling").len(), shards.len());
-            assert!(json.get("threads").and_then(Json::as_u64).unwrap() >= 1);
-        }
-        let json = to_json(&rows, &shard_rows, &ExpOptions::small());
-        let scaling = arr(&json, "shard_scaling");
-        assert_eq!(scaling[1].get("shards").and_then(Json::as_u64), Some(4));
-        assert_eq!(num(&scaling[1], "speedup_vs_1"), 4.0);
-    }
-
-    #[test]
-    fn shard_counts_are_powers_of_two_plus_max() {
-        assert_eq!(shard_counts(1), vec![1]);
-        assert_eq!(shard_counts(4), vec![1, 2, 4]);
-        assert_eq!(shard_counts(6), vec![1, 2, 4, 6]);
-        assert_eq!(shard_counts(8), vec![1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn shard_sweep_reports_consistent_rows() {
-        let opts = ExpOptions::small().with_events(40_000);
-        let rows = run_shards(&opts, &shard_counts(3));
+        let text = to_json(&rows, &ExpOptions::small()).to_string();
+        assert!(!text.contains("null"), "no stage may export null");
+        let json = Json::parse(&text).unwrap();
+        let stages = json.get("stages").and_then(Json::as_arr).unwrap();
+        let speedups: Vec<f64> = stages.iter().map(|s| num(s, "speedup")).collect();
+        assert_eq!(speedups, vec![2.0, 5.0]);
+        assert_eq!(num(&stages[1], "chunked_events_per_sec"), 1000.0);
         assert_eq!(
-            rows.iter().map(|r| r.shards).collect::<Vec<_>>(),
-            vec![1, 2, 3]
+            json.get("chunk_events").and_then(Json::as_u64),
+            Some(DEFAULT_CHUNK_EVENTS as u64)
         );
-        for r in &rows {
-            assert_eq!(r.throughput.events, 40_000);
-            assert!(r.throughput.events_per_sec() > 0.0);
-            assert!(r.speedup_vs_1 > 0.0);
-        }
-        assert_eq!(rows[0].speedup_vs_1, 1.0);
-    }
-
-    #[test]
-    fn sharded_registry_matches_sequential_totals() {
-        let opts = ExpOptions::small().with_events(30_000);
-        let sharded = instrumented_sharded_registry(&opts, 4);
-        let sequential = instrumented_registry(&opts);
-        for name in ["rsc_events_total", "rsc_spec_incorrect_total"] {
-            assert_eq!(
-                sharded.counter_value(name),
-                sequential.counter_value(name),
-                "{name}"
-            );
-        }
-        assert!(sharded
-            .render_prometheus()
-            .contains("rsc_shard_events_total"));
+        assert!(json.get("threads").and_then(Json::as_u64).unwrap() >= 1);
+        assert!(json.get("shard_scaling").is_none());
     }
 
     #[test]

@@ -38,71 +38,68 @@ fn batching_window(params: &ControllerParams) -> u64 {
     params.optimization_latency.max(1)
 }
 
-/// Runs the analysis over selected benchmarks.
+/// Runs the analysis over selected benchmarks, one model per worker.
 pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
     let params = ControllerParams::scaled();
     let window = batching_window(&params);
-    names
-        .iter()
-        .map(|name| {
-            let model = spec2000::benchmark(name).expect("known benchmark");
-            let pop = model.population(opts.events);
-            let result = rsc_control::run_population_chunked(
-                params,
-                &pop,
-                InputId::Eval,
-                opts.events,
-                opts.seed,
-                TransitionLogPolicy::Full,
-            )
-            .expect("valid params");
+    crate::parallel::par_map(names.to_vec(), |name| {
+        let model = spec2000::benchmark(name).expect("known benchmark");
+        let pop = model.population(opts.events);
+        let result = rsc_control::run_population_chunked(
+            params,
+            &pop,
+            InputId::Eval,
+            opts.events,
+            opts.seed,
+            TransitionLogPolicy::Full,
+        )
+        .expect("valid params");
 
-            // Changes that require code regeneration, per region, in time
-            // order (the transition log is already chronological).
-            let mut last_regen_at: std::collections::HashMap<u32, u64> =
-                std::collections::HashMap::new();
-            let mut reoptimizations = 0u64;
-            let mut changes = 0u64;
-            let mut batched: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-            let mut multi = 0u64;
-            for t in &result.transitions {
-                let needs_regen = matches!(
-                    t.kind,
-                    TransitionKind::EnterBiased | TransitionKind::ExitBiased
-                );
-                if !needs_regen {
-                    continue;
-                }
-                changes += 1;
-                let region = t.branch.as_u32() / REGION_SIZE;
-                match last_regen_at.get(&region) {
-                    Some(&at) if t.instr < at + window => {
-                        // Served by the in-flight regeneration.
-                        let b = batched.entry(region).or_insert(1);
-                        *b += 1;
-                        if *b == 2 {
-                            multi += 1;
-                        }
-                    }
-                    _ => {
-                        reoptimizations += 1;
-                        last_regen_at.insert(region, t.instr);
-                        batched.insert(region, 1);
+        // Changes that require code regeneration, per region, in time
+        // order (the transition log is already chronological).
+        let mut last_regen_at: std::collections::HashMap<u32, u64> =
+            std::collections::HashMap::new();
+        let mut reoptimizations = 0u64;
+        let mut changes = 0u64;
+        let mut batched: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
+        let mut multi = 0u64;
+        for t in &result.transitions {
+            let needs_regen = matches!(
+                t.kind,
+                TransitionKind::EnterBiased | TransitionKind::ExitBiased
+            );
+            if !needs_regen {
+                continue;
+            }
+            changes += 1;
+            let region = t.branch.as_u32() / REGION_SIZE;
+            match last_regen_at.get(&region) {
+                Some(&at) if t.instr < at + window => {
+                    // Served by the in-flight regeneration.
+                    let b = batched.entry(region).or_insert(1);
+                    *b += 1;
+                    if *b == 2 {
+                        multi += 1;
                     }
                 }
+                _ => {
+                    reoptimizations += 1;
+                    last_regen_at.insert(region, t.instr);
+                    batched.insert(region, 1);
+                }
             }
-            Row {
-                name: model.name,
-                reoptimizations,
-                changes,
-                multi_change_frac: if reoptimizations == 0 {
-                    0.0
-                } else {
-                    multi as f64 / reoptimizations as f64
-                },
-            }
-        })
-        .collect()
+        }
+        Row {
+            name: model.name,
+            reoptimizations,
+            changes,
+            multi_change_frac: if reoptimizations == 0 {
+                0.0
+            } else {
+                multi as f64 / reoptimizations as f64
+            },
+        }
+    })
 }
 
 /// Runs all benchmarks.

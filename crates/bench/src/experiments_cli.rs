@@ -96,8 +96,6 @@ pub(crate) fn run(args: &Args) -> Result<i32, String> {
         }
     }
     let opts = options(args)?;
-    // Checked here so perf cannot fail after earlier experiments ran.
-    args.int_opt::<usize>("--shards")?;
     if let Some(n) = args.int_opt("--threads")? {
         crate::parallel::set_max_threads(n);
     }
@@ -125,26 +123,11 @@ pub(crate) fn options(args: &Args) -> Result<ExpOptions, String> {
         .with_seed(args.int("--seed")?))
 }
 
-/// `repro perf`: the stage table, the optional `--shards` sweep, and the
-/// `BENCH_pipeline.json` (plus `--metrics-out`) exports.
+/// `repro perf`: the stage table and the `BENCH_pipeline.json` (plus
+/// `--metrics-out`) exports.
 fn run_perf(opts: &ExpOptions, args: &Args) -> String {
-    let shards = args
-        .int_opt("--shards")
-        .expect("--shards is checked before any experiment runs");
     let rows = perf::run(opts);
     let mut out = perf::render(&rows);
-    let shard_rows = match shards {
-        Some(n) => {
-            out.push_str(&format!(
-                "\n== Shard scaling: controller phase, {} worker thread(s) ==\n",
-                crate::parallel::max_threads()
-            ));
-            let srows = perf::run_shards(opts, &perf::shard_counts(n));
-            out.push_str(&perf::render_shards(&srows));
-            srows
-        }
-        None => Vec::new(),
-    };
     let path = args
         .text_opt("--csv")
         .map(|d| PathBuf::from(d).join("BENCH_pipeline.json"))
@@ -152,15 +135,11 @@ fn run_perf(opts: &ExpOptions, args: &Args) -> String {
     if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir).expect("failed to create output directory");
     }
-    let json = perf::to_json(&rows, &shard_rows, opts);
+    let json = perf::to_json(&rows, opts);
     std::fs::write(&path, format!("{json}\n")).expect("failed to write BENCH_pipeline.json");
     out.push_str(&format!("\nwrote {}", path.display()));
     if let Some(mpath) = args.text_opt("--metrics-out") {
-        let registry = match shards {
-            Some(n) if n > 1 => perf::instrumented_sharded_registry(opts, n),
-            _ => perf::instrumented_registry(opts),
-        };
-        crate::observe_cli::export_metrics(&registry, mpath.as_ref());
+        crate::observe_cli::export_metrics(&perf::instrumented_registry(opts), mpath.as_ref());
         out.push_str(&format!("\nwrote {mpath}"));
     }
     out

@@ -3,7 +3,7 @@
 //!
 //! The process listens on TCP (`--addr`) or a Unix socket (`--unix`),
 //! demultiplexes length-prefixed event frames by tenant id, and applies
-//! each tenant's stream to its own sharded controller with per-tenant
+//! each tenant's stream to its own controller with per-tenant
 //! quotas, backpressure, and coldest-first eviction to the checkpoint
 //! directory (see the `rsc-serve` crate docs and DESIGN.md §14).
 //!
@@ -40,7 +40,6 @@ fn server_config(args: &Args) -> Result<ServerConfig, String> {
     };
     cfg.queue_depth = args.int("--queue-depth")?;
     cfg.max_live_tenants = args.int("--max-live")?;
-    cfg.shards_per_tenant = args.int("--shards")?;
     cfg.chaos = ChaosConfig::profile(args.text("--chaos"), args.int("--chaos-seed")?)?;
     Ok(cfg)
 }
@@ -196,7 +195,6 @@ mod tests {
         assert_eq!(cfg.checkpoint_dir, base.checkpoint_dir);
         assert_eq!(cfg.quota, QuotaConfig::unlimited());
         assert_eq!(cfg.queue_depth, base.queue_depth);
-        assert_eq!(cfg.shards_per_tenant, base.shards_per_tenant);
         assert_eq!(cfg.max_live_tenants, base.max_live_tenants);
         assert!(!cfg.chaos.enabled());
     }
@@ -218,8 +216,6 @@ mod tests {
                 "3",
                 "--max-live",
                 "5",
-                "--shards",
-                "4",
                 "--chaos",
                 "light",
                 "--chaos-seed",
@@ -235,7 +231,6 @@ mod tests {
         assert_eq!(cfg.quota.max_bytes, 4096);
         assert_eq!(cfg.queue_depth, 3);
         assert_eq!(cfg.max_live_tenants, 5);
-        assert_eq!(cfg.shards_per_tenant, 4);
         assert!(cfg.chaos.enabled());
         assert_eq!(cfg.chaos.seed, 9);
         assert_eq!(p.text_opt("--port-file"), Some("port.txt"));
@@ -248,8 +243,8 @@ mod tests {
             "--queue-depth must be at least 1"
         );
         assert_eq!(
-            parse_as("serve", &["--shards", "none"]).unwrap_err(),
-            "--shards needs an integer, got \"none\""
+            parse_as("serve", &["--max-live", "none"]).unwrap_err(),
+            "--max-live needs an integer, got \"none\""
         );
         assert_eq!(
             parse_as("serve", &["--addr"]).unwrap_err(),

@@ -29,8 +29,10 @@ macro_rules! usage_errors {
 
 usage_errors! {
     non_integer_flag_value_is_a_usage_error: ["perf", "--events", "lots"] => "--events";
-    missing_flag_value_is_a_usage_error: ["perf", "--shards"] => "--shards needs a value";
-    zero_shards_is_a_usage_error: ["perf", "--shards", "0"] => "--shards must be at least 1";
+    missing_flag_value_is_a_usage_error: ["perf", "--csv"] => "--csv needs a value";
+    zero_shards_is_a_usage_error: ["conformance", "--shards", "0"] => "--shards must be at least 1";
+    perf_shards_is_an_unknown_option: ["perf", "--shards", "4"] => "unknown option: --shards";
+    serve_shards_is_an_unknown_option: ["serve", "--shards", "2"] => "unknown serve option: --shards";
     unknown_option_is_a_usage_error: ["--bogus"] => "unknown option: --bogus";
     unknown_experiment_still_exits_2: ["definitely-not-an-experiment"] => "unknown experiment";
     fuzz_non_integer_iters_is_a_usage_error: ["fuzz", "--iters", "lots"] => "--iters needs an integer";

@@ -125,10 +125,9 @@ impl BlockOp {
                 pc: self.a,
                 target: self.b,
             },
-            OpKind::Branch => Instr::CondBranch {
-                pc: self.a,
-                record: self.record(),
-            },
+            OpKind::Branch => {
+                unreachable!("gap fillers come from gen_op, which never yields a branch")
+            }
         }
     }
 }

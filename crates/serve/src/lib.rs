@@ -5,7 +5,11 @@
 //! long-running daemon: many independent branch-event streams (tenants)
 //! multiplex over TCP or Unix-socket connections carrying
 //! length-prefixed, checksummed [`frame`]s; each tenant gets its own
-//! sharded controller, admission quotas, and a bounded ingest queue.
+//! `ReactiveController`, admission quotas, and a bounded ingest queue.
+//! Tenants do not shard: a record holding a sharded checkpoint, written
+//! by an older daemon, is refused with a typed error. The sharded engine
+//! is reachable only from `repro conformance --shards` and the
+//! benchmark's `controller-stream` workload.
 //! Every degradation path is explicit and tested:
 //!
 //! * **quotas** — per-tenant event/byte ceilings answered with

@@ -58,8 +58,6 @@ use std::time::Duration;
 pub struct ServerConfig {
     /// Controller parameters shared by every tenant.
     pub params: ControllerParams,
-    /// Shards per tenant controller.
-    pub shards_per_tenant: usize,
     /// Per-tenant admission limits.
     pub quota: QuotaConfig,
     /// Per-tenant concurrent-operation bound (the ingest queue depth).
@@ -85,7 +83,6 @@ impl ServerConfig {
     pub fn new(checkpoint_dir: impl Into<PathBuf>) -> Self {
         ServerConfig {
             params: ControllerParams::scaled(),
-            shards_per_tenant: 2,
             quota: QuotaConfig::unlimited(),
             queue_depth: 8,
             backpressure_wait: Duration::from_millis(500),
@@ -197,7 +194,6 @@ impl Server {
     /// Propagates checkpoint-directory creation failures.
     pub fn new(mut cfg: ServerConfig) -> Result<Self, StoreError> {
         cfg.queue_depth = cfg.queue_depth.max(1);
-        cfg.shards_per_tenant = cfg.shards_per_tenant.max(1);
         let store = CheckpointStore::open(&cfg.checkpoint_dir, cfg.chaos)?;
         Ok(Server {
             shared: Arc::new(Shared {
@@ -610,13 +606,8 @@ impl Server {
                 shared.counters.restores.fetch_add(1, Ordering::Relaxed);
                 t
             }
-            Ok(None) => Tenant::new(
-                tenant,
-                shared.cfg.params,
-                shared.cfg.shards_per_tenant,
-                shared.cfg.quota,
-            )
-            .map_err(|e| format!("tenant construction failed: {e}"))?,
+            Ok(None) => Tenant::new(tenant, shared.cfg.params, shared.cfg.quota)
+                .map_err(|e| format!("tenant construction failed: {e}"))?,
             Err(e) => return Err(format!("store read for tenant {tenant} failed: {e}")),
         };
         Ok(Arc::new(TenantCell {
@@ -1014,6 +1005,99 @@ mod tests {
             }
         );
         assert_eq!(srv.counters().restores, 1);
+    }
+
+    #[test]
+    fn drained_records_restore_with_per_event_stats() {
+        let srv = server_in("rsc_srv_per_event", |cfg| {
+            cfg.max_live_tenants = 1;
+        });
+        let frames = [(1, 7), (2, 8), (1, 9)];
+        for (tenant, seed) in frames {
+            let reply = srv.respond(Frame::Events {
+                tenant,
+                payload: payload(20_000, seed),
+            });
+            assert!(
+                matches!(
+                    reply,
+                    Frame::Ack {
+                        accepted: 20_000,
+                        ..
+                    }
+                ),
+                "{reply:?}"
+            );
+        }
+        assert_eq!(srv.drain().failed, 0);
+        let store = CheckpointStore::open(
+            std::env::temp_dir().join("rsc_srv_per_event"),
+            ChaosConfig::off(),
+        )
+        .unwrap();
+        for tenant in [1, 2] {
+            let mut oracle = rsc_control::ReactiveController::builder(ControllerParams::scaled())
+                .build()
+                .unwrap();
+            for (_, seed) in frames.iter().filter(|(t, _)| *t == tenant) {
+                let records = Scenario::UniformRandom { branches: 32 }.generate(20_000, *seed);
+                for r in &records {
+                    oracle.observe(r);
+                }
+            }
+            let rec = store
+                .load(tenant)
+                .unwrap()
+                .expect("drained tenant has a record");
+            let back = Tenant::from_record(&rec, QuotaConfig::unlimited()).unwrap();
+            assert_eq!(back.stats(), oracle.stats(), "tenant {tenant}");
+        }
+    }
+
+    #[test]
+    fn a_sharded_tenant_record_is_refused_not_served() {
+        let dir = std::env::temp_dir().join("rsc_srv_sharded_record");
+        let _ = std::fs::remove_dir_all(&dir);
+        // A record left by a daemon whose tenants ran two shards.
+        let mut ctl = rsc_control::ReactiveController::builder(ControllerParams::scaled())
+            .shards(2)
+            .build_sharded()
+            .unwrap();
+        ctl.observe_chunk(&Scenario::UniformRandom { branches: 32 }.generate(1_000, 3));
+        CheckpointStore::open(&dir, ChaosConfig::off())
+            .unwrap()
+            .save(&crate::storage::TenantRecord {
+                tenant: 4,
+                bytes_ingested: 0,
+                rejected_events: 0,
+                stream_digest: 0,
+                checkpoint: ctl.snapshot(),
+            })
+            .unwrap();
+        let srv = Server::new(ServerConfig::new(&dir)).unwrap();
+        let reply = srv.respond(Frame::Events {
+            tenant: 4,
+            payload: payload(10, 1),
+        });
+        assert!(
+            matches!(
+                &reply,
+                Frame::Reject {
+                    tenant: 4,
+                    code: RejectCode::TenantUnavailable,
+                    detail,
+                } if detail.contains("sharded checkpoint")
+            ),
+            "got {reply:?}"
+        );
+        let reply = srv.respond(Frame::Events {
+            tenant: 5,
+            payload: payload(10, 2),
+        });
+        assert!(
+            matches!(reply, Frame::Ack { tenant: 5, .. }),
+            "got {reply:?}"
+        );
     }
 
     #[test]

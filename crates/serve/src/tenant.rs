@@ -1,6 +1,6 @@
 //! One tenant's controller, quota accounting, and durable identity.
 //!
-//! A [`Tenant`] pairs a [`ShardedController`] with the ingest counters
+//! A [`Tenant`] pairs a [`ReactiveController`] with the ingest counters
 //! the daemon enforces per stream: how many events it has accepted, how
 //! many payload bytes, and how many events it has refused. All
 //! admission decisions are made here, as pure single-threaded logic —
@@ -17,7 +17,7 @@ use crate::frame::RejectCode;
 use crate::storage::TenantRecord;
 use rsc_control::{
     CheckpointError, ControlStats, ControllerParams, InvalidParamsError, ReactiveController,
-    ShardedController, TransitionLogPolicy,
+    TransitionLogPolicy,
 };
 use rsc_trace::io::{read_trace_with_limit, TraceIoError, MAX_TRACE_EVENTS};
 
@@ -59,12 +59,12 @@ pub struct IngestReport {
     pub tenant_events: u64,
 }
 
-/// A tenant: sharded controller plus admission state.
+/// A tenant: one controller plus admission state.
 #[derive(Debug)]
 pub struct Tenant {
     id: u64,
     quota: QuotaConfig,
-    ctl: ShardedController,
+    ctl: ReactiveController,
     bytes_ingested: u64,
     accepted_events: u64,
     rejected_events: u64,
@@ -75,7 +75,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Tenant {
-    /// Creates a fresh tenant with `shards` controller shards.
+    /// Creates a fresh tenant.
     ///
     /// The controller keeps exact per-kind transition counts but no
     /// transition events: nothing here reads them, and a long-lived
@@ -87,13 +87,11 @@ impl Tenant {
     pub fn new(
         id: u64,
         params: ControllerParams,
-        shards: usize,
         quota: QuotaConfig,
     ) -> Result<Self, InvalidParamsError> {
         let ctl = ReactiveController::builder(params)
             .log_policy(TransitionLogPolicy::CountsOnly)
-            .shards(shards)
-            .build_sharded()?;
+            .build()?;
         Ok(Tenant {
             id,
             quota,
@@ -135,7 +133,7 @@ impl Tenant {
         self.stream_digest
     }
 
-    /// Merged controller statistics across this tenant's shards.
+    /// The controller's statistics.
     pub fn stats(&self) -> ControlStats {
         self.ctl.stats()
     }
@@ -217,10 +215,11 @@ impl Tenant {
     /// # Errors
     ///
     /// Propagates the strict checkpoint decode — a corrupted or
-    /// version-confused blob is a typed [`CheckpointError`], never a
-    /// panic.
+    /// version-confused blob, or a sharded checkpoint written while
+    /// tenants ran several controller shards, is a typed
+    /// [`CheckpointError`], never a panic.
     pub fn from_record(rec: &TenantRecord, quota: QuotaConfig) -> Result<Self, CheckpointError> {
-        let ctl = ShardedController::restore(&rec.checkpoint)?;
+        let ctl = ReactiveController::restore(&rec.checkpoint)?;
         let accepted_events = ctl.stats().events;
         Ok(Tenant {
             id: rec.tenant,
@@ -252,7 +251,7 @@ mod tests {
     }
 
     fn tenant(quota: QuotaConfig) -> Tenant {
-        Tenant::new(1, ControllerParams::scaled(), 2, quota).unwrap()
+        Tenant::new(1, ControllerParams::scaled(), quota).unwrap()
     }
 
     #[test]
@@ -334,8 +333,8 @@ mod tests {
         assert_eq!(back.stats(), t.stats());
     }
 
-    /// Restores a one-shard tenant record as a plain controller, which
-    /// exposes the transition log.
+    /// Restores a tenant record's controller, which exposes the
+    /// transition log.
     fn restored_log(t: &Tenant) -> rsc_control::TransitionLog {
         ReactiveController::restore(&t.to_record().checkpoint)
             .unwrap()
@@ -345,8 +344,7 @@ mod tests {
 
     #[test]
     fn records_keep_transition_counts_but_no_events() {
-        let mut t =
-            Tenant::new(1, ControllerParams::scaled(), 1, QuotaConfig::unlimited()).unwrap();
+        let mut t = tenant(QuotaConfig::unlimited());
         t.ingest(&payload(40_000, 4)).unwrap();
         let log = restored_log(&t);
         assert!(log.total() > 0, "the frame caused transitions");
@@ -358,8 +356,7 @@ mod tests {
     fn full_log_records_restore_with_their_policy() {
         // A record written while tenants still kept every transition.
         let mut ctl = ReactiveController::builder(ControllerParams::scaled())
-            .shards(1)
-            .build_sharded()
+            .build()
             .unwrap();
         let records = rsc_trace::io::read_trace(&mut &payload(40_000, 4)[..]).unwrap();
         ctl.observe_chunk(&records);
@@ -376,6 +373,29 @@ mod tests {
         let log = restored_log(&back);
         assert_eq!(log.policy(), TransitionLogPolicy::Full);
         assert_eq!(log.len() as u64, log.total());
+    }
+
+    #[test]
+    fn sharded_checkpoint_records_are_refused_with_a_typed_error() {
+        // A record written while tenants ran two controller shards.
+        let mut ctl = ReactiveController::builder(ControllerParams::scaled())
+            .shards(2)
+            .build_sharded()
+            .unwrap();
+        let records = rsc_trace::io::read_trace(&mut &payload(4_000, 4)[..]).unwrap();
+        ctl.observe_chunk(&records);
+        let rec = TenantRecord {
+            tenant: 1,
+            bytes_ingested: 0,
+            rejected_events: 0,
+            stream_digest: FNV_OFFSET,
+            checkpoint: ctl.snapshot(),
+        };
+        let err = Tenant::from_record(&rec, QuotaConfig::unlimited()).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Corrupt { what, .. } if what.starts_with("sharded checkpoint")),
+            "{err}"
+        );
     }
 
     #[test]

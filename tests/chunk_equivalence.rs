@@ -339,7 +339,8 @@ const NEVER_DEPLOYED: u64 = 1 << 40;
 /// correctly, and builds a distilled task otherwise. The experiment
 /// configs take both paths (on gzip and vortex; at this length gcc and
 /// crafty never distill); the last config takes only the whole-task
-/// path, so each path is pinned on its own.
+/// path, so each path is pinned on its own. The exec-modes test adds
+/// one config under which most tasks distill.
 fn mssp_sweep_configs() -> Vec<ControllerParams> {
     let base = ControllerParams::scaled();
     let long = base.monitor_period * 4;
@@ -433,6 +434,66 @@ fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
         }
     }
     assert!(distilled_cases > 0, "no case exercised a distilled task");
+
+    // The configs above distill only now and then. On gcc, a 16-execution
+    // monitor with no optimization latency distills most tasks, so this
+    // case compares the distilled path task after task.
+    let events = 20_000;
+    let pop = spec2000::benchmark("gcc").unwrap().population(events);
+    let ctl = ControllerParams::scaled()
+        .with_monitor_period(16)
+        .with_latency(0);
+    let params = MsspParams::new().with_controller(ctl);
+    let oracle = run_mssp_only(&pop, InputId::Eval, events, 7, &params);
+    let (tasks, distilled) = distilled_tasks(&pop, 7, events, &params);
+    assert_eq!(
+        tasks, oracle.tasks,
+        "one task per {} events",
+        params.task_events
+    );
+    assert!(
+        2 * distilled > tasks,
+        "{distilled} of {tasks} tasks distill"
+    );
+    assert_eq!(
+        run_mssp_only_chunked(&pop, InputId::Eval, events, 7, &params),
+        oracle
+    );
+    let expected = MsspResult {
+        baseline_cycles: run_baseline(&pop, InputId::Eval, events, 7, &params.machine),
+        ..oracle
+    };
+    assert_eq!(
+        run_mssp_many(&pop, InputId::Eval, events, 7, true, &[params, params]),
+        vec![expected, expected]
+    );
+}
+
+/// How many `task_events`-event tasks a master runs, and in how many its
+/// controller speculates some branch correctly: the tasks it distills.
+/// A master's decisions read only the trace and its controller, so
+/// replaying the controller over the trace finds them.
+fn distilled_tasks(
+    pop: &rsc_trace::Population,
+    seed: u64,
+    events: u64,
+    params: &rsc_mssp::MsspParams,
+) -> (u64, u64) {
+    let mut ctl = ReactiveController::builder(params.controller)
+        .build()
+        .unwrap();
+    let records: Vec<BranchRecord> = pop.trace(InputId::Eval, events, seed).collect();
+    let tasks = records.chunks(params.task_events as usize);
+    let total = tasks.len() as u64;
+    let distilled = tasks
+        .filter(|task| {
+            // Not `any`: every record must reach the controller.
+            task.iter().fold(false, |any, r| {
+                any | (ctl.observe(r) == rsc_control::SpecDecision::Correct)
+            })
+        })
+        .count();
+    (total, distilled as u64)
 }
 
 #[test]

@@ -246,11 +246,13 @@ fn mssp_master(pop: &Population, events: u64, seed: u64, reps: u32) -> StageRow 
     // Same slice as `mssp_step`: the machine is the costly stage.
     let events = (events / 8).max(50_000);
     let params = machine::MsspParams::new();
+    let one_master =
+        || machine::run_mssp_many(pop, InputId::Eval, events, seed, false, &[params])[0];
     // The chunked path must be bit-identical, not just fast; assert it on
     // the measured workload before timing.
     assert_eq!(
         machine::run_mssp_only(pop, InputId::Eval, events, seed, &params),
-        machine::run_mssp_only_chunked(pop, InputId::Eval, events, seed, &params),
+        one_master(),
         "chunked mssp master diverged from the per-event oracle"
     );
     let (per_event, chunked) = time_pair(
@@ -260,8 +262,7 @@ fn mssp_master(pop: &Population, events: u64, seed: u64, reps: u32) -> StageRow 
             events
         },
         || {
-            let r = machine::run_mssp_only_chunked(pop, InputId::Eval, events, seed, &params);
-            black_box(r.mssp_cycles);
+            black_box(one_master().mssp_cycles);
             events
         },
         reps,

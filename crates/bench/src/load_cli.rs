@@ -20,8 +20,7 @@
 use crate::cli::Args;
 use rsc_conformance::json::Json;
 use rsc_serve::{
-    fetch_metrics, request_drain, run_load, ChaosConfig, Endpoint, LoadConfig, LoadReport,
-    RejectCode,
+    request_drain, run_load, ChaosConfig, Endpoint, LoadConfig, LoadReport, RejectCode,
 };
 use std::path::Path;
 
@@ -193,18 +192,6 @@ pub(crate) fn run(args: &Args) -> Result<i32, String> {
     } else {
         1
     })
-}
-
-/// Fetches and prints the daemon's tenants-only metrics exposition
-/// (used by tests and scripts; not currently wired to a flag).
-///
-/// # Errors
-///
-/// Propagates transport or protocol failures as strings.
-pub fn print_tenant_metrics(endpoint: &Endpoint) -> Result<(), String> {
-    let text = fetch_metrics(endpoint, true)?;
-    print!("{text}");
-    Ok(())
 }
 
 #[cfg(test)]

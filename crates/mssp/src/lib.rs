@@ -21,8 +21,8 @@
 //! through the batched [`CoreModel`] arms: [`run_mssp_many`] generates
 //! the program once and feeds each task to one trailing core, an
 //! optional baseline core, and one master per [`MsspParams`] of a sweep.
-//! [`run_mssp`] and [`run_mssp_only_chunked`] are its one-master cases,
-//! and [`run_baseline_chunked`] steps the baseline alone. The paper's
+//! [`run_mssp`] is its one-master case with the baseline core, and
+//! [`run_baseline_chunked`] steps the baseline alone. The paper's
 //! experiments use the chunked path.
 //!
 //! ```
@@ -47,8 +47,8 @@ pub use cache::Cache;
 pub use config::{CoreConfig, MachineConfig};
 pub use distill::Distiller;
 pub use machine::{
-    run_baseline, run_baseline_chunked, run_mssp, run_mssp_many, run_mssp_only,
-    run_mssp_only_chunked, MsspParams, MsspResult,
+    run_baseline, run_baseline_chunked, run_mssp, run_mssp_many, run_mssp_only, MsspParams,
+    MsspResult,
 };
 pub use program::{BlockOp, Instr, InstrBlock, MemoryModel, OpKind, ProgramStream};
 pub use timing::{CoreModel, StepMemo, TimingStats};

@@ -501,29 +501,6 @@ pub fn run_mssp_only(
     book.result(master.stats().instructions)
 }
 
-/// [`run_mssp_only`] on the chunked fast path: [`run_mssp_many`] with one
-/// master and no baseline core. Bit-identical results.
-///
-/// # Panics
-///
-/// Panics if the controller parameters are invalid or `task_events` is 0.
-pub fn run_mssp_only_chunked(
-    population: &Population,
-    input: InputId,
-    events: u64,
-    seed: u64,
-    params: &MsspParams,
-) -> MsspResult {
-    run_mssp_many(
-        population,
-        input,
-        events,
-        seed,
-        false,
-        std::slice::from_ref(params),
-    )[0]
-}
-
 /// Runs one MSSP machine per entry of `params` over a single program
 /// stream, on the chunked fast path, and returns their results in
 /// `params` order.
@@ -719,8 +696,8 @@ mod tests {
         let pop = spec2000::benchmark("gcc").unwrap().population(100_000);
         let p = MsspParams::new();
         let per_event = run_mssp_only(&pop, InputId::Eval, 100_000, 11, &p);
-        let chunked = run_mssp_only_chunked(&pop, InputId::Eval, 100_000, 11, &p);
-        assert_eq!(per_event, chunked);
+        let chunked = run_mssp_many(&pop, InputId::Eval, 100_000, 11, false, &[p]);
+        assert_eq!(chunked, vec![per_event]);
     }
 
     #[test]
@@ -731,12 +708,12 @@ mod tests {
         let mut p = MsspParams::new();
         p.task_events = 1;
         let per_event = run_mssp_only(&pop, InputId::Eval, 300_000, 11, &p);
-        let chunked = run_mssp_only_chunked(&pop, InputId::Eval, 300_000, 11, &p);
+        let chunked = run_mssp_many(&pop, InputId::Eval, 300_000, 11, false, &[p]);
         assert!(
             per_event.task_misspecs > 0,
             "scenario must exercise squashes"
         );
-        assert_eq!(per_event, chunked);
+        assert_eq!(chunked, vec![per_event]);
     }
 
     #[test]

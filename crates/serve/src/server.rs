@@ -50,7 +50,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Everything the daemon needs to run.
@@ -107,7 +107,6 @@ struct Counters {
     shed_failures: AtomicU64,
     restores: AtomicU64,
     drain_flushed: AtomicU64,
-    store_errors: AtomicU64,
 }
 
 /// A point-in-time copy of the server counters.
@@ -131,7 +130,9 @@ pub struct CounterSnapshot {
     pub restores: u64,
     /// Tenants flushed by drain.
     pub drain_flushed: u64,
-    /// Store reads that failed while rendering metrics.
+    /// Records in the checkpoint directory that did not restore when the
+    /// server started, each counted once; their tenants are absent from
+    /// the per-tenant metrics. Scrapes read no record.
     pub store_errors: u64,
 }
 
@@ -143,6 +144,37 @@ pub struct DrainReport {
     /// Tenants whose checkpoint write kept failing (their state stayed
     /// in memory; the exit code should reflect this).
     pub failed: u64,
+}
+
+/// The per-tenant metric families, name and help, in the order of
+/// [`exported`]'s values.
+const TENANT_FAMILIES: [(&str, &str); 5] = [
+    ("rsc_tenant_events_total", "Events accepted per tenant"),
+    ("rsc_tenant_rejected_total", "Events rejected per tenant"),
+    (
+        "rsc_tenant_bytes_total",
+        "Payload bytes accepted per tenant",
+    ),
+    (
+        "rsc_tenant_misspeculations_total",
+        "Misspeculated branches per tenant",
+    ),
+    (
+        "rsc_tenant_stream_digest",
+        "FNV-1a digest of the tenant's accepted payload sequence",
+    ),
+];
+
+/// The values a scrape exports for one tenant, one per
+/// [`TENANT_FAMILIES`] entry.
+fn exported(t: &Tenant) -> [u64; 5] {
+    [
+        t.accepted_events(),
+        t.rejected_events(),
+        t.bytes_ingested(),
+        t.stats().incorrect,
+        t.stream_digest(),
+    ]
 }
 
 struct TenantCore {
@@ -174,6 +206,12 @@ struct Shared {
     draining: AtomicBool,
     clock: AtomicU64,
     counters: Counters,
+    /// The exported numbers of every tenant with a record on disk, as
+    /// last saved: filled from the store at startup and updated on every
+    /// shed or drain, so a scrape reads no checkpoint.
+    saved: Mutex<BTreeMap<u64, [u64; 5]>>,
+    /// Records the startup pass could not restore.
+    unreadable_records: u64,
 }
 
 /// The serving core. Cheap to clone; all clones share state.
@@ -187,14 +225,27 @@ pub struct Server {
 const SAVE_RETRIES: u32 = 10;
 
 impl Server {
-    /// Builds the serving core and opens the checkpoint directory.
+    /// Builds the serving core and opens the checkpoint directory. Every
+    /// record already there is restored once, to keep the numbers its
+    /// tenant exports; a record that does not restore is counted in
+    /// [`CounterSnapshot::store_errors`].
     ///
     /// # Errors
     ///
-    /// Propagates checkpoint-directory creation failures.
+    /// Propagates checkpoint-directory creation and listing failures.
     pub fn new(mut cfg: ServerConfig) -> Result<Self, StoreError> {
         cfg.queue_depth = cfg.queue_depth.max(1);
         let store = CheckpointStore::open(&cfg.checkpoint_dir, cfg.chaos)?;
+        let mut saved = BTreeMap::new();
+        let mut unreadable_records = 0;
+        for id in store.list()? {
+            let record = store.load(id).ok().flatten();
+            if let Some(t) = record.and_then(|rec| Tenant::from_record(&rec, cfg.quota).ok()) {
+                saved.insert(id, exported(&t));
+            } else {
+                unreadable_records += 1;
+            }
+        }
         Ok(Server {
             shared: Arc::new(Shared {
                 cfg,
@@ -204,6 +255,8 @@ impl Server {
                 draining: AtomicBool::new(false),
                 clock: AtomicU64::new(0),
                 counters: Counters::default(),
+                saved: Mutex::new(saved),
+                unreadable_records,
             }),
         })
     }
@@ -215,11 +268,20 @@ impl Server {
 
     /// Live (in-memory) tenant count.
     pub fn live_tenants(&self) -> usize {
+        self.live_cells().len()
+    }
+
+    /// Every live tenant's cell, cloned out of the registry so that no
+    /// tenant lock is taken under the registry lock.
+    fn live_cells(&self) -> Vec<(u64, Arc<TenantCell>)> {
         let slots = self.shared.slots.lock().unwrap();
         slots
-            .values()
-            .filter(|s| matches!(s, Slot::Live(_)))
-            .count()
+            .iter()
+            .filter_map(|(id, s)| match s {
+                Slot::Live(c) => Some((*id, Arc::clone(c))),
+                Slot::Busy => None,
+            })
+            .collect()
     }
 
     /// Current counter values.
@@ -235,7 +297,7 @@ impl Server {
             shed_failures: c.shed_failures.load(Ordering::Relaxed),
             restores: c.restores.load(Ordering::Relaxed),
             drain_flushed: c.drain_flushed.load(Ordering::Relaxed),
-            store_errors: c.store_errors.load(Ordering::Relaxed),
+            store_errors: self.shared.unreadable_records,
         }
     }
 
@@ -246,28 +308,16 @@ impl Server {
     pub fn drain(&self) -> DrainReport {
         let shared = &self.shared;
         shared.draining.store(true, Ordering::SeqCst);
-        let cells: Vec<Arc<TenantCell>> = {
-            let slots = shared.slots.lock().unwrap();
-            slots
-                .values()
-                .filter_map(|s| match s {
-                    Slot::Live(c) => Some(Arc::clone(c)),
-                    Slot::Busy => None,
-                })
-                .collect()
-        };
         let mut report = DrainReport {
             flushed: 0,
             failed: 0,
         };
-        for cell in cells {
+        for (_, cell) in self.live_cells() {
             let core = cell.core.lock().unwrap();
             if core.retired {
                 continue;
             }
-            let rec = core.tenant.to_record();
-            drop(core);
-            if save_with_retries(shared, &rec) {
+            if save_tenant(shared, core) {
                 report.flushed += 1;
                 shared
                     .counters
@@ -284,109 +334,27 @@ impl Server {
     /// exactly the per-tenant families — a pure function of the streams
     /// each tenant has ingested, which is what the restart-identity
     /// check compares. Tenants on disk (evicted or drained) are included
-    /// by restoring a throwaway copy from their record.
+    /// from the numbers kept when they were saved; no checkpoint is read.
     pub fn metrics_text(&self, tenants_only: bool) -> String {
-        let shared = &self.shared;
-        let mut per_tenant: BTreeMap<u64, (u64, u64, u64, u64, u64)> = BTreeMap::new();
-        let live: Vec<(u64, Arc<TenantCell>)> = {
-            let slots = shared.slots.lock().unwrap();
-            slots
-                .iter()
-                .filter_map(|(id, s)| match s {
-                    Slot::Live(c) => Some((*id, Arc::clone(c))),
-                    Slot::Busy => None,
-                })
-                .collect()
-        };
-        for (id, cell) in live {
+        let mut per_tenant = BTreeMap::new();
+        for (id, cell) in self.live_cells() {
             let core = cell.core.lock().unwrap();
-            if core.retired {
-                continue;
+            if !core.retired {
+                per_tenant.insert(id, exported(&core.tenant));
             }
-            let t = &core.tenant;
-            per_tenant.insert(
-                id,
-                (
-                    t.accepted_events(),
-                    t.rejected_events(),
-                    t.bytes_ingested(),
-                    t.stats().incorrect,
-                    t.stream_digest(),
-                ),
-            );
         }
-        let on_disk = {
-            let store = shared.store.lock().unwrap();
-            store.list().unwrap_or_default()
-        };
-        for id in on_disk {
-            if per_tenant.contains_key(&id) {
-                continue;
-            }
-            let loaded = {
-                let store = shared.store.lock().unwrap();
-                store.load(id)
-            };
-            let tenant = loaded
-                .ok()
-                .flatten()
-                .and_then(|rec| Tenant::from_record(&rec, shared.cfg.quota).ok());
-            match tenant {
-                Some(t) => {
-                    per_tenant.insert(
-                        id,
-                        (
-                            t.accepted_events(),
-                            t.rejected_events(),
-                            t.bytes_ingested(),
-                            t.stats().incorrect,
-                            t.stream_digest(),
-                        ),
-                    );
-                }
-                None => {
-                    shared.counters.store_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        // A tenant found retired above had its numbers kept in `saved`
+        // before its tenant lock was released (`save_tenant`).
+        for (id, summary) in self.shared.saved.lock().unwrap().iter() {
+            per_tenant.entry(*id).or_insert(*summary);
         }
         let mut reg = MetricsRegistry::new();
-        for (id, (events, rejected, bytes, incorrect, digest)) in &per_tenant {
+        for (id, values) in &per_tenant {
             let label = id.to_string();
-            let c = reg.counter_labeled(
-                "rsc_tenant_events_total",
-                "tenant",
-                &label,
-                "Events accepted per tenant",
-            );
-            reg.set_counter(c, *events);
-            let c = reg.counter_labeled(
-                "rsc_tenant_rejected_total",
-                "tenant",
-                &label,
-                "Events rejected per tenant",
-            );
-            reg.set_counter(c, *rejected);
-            let c = reg.counter_labeled(
-                "rsc_tenant_bytes_total",
-                "tenant",
-                &label,
-                "Payload bytes accepted per tenant",
-            );
-            reg.set_counter(c, *bytes);
-            let c = reg.counter_labeled(
-                "rsc_tenant_misspeculations_total",
-                "tenant",
-                &label,
-                "Misspeculated branches per tenant",
-            );
-            reg.set_counter(c, *incorrect);
-            let c = reg.counter_labeled(
-                "rsc_tenant_stream_digest",
-                "tenant",
-                &label,
-                "FNV-1a digest of the tenant's accepted payload sequence",
-            );
-            reg.set_counter(c, *digest);
+            for ((name, help), value) in TENANT_FAMILIES.iter().zip(values) {
+                let c = reg.counter_labeled(name, "tenant", &label, help);
+                reg.set_counter(c, *value);
+            }
         }
         if !tenants_only {
             let snap = self.counters();
@@ -435,7 +403,7 @@ impl Server {
                 (
                     "rsc_serve_store_errors_total",
                     snap.store_errors,
-                    "Store read failures",
+                    "Checkpoint records that did not restore at startup",
                 ),
             ];
             for (name, value, help) in pairs {
@@ -444,6 +412,11 @@ impl Server {
             }
             let g = reg.gauge("rsc_serve_live_tenants", "Tenants resident in memory");
             reg.set_gauge(g, self.live_tenants() as f64);
+            let g = reg.gauge(
+                "rsc_serve_unreadable_records",
+                "Checkpoint records the daemon could not restore at startup",
+            );
+            reg.set_gauge(g, snap.store_errors as f64);
         }
         reg.render_prometheus()
     }
@@ -658,9 +631,7 @@ impl Server {
             let (victim_id, cell) = victim;
             let mut core = cell.core.lock().unwrap();
             core.retired = true;
-            let rec = core.tenant.to_record();
-            drop(core);
-            if save_with_retries(shared, &rec) {
+            if save_tenant(shared, core) {
                 let mut slots = shared.slots.lock().unwrap();
                 slots.remove(&victim_id);
                 shared.slot_changed.notify_all();
@@ -792,16 +763,28 @@ impl Server {
     }
 }
 
-fn save_with_retries(shared: &Shared, rec: &crate::storage::TenantRecord) -> bool {
+/// Keeps the tenant's exported numbers for scrapes, then writes its
+/// record, retrying a failed or corrupted write up to [`SAVE_RETRIES`]
+/// times. The numbers are kept while the tenant lock is still held, so a
+/// scrape that finds the tenant retired finds them too. Should the write
+/// fail, the tenant stays live, and its live numbers take precedence.
+fn save_tenant(shared: &Shared, core: MutexGuard<'_, TenantCore>) -> bool {
+    let rec = core.tenant.to_record();
+    shared
+        .saved
+        .lock()
+        .unwrap()
+        .insert(rec.tenant, exported(&core.tenant));
+    drop(core);
     let mut store = shared.store.lock().unwrap();
     for _ in 0..SAVE_RETRIES {
-        match store.save(rec) {
+        match store.save(&rec) {
             Ok(()) => {
                 // Chaos may have corrupted the bytes on the way down;
                 // trust the file only if it reads back. (With chaos off
                 // this read-back is the crash-safety audit, not a tax.)
                 match store.load(rec.tenant) {
-                    Ok(Some(back)) if &back == rec => return true,
+                    Ok(Some(back)) if back == rec => return true,
                     _ => continue,
                 }
             }
@@ -1125,6 +1108,52 @@ mod tests {
         );
         let full = srv.metrics_text(false);
         assert!(full.contains("rsc_serve_shed_tenants_total 1"), "{full}");
+    }
+
+    #[test]
+    fn an_unreadable_record_is_counted_once_not_per_scrape() {
+        let dir = std::env::temp_dir().join("rsc_srv_unreadable");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("tenant-4.rsvt"), b"not a tenant record").unwrap();
+        let srv = Server::new(ServerConfig::new(&dir)).unwrap();
+        srv.respond(Frame::Events {
+            tenant: 5,
+            payload: payload(10, 2),
+        });
+        for _ in 0..5 {
+            srv.metrics_text(true);
+            srv.metrics_text(false);
+        }
+        let c = srv.counters();
+        assert_eq!(c.store_errors, 1, "counted once, not per scrape");
+        let full = srv.metrics_text(false);
+        assert!(full.contains("rsc_serve_unreadable_records 1"), "{full}");
+        assert!(!full.contains("tenant=\"4\""), "{full}");
+    }
+
+    #[test]
+    fn scrapes_read_no_checkpoint() {
+        let srv = server_in("rsc_srv_scrape_no_load", |cfg| {
+            cfg.max_live_tenants = 1;
+        });
+        for (tenant, seed) in [(1, 1), (2, 2), (3, 3)] {
+            srv.respond(Frame::Events {
+                tenant,
+                payload: payload(500, seed),
+            });
+        }
+        assert_eq!(srv.counters().shed_tenants, 2);
+        let before = srv.metrics_text(true);
+        assert!(before.contains("tenant=\"1\""), "{before}");
+        // Corrupt every record after startup: a scrape that loaded one
+        // would drop its tenant or count a store error.
+        let dir = std::env::temp_dir().join("rsc_srv_scrape_no_load");
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            std::fs::write(entry.unwrap().path(), b"corrupted after startup").unwrap();
+        }
+        assert_eq!(srv.metrics_text(true), before);
+        assert_eq!(srv.counters().store_errors, 0);
     }
 
     #[test]

@@ -361,15 +361,13 @@ fn mssp_sweep_configs() -> Vec<ControllerParams> {
 /// params, and the fan-out's baseline equals `run_baseline`.
 ///
 /// N = 1..4 masters take consecutive windows of the sweep configs (N = 1
-/// is `run_mssp_only_chunked`), so the 1 + 2 + 3 + 4 slots cover all
+/// is a one-master `run_mssp_many`), so the 1 + 2 + 3 + 4 slots cover all
 /// eight configs at every task size. task_events = 1 is the degenerate
 /// block size where every chunk boundary falls inside a gap; 64 is the
 /// default; 1000 spans many trace-refill chunks.
 #[test]
 fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
-    use rsc_mssp::{
-        run_baseline, run_mssp_many, run_mssp_only, run_mssp_only_chunked, MsspParams, MsspResult,
-    };
+    use rsc_mssp::{run_baseline, run_mssp_many, run_mssp_only, MsspParams, MsspResult};
     let configs = mssp_sweep_configs();
     let mut distilled_cases = 0;
     for name in BENCHMARKS {
@@ -407,7 +405,7 @@ fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
                     .filter(|r| r.master_instructions < r.original_instructions)
                     .count();
                 assert_eq!(
-                    run_mssp_only_chunked(&pop, InputId::Eval, EVENTS, seed, &params[0]),
+                    run_mssp_many(&pop, InputId::Eval, EVENTS, seed, false, &params[..1])[0],
                     oracle[0],
                     "{case}: one master, {:?}",
                     configs[0]
@@ -456,7 +454,7 @@ fn mssp_exec_modes_are_bit_identical_across_benchmarks_seeds_and_task_sizes() {
         "{distilled} of {tasks} tasks distill"
     );
     assert_eq!(
-        run_mssp_only_chunked(&pop, InputId::Eval, events, 7, &params),
+        run_mssp_many(&pop, InputId::Eval, events, 7, false, &[params])[0],
         oracle
     );
     let expected = MsspResult {

@@ -17,10 +17,10 @@ const EMPTY: u32 = u32::MAX;
 /// Only hit/miss behavior is modeled (timing lives in the core models).
 ///
 /// Every set's blocks sit MRU-first in one flat array of `sets * assoc`
-/// `u32` block numbers, so an access is a scan of at most `assoc`
-/// adjacent words and an LRU rotation is a `copy_within` of the few
-/// words in front of the hit. The leading slot is the set's MRU block,
-/// which makes the dominant repeat-access pattern a single compare.
+/// `u32` block numbers, so an access touches at most `assoc` adjacent
+/// words and an LRU rotation moves only the words in front of the hit.
+/// 2-way and 8-way sets compare and rotate all their ways with no
+/// data-dependent branch; other associativities scan from the MRU slot.
 /// Block numbers are narrowed to `u32` with a checked conversion: an
 /// address whose block number does not fit panics rather than aliasing
 /// another block. (Simulated data lives below `0x1000_0000 + 8 MiB`, so
@@ -96,6 +96,9 @@ impl Cache {
     /// [`Cache::access`] without the counter update, for hot loops that
     /// tally hits and misses in locals and credit them once per batch
     /// with [`Cache::add_counts`].
+    ///
+    /// 2-way and 8-way sets (every cache of Table 5) take the branch-free
+    /// [`Cache::lookup_ways`]; other associativities scan.
     #[inline]
     pub(crate) fn lookup(&mut self, addr: u64) -> Access {
         let block = addr >> self.block_shift;
@@ -103,7 +106,49 @@ impl Cache {
             Ok(b) if b != EMPTY => b,
             _ => block_too_wide(block),
         };
-        let start = (block & self.set_mask) as usize * self.assoc;
+        let set = (block & self.set_mask) as usize;
+        match self.assoc {
+            2 => self.lookup_ways::<2>(set, block),
+            8 => self.lookup_ways::<8>(set, block),
+            _ => self.lookup_scan(set, block),
+        }
+    }
+
+    /// One access to set `set` of an `N`-way cache with no
+    /// data-dependent branch. Every way is compared into a bitmask; the
+    /// hit way, or `N - 1` (the LRU way) on a miss, is `pos`. Ways
+    /// `0..pos` then move down one slot through fixed-width selects and
+    /// the block takes slot 0, which is the scan's `copy_within` plus
+    /// MRU fill for a hit and a miss alike. Simulated addresses are
+    /// random, so the scan's exit branches are what the host mispredicts.
+    #[inline(always)]
+    fn lookup_ways<const N: usize>(&mut self, set: usize, block: u32) -> Access {
+        let ways: &mut [u32; N] = (&mut self.ways[set * N..set * N + N])
+            .try_into()
+            .expect("a set holds N ways");
+        let old = *ways;
+        let mut mask = 0u32;
+        for (i, &way) in old.iter().enumerate() {
+            mask |= u32::from(way == block) << i;
+        }
+        // A block sits in at most one way, so the lowest set bit is the
+        // hit way; the forced top bit makes a miss select the LRU way.
+        let pos = (mask | 1 << (N - 1)).trailing_zeros() as usize;
+        for i in 1..N {
+            ways[i] = if i <= pos { old[i - 1] } else { old[i] };
+        }
+        ways[0] = block;
+        if mask != 0 {
+            Access::Hit
+        } else {
+            Access::Miss
+        }
+    }
+
+    /// [`Cache::lookup`] for associativities without a branch-free arm:
+    /// scan the set MRU-first and rotate the ways in front of the hit.
+    fn lookup_scan(&mut self, set: usize, block: u32) -> Access {
+        let start = set * self.assoc;
         let ways = &mut self.ways[start..start + self.assoc];
         if ways[0] == block {
             // The block is already this set's MRU: hit, LRU unchanged.
@@ -165,6 +210,7 @@ fn block_too_wide(block: u64) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The textbook true-LRU cache the flat layout replaced: one `Vec` of
     /// `u64` block numbers per set, most recently used first. It is the
@@ -343,6 +389,41 @@ mod tests {
             }
             assert_eq!(set_contents(&flat, 0).len(), assoc as usize);
             assert!((1..sets as usize).all(|s| set_contents(&flat, s).is_empty()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The branch-free 2- and 8-way arms and the scan agree with the
+        /// reference on every access, at every associativity the cache
+        /// takes. A stream mixes a hot region about the cache's size, which
+        /// keeps hits at every LRU depth, with a cold region 16 times larger
+        /// that forces misses and evictions.
+        #[test]
+        fn every_associativity_matches_the_reference_lru(
+            assoc in prop::sample::select(vec![1u32, 2, 4, 8, 16]),
+            kib in prop::sample::select(vec![1u32, 4]),
+            accesses in prop::collection::vec((0u32..100, any::<u64>()), 1..2048),
+            hot_pct in 50u32..95,
+        ) {
+            let mut cache = Cache::new(kib, assoc, 64);
+            let mut reference = ReferenceLru::new(kib, assoc, 64);
+            let bytes = u64::from(kib) * 1024;
+            for (i, &(roll, x)) in accesses.iter().enumerate() {
+                let region = if roll < hot_pct { bytes } else { 16 * bytes };
+                let addr = x % region;
+                prop_assert_eq!(
+                    cache.access(addr),
+                    reference.access(addr),
+                    "{}-way, {} KiB, access {}", assoc, kib, i
+                );
+            }
+            prop_assert_eq!(cache.hits(), reference.hits);
+            prop_assert_eq!(cache.misses(), reference.misses);
+            for (s, set) in reference.sets.iter().enumerate() {
+                prop_assert_eq!(&set_contents(&cache, s), set, "set {}", s);
+            }
         }
     }
 

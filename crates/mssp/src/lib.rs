@@ -20,7 +20,8 @@
 //! and serve as the oracle. The chunked path steps whole task blocks
 //! through the batched [`CoreModel`] arms: [`run_mssp_many`] generates
 //! the program once and feeds each task to one trailing core, an
-//! optional baseline core, and one master per [`MsspParams`] of a sweep.
+//! optional baseline core, and one master per [`MsspParams`] of a sweep;
+//! masters that decide alike execute once, on a shared lane.
 //! [`run_mssp`] is its one-master case with the baseline core, and
 //! [`run_baseline_chunked`] steps the baseline alone. The paper's
 //! experiments use the chunked path.

@@ -10,7 +10,7 @@
 use crate::cache::Cache;
 use crate::config::{CoreConfig, MachineConfig};
 use crate::distill::{Distiller, SkipAccumulator};
-use crate::program::{Instr, InstrBlock, MemoryModel, OpKind, ProgramStream};
+use crate::program::{BranchMark, Instr, InstrBlock, MemoryModel, ProgramStream};
 use crate::timing::{CoreModel, StepMemo};
 use rsc_control::{ControllerParams, ReactiveController, SpecDecision, TransitionLogPolicy};
 use rsc_trace::{BranchId, InputId, Population};
@@ -184,6 +184,7 @@ struct TaskOutcome {
 /// Commit-order bookkeeping shared by the per-event and chunked paths:
 /// master/slave clocks, task counters, and the recovery arithmetic. One
 /// source of truth keeps the two paths bit-identical by construction.
+#[derive(Clone)]
 struct Bookkeeper {
     slave_free: Vec<u64>,
     coherence_hop: u64,
@@ -261,7 +262,9 @@ impl Bookkeeper {
 }
 
 /// One core stepped block by block on the chunked path: the core, its
-/// private copy of the shared L2, and the memo tied to both.
+/// private copy of the shared L2, and the memo tied to both. A clone
+/// carries the memo with the core, so the memo stays tied to it.
+#[derive(Clone)]
 struct BlockCore {
     core: CoreModel,
     l2: Cache,
@@ -286,25 +289,21 @@ impl BlockCore {
     }
 }
 
-/// One master of a fan-out: the controller that drives its optimizer,
-/// the leading core that runs its distilled tasks, its skip accumulator
-/// and its commit-order bookkeeping, plus two buffers reused task after
-/// task.
+/// One master of a fan-out: the controller that drives its optimizer
+/// and the decisions it made on the current task. It executes on a
+/// [`Lane`] it may share with other masters.
 struct Master {
     controller: ReactiveController,
-    lead: BlockCore,
-    skip: SkipAccumulator,
-    book: Bookkeeper,
     /// The controller's decision on each branch of the current task.
     decisions: Vec<SpecDecision>,
-    /// The current task as the master executes it, when a correct
-    /// speculation removed part of it.
-    distilled: InstrBlock,
+    /// Branch misspeculations among `decisions`.
+    misspecs: u64,
+    /// Whether any of `decisions` is `Correct`.
+    any_correct: bool,
 }
 
 impl Master {
     fn new(params: &MsspParams, static_branches: usize) -> Self {
-        let machine = &params.machine;
         let mut controller = ReactiveController::builder(params.controller)
             .log_policy(TransitionLogPolicy::CountsOnly)
             .build()
@@ -313,46 +312,85 @@ impl Master {
         controller.reserve_branches(static_branches);
         Master {
             controller,
+            decisions: Vec::new(),
+            misspecs: 0,
+            any_correct: false,
+        }
+    }
+
+    /// Decides every branch of the task. Decisions read only the trace
+    /// and the controller, never core state, so deciding ahead of
+    /// stepping changes no outcome.
+    fn decide(&mut self, block: &InstrBlock) {
+        self.decisions.clear();
+        self.misspecs = 0;
+        self.any_correct = false;
+        for record in block.records() {
+            let decision = self.controller.observe(record);
+            self.misspecs += u64::from(decision == SpecDecision::Incorrect);
+            self.any_correct |= decision == SpecDecision::Correct;
+            self.decisions.push(decision);
+        }
+    }
+}
+
+/// What a master executes on: the leading core that runs its distilled
+/// tasks, its skip accumulator and its commit-order bookkeeping, plus a
+/// buffer reused task after task. Masters whose params agree apart from
+/// the controller, and whose decisions have agreed on every task so far,
+/// reach the same lane state, so they share one lane and pay for it
+/// once.
+#[derive(Clone)]
+struct Lane {
+    /// The masters on this lane, by index; the first one's decisions
+    /// drive it.
+    members: Vec<usize>,
+    lead: BlockCore,
+    skip: SkipAccumulator,
+    book: Bookkeeper,
+    /// The current task as the master executes it, when a correct
+    /// speculation removed part of it.
+    distilled: InstrBlock,
+}
+
+impl Lane {
+    fn new(params: &MsspParams) -> Self {
+        let machine = &params.machine;
+        Lane {
+            members: Vec::new(),
             lead: BlockCore::new(machine.leading, machine),
             skip: SkipAccumulator::new(),
             book: Bookkeeper::new(machine, params),
-            decisions: Vec::new(),
             distilled: InstrBlock::default(),
         }
     }
 
-    /// Executes one task and commits it with the trailing core's
-    /// `verify_cycles`: decide, then step.
+    /// Executes one task under `master`'s decisions and commits it with
+    /// the trailing core's `verify_cycles`.
     ///
-    /// The controller first decides every branch of the task. Decisions
-    /// and skip draws read only the trace and the controller, never core
-    /// state, so deciding ahead of stepping changes no outcome. A task
-    /// with no correct speculation runs whole: the master steps the shared
-    /// task block. Otherwise [`Master::distill`] builds the task the
-    /// master executes and the master steps that. Either way the core
-    /// moves through one `step_block` per task, and its cycles are read
-    /// only at task boundaries, where the batched arms agree with the
-    /// per-event loop.
-    fn run_task(&mut self, distiller: &Distiller, block: &InstrBlock, verify_cycles: u64) {
-        self.decisions.clear();
-        let mut misspecs = 0u64;
-        let mut any_correct = false;
-        for record in block.records() {
-            let decision = self.controller.observe(record);
-            misspecs += u64::from(decision == SpecDecision::Incorrect);
-            any_correct |= decision == SpecDecision::Correct;
-            self.decisions.push(decision);
-        }
-        let master_cycles_delta = if any_correct {
-            self.distill(distiller, block);
+    /// A task with no correct speculation runs whole: the lane steps the
+    /// shared task block. Otherwise [`Lane::distill`] builds the task the
+    /// master executes and the lane steps that. Either way the core moves
+    /// through one `step_block` per task, and its cycles are read only at
+    /// task boundaries, where the batched arms agree with the per-event
+    /// loop.
+    fn run_task(
+        &mut self,
+        master: &Master,
+        distiller: &Distiller,
+        block: &InstrBlock,
+        verify_cycles: u64,
+    ) {
+        let master_cycles_delta = if master.any_correct {
+            self.distill(&master.decisions, distiller, block);
             self.lead.step_block(&self.distilled)
         } else {
             self.lead.step_block(block)
         };
         let outcome = TaskOutcome {
             orig_instr: block.instructions(),
-            failed: misspecs > 0,
-            branch_misspecs: misspecs,
+            failed: master.misspecs > 0,
+            branch_misspecs: master.misspecs,
             master_cycles_delta,
             master_instr_after: self.lead.core.stats().instructions,
         };
@@ -360,40 +398,169 @@ impl Master {
     }
 
     /// Fills `self.distilled` with the part of `block` the master
-    /// executes under `self.decisions`, in the per-event loop's draw
-    /// order. A correctly speculated branch vanishes from the master and
-    /// sets its elimination fraction for the ops that follow, up to the
-    /// next branch. Each of those ops, and each ALU of the gaps before
-    /// them, takes one skip draw (the accumulator is f64 state, so closed
-    /// forms would round differently). With no elimination active, a gap
-    /// is kept whole and takes no draw.
-    fn distill(&mut self, distiller: &Distiller, block: &InstrBlock) {
+    /// executes under `decisions`, in the per-event loop's draw order.
+    ///
+    /// A correctly speculated branch vanishes from the master and sets
+    /// its elimination fraction for the ops that follow, up to the next
+    /// branch. Each of those ops, and each ALU of the gaps before them,
+    /// takes one skip draw (the accumulator is f64 state, so closed forms
+    /// would round differently), so such a stretch is walked op by op on
+    /// the `ops` mirror. Everything else is kept whole and takes no draw:
+    /// a run of stretches and branches from after an eliminating stretch
+    /// up to the next correct speculation is copied from the block's arms
+    /// in one piece, between the two branches' marks.
+    fn distill(&mut self, decisions: &[SpecDecision], distiller: &Distiller, block: &InstrBlock) {
         let out = &mut self.distilled;
         let skip = &mut self.skip;
         out.clear();
-        let mut decisions = self.decisions.iter();
+        let ops = block.ops();
+        // The first op of the stretch before the current branch.
+        let mut first_op = 0;
+        // The kept run not yet copied: its start and its first branch.
+        // `None` while a correct speculation's elimination is active.
+        let mut kept = Some((BranchMark::default(), 0));
         let mut elim_frac = 0.0f64;
-        for op in block.ops() {
-            let gap = u64::from(op.gap);
-            if elim_frac > 0.0 {
-                out.push_alus((0..gap).filter(|_| !skip.skip(elim_frac)).count() as u64);
-            } else {
-                out.push_alus(gap);
-            }
-            if op.kind == OpKind::Branch {
-                let decision = decisions.next().expect("one decision per branch");
-                if *decision == SpecDecision::Correct {
-                    elim_frac = distiller.elim_frac(BranchId::new(op.id));
-                    continue;
+        for (k, (mark, &decision)) in block.marks().iter().zip(decisions).enumerate() {
+            if kept.is_none() {
+                for op in &ops[first_op..mark.ops] {
+                    out.push_alus(kept_alus(skip, op.gap, elim_frac));
+                    // Dead-code elimination from the most recent correct
+                    // speculation thins the surrounding block.
+                    if !skip.skip(elim_frac) {
+                        out.push_op(op);
+                    }
                 }
-                elim_frac = 0.0;
-            } else if elim_frac > 0.0 && skip.skip(elim_frac) {
-                // Dead-code elimination from the most recent correct
-                // speculation thins the surrounding block.
-                continue;
+                out.push_alus(kept_alus(skip, ops[mark.ops].gap, elim_frac));
             }
-            out.push_op(op);
+            if decision == SpecDecision::Correct {
+                if let Some((from, branch)) = kept.take() {
+                    out.copy_run(block, &from, mark, branch..k);
+                }
+                elim_frac = distiller.elim_frac(BranchId::new(ops[mark.ops].id));
+            } else if kept.is_none() {
+                kept = Some((*mark, k));
+            }
+            first_op = mark.ops + 1;
         }
+        if let Some((from, branch)) = kept {
+            let end = block.end_mark();
+            out.copy_run(block, &from, &end, branch..block.cond_ops().len());
+        }
+    }
+}
+
+/// How many of a gap's `alus` survive elimination at `elim_frac`: one
+/// skip draw each.
+fn kept_alus(skip: &mut SkipAccumulator, alus: u32, elim_frac: f64) -> u64 {
+    (0..alus).filter(|_| !skip.skip(elim_frac)).count() as u64
+}
+
+/// Every master of a fan-out, and the lanes they execute on.
+struct Fanout {
+    masters: Vec<Master>,
+    lanes: Vec<Lane>,
+    /// `lane_of[m]` is the lane master `m` executes on.
+    lane_of: Vec<usize>,
+}
+
+impl Fanout {
+    /// One master per entry of `params`. Masters whose params are equal
+    /// apart from `controller` start on one lane: no decision has told
+    /// them apart yet.
+    fn new(params: &[MsspParams], static_branches: usize) -> Self {
+        let masters = params
+            .iter()
+            .map(|p| Master::new(p, static_branches))
+            .collect();
+        let mut lanes: Vec<Lane> = Vec::new();
+        let mut lane_of = Vec::with_capacity(params.len());
+        for (m, p) in params.iter().enumerate() {
+            let same_lane = |q: &MsspParams| {
+                MsspParams {
+                    controller: p.controller,
+                    ..*q
+                } == *p
+            };
+            let lane = match (0..m).find(|&o| same_lane(&params[o])) {
+                Some(o) => lane_of[o],
+                None => {
+                    lanes.push(Lane::new(p));
+                    lanes.len() - 1
+                }
+            };
+            lanes[lane].members.push(m);
+            lane_of.push(lane);
+        }
+        Fanout {
+            masters,
+            lanes,
+            lane_of,
+        }
+    }
+
+    /// Runs one task: every master decides, each lane whose members now
+    /// disagree splits, and each lane steps the task once under its first
+    /// member's decisions.
+    fn run_task(&mut self, distiller: &Distiller, block: &InstrBlock, verify_cycles: u64) {
+        for master in &mut self.masters {
+            master.decide(block);
+        }
+        for l in 0..self.lanes.len() {
+            let members = &self.lanes[l].members;
+            let first = &self.masters[members[0]].decisions;
+            if members.iter().any(|&m| self.masters[m].decisions != *first) {
+                self.split(l);
+            }
+        }
+        for lane in &mut self.lanes {
+            let master = &self.masters[lane.members[0]];
+            lane.run_task(master, distiller, block, verify_cycles);
+        }
+    }
+
+    /// Splits lane `l` by this task's decisions. The first distinct
+    /// decision vector, in member order, keeps the lane; each further one
+    /// gets a clone of the lane's state from before the task. Lanes never
+    /// merge: masters that part once may reach different states.
+    fn split(&mut self, l: usize) {
+        let first_clone = self.lanes.len();
+        for m in std::mem::take(&mut self.lanes[l].members) {
+            let decisions = &self.masters[m].decisions;
+            let joins = |lane: &Lane| {
+                lane.members
+                    .first()
+                    .is_none_or(|&f| self.masters[f].decisions == *decisions)
+            };
+            let target = std::iter::once(l)
+                .chain(first_clone..self.lanes.len())
+                .find(|&t| joins(&self.lanes[t]));
+            let target = target.unwrap_or_else(|| {
+                let mut clone = self.lanes[l].clone();
+                clone.members.clear();
+                self.lanes.push(clone);
+                self.lanes.len() - 1
+            });
+            self.lanes[target].members.push(m);
+            self.lane_of[m] = target;
+        }
+        debug_assert!(
+            self.lanes.len() <= self.masters.len(),
+            "every lane holds a master"
+        );
+    }
+
+    /// Each master's result, in `params` order.
+    fn results(&self, baseline_cycles: u64) -> Vec<MsspResult> {
+        self.lane_of
+            .iter()
+            .map(|&l| {
+                let lane = &self.lanes[l];
+                MsspResult {
+                    baseline_cycles,
+                    ..lane.book.result(lane.lead.core.stats().instructions)
+                }
+            })
+            .collect()
     }
 }
 
@@ -511,13 +678,16 @@ pub fn run_mssp_only(
 /// With `with_baseline`, a leading core with no master also steps every
 /// block, and its cycles (the [`run_baseline`] cycles) fill each result's
 /// [`MsspResult::baseline_cycles`]; without it they stay zero. Each
-/// master then decides the task under its own controller and steps it,
-/// whole or distilled, on its own core and L2, with its own skip
-/// accumulator and bookkeeper; all masters share one [`Distiller`].
+/// master then decides the task under its own controller. Masters whose
+/// params agree apart from `controller` and whose decisions have agreed
+/// on every task so far share one lane (leading core and L2, skip
+/// accumulator and bookkeeper), which steps the task once, whole or
+/// distilled; all lanes share one [`Distiller`].
 ///
 /// Every result equals [`run_mssp_only`] for its params bit for bit, so
 /// sweeping N controller configurations costs one stream generation and
-/// one trailing check instead of N.
+/// one trailing check instead of N, and one master's execution for
+/// every group of masters that decide alike.
 ///
 /// # Panics
 ///
@@ -532,6 +702,21 @@ pub fn run_mssp_many(
     with_baseline: bool,
     params: &[MsspParams],
 ) -> Vec<MsspResult> {
+    let (fanout, baseline_cycles) =
+        run_fanout(population, input, events, seed, with_baseline, params);
+    fanout.results(baseline_cycles)
+}
+
+/// [`run_mssp_many`]'s simulation: the masters and lanes at the end of
+/// the run, and the baseline cycles (0 without the baseline core).
+fn run_fanout(
+    population: &Population,
+    input: InputId,
+    events: u64,
+    seed: u64,
+    with_baseline: bool,
+    params: &[MsspParams],
+) -> (Fanout, u64) {
     let first = params
         .first()
         .expect("a fan-out needs at least one MsspParams");
@@ -549,10 +734,7 @@ pub fn run_mssp_many(
     let mem = MemoryModel::for_benchmark(population.name());
 
     let distiller = Distiller::new(population.static_branches(), seed);
-    let mut masters: Vec<Master> = params
-        .iter()
-        .map(|p| Master::new(p, population.static_branches()))
-        .collect();
+    let mut fanout = Fanout::new(params, population.static_branches());
     let mut trail = BlockCore::new(machine.trailing, machine);
     let mut baseline = with_baseline.then(|| BlockCore::new(machine.leading, machine));
 
@@ -567,19 +749,10 @@ pub fn run_mssp_many(
             core.step_block(&block);
         }
         let verify_cycles = trail.step_block(&block);
-        for master in &mut masters {
-            master.run_task(&distiller, &block, verify_cycles);
-        }
+        fanout.run_task(&distiller, &block, verify_cycles);
     }
 
-    let baseline_cycles = baseline.map_or(0, |core| core.core.cycles());
-    masters
-        .iter()
-        .map(|m| MsspResult {
-            baseline_cycles,
-            ..m.book.result(m.lead.core.stats().instructions)
-        })
-        .collect()
+    (fanout, baseline.map_or(0, |core| core.core.cycles()))
 }
 
 #[cfg(test)]
@@ -714,6 +887,89 @@ mod tests {
             "scenario must exercise squashes"
         );
         assert_eq!(chunked, vec![per_event]);
+    }
+
+    /// Figure 7's four controllers, Figure 8's latencies 0 and 10^4, and
+    /// a duplicate of `c`.
+    fn lane_sweep() -> Vec<MsspParams> {
+        let base = ControllerParams::scaled();
+        let long = base.monitor_period * 4;
+        [
+            base,
+            base.without_eviction(),
+            base.with_monitor_period(long),
+            base.without_eviction().with_monitor_period(long),
+            base.with_latency(0),
+            base.with_latency(10_000),
+            base,
+        ]
+        .map(|ctl| MsspParams::new().with_controller(ctl))
+        .to_vec()
+    }
+
+    /// Runs `params` as one fan-out, checks every master against
+    /// `run_mssp_only`, and returns the fan-out's final lane of each
+    /// master.
+    fn lanes_match_the_oracle(name: &str, events: u64, params: &[MsspParams]) -> Vec<usize> {
+        let pop = spec2000::benchmark(name).unwrap().population(events);
+        let (fanout, _) = run_fanout(&pop, InputId::Eval, events, 5, false, params);
+        for (m, (got, p)) in fanout.results(0).iter().zip(params).enumerate() {
+            let oracle = run_mssp_only(&pop, InputId::Eval, events, 5, p);
+            assert_eq!(*got, oracle, "{name}, master {m}");
+        }
+        for (l, lane) in fanout.lanes.iter().enumerate() {
+            assert!(lane.members.iter().all(|&m| fanout.lane_of[m] == l));
+        }
+        fanout.lane_of
+    }
+
+    #[test]
+    fn lanes_equal_one_run_per_master() {
+        for name in ["gzip", "vortex"] {
+            let lane_of = lanes_match_the_oracle(name, 60_000, &lane_sweep());
+            assert_eq!(
+                lane_of[6], lane_of[0],
+                "{name}: `c` and its duplicate share"
+            );
+            assert_ne!(lane_of[4], lane_of[5], "{name}: latencies 0 and 1e4 split");
+        }
+    }
+
+    #[test]
+    fn equal_params_run_as_one_lane() {
+        let p = MsspParams::new();
+        let pop = spec2000::benchmark("gzip").unwrap().population(30_000);
+        let (fanout, _) = run_fanout(&pop, InputId::Eval, 30_000, 5, false, &[p, p]);
+        assert_eq!(fanout.lanes.len(), 1);
+        assert_eq!(fanout.lane_of, [0, 0]);
+    }
+
+    #[test]
+    fn deciding_apart_clones_the_lane() {
+        // Both start on lane 0; the first deployment under latency 0 comes
+        // before latency 1e4's, so the second master leaves on a clone.
+        let [fast, slow] = [0, 10_000].map(|lat| {
+            MsspParams::new().with_controller(ControllerParams::scaled().with_latency(lat))
+        });
+        let lane_of = lanes_match_the_oracle("gzip", 60_000, &[fast, slow]);
+        assert_eq!(lane_of, [0, 1]);
+    }
+
+    #[test]
+    fn params_beyond_the_controller_never_share_a_lane() {
+        let p = MsspParams::new();
+        let slow_recovery = MsspParams {
+            recovery_cycles: p.recovery_cycles + 1,
+            ..p
+        };
+        let heavy_tasks = MsspParams {
+            task_overhead_cycles: p.task_overhead_cycles + 1,
+            ..p
+        };
+        let sweep = [p, slow_recovery, heavy_tasks, p];
+        let fanout = Fanout::new(&sweep, 0);
+        assert_eq!(fanout.lane_of, [0, 1, 2, 0], "decided alike, kept apart");
+        assert_eq!(lanes_match_the_oracle("gzip", 30_000, &sweep), [0, 1, 2, 0]);
     }
 
     #[test]

@@ -141,6 +141,23 @@ pub const BRANCH_PC_BASE: u64 = 0x40_0000;
 /// bits never reach it).
 pub const STORE_BIT: u64 = 1 << 63;
 
+/// Where one branch event sits in its [`InstrBlock`]: the lengths of the
+/// `ops` mirror, the memory arm and the rare-op arm, and the instruction
+/// count, just before the branch. Two consecutive marks bound the
+/// stretch of the arms between two branches, which a master copies
+/// whole when no correct speculation thins it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct BranchMark {
+    /// Index of the branch in the `ops` mirror.
+    pub(crate) ops: usize,
+    /// Memory-arm entries before the branch.
+    pub(crate) mem: usize,
+    /// Rare-op-arm entries before the branch.
+    pub(crate) misc: usize,
+    /// Instructions before the branch, ALUs included.
+    pub(crate) instructions: u64,
+}
+
 /// A batch of instructions in flat form, carried in up to three views:
 ///
 /// * **per-kind arms** — the memory accesses (`mem`, addresses in order
@@ -155,7 +172,8 @@ pub const STORE_BIT: u64 = 1 << 63;
 ///   is result-identical;
 /// * a **records arm** — the trace record of every branch event, in
 ///   order, which a master's controller decides on before its core steps
-///   anything;
+///   anything, with a branch mark per event locating it in the other
+///   arms;
 /// * an **interleaved `ops` mirror** in full program order, each op
 ///   carrying the ALU gap before it, which a master walks to build its
 ///   distilled task when a correct speculation removes work.
@@ -172,6 +190,7 @@ pub const STORE_BIT: u64 = 1 << 63;
 pub struct InstrBlock {
     ops: Vec<BlockOp>,
     records: Vec<BranchRecord>,
+    marks: Vec<BranchMark>,
     mem: Vec<u64>,
     cond: Vec<u32>,
     misc: Vec<BlockOp>,
@@ -190,6 +209,12 @@ impl InstrBlock {
     /// after [`ProgramStream::fill_block_arms`]).
     pub fn records(&self) -> &[BranchRecord] {
         &self.records
+    }
+
+    /// Where each branch event sits in the other arms, in program order
+    /// (empty after [`ProgramStream::fill_block_arms`]).
+    pub(crate) fn marks(&self) -> &[BranchMark] {
+        &self.marks
     }
 
     /// The memory arm: load/store addresses in program order, stores
@@ -228,6 +253,7 @@ impl InstrBlock {
     pub fn clear(&mut self) {
         self.ops.clear();
         self.records.clear();
+        self.marks.clear();
         self.mem.clear();
         self.cond.clear();
         self.misc.clear();
@@ -241,13 +267,45 @@ impl InstrBlock {
         self.instructions += n;
     }
 
+    /// The position just past the block's last instruction, a mark that
+    /// ends the last kept run.
+    pub(crate) fn end_mark(&self) -> BranchMark {
+        BranchMark {
+            ops: self.ops.len(),
+            mem: self.mem.len(),
+            misc: self.misc.len(),
+            instructions: self.instructions,
+        }
+    }
+
+    /// Appends the per-kind arms of `src` from `from` up to `to`: its
+    /// memory and rare ops, the conditional-branch entries `branches`
+    /// (the branch events in between), and its instructions, ALUs
+    /// included.
+    #[inline]
+    pub(crate) fn copy_run(
+        &mut self,
+        src: &InstrBlock,
+        from: &BranchMark,
+        to: &BranchMark,
+        branches: std::ops::Range<usize>,
+    ) {
+        self.mem.extend_from_slice(&src.mem[from.mem..to.mem]);
+        self.misc.extend_from_slice(&src.misc[from.misc..to.misc]);
+        self.branches += branches.len() as u64;
+        self.cond.extend_from_slice(&src.cond[branches]);
+        self.instructions += to.instructions - from.instructions;
+    }
+
     /// Appends one op to the arm of its kind (the per-kind view only).
     #[inline]
     pub(crate) fn push_op(&mut self, op: &BlockOp) {
         self.instructions += 1;
         match op.kind {
-            OpKind::Load => self.mem.push(op.a),
-            OpKind::Store => self.mem.push(op.a | STORE_BIT),
+            OpKind::Load | OpKind::Store => {
+                self.mem
+                    .push(op.a | (STORE_BIT * u64::from(op.kind == OpKind::Store)));
+            }
             OpKind::Branch => {
                 self.branches += 1;
                 self.cond.push((op.id << 1) | u32::from(op.taken));
@@ -527,10 +585,13 @@ impl<'a> ProgramStream<'a> {
                 match gen_op(&mut rng, &mut pc, &mut self.call_stack, &mem) {
                     None => alus += 1,
                     Some(mut op) => {
-                        match op.kind {
-                            OpKind::Load => block.mem.push(op.a),
-                            OpKind::Store => block.mem.push(op.a | STORE_BIT),
-                            _ => block.misc.push(op),
+                        // Loads and stores are a random mix, so the store
+                        // tag is selected, not branched on.
+                        let store = op.kind == OpKind::Store;
+                        if store || op.kind == OpKind::Load {
+                            block.mem.push(op.a | (STORE_BIT * u64::from(store)));
+                        } else {
+                            block.misc.push(op);
                         }
                         if WITH_OPS {
                             op.gap = alus;
@@ -544,12 +605,14 @@ impl<'a> ProgramStream<'a> {
                 // Branch PC is a stable function of the static branch.
                 let index = record.branch.index() as u32;
                 pc = BRANCH_PC_BASE + u64::from(index) * 64 + 4;
-                instructions += 1;
-                branches += 1;
-                debug_assert!(index < u32::MAX / 2, "branch index fits the cond arm");
-                block.cond.push((index << 1) | u32::from(record.taken));
                 if WITH_OPS {
                     block.records.push(record);
+                    block.marks.push(BranchMark {
+                        ops: block.ops.len(),
+                        mem: block.mem.len(),
+                        misc: block.misc.len(),
+                        instructions,
+                    });
                     block.ops.push(BlockOp {
                         kind: OpKind::Branch,
                         taken: record.taken,
@@ -559,6 +622,10 @@ impl<'a> ProgramStream<'a> {
                         b: record.instr,
                     });
                 }
+                instructions += 1;
+                branches += 1;
+                debug_assert!(index < u32::MAX / 2, "branch index fits the cond arm");
+                block.cond.push((index << 1) | u32::from(record.taken));
                 alus = 0;
                 if branches == max_branches {
                     break;
@@ -780,13 +847,22 @@ mod tests {
             let mut cond_v = Vec::new();
             let mut records_v = Vec::new();
             let mut misc_v = Vec::new();
-            for op in fb.ops() {
+            let mut marks_v = Vec::new();
+            let mut instructions = 0;
+            for (i, op) in fb.ops().iter().enumerate() {
+                instructions += u64::from(op.gap);
                 match op.kind {
                     OpKind::Load => mem_v.push(op.a),
                     OpKind::Store => mem_v.push(op.a | STORE_BIT),
                     OpKind::Branch => {
                         cond_v.push((op.id << 1) | u32::from(op.taken));
                         records_v.push(op.record());
+                        marks_v.push(BranchMark {
+                            ops: i,
+                            mem: mem_v.len(),
+                            misc: misc_v.len(),
+                            instructions,
+                        });
                     }
                     _ => {
                         let mut flat = *op;
@@ -794,15 +870,19 @@ mod tests {
                         misc_v.push(flat);
                     }
                 }
+                instructions += 1;
             }
             assert_eq!(fb.mem_ops(), mem_v);
             assert_eq!(fb.cond_ops(), cond_v);
             assert_eq!(fb.records(), records_v);
+            assert_eq!(fb.marks(), marks_v);
+            assert_eq!(fb.end_mark().instructions, instructions);
             assert_eq!(fb.misc_ops(), misc_v);
             // ...and fill_block_arms produces the same arms and counts
             // from the same draws, with no records and no ops mirror.
             assert_eq!(ab.ops(), &[]);
             assert_eq!(ab.records(), &[]);
+            assert_eq!(ab.marks(), &[]);
             assert_eq!(fb.mem_ops(), ab.mem_ops());
             assert_eq!(fb.cond_ops(), ab.cond_ops());
             assert_eq!(fb.misc_ops(), ab.misc_ops());

@@ -62,6 +62,9 @@ pub struct CoreModel {
     /// truncated to zero.
     mem_acc: u64,
     stats: TimingStats,
+    /// [`CoreModel::step_block`]'s L1-miss buffer, reused block after
+    /// block.
+    l1_misses: Vec<u64>,
 }
 
 impl CoreModel {
@@ -79,6 +82,7 @@ impl CoreModel {
             mlp: u64::from(core.window / 32).max(1),
             mem_acc: 0,
             stats: TimingStats::default(),
+            l1_misses: Vec::new(),
         }
     }
 
@@ -180,35 +184,35 @@ impl CoreModel {
 
         self.stats.instructions += block.instructions();
 
-        // Memory arm: hit/miss tallies and quarter-load charges live in
-        // locals and flush once per block.
-        let (mut l1_hits, mut l1_misses) = (0u64, 0u64);
-        let (mut l2_hits, mut l2_misses) = (0u64, 0u64);
+        // Memory arm, in two passes. The L1 pass writes every entry to
+        // the miss buffer and advances past it only on a miss, so it has
+        // no data-dependent branch; the L2 pass then sees the same misses
+        // in the same order as the per-event loop. The caches are
+        // separate state machines and the charge is a sum, so splitting
+        // the passes changes nothing.
+        let mem = block.mem_ops();
+        if self.l1_misses.len() < mem.len() {
+            self.l1_misses.resize(mem.len(), 0);
+        }
+        let mut l1_misses = 0usize;
+        for &entry in mem {
+            self.l1_misses[l1_misses] = entry;
+            l1_misses += usize::from(self.l1.lookup(entry & !STORE_BIT) == Access::Miss);
+        }
+        let mut l2_misses = 0u64;
         let mut quarter_loads = 0u64;
         let l2_lat = u64::from(self.l2_latency);
         let miss_lat = u64::from(self.l2_latency + self.memory_latency);
-        for &entry in block.mem_ops() {
-            let addr = entry & !STORE_BIT;
-            if self.l1.lookup(addr) == Access::Hit {
-                l1_hits += 1;
-                continue;
-            }
-            l1_misses += 1;
-            let raw = match l2.lookup(addr) {
-                Access::Hit => {
-                    l2_hits += 1;
-                    l2_lat
-                }
-                Access::Miss => {
-                    l2_misses += 1;
-                    miss_lat
-                }
-            };
+        for &entry in &self.l1_misses[..l1_misses] {
+            let miss = l2.lookup(entry & !STORE_BIT) == Access::Miss;
+            l2_misses += u64::from(miss);
+            let raw = if miss { miss_lat } else { l2_lat };
             // Loads charge 4 quarter-loads per latency cycle, stores 1.
             quarter_loads += if entry & STORE_BIT == 0 { raw * 4 } else { raw };
         }
-        self.l1.add_counts(l1_hits, l1_misses);
-        l2.add_counts(l2_hits, l2_misses);
+        let l1_misses = l1_misses as u64;
+        self.l1.add_counts(mem.len() as u64 - l1_misses, l1_misses);
+        l2.add_counts(l1_misses - l2_misses, l2_misses);
         self.charge_memory(quarter_loads);
 
         // Conditional-branch arm: gshare only, with the fixed-point memo.
@@ -536,6 +540,46 @@ mod tests {
             s.branch_penalty,
             12 * (s.mispredicts + s.return_mispredicts + s.indirect_mispredicts)
         );
+    }
+
+    /// The two-pass memory arm of `step_block` against `step`, block by
+    /// block, on the leading core (2-way L1) and the trailing one (8-way
+    /// L1), each with its own 8-way L2. mcf's 8 MiB working set keeps
+    /// both caches missing; gzip's fits the L2.
+    #[test]
+    fn two_pass_step_block_matches_per_event_step() {
+        use crate::program::{MemoryModel, ProgramStream};
+        use rsc_trace::{spec2000, InputId};
+
+        let m = machine();
+        for (cfg, assoc) in [(m.leading, 2), (m.trailing, 8)] {
+            assert_eq!(cfg.l1_assoc, assoc);
+            for name in ["mcf", "gzip"] {
+                let pop = spec2000::benchmark(name).unwrap().population(40_000);
+                let mem = MemoryModel::for_benchmark(name);
+                let l2 = || Cache::new(m.l2_kib, m.l2_assoc, m.block_bytes);
+                let (mut batched, mut batched_l2) = (CoreModel::new(cfg, &m), l2());
+                let (mut single, mut single_l2) = (CoreModel::new(cfg, &m), l2());
+                let mut memo = StepMemo::new();
+                let mut blocks = ProgramStream::new(&pop, InputId::Eval, 40_000, 5, mem);
+                let mut instrs = ProgramStream::new(&pop, InputId::Eval, 40_000, 5, mem);
+                let mut block = InstrBlock::default();
+                while blocks.fill_block_arms(&mut block, 64) > 0 {
+                    batched.step_block(&block, &mut batched_l2, &mut memo);
+                    for instr in instrs.by_ref().take(block.instructions() as usize) {
+                        single.step(&instr, &mut single_l2);
+                    }
+                    let case = format!("{assoc}-way L1, {name}");
+                    assert_eq!(batched.stats(), single.stats(), "{case}");
+                    assert_eq!(batched.mem_acc, single.mem_acc, "{case}");
+                    for (a, b) in [(&batched.l1, &single.l1), (&batched_l2, &single_l2)] {
+                        assert_eq!((a.hits(), a.misses()), (b.hits(), b.misses()), "{case}");
+                    }
+                }
+                assert!(instrs.next().is_none());
+                assert!(single_l2.hits() > 0 && single_l2.misses() > 0, "{name}");
+            }
+        }
     }
 
     #[test]

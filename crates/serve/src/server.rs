@@ -95,45 +95,69 @@ impl ServerConfig {
     }
 }
 
-/// Monotonic process-wide counters, exported as server metrics.
-#[derive(Debug, Default)]
-struct Counters {
-    connections: AtomicU64,
-    frames: AtomicU64,
-    accepted_frames: AtomicU64,
-    rejected_frames: AtomicU64,
-    torn_frames: AtomicU64,
-    shed_tenants: AtomicU64,
-    shed_failures: AtomicU64,
-    restores: AtomicU64,
-    drain_flushed: AtomicU64,
+/// Declares the server counters once. Each entry is a [`CounterSnapshot`]
+/// field with its doc, then the metric it exports as and that metric's
+/// help text. The atomics, the snapshot and the exported families all
+/// come from this one list.
+macro_rules! server_counters {
+    ($($(#[doc = $doc:literal])+ $field:ident => $metric:literal, $help:literal;)+) => {
+        /// Monotonic process-wide counters, exported as server metrics.
+        #[derive(Debug, Default)]
+        struct Counters {
+            $($field: AtomicU64,)+
+        }
+
+        /// A point-in-time copy of the server counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CounterSnapshot {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+            /// Records in the checkpoint directory that did not restore
+            /// when the server started, each counted once; their tenants
+            /// are absent from the per-tenant metrics. Scrapes read no
+            /// record. Exported as the `rsc_serve_unreadable_records`
+            /// gauge.
+            pub store_errors: u64,
+        }
+
+        impl Counters {
+            /// Loads every counter; `store_errors` is the startup count.
+            fn snapshot(&self, store_errors: u64) -> CounterSnapshot {
+                CounterSnapshot {
+                    $($field: self.$field.load(Ordering::Relaxed),)+
+                    store_errors,
+                }
+            }
+        }
+
+        impl CounterSnapshot {
+            /// Every counter as its metric name, help text and value, in
+            /// declaration order.
+            fn families(&self) -> impl Iterator<Item = (&'static str, &'static str, u64)> {
+                [$(($metric, $help, self.$field)),+].into_iter()
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of the server counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
+server_counters! {
     /// Connections accepted.
-    pub connections: u64,
+    connections => "rsc_serve_connections_total", "Connections accepted";
     /// Frames fully decoded.
-    pub frames: u64,
+    frames => "rsc_serve_frames_total", "Frames decoded";
     /// `Events` frames acknowledged.
-    pub accepted_frames: u64,
+    accepted_frames => "rsc_serve_accepted_frames_total", "Events frames acknowledged";
     /// `Events` frames rejected (any code).
-    pub rejected_frames: u64,
+    rejected_frames => "rsc_serve_rejected_frames_total", "Events frames rejected";
     /// Connections dropped on torn or corrupt frames.
-    pub torn_frames: u64,
+    torn_frames => "rsc_serve_torn_frames_total", "Connections dropped on torn frames";
     /// Tenants evicted to disk under memory pressure.
-    pub shed_tenants: u64,
+    shed_tenants => "rsc_serve_shed_tenants_total", "Tenants evicted to disk";
     /// Evictions abandoned because the checkpoint write failed.
-    pub shed_failures: u64,
+    shed_failures => "rsc_serve_shed_failures_total", "Evictions abandoned on write failure";
     /// Tenants restored from disk.
-    pub restores: u64,
+    restores => "rsc_serve_restores_total", "Tenants restored from disk";
     /// Tenants flushed by drain.
-    pub drain_flushed: u64,
-    /// Records in the checkpoint directory that did not restore when the
-    /// server started, each counted once; their tenants are absent from
-    /// the per-tenant metrics. Scrapes read no record.
-    pub store_errors: u64,
+    drain_flushed => "rsc_serve_drain_flushed_total", "Tenants flushed by drain";
 }
 
 /// What [`Server::drain`] accomplished.
@@ -286,19 +310,9 @@ impl Server {
 
     /// Current counter values.
     pub fn counters(&self) -> CounterSnapshot {
-        let c = &self.shared.counters;
-        CounterSnapshot {
-            connections: c.connections.load(Ordering::Relaxed),
-            frames: c.frames.load(Ordering::Relaxed),
-            accepted_frames: c.accepted_frames.load(Ordering::Relaxed),
-            rejected_frames: c.rejected_frames.load(Ordering::Relaxed),
-            torn_frames: c.torn_frames.load(Ordering::Relaxed),
-            shed_tenants: c.shed_tenants.load(Ordering::Relaxed),
-            shed_failures: c.shed_failures.load(Ordering::Relaxed),
-            restores: c.restores.load(Ordering::Relaxed),
-            drain_flushed: c.drain_flushed.load(Ordering::Relaxed),
-            store_errors: self.shared.unreadable_records,
-        }
+        self.shared
+            .counters
+            .snapshot(self.shared.unreadable_records)
     }
 
     /// Stops admitting events and flushes every live tenant to the
@@ -358,55 +372,7 @@ impl Server {
         }
         if !tenants_only {
             let snap = self.counters();
-            let pairs: [(&str, u64, &'static str); 10] = [
-                (
-                    "rsc_serve_connections_total",
-                    snap.connections,
-                    "Connections accepted",
-                ),
-                ("rsc_serve_frames_total", snap.frames, "Frames decoded"),
-                (
-                    "rsc_serve_accepted_frames_total",
-                    snap.accepted_frames,
-                    "Events frames acknowledged",
-                ),
-                (
-                    "rsc_serve_rejected_frames_total",
-                    snap.rejected_frames,
-                    "Events frames rejected",
-                ),
-                (
-                    "rsc_serve_torn_frames_total",
-                    snap.torn_frames,
-                    "Connections dropped on torn frames",
-                ),
-                (
-                    "rsc_serve_shed_tenants_total",
-                    snap.shed_tenants,
-                    "Tenants evicted to disk",
-                ),
-                (
-                    "rsc_serve_shed_failures_total",
-                    snap.shed_failures,
-                    "Evictions abandoned on write failure",
-                ),
-                (
-                    "rsc_serve_restores_total",
-                    snap.restores,
-                    "Tenants restored from disk",
-                ),
-                (
-                    "rsc_serve_drain_flushed_total",
-                    snap.drain_flushed,
-                    "Tenants flushed by drain",
-                ),
-                (
-                    "rsc_serve_store_errors_total",
-                    snap.store_errors,
-                    "Checkpoint records that did not restore at startup",
-                ),
-            ];
-            for (name, value, help) in pairs {
+            for (name, help, value) in snap.families() {
                 let c = reg.counter(name, help);
                 reg.set_counter(c, value);
             }
@@ -1108,6 +1074,34 @@ mod tests {
         );
         let full = srv.metrics_text(false);
         assert!(full.contains("rsc_serve_shed_tenants_total 1"), "{full}");
+    }
+
+    #[test]
+    fn every_counter_is_exported_once_under_its_declared_name() {
+        let srv = server_in("rsc_srv_counter_families", |cfg| {
+            cfg.max_live_tenants = 1;
+        });
+        for tenant in [1, 2, 3] {
+            srv.respond(Frame::Events {
+                tenant,
+                payload: payload(30, tenant),
+            });
+        }
+        let snap = srv.counters();
+        let full = srv.metrics_text(false);
+        let families: Vec<_> = snap.families().collect();
+        assert_eq!(families.len(), 9);
+        for (name, help, value) in families {
+            assert!(name.starts_with("rsc_serve_") && name.ends_with("_total"));
+            let samples: Vec<_> = full
+                .lines()
+                .filter(|l| l.split(' ').next() == Some(name))
+                .collect();
+            assert_eq!(samples, [format!("{name} {value}")], "{full}");
+            assert!(full.contains(&format!("# HELP {name} {help}")), "{full}");
+        }
+        assert!(snap.frames >= 3 && snap.shed_tenants == 2, "{snap:?}");
+        assert!(full.contains("rsc_serve_unreadable_records 0"), "{full}");
     }
 
     #[test]

@@ -431,6 +431,63 @@ mod tests {
         assert!(json.get("shard_scaling").is_none());
     }
 
+    /// DESIGN.md §8 quotes the committed `BENCH_pipeline.json`: its
+    /// stage table must list the file's stages in order, each with the
+    /// file's rates (`{:.1e}`) and speedup (`{:.2}x`). The first stale
+    /// cell is named, so the table and the file cannot drift apart.
+    #[test]
+    fn design_table_quotes_the_committed_bench_file() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let read = |name: &str| std::fs::read_to_string(format!("{root}/{name}")).unwrap();
+        let design = read("DESIGN.md");
+        let bench = Json::parse(&read("BENCH_pipeline.json")).unwrap();
+        let section = design
+            .split("\n## 8.")
+            .nth(1)
+            .and_then(|s| s.split("\n## 9.").next())
+            .expect("DESIGN.md has a §8");
+        let header = "| stage | per-event ev/s | chunked ev/s | speedup |";
+        let table = &section[section.find(header).expect("§8 has the stage table")..];
+        let rows: Vec<Vec<&str>> = table
+            .lines()
+            .skip(2)
+            .map(str::trim)
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| line.trim_matches('|').split('|').map(str::trim).collect())
+            .collect();
+        let stages = bench.get("stages").and_then(Json::as_arr).unwrap();
+        let names: Vec<&str> = stages
+            .iter()
+            .map(|stage| stage.get("stage").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(
+            rows.iter().map(|row| row[0]).collect::<Vec<_>>(),
+            names,
+            "DESIGN.md §8 lists other stages than BENCH_pipeline.json"
+        );
+        for (row, stage) in rows.iter().zip(stages) {
+            let num = |key: &str| stage.get(key).and_then(Json::as_f64).unwrap();
+            let expected = [
+                (
+                    "per-event ev/s",
+                    format!("{:.1e}", num("per_event_events_per_sec")),
+                ),
+                (
+                    "chunked ev/s",
+                    format!("{:.1e}", num("chunked_events_per_sec")),
+                ),
+                ("speedup", format!("{:.2}x", num("speedup"))),
+            ];
+            for (&cell, (column, want)) in row[1..].iter().zip(&expected) {
+                assert_eq!(
+                    cell, want,
+                    "DESIGN.md §8: stage {}, column {column} is stale against BENCH_pipeline.json",
+                    row[0]
+                );
+            }
+        }
+    }
+
     #[test]
     fn throughput_math() {
         let t = Throughput {

@@ -95,22 +95,80 @@ impl Cache {
 
     /// [`Cache::access`] without the counter update, for hot loops that
     /// tally hits and misses in locals and credit them once per batch
-    /// with [`Cache::add_counts`].
-    ///
-    /// 2-way and 8-way sets (every cache of Table 5) take the branch-free
-    /// [`Cache::lookup_ways`]; other associativities scan.
+    /// with [`Cache::add_counts`]. It is [`Cache::lookup_each`] of one
+    /// address.
     #[inline]
     pub(crate) fn lookup(&mut self, addr: u64) -> Access {
+        let mut access = Access::Miss;
+        self.lookup_each(&[addr], u64::MAX, |_, hit| {
+            access = if hit { Access::Hit } else { Access::Miss };
+        });
+        access
+    }
+
+    /// Looks up `entry & addr_mask` for every entry in order, handing
+    /// `on` each entry and whether it hit. The associativity is matched
+    /// once for the whole slice, not once per access: 2-way and 8-way
+    /// sets (every cache of Table 5) take a branch-free kernel, the
+    /// 8-way one in SSE2 on `x86_64` ([`set8_sse2`]) and
+    /// [`Cache::lookup_ways`] elsewhere; other associativities scan.
+    #[inline(always)]
+    pub(crate) fn lookup_each(
+        &mut self,
+        entries: &[u64],
+        addr_mask: u64,
+        on: impl FnMut(u64, bool),
+    ) {
+        match self.assoc {
+            2 => self.each_with(entries, addr_mask, on, Self::lookup_ways::<2>),
+            #[cfg(target_arch = "x86_64")]
+            8 => self.each_with(entries, addr_mask, on, Self::lookup_8way_sse2),
+            #[cfg(not(target_arch = "x86_64"))]
+            8 => self.each_with(entries, addr_mask, on, Self::lookup_ways::<8>),
+            _ => self.each_with(entries, addr_mask, on, Self::lookup_scan),
+        }
+    }
+
+    /// [`Cache::lookup_each`]'s loop with one set kernel.
+    #[inline(always)]
+    fn each_with(
+        &mut self,
+        entries: &[u64],
+        addr_mask: u64,
+        mut on: impl FnMut(u64, bool),
+        kernel: impl Fn(&mut Self, usize, u32) -> Access,
+    ) {
+        for &entry in entries {
+            let block = self.block_of(entry & addr_mask);
+            let set = (block & self.set_mask) as usize;
+            on(entry, kernel(self, set, block) == Access::Hit);
+        }
+    }
+
+    /// `addr`'s block number, narrowed to `u32`.
+    #[inline(always)]
+    fn block_of(&self, addr: u64) -> u32 {
         let block = addr >> self.block_shift;
-        let block = match u32::try_from(block) {
+        match u32::try_from(block) {
             Ok(b) if b != EMPTY => b,
             _ => block_too_wide(block),
-        };
-        let set = (block & self.set_mask) as usize;
-        match self.assoc {
-            2 => self.lookup_ways::<2>(set, block),
-            8 => self.lookup_ways::<8>(set, block),
-            _ => self.lookup_scan(set, block),
+        }
+    }
+
+    /// [`Cache::lookup_ways::<8>`] through [`set8_sse2`].
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn lookup_8way_sse2(&mut self, set: usize, block: u32) -> Access {
+        let ways: &mut [u32; 8] = (&mut self.ways[set * 8..set * 8 + 8])
+            .try_into()
+            .expect("a set holds 8 ways");
+        // SAFETY: SSE2 is part of every `x86_64` target's baseline, so
+        // the feature `set8_sse2` enables is always present.
+        let hit = unsafe { set8_sse2(ways, block) };
+        if hit {
+            Access::Hit
+        } else {
+            Access::Miss
         }
     }
 
@@ -199,6 +257,57 @@ impl Cache {
     pub fn set_count(&self) -> usize {
         self.ways.len() / self.assoc
     }
+}
+
+/// One access to an 8-way set in SSE2: the set is two 16-byte halves,
+/// and the result is exactly [`Cache::lookup_ways::<8>`]'s. One compare
+/// per half and `movemask` give the way mask; `pos` is its lowest set
+/// bit with bit 7 forced (the hit way, or the LRU way on a miss). Byte
+/// shifts build the set moved down one slot with the block in front,
+/// `[block, w0..w6]`, and lanes above `pos` keep their old way through
+/// a compare mask. Two 16-byte stores write the set back: the rotation
+/// for a hit and the shift-and-fill for a miss, with no per-way select
+/// chain. Returns whether the block hit.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse2")]
+#[inline]
+fn set8_sse2(ways: &mut [u32; 8], block: u32) -> bool {
+    use core::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_andnot_si128, _mm_castsi128_ps, _mm_cmpeq_epi32,
+        _mm_cmpgt_epi32, _mm_cvtsi32_si128, _mm_loadu_si128, _mm_movemask_ps, _mm_or_si128,
+        _mm_set1_epi32, _mm_set_epi32, _mm_slli_si128, _mm_srli_si128, _mm_storeu_si128,
+    };
+    let halves = ways.as_mut_ptr().cast::<__m128i>();
+    // SAFETY: `ways` is exactly 8 `u32`s (32 bytes), borrowed mutably,
+    // so both 16-byte halves are in bounds and unaliased; unaligned
+    // loads need no alignment.
+    let (lo, hi) = unsafe { (_mm_loadu_si128(halves), _mm_loadu_si128(halves.add(1))) };
+    // `as i32` reinterprets the bits; lanes are only compared for equality.
+    let b = _mm_set1_epi32(block as i32);
+    let mask = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(lo, b)))
+        | _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(hi, b))) << 4;
+    // A block sits in at most one way, so the lowest set bit is the hit
+    // way; the forced top bit makes a miss select the LRU way.
+    let pos = _mm_set1_epi32((mask | 0x80).trailing_zeros() as i32);
+    let shifted_lo = _mm_or_si128(_mm_slli_si128::<4>(lo), _mm_cvtsi32_si128(block as i32));
+    let shifted_hi = _mm_or_si128(_mm_slli_si128::<4>(hi), _mm_srli_si128::<12>(lo));
+    let keep_lo = _mm_cmpgt_epi32(_mm_set_epi32(3, 2, 1, 0), pos);
+    let keep_hi = _mm_cmpgt_epi32(_mm_set_epi32(7, 6, 5, 4), pos);
+    let new_lo = _mm_or_si128(
+        _mm_and_si128(keep_lo, lo),
+        _mm_andnot_si128(keep_lo, shifted_lo),
+    );
+    let new_hi = _mm_or_si128(
+        _mm_and_si128(keep_hi, hi),
+        _mm_andnot_si128(keep_hi, shifted_hi),
+    );
+    // SAFETY: the same two in-bounds halves; unaligned stores need no
+    // alignment.
+    unsafe {
+        _mm_storeu_si128(halves, new_lo);
+        _mm_storeu_si128(halves.add(1), new_hi);
+    }
+    mask != 0
 }
 
 #[cold]
@@ -424,6 +533,51 @@ mod tests {
             for (s, set) in reference.sets.iter().enumerate() {
                 prop_assert_eq!(&set_contents(&cache, s), set, "set {}", s);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// On `x86_64`, 8-way sets run `set8_sse2`; here it and the
+        /// portable `lookup_ways::<8>` drive twin caches through the same
+        /// stream. Every access must give the same outcome and leave the
+        /// touched set's MRU-first ways equal, and every set must be equal
+        /// at the end. The 8 KiB cache (the trailing L1) has 16 sets, so
+        /// back-to-back accesses to one set are common; the 1 MiB one is
+        /// the L2. Streams mix a hot region twice the cache's size with a
+        /// cold one 16 times larger, and repeat an address now and then.
+        #[cfg(target_arch = "x86_64")]
+        #[test]
+        fn sse2_sets_match_the_portable_8_way_arm(
+            kib in prop::sample::select(vec![8u32, 1024]),
+            accesses in prop::collection::vec((0u32..100, any::<u64>()), 1..4096),
+            hot_pct in 50u32..95,
+            repeat_pct in 0u32..30,
+        ) {
+            let mut sse2 = Cache::new(kib, 8, 64);
+            let mut portable = Cache::new(kib, 8, 64);
+            let bytes = u64::from(kib) * 1024;
+            let mut addr = 0;
+            for (i, &(roll, x)) in accesses.iter().enumerate() {
+                if roll >= repeat_pct || i == 0 {
+                    let region = if roll % 100 < hot_pct { 2 * bytes } else { 16 * bytes };
+                    addr = x % region;
+                }
+                let block = sse2.block_of(addr);
+                let set = (block & sse2.set_mask) as usize;
+                prop_assert_eq!(
+                    sse2.lookup_8way_sse2(set, block),
+                    portable.lookup_ways::<8>(set, block),
+                    "{} KiB, access {}", kib, i
+                );
+                prop_assert_eq!(
+                    &sse2.ways[set * 8..set * 8 + 8],
+                    &portable.ways[set * 8..set * 8 + 8],
+                    "{} KiB, access {}, set {}", kib, i, set
+                );
+            }
+            prop_assert!(sse2.ways == portable.ways, "{} KiB: some set differs", kib);
         }
     }
 

@@ -52,4 +52,4 @@ pub use machine::{
     MsspResult,
 };
 pub use program::{BlockOp, Instr, InstrBlock, MemoryModel, OpKind, ProgramStream};
-pub use timing::{CoreModel, StepMemo, TimingStats};
+pub use timing::{CoreModel, TimingStats};

@@ -11,7 +11,7 @@ use crate::cache::Cache;
 use crate::config::{CoreConfig, MachineConfig};
 use crate::distill::{Distiller, SkipAccumulator};
 use crate::program::{BranchMark, Instr, InstrBlock, MemoryModel, ProgramStream};
-use crate::timing::{CoreModel, StepMemo};
+use crate::timing::CoreModel;
 use rsc_control::{ControllerParams, ReactiveController, SpecDecision, TransitionLogPolicy};
 use rsc_trace::{BranchId, InputId, Population};
 
@@ -261,14 +261,12 @@ impl Bookkeeper {
     }
 }
 
-/// One core stepped block by block on the chunked path: the core, its
-/// private copy of the shared L2, and the memo tied to both. A clone
-/// carries the memo with the core, so the memo stays tied to it.
+/// One core stepped block by block on the chunked path: the core and
+/// its private copy of the shared L2.
 #[derive(Clone)]
 struct BlockCore {
     core: CoreModel,
     l2: Cache,
-    memo: StepMemo,
 }
 
 impl BlockCore {
@@ -276,7 +274,6 @@ impl BlockCore {
         BlockCore {
             core: CoreModel::new(cfg, machine),
             l2: Cache::new(machine.l2_kib, machine.l2_assoc, machine.block_bytes),
-            memo: StepMemo::new(),
         }
     }
 
@@ -284,7 +281,7 @@ impl BlockCore {
     /// cycles it took.
     fn step_block(&mut self, block: &InstrBlock) -> u64 {
         let before = self.core.cycles();
-        self.core.step_block(block, &mut self.l2, &mut self.memo);
+        self.core.step_block(block, &mut self.l2);
         self.core.cycles() - before
     }
 }

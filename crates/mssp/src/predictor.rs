@@ -1,6 +1,8 @@
 //! Branch predictors: gshare, return-address stack, and an indirect-target
 //! table (the paper's Table 5 front end).
 
+use crate::program::BRANCH_PC_BASE;
+
 /// A gshare conditional-branch predictor: a table of 2-bit saturating
 /// counters indexed by `pc ^ global_history`.
 ///
@@ -43,49 +45,55 @@ impl Gshare {
         }
     }
 
-    fn index(&self, pc: u64) -> usize {
-        (((pc >> 2) ^ (self.history & self.history_mask)) & self.index_mask) as usize
+    /// The counter a branch at `pc` indexes under global history
+    /// `history`.
+    #[inline(always)]
+    fn index(&self, pc: u64, history: u64) -> usize {
+        (((pc >> 2) ^ (history & self.history_mask)) & self.index_mask) as usize
     }
 
     /// Predicts the branch at `pc`, then updates the counter and history
     /// with the actual outcome. Returns whether the prediction was correct.
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        let idx = self.index(pc);
-        let predicted_taken = self.counters[idx] >= 2;
-        let c = &mut self.counters[idx];
-        if taken {
-            *c = (*c + 1).min(3);
-        } else {
-            *c = c.saturating_sub(1);
-        }
+        let idx = self.index(pc, self.history);
+        let mispredicted = train(&mut self.counters[idx], taken);
         self.history = (self.history << 1) | u64::from(taken);
-        predicted_taken == taken
+        !mispredicted
     }
 
-    /// Returns `true` when the predictor is at a *fixed point* for a
-    /// repeat of `(pc, taken)`: the masked global history already consists
-    /// entirely of `taken`-direction bits, and the counter such a repeat
-    /// would index is saturated in the `taken` direction. At a fixed point
-    /// another [`Gshare::predict_and_update`] with the same arguments
-    /// predicts correctly and changes no state, so the chunked loop's
-    /// one-entry memo can skip it outright.
-    #[inline]
-    pub fn at_fixed_point(&self, pc: u64, taken: bool) -> bool {
-        let h = self.history & self.history_mask;
-        let history_saturated = if taken {
-            h == self.history_mask
-        } else {
-            h == 0
-        };
-        history_saturated && {
-            let c = self.counters[self.index(pc)];
-            if taken {
-                c == 3
-            } else {
-                c == 0
-            }
+    /// [`Gshare::predict_and_update`] over a block's conditional-branch
+    /// arm (`(static_index << 1) | taken` words, see
+    /// [`InstrBlock::cond_ops`]) in order; returns the mispredictions.
+    /// The history stays in a local for the whole arm, and every branch
+    /// goes through the same [`train`] with no branch on its outcome.
+    ///
+    /// [`InstrBlock::cond_ops`]: crate::program::InstrBlock::cond_ops
+    pub(crate) fn step_cond_arm(&mut self, cond_ops: &[u32]) -> u64 {
+        let mut history = self.history;
+        let mut mispredicts = 0u64;
+        for &entry in cond_ops {
+            let pc = BRANCH_PC_BASE + u64::from(entry >> 1) * 64;
+            let taken = entry & 1 != 0;
+            let idx = self.index(pc, history);
+            mispredicts += u64::from(train(&mut self.counters[idx], taken));
+            history = (history << 1) | u64::from(taken);
         }
+        self.history = history;
+        mispredicts
     }
+}
+
+/// One 2-bit counter's prediction and update: the counter moves toward
+/// the outcome through a select between its saturating increment and
+/// decrement, not a branch on the outcome. Returns whether the counter
+/// mispredicted.
+#[inline(always)]
+fn train(counter: &mut u8, taken: bool) -> bool {
+    let c = *counter;
+    let up = (c + 1).min(3);
+    let down = c.saturating_sub(1);
+    *counter = if taken { up } else { down };
+    (c >= 2) != taken
 }
 
 /// A return-address stack with a bounded depth.
@@ -168,6 +176,7 @@ impl IndirectPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn gshare_learns_stable_bias() {
@@ -213,33 +222,47 @@ mod tests {
         assert!(correct_late >= 950, "late accuracy: {correct_late}/1000");
     }
 
-    #[test]
-    fn fixed_point_means_update_is_a_no_op() {
-        let mut g = Gshare::new(1024);
-        for _ in 0..40 {
-            let _ = g.predict_and_update(0x1000, true);
-        }
-        assert!(g.at_fixed_point(0x1000, true));
-        let snapshot = g.clone();
-        assert!(
-            g.predict_and_update(0x1000, true),
-            "fixed point predicts correctly"
-        );
-        assert_eq!(g.counters, snapshot.counters);
-        assert_eq!(
-            g.history & g.history_mask,
-            snapshot.history & snapshot.history_mask
-        );
-        // Opposite direction is not at a fixed point.
-        assert!(!g.at_fixed_point(0x1000, false));
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn fixed_point_requires_saturated_counter() {
-        let g = Gshare::new(1024);
-        // Fresh predictor: history is all zeros (not-taken-saturated) but
-        // counters start weakly not-taken (1), not 0.
-        assert!(!g.at_fixed_point(0x1000, false));
+        /// The batched arm against `predict_and_update` one branch at a
+        /// time: the same counters, history and mispredictions, with the
+        /// arm split into blocks at random so the history carries across
+        /// calls. Runs of one `(pc, taken)` up to 80 long saturate the
+        /// history and the counter, and a small index range makes runs
+        /// alias each other.
+        #[test]
+        fn cond_arm_matches_per_branch_updates(
+            counters in prop::sample::select(vec![64u32, 4096, 65536]),
+            runs in prop::collection::vec((0u32..8192, any::<bool>(), 1usize..80, any::<bool>()), 1..64),
+            cuts in prop::collection::vec(0usize..4096, 0..8),
+        ) {
+            let entries: Vec<u32> = runs
+                .iter()
+                .flat_map(|&(index, taken, len, narrow)| {
+                    let index = if narrow { index % 8 } else { index };
+                    std::iter::repeat_n((index << 1) | u32::from(taken), len)
+                })
+                .collect();
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (entries.len() + 1)).collect();
+            cuts.push(0);
+            cuts.push(entries.len());
+            cuts.sort_unstable();
+            let mut batched = Gshare::new(counters);
+            let mut single = batched.clone();
+            let mut batched_mispredicts = 0;
+            for pair in cuts.windows(2) {
+                batched_mispredicts += batched.step_cond_arm(&entries[pair[0]..pair[1]]);
+            }
+            let mut single_mispredicts = 0;
+            for &entry in &entries {
+                let pc = BRANCH_PC_BASE + u64::from(entry >> 1) * 64;
+                single_mispredicts += u64::from(!single.predict_and_update(pc, entry & 1 != 0));
+            }
+            prop_assert_eq!(batched_mispredicts, single_mispredicts);
+            prop_assert_eq!(batched.history, single.history);
+            prop_assert!(batched.counters == single.counters, "counters differ");
+        }
     }
 
     #[test]

@@ -162,8 +162,7 @@ impl CoreModel {
     /// Executes a whole instruction block in one call: the chunked fast
     /// path. ALU instructions fold into a single closed-form addition to
     /// the dispatch term (they touch no other state), and the remaining
-    /// ops stream through tight per-kind arms with `memo` short-circuiting
-    /// repeated predictor transitions.
+    /// ops stream through tight per-kind arms.
     ///
     /// The arms run kind-segregated rather than in program order: loads
     /// and stores touch only the caches, conditional branches only the
@@ -176,11 +175,9 @@ impl CoreModel {
     /// of charges alone.
     ///
     /// Bit-identical to feeding the block's instructions through
-    /// [`CoreModel::step`] one at a time, **provided** all of this core's
-    /// conditional branches flow through the same `memo` for the memo's
-    /// lifetime.
-    pub fn step_block(&mut self, block: &InstrBlock, l2: &mut Cache, memo: &mut StepMemo) {
-        use crate::program::{BRANCH_PC_BASE, STORE_BIT};
+    /// [`CoreModel::step`] one at a time.
+    pub fn step_block(&mut self, block: &InstrBlock, l2: &mut Cache) {
+        use crate::program::STORE_BIT;
 
         self.stats.instructions += block.instructions();
 
@@ -195,43 +192,28 @@ impl CoreModel {
             self.l1_misses.resize(mem.len(), 0);
         }
         let mut l1_misses = 0usize;
-        for &entry in mem {
-            self.l1_misses[l1_misses] = entry;
-            l1_misses += usize::from(self.l1.lookup(entry & !STORE_BIT) == Access::Miss);
-        }
+        let miss_buf = &mut self.l1_misses;
+        self.l1.lookup_each(mem, !STORE_BIT, |entry, hit| {
+            miss_buf[l1_misses] = entry;
+            l1_misses += usize::from(!hit);
+        });
         let mut l2_misses = 0u64;
         let mut quarter_loads = 0u64;
         let l2_lat = u64::from(self.l2_latency);
         let miss_lat = u64::from(self.l2_latency + self.memory_latency);
-        for &entry in &self.l1_misses[..l1_misses] {
-            let miss = l2.lookup(entry & !STORE_BIT) == Access::Miss;
-            l2_misses += u64::from(miss);
-            let raw = if miss { miss_lat } else { l2_lat };
+        l2.lookup_each(&self.l1_misses[..l1_misses], !STORE_BIT, |entry, hit| {
+            l2_misses += u64::from(!hit);
+            let raw = if hit { l2_lat } else { miss_lat };
             // Loads charge 4 quarter-loads per latency cycle, stores 1.
             quarter_loads += if entry & STORE_BIT == 0 { raw * 4 } else { raw };
-        }
+        });
         let l1_misses = l1_misses as u64;
         self.l1.add_counts(mem.len() as u64 - l1_misses, l1_misses);
         l2.add_counts(l1_misses - l2_misses, l2_misses);
         self.charge_memory(quarter_loads);
 
-        // Conditional-branch arm: gshare only, with the fixed-point memo.
-        let mut mispredicts = 0u64;
-        for &entry in block.cond_ops() {
-            let pc = BRANCH_PC_BASE + u64::from(entry >> 1) * 64;
-            let taken = entry & 1 != 0;
-            if memo.gshare_fixed && memo.gshare_pc == pc && memo.gshare_taken == taken {
-                // Repeat of a branch at a predictor fixed point:
-                // predicts correctly, changes no state — skip it.
-                continue;
-            }
-            if !self.gshare.predict_and_update(pc, taken) {
-                mispredicts += 1;
-            }
-            memo.gshare_pc = pc;
-            memo.gshare_taken = taken;
-            memo.gshare_fixed = self.gshare.at_fixed_point(pc, taken);
-        }
+        // Conditional-branch arm: gshare only.
+        let mispredicts = self.gshare.step_cond_arm(block.cond_ops());
         self.stats.branches += block.branches();
         self.stats.mispredicts += mispredicts;
         self.stats.branch_penalty += mispredicts * u64::from(self.cfg.pipeline_depth);
@@ -292,31 +274,6 @@ impl CoreModel {
     /// The core configuration.
     pub fn config(&self) -> &CoreConfig {
         &self.cfg
-    }
-}
-
-/// Per-run memo state for the chunked fast path: a one-entry gshare
-/// fixed-point memo for consecutive repeats of the same `(pc, taken)`
-/// branch.
-///
-/// A memo is tied to one core for one run: every conditional branch that
-/// core executes must flow through it, since a branch stepped around it
-/// could move the predictor off the remembered fixed point. That is why
-/// the machine loops construct one per core per run and the per-event
-/// oracle path never uses one.
-#[derive(Debug, Clone, Default)]
-pub struct StepMemo {
-    gshare_pc: u64,
-    gshare_taken: bool,
-    /// Whether `(gshare_pc, gshare_taken)` is at a predictor fixed point;
-    /// the other two fields mean nothing while this is `false`.
-    gshare_fixed: bool,
-}
-
-impl StepMemo {
-    /// Creates an empty memo (no fixed point remembered).
-    pub fn new() -> Self {
-        StepMemo::default()
     }
 }
 
@@ -560,12 +517,11 @@ mod tests {
                 let l2 = || Cache::new(m.l2_kib, m.l2_assoc, m.block_bytes);
                 let (mut batched, mut batched_l2) = (CoreModel::new(cfg, &m), l2());
                 let (mut single, mut single_l2) = (CoreModel::new(cfg, &m), l2());
-                let mut memo = StepMemo::new();
                 let mut blocks = ProgramStream::new(&pop, InputId::Eval, 40_000, 5, mem);
                 let mut instrs = ProgramStream::new(&pop, InputId::Eval, 40_000, 5, mem);
                 let mut block = InstrBlock::default();
                 while blocks.fill_block_arms(&mut block, 64) > 0 {
-                    batched.step_block(&block, &mut batched_l2, &mut memo);
+                    batched.step_block(&block, &mut batched_l2);
                     for instr in instrs.by_ref().take(block.instructions() as usize) {
                         single.step(&instr, &mut single_l2);
                     }

@@ -46,16 +46,14 @@ pub fn run(opts: &ExpOptions) -> Vec<Row> {
     run_subset(opts, &spec2000::NAMES)
 }
 
-/// Runs the four configurations over selected benchmarks.
-pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
-    let events = mssp_events(opts);
+/// The controllers of `c`, `o`, `C` and `O`, in that order.
+pub fn controllers() -> [ControllerParams; 4] {
     let base_ctl = ControllerParams::scaled();
     // The paper extends the monitor from 1k to 10k instances; relative to
     // per-branch execution counts at this scale, a 4x extension occupies
     // the same fraction of a branch's lifetime.
     let long_monitor = base_ctl.monitor_period * 4;
-    // c, o, C, O: one master each on a single program stream.
-    let params = [
+    [
         base_ctl,
         base_ctl.without_eviction(),
         base_ctl.with_monitor_period(long_monitor),
@@ -63,7 +61,13 @@ pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
             .without_eviction()
             .with_monitor_period(long_monitor),
     ]
-    .map(|ctl| MsspParams::new().with_controller(ctl));
+}
+
+/// Runs the four configurations over selected benchmarks.
+pub fn run_subset(opts: &ExpOptions, names: &[&str]) -> Vec<Row> {
+    let events = mssp_events(opts);
+    // c, o, C, O: one master each on a single program stream.
+    let params = controllers().map(|ctl| MsspParams::new().with_controller(ctl));
     crate::parallel::par_map(names.to_vec(), |name| {
         let model = spec2000::benchmark(name).expect("known benchmark");
         let pop = model.population(events);

@@ -9,7 +9,8 @@
 //! chunked hot path
 //! ([`rsc_trace::Trace::fill`] into a reusable buffer feeding
 //! `observe_chunk`/`record_chunk`, counts-only logging) are timed in the
-//! same run so the speedup column compares like with like.
+//! same run so the speedup column compares like with like. Each path
+//! reports the median rate of its repetitions with the p25–p75 spread.
 
 use crate::options::ExpOptions;
 use crate::table::TextTable;
@@ -26,30 +27,54 @@ use std::time::Instant;
 /// population, both stationary and phased behaviors).
 const BENCHMARK: &str = "gcc";
 
-/// One timed code path: how many events it processed and the best
-/// wall-clock time over the measurement repetitions.
-#[derive(Debug, Clone, Copy)]
+/// Timed repetitions of each code path, after one warm-up run each.
+/// An odd count puts the median and both quartiles on measured runs.
+const REPS: u32 = 5;
+
+/// One timed code path: how many events it processed and the wall-clock
+/// time of every measurement repetition.
+#[derive(Debug, Clone)]
 pub struct Throughput {
     /// Events processed per repetition.
     pub events: u64,
-    /// Best-of-reps wall-clock seconds.
-    pub secs: f64,
+    /// Wall-clock seconds of each repetition, in run order.
+    pub secs: Vec<f64>,
 }
 
 impl Throughput {
-    /// Events per second.
+    /// The median events per second over the repetitions.
     pub fn events_per_sec(&self) -> f64 {
-        if self.secs > 0.0 {
-            self.events as f64 / self.secs
+        self.events_per_sec_at(0.5)
+    }
+
+    /// The `q` quantile (0 to 1) of the repetitions' events per second,
+    /// interpolated linearly between the two nearest runs.
+    pub fn events_per_sec_at(&self, q: f64) -> f64 {
+        let mut rates: Vec<f64> = self
+            .secs
+            .iter()
+            .map(|&secs| {
+                if secs > 0.0 {
+                    self.events as f64 / secs
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        rates.sort_by(f64::total_cmp);
+        let pos = q * (rates.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        if lo == hi {
+            rates[lo]
         } else {
-            f64::INFINITY
+            rates[lo] + (rates[hi] - rates[lo]) * (pos - lo as f64)
         }
     }
 }
 
 /// One pipeline stage: the per-event baseline and its chunked
 /// counterpart.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct StageRow {
     /// Stage name (`trace_gen`, `trace_to_controller`, …).
     pub stage: &'static str,
@@ -60,7 +85,8 @@ pub struct StageRow {
 }
 
 impl StageRow {
-    /// Chunked speedup over the per-event path.
+    /// Chunked speedup over the per-event path: the ratio of the median
+    /// rates.
     pub fn speedup(&self) -> f64 {
         self.chunked.events_per_sec() / self.per_event.events_per_sec()
     }
@@ -68,7 +94,8 @@ impl StageRow {
 
 /// Times two code paths with interleaved repetitions (a, b, a, b, …) so
 /// both sample the same machine conditions; background interference then
-/// perturbs the two best-of times together instead of skewing their ratio.
+/// perturbs the two paths together instead of skewing their ratio. Every
+/// repetition is kept.
 fn time_pair<A, B>(mut a: A, mut b: B, reps: u32) -> (Throughput, Throughput)
 where
     A: FnMut() -> u64,
@@ -76,26 +103,26 @@ where
 {
     black_box(a());
     black_box(b());
-    let (mut events_a, mut events_b) = (0, 0);
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    let timed = |f: &mut dyn FnMut() -> u64, into: &mut Throughput| {
+        let t = Instant::now();
+        into.events = black_box(f());
+        into.secs.push(t.elapsed().as_secs_f64());
+    };
+    let (mut ta, mut tb) = (
+        Throughput {
+            events: 0,
+            secs: Vec::new(),
+        },
+        Throughput {
+            events: 0,
+            secs: Vec::new(),
+        },
+    );
     for _ in 0..reps {
-        let t = Instant::now();
-        events_a = black_box(a());
-        best_a = best_a.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        events_b = black_box(b());
-        best_b = best_b.min(t.elapsed().as_secs_f64());
+        timed(&mut a, &mut ta);
+        timed(&mut b, &mut tb);
     }
-    (
-        Throughput {
-            events: events_a,
-            secs: best_a,
-        },
-        Throughput {
-            events: events_b,
-            secs: best_b,
-        },
-    )
+    (ta, tb)
 }
 
 fn record_buf() -> Vec<BranchRecord> {
@@ -281,7 +308,7 @@ pub fn run(opts: &ExpOptions) -> Vec<StageRow> {
     let pop = spec2000::benchmark(BENCHMARK)
         .expect("benchmark exists")
         .population(opts.events);
-    let reps = 4;
+    let reps = REPS;
     vec![
         trace_gen(&pop, opts.events, opts.seed, reps),
         trace_to_controller(&pop, opts.events, opts.seed, reps),
@@ -313,28 +340,41 @@ pub fn instrumented_registry(opts: &ExpOptions) -> rsc_control::MetricsRegistry 
     ctl.metrics().expect("metrics were enabled")
 }
 
-/// Renders the throughput table.
+/// Renders the throughput table: each path's median rate and its
+/// p25–p75 spread.
 pub fn render(rows: &[StageRow]) -> String {
     let mut t = TextTable::new(vec![
         "stage",
         "events",
         "per-event ev/s",
+        "p25-p75",
         "chunked ev/s",
+        "p25-p75",
         "speedup",
     ]);
+    let spread = |t: &Throughput| {
+        format!(
+            "{:.3e}-{:.3e}",
+            t.events_per_sec_at(0.25),
+            t.events_per_sec_at(0.75)
+        )
+    };
     for r in rows {
         t.row(vec![
             r.stage.into(),
             r.per_event.events.to_string(),
             format!("{:.3e}", r.per_event.events_per_sec()),
+            spread(&r.per_event),
             format!("{:.3e}", r.chunked.events_per_sec()),
+            spread(&r.chunked),
             format!("{:.2}x", r.speedup()),
         ]);
     }
     t.render()
 }
 
-/// The rows as JSON (the `BENCH_pipeline.json` payload).
+/// The rows as JSON (the `BENCH_pipeline.json` payload). Rates are
+/// medians over the repetitions, with their 25th and 75th percentiles.
 pub fn to_json(rows: &[StageRow], opts: &ExpOptions) -> Json {
     let stage = |r: &StageRow| {
         Json::obj([
@@ -345,8 +385,24 @@ pub fn to_json(rows: &[StageRow], opts: &ExpOptions) -> Json {
                 Json::Num(r.per_event.events_per_sec()),
             ),
             (
+                "per_event_p25_events_per_sec",
+                Json::Num(r.per_event.events_per_sec_at(0.25)),
+            ),
+            (
+                "per_event_p75_events_per_sec",
+                Json::Num(r.per_event.events_per_sec_at(0.75)),
+            ),
+            (
                 "chunked_events_per_sec",
                 Json::Num(r.chunked.events_per_sec()),
+            ),
+            (
+                "chunked_p25_events_per_sec",
+                Json::Num(r.chunked.events_per_sec_at(0.25)),
+            ),
+            (
+                "chunked_p75_events_per_sec",
+                Json::Num(r.chunked.events_per_sec_at(0.75)),
             ),
             ("speedup", Json::Num(r.speedup())),
         ])
@@ -356,6 +412,7 @@ pub fn to_json(rows: &[StageRow], opts: &ExpOptions) -> Json {
         ("seed", Json::Int(opts.seed)),
         ("chunk_events", Json::Int(DEFAULT_CHUNK_EVENTS as u64)),
         ("threads", Json::Int(crate::parallel::max_threads() as u64)),
+        ("reps", Json::Int(u64::from(REPS))),
         ("stages", Json::Arr(rows.iter().map(stage).collect())),
     ])
 }
@@ -396,22 +453,22 @@ mod tests {
                 stage: "trace_gen",
                 per_event: Throughput {
                     events: 1000,
-                    secs: 0.5,
+                    secs: vec![0.5, 0.4, 1.0],
                 },
                 chunked: Throughput {
                     events: 1000,
-                    secs: 0.25,
+                    secs: vec![0.25, 0.2, 0.5],
                 },
             },
             StageRow {
                 stage: "mssp_step",
                 per_event: Throughput {
                     events: 100,
-                    secs: 0.5,
+                    secs: vec![0.5],
                 },
                 chunked: Throughput {
                     events: 100,
-                    secs: 0.1,
+                    secs: vec![0.1],
                 },
             },
         ];
@@ -423,6 +480,11 @@ mod tests {
         let speedups: Vec<f64> = stages.iter().map(|s| num(s, "speedup")).collect();
         assert_eq!(speedups, vec![2.0, 5.0]);
         assert_eq!(num(&stages[1], "chunked_events_per_sec"), 1000.0);
+        // Rates 1000, 2000, 2500: the median and both quartiles.
+        assert_eq!(num(&stages[0], "per_event_events_per_sec"), 2000.0);
+        assert_eq!(num(&stages[0], "per_event_p25_events_per_sec"), 1500.0);
+        assert_eq!(num(&stages[0], "per_event_p75_events_per_sec"), 2250.0);
+        assert_eq!(num(&stages[0], "chunked_p75_events_per_sec"), 4500.0);
         assert_eq!(
             json.get("chunk_events").and_then(Json::as_u64),
             Some(DEFAULT_CHUNK_EVENTS as u64)
@@ -433,8 +495,9 @@ mod tests {
 
     /// DESIGN.md §8 quotes the committed `BENCH_pipeline.json`: its
     /// stage table must list the file's stages in order, each with the
-    /// file's rates (`{:.1e}`) and speedup (`{:.2}x`). The first stale
-    /// cell is named, so the table and the file cannot drift apart.
+    /// file's median rates and p25–p75 spreads (`{:.1e}`) and speedup
+    /// (`{:.2}x`). The first stale cell is named, so the table and the
+    /// file cannot drift apart.
     #[test]
     fn design_table_quotes_the_committed_bench_file() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -446,7 +509,8 @@ mod tests {
             .nth(1)
             .and_then(|s| s.split("\n## 9.").next())
             .expect("DESIGN.md has a §8");
-        let header = "| stage | per-event ev/s | chunked ev/s | speedup |";
+        let header =
+            "| stage | per-event ev/s | per-event p25–p75 | chunked ev/s | chunked p25–p75 | speedup |";
         let table = &section[section.find(header).expect("§8 has the stage table")..];
         let rows: Vec<Vec<&str>> = table
             .lines()
@@ -467,15 +531,24 @@ mod tests {
         );
         for (row, stage) in rows.iter().zip(stages) {
             let num = |key: &str| stage.get(key).and_then(Json::as_f64).unwrap();
+            let spread = |path: &str| {
+                format!(
+                    "{:.1e}–{:.1e}",
+                    num(&format!("{path}_p25_events_per_sec")),
+                    num(&format!("{path}_p75_events_per_sec"))
+                )
+            };
             let expected = [
                 (
                     "per-event ev/s",
                     format!("{:.1e}", num("per_event_events_per_sec")),
                 ),
+                ("per-event p25–p75", spread("per_event")),
                 (
                     "chunked ev/s",
                     format!("{:.1e}", num("chunked_events_per_sec")),
                 ),
+                ("chunked p25–p75", spread("chunked")),
                 ("speedup", format!("{:.2}x", num("speedup"))),
             ];
             for (&cell, (column, want)) in row[1..].iter().zip(&expected) {
@@ -492,12 +565,21 @@ mod tests {
     fn throughput_math() {
         let t = Throughput {
             events: 1_000,
-            secs: 0.5,
+            secs: vec![0.5],
         };
         assert_eq!(t.events_per_sec(), 2_000.0);
+        // Every repetition is kept: the median, not the best, is reported.
+        let t = Throughput {
+            events: 1_000,
+            secs: vec![0.25, 1.0, 0.5, 2.0, 0.5],
+        };
+        assert_eq!(t.events_per_sec(), 2_000.0);
+        assert_eq!(t.events_per_sec_at(0.25), 1_000.0);
+        assert_eq!(t.events_per_sec_at(0.75), 2_000.0);
+        assert_eq!(t.events_per_sec_at(1.0), 4_000.0);
         let z = Throughput {
             events: 1_000,
-            secs: 0.0,
+            secs: vec![0.0],
         };
         assert!(z.events_per_sec().is_infinite());
     }

@@ -806,7 +806,7 @@ fn write_branch(w: &mut Writer, b: &BranchCtl, eviction: &Eviction, recent_misse
                     w.u32(c.down());
                     w.u32(c.threshold());
                 }
-                Eviction::Sampling { .. } => {
+                Eviction::Sampling(_) => {
                     w.u8(1);
                     w.u64(u64::from(tracker.value));
                     w.u64(u64::from(tracker.matched));
@@ -879,7 +879,7 @@ fn read_branch(
                         ..EvictTracker::default()
                     }
                 }
-                (1, Eviction::Sampling { .. }) => EvictTracker {
+                (1, Eviction::Sampling(_)) => EvictTracker {
                     value: r.u32_count()?,
                     matched: r.u32_count()?,
                     sampled: r.u32_count()?,

@@ -21,7 +21,9 @@
 
 use crate::observe::{MetricsRegistry, Telemetry};
 use crate::params::{ControllerParams, Revisit};
-use crate::policy::{Eviction, MonitorCounts, Policy, SpecChoice};
+use crate::policy::{
+    AnyMonitor, EvictRule, Eviction, MonitorCounts, MonitorRule, NoEviction, Policy, SpecChoice,
+};
 use crate::resilience::breaker::BreakerSignal;
 use crate::resilience::deployer::{DeployKind, DeployOutcome, DeployRequest};
 use crate::resilience::{ResilienceConfig, ResilienceState, BREAKER_BRANCH};
@@ -377,11 +379,21 @@ fn deployed(
             deadline: instr + latency,
             dir,
         },
-        DeployKind::Repair if latency == 0 => State::fresh_monitor(),
-        DeployKind::Repair => State::PendingMonitor {
+        DeployKind::Repair => repaired(dir, instr, latency),
+    }
+}
+
+/// The state a branch speculating `dir` moves to once its repair,
+/// requested at instruction `instr`, deploys: monitoring again, or the
+/// stale code running until `latency` instructions have passed.
+fn repaired(dir: Direction, instr: u64, latency: u64) -> State {
+    if latency == 0 {
+        State::fresh_monitor()
+    } else {
+        State::PendingMonitor {
             deadline: instr + latency,
             dir,
-        },
+        }
     }
 }
 
@@ -490,6 +502,18 @@ impl Counters {
         }
     }
 
+    /// What one event between `start` and these counters did: each event
+    /// adds to at most one of the speculation counts.
+    fn decision_since(&self, start: Counters) -> SpecDecision {
+        if self.correct > start.correct {
+            SpecDecision::Correct
+        } else if self.incorrect > start.incorrect {
+            SpecDecision::Incorrect
+        } else {
+            SpecDecision::NotSpeculated
+        }
+    }
+
     /// What happened between `start` and these counters.
     fn since(&self, start: Counters) -> ChunkSummary {
         let correct = self.correct - start.correct;
@@ -505,54 +529,49 @@ impl Counters {
 
 /// One execution on a branch in a steady state, handled in place: the
 /// disabled state, an unbiased countdown short of the revisit, monitoring
-/// that cannot classify, and speculation under any eviction rule
-/// (including the eviction itself). Returns `None`, touching nothing, when
-/// the full FSM must run. Only valid without resilience or telemetry,
-/// whose hooks it skips.
+/// that cannot classify, and speculation (including the eviction itself).
+/// Returns `false`, touching nothing, when the full FSM must run. The
+/// controller's rules are type parameters, so each instantiation tests
+/// only the branch's own state: `monitor` decides whether a monitored
+/// execution can classify and whether it is sampled, and `eviction`
+/// updates the biased state's tracker. Only valid without resilience or
+/// telemetry, whose hooks it skips.
 #[inline(always)]
-fn step_in_place(
+fn step_in_place<M: MonitorRule, E: EvictRule>(
     b: &mut BranchCtl,
     r: &BranchRecord,
-    params: &ControllerParams,
-    policy: Policy,
-    eviction: &Eviction,
+    monitor: M,
+    eviction: E,
+    latency: u64,
     c: &mut Counters,
     log: &mut TransitionLog,
-) -> Option<SpecDecision> {
+) -> bool {
     let mut evict = None;
-    let decision = match &mut b.state {
+    match &mut b.state {
         State::Disabled
         | State::Unbiased {
             remaining: NEVER_REVISIT,
-        } => SpecDecision::NotSpeculated,
-        State::Unbiased { remaining } if *remaining > 1 => {
-            *remaining -= 1;
-            SpecDecision::NotSpeculated
-        }
+        } => {}
+        State::Unbiased { remaining } if *remaining > 1 => *remaining -= 1,
         State::Monitor {
             execs,
             samples,
             taken,
-        } if policy
-            .keeps_monitoring(MonitorCounts::from_window(*execs, *samples, *taken), params) =>
-        {
-            let rate = params.monitor_sample_rate;
-            if rate == 1 || u64::from(*execs) % rate == 0 {
+        } if monitor.keeps_monitoring(*execs, *samples, *taken) => {
+            if monitor.samples(*execs) {
                 *samples += 1;
                 *taken += u32::from(r.taken);
             }
             *execs += 1;
-            SpecDecision::NotSpeculated
         }
         State::Biased { dir, tracker } => {
             let decision = c.speculate(*dir, r.taken);
             if eviction.observe(tracker, decision == SpecDecision::Correct) {
                 evict = Some(*dir);
             }
-            decision
         }
-        _ => return None,
-    };
+        _ => return false,
+    }
     c.events += 1;
     c.instructions = c.instructions.max(r.instr);
     b.execs += 1;
@@ -565,9 +584,31 @@ fn step_in_place(
             instr: r.instr,
             direction: Some(dir),
         });
-        b.state = deployed(DeployKind::Repair, dir, r.instr, params, eviction);
+        b.state = repaired(dir, r.instr, latency);
     }
-    Some(decision)
+    true
+}
+
+/// Which monitor test the compiled in-place step of a controller runs
+/// (see [`ReactiveController::step_rules`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MonitorStep {
+    /// A fixed window at sample rate 1: only the window length is read.
+    FixedWindow,
+    /// The policy's general headroom test and the sample-rate test.
+    General,
+}
+
+/// Which eviction rule the compiled in-place step of a controller runs
+/// (see [`ReactiveController::step_rules`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvictionStep {
+    /// The asymmetric saturating counter.
+    Counter,
+    /// Periodic re-sampling.
+    Sampling,
+    /// No eviction.
+    Never,
 }
 
 /// What a call to [`ReactiveController::observe_chunk`] did, in aggregate.
@@ -800,23 +841,14 @@ impl ReactiveController {
     /// Feeds one dynamic branch execution through the branch's FSM and
     /// returns what the speculation system did with it.
     pub fn observe(&mut self, r: &BranchRecord) -> SpecDecision {
+        if self.chunk_fast_path() {
+            let start = self.counters;
+            self.step_records(std::slice::from_ref(r));
+            return self.counters.decision_since(start);
+        }
         let idx = r.branch.index();
         if idx >= self.branches.len() {
             self.branches.resize_with(idx + 1, BranchCtl::new);
-        }
-        if self.chunk_fast_path() {
-            let (params, policy, eviction) = (&self.params, self.policy, &self.eviction);
-            let b = &mut self.branches[idx];
-            return step_in_place(
-                b,
-                r,
-                params,
-                policy,
-                eviction,
-                &mut self.counters,
-                &mut self.log,
-            )
-            .unwrap_or_else(|| self.observe_inner(r));
         }
         let decision = self.observe_inner(r);
         let has_breaker = self
@@ -991,39 +1023,99 @@ impl ReactiveController {
         self.resilience.is_none() && self.telemetry.is_none()
     }
 
+    /// The compiled in-place step that [`observe`](Self::observe) and
+    /// [`observe_chunk`](Self::observe_chunk) run, chosen once per call
+    /// from the policy, the monitor policy, the monitor sample rate and
+    /// the eviction rule; `None` off the
+    /// [`chunk_fast_path`](Self::chunk_fast_path). Six instantiations
+    /// exist: each [`MonitorStep`] with each [`EvictionStep`].
+    pub fn step_rules(&self) -> Option<(MonitorStep, EvictionStep)> {
+        if !self.chunk_fast_path() {
+            return None;
+        }
+        let monitor = match self.policy.fixed_window(&self.params) {
+            Some(_) => MonitorStep::FixedWindow,
+            None => MonitorStep::General,
+        };
+        let eviction = match self.eviction {
+            Eviction::Counter(_) => EvictionStep::Counter,
+            Eviction::Sampling(_) => EvictionStep::Sampling,
+            Eviction::Never => EvictionStep::Never,
+        };
+        Some((monitor, eviction))
+    }
+
     /// Feeds a chunk of dynamic branch executions through the controller.
     ///
     /// Identical to calling [`observe`](Self::observe) on each record in
     /// order — statistics, per-branch state, and the transition log come
-    /// out bit-identical — and runs the same per-record step, but resizes
-    /// the branch table at most once per chunk and keeps the global
-    /// counters in registers between full-FSM fallbacks.
+    /// out bit-identical — and runs the same per-record step, but picks
+    /// the controller's rules once per chunk (see
+    /// [`step_rules`](Self::step_rules)) and keeps the global counters in
+    /// registers between full-FSM fallbacks.
     pub fn observe_chunk(&mut self, records: &[BranchRecord]) -> ChunkSummary {
         let start = self.counters;
-        if !self.chunk_fast_path() {
+        if self.chunk_fast_path() {
+            self.step_records(records);
+        } else {
             for r in records {
                 self.observe(r);
             }
-            return self.counters.since(start);
         }
-        if let Some(max_idx) = records.iter().map(|r| r.branch.index()).max() {
-            if max_idx >= self.branches.len() {
-                self.branches.resize_with(max_idx + 1, BranchCtl::new);
-            }
+        self.counters.since(start)
+    }
+
+    /// Runs `records` through the instantiation of [`step_in_place`] for
+    /// this controller's monitor and eviction rule, matched once for the
+    /// whole slice. Only valid on the
+    /// [`chunk_fast_path`](Self::chunk_fast_path).
+    fn step_records(&mut self, records: &[BranchRecord]) {
+        let Some(w) = self.policy.fixed_window(&self.params) else {
+            // The general test reads the params while the loop holds the
+            // controller, so it reads a copy.
+            let params = self.params;
+            let general = AnyMonitor {
+                policy: self.policy,
+                params: &params,
+            };
+            return match self.eviction {
+                Eviction::Counter(e) => self.step_each(records, general, e),
+                Eviction::Sampling(e) => self.step_each(records, general, e),
+                Eviction::Never => self.step_each(records, general, NoEviction),
+            };
+        };
+        match self.eviction {
+            Eviction::Counter(e) => self.step_each(records, w, e),
+            Eviction::Sampling(e) => self.step_each(records, w, e),
+            Eviction::Never => self.step_each(records, w, NoEviction),
         }
-        let (params, policy, eviction) = (self.params, self.policy, self.eviction);
-        let mut counters = start;
+    }
+
+    /// The loop of [`step_records`](Self::step_records) under one pair of
+    /// rules: the branch table grows as new indices appear, and an event
+    /// the step cannot handle runs through the full FSM with the counters
+    /// synced around it.
+    fn step_each<M: MonitorRule, E: EvictRule>(
+        &mut self,
+        records: &[BranchRecord],
+        monitor: M,
+        eviction: E,
+    ) {
+        let latency = self.params.optimization_latency;
+        let mut counters = self.counters;
         for r in records {
-            let b = &mut self.branches[r.branch.index()];
-            let log = &mut self.log;
-            if step_in_place(b, r, &params, policy, &eviction, &mut counters, log).is_none() {
+            let idx = r.branch.index();
+            if idx >= self.branches.len() {
+                self.branches.resize_with(idx + 1, BranchCtl::new);
+            }
+            let (b, log) = (&mut self.branches[idx], &mut self.log);
+            if !step_in_place(b, r, monitor, eviction, latency, &mut counters, log) {
                 self.counters = counters;
                 self.observe_inner(r);
                 counters = self.counters;
             }
         }
         self.counters = counters;
-        counters.since(start)
     }
 
     /// Reserves room in the per-branch table for branch indices below

@@ -71,8 +71,8 @@ pub mod translog;
 pub use builder::ControllerBuilder;
 pub use checkpoint::{CheckpointError, ControllerCheckpoint};
 pub use controller::{
-    BranchSnapshot, BranchStateView, ChunkSummary, ReactiveController, SpecDecision, TrackerView,
-    TransitionEvent, TransitionKind,
+    BranchSnapshot, BranchStateView, ChunkSummary, EvictionStep, MonitorStep, ReactiveController,
+    SpecDecision, TrackerView, TransitionEvent, TransitionKind,
 };
 pub use engine::{
     run_population, run_population_chunked, run_population_chunked_many,

@@ -21,7 +21,12 @@
 //!   step (shared by [`observe`](crate::ReactiveController::observe) and
 //!   [`observe_chunk`](crate::ReactiveController::observe_chunk)) handle
 //!   it; it must never be `true` before an execution on which `decide`
-//!   would classify.
+//!   would classify. `fixed_window` says when that test is the window
+//!   length alone, which the step compiles as a rule of its own.
+//!
+//! The step is generic over two rule types, picked once per call: a
+//! `MonitorRule` (`FixedWindow` or `AnyMonitor`) and an `EvictRule`
+//! (one per arm of the controller's `Eviction`).
 //!
 //! # The policies
 //!
@@ -128,16 +133,68 @@ pub(crate) enum Eviction {
     /// episode starts from.
     Counter(HysteresisCounter),
     /// Periodic re-sampling (the params' [`EvictionMode::Sampling`]).
-    Sampling {
-        /// Re-sampling period in executions.
-        period: u32,
-        /// Executions sampled at the start of each period.
-        samples: u32,
-        /// Evict when the sampled bias falls below this.
-        bias_threshold: f64,
-    },
+    Sampling(SampledEviction),
     /// No eviction (the open-loop configuration).
     Never,
+}
+
+/// One [`Eviction`] rule as a type of its own, so that the controller's
+/// in-place step is compiled once per rule and never matches on it.
+pub(crate) trait EvictRule: Copy {
+    /// Folds one speculated outcome into `t`; `true` evicts.
+    fn observe(&self, t: &mut EvictTracker, correct: bool) -> bool;
+}
+
+impl EvictRule for HysteresisCounter {
+    #[inline(always)]
+    fn observe(&self, t: &mut EvictTracker, correct: bool) -> bool {
+        t.value = self.next(t.value, correct);
+        t.value >= self.threshold()
+    }
+}
+
+/// [`Eviction::Sampling`]'s rule: the first `samples` executions of every
+/// `period` are sampled, and the period's last sample evicts when their
+/// bias falls below `bias_threshold`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SampledEviction {
+    /// Re-sampling period in executions.
+    pub(crate) period: u32,
+    /// Executions sampled at the start of each period.
+    pub(crate) samples: u32,
+    /// Evict when the sampled bias falls below this.
+    pub(crate) bias_threshold: f64,
+}
+
+impl EvictRule for SampledEviction {
+    #[inline(always)]
+    fn observe(&self, t: &mut EvictTracker, correct: bool) -> bool {
+        let mut fire = false;
+        if t.value < self.samples {
+            t.sampled += 1;
+            t.matched += u32::from(correct);
+            if t.sampled == self.samples {
+                let bias = f64::from(t.matched) / f64::from(t.sampled);
+                fire = bias < self.bias_threshold;
+            }
+        }
+        t.value += 1;
+        if t.value >= self.period {
+            *t = EvictTracker::default();
+        }
+        fire
+    }
+}
+
+/// [`Eviction::Never`]'s rule: the open loop tracks nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NoEviction;
+
+impl EvictRule for NoEviction {
+    #[inline(always)]
+    fn observe(&self, _: &mut EvictTracker, _: bool) -> bool {
+        false
+    }
 }
 
 impl Eviction {
@@ -146,42 +203,20 @@ impl Eviction {
         EvictTracker {
             value: match self {
                 Eviction::Counter(c) => c.value(),
-                Eviction::Sampling { .. } | Eviction::Never => 0,
+                Eviction::Sampling(_) | Eviction::Never => 0,
             },
             matched: 0,
             sampled: 0,
         }
     }
 
-    /// Folds one speculated outcome into `t`; `true` evicts.
-    #[inline(always)]
+    /// Folds one speculated outcome into `t` under this rule; `true`
+    /// evicts.
     pub(crate) fn observe(&self, t: &mut EvictTracker, correct: bool) -> bool {
-        match *self {
-            Eviction::Counter(c) => {
-                t.value = c.next(t.value, correct);
-                t.value >= c.threshold()
-            }
-            Eviction::Sampling {
-                period,
-                samples,
-                bias_threshold,
-            } => {
-                let mut fire = false;
-                if t.value < samples {
-                    t.sampled += 1;
-                    t.matched += u32::from(correct);
-                    if t.sampled == samples {
-                        let bias = f64::from(t.matched) / f64::from(t.sampled);
-                        fire = bias < bias_threshold;
-                    }
-                }
-                t.value += 1;
-                if t.value >= period {
-                    *t = EvictTracker::default();
-                }
-                fire
-            }
-            Eviction::Never => false,
+        match self {
+            Eviction::Counter(c) => c.observe(t, correct),
+            Eviction::Sampling(s) => s.observe(t, correct),
+            Eviction::Never => NoEviction.observe(t, correct),
         }
     }
 
@@ -189,13 +224,72 @@ impl Eviction {
     pub(crate) fn view(&self, t: &EvictTracker) -> TrackerView {
         match self {
             Eviction::Counter(_) => TrackerView::Counter { value: t.value },
-            Eviction::Sampling { .. } => TrackerView::Sampling {
+            Eviction::Sampling(_) => TrackerView::Sampling {
                 pos: u64::from(t.value),
                 matched: u64::from(t.matched),
                 sampled: u64::from(t.sampled),
             },
             Eviction::Never => TrackerView::Never,
         }
+    }
+}
+
+/// The monitor-state test of the controller's in-place step, as a type,
+/// so that the step is compiled once per rule: whether the next monitored
+/// execution cannot classify, and whether it is sampled.
+pub(crate) trait MonitorRule: Copy {
+    /// Whether the next monitored execution, on top of this window, is
+    /// guaranteed to [`Continue`](SpecChoice::Continue) whatever its
+    /// outcome (see [`Policy::keeps_monitoring`]).
+    fn keeps_monitoring(&self, execs: u32, samples: u32, taken: u32) -> bool;
+    /// Whether the execution after `execs` in the window is sampled.
+    fn samples(&self, execs: u32) -> bool;
+}
+
+/// A fixed monitor window at sample rate 1: every execution is sampled,
+/// and only the window's last one can classify. It is what
+/// [`Policy::keeps_monitoring`] reduces to for [`Policy::PaperFsm`] with
+/// [`MonitorPolicy::FixedWindow`] and for [`Policy::CostAware`], which
+/// classify on the window's end alone.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FixedWindow {
+    /// The window length, [`ControllerParams::monitor_period`].
+    pub(crate) period: u64,
+}
+
+impl MonitorRule for FixedWindow {
+    #[inline(always)]
+    fn keeps_monitoring(&self, execs: u32, _: u32, _: u32) -> bool {
+        u64::from(execs) + 1 < self.period
+    }
+
+    #[inline(always)]
+    fn samples(&self, _: u32) -> bool {
+        true
+    }
+}
+
+/// Every other monitor: the policy's own [`Policy::keeps_monitoring`]
+/// and the params' sample rate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AnyMonitor<'a> {
+    pub(crate) policy: Policy,
+    pub(crate) params: &'a ControllerParams,
+}
+
+impl MonitorRule for AnyMonitor<'_> {
+    #[inline(always)]
+    fn keeps_monitoring(&self, execs: u32, samples: u32, taken: u32) -> bool {
+        self.policy.keeps_monitoring(
+            MonitorCounts::from_window(execs, samples, taken),
+            self.params,
+        )
+    }
+
+    #[inline(always)]
+    fn samples(&self, execs: u32) -> bool {
+        let rate = self.params.monitor_sample_rate;
+        rate == 1 || u64::from(execs) % rate == 0
     }
 }
 
@@ -407,6 +501,23 @@ impl Policy {
         }
     }
 
+    /// The [`FixedWindow`] rule, when [`keeps_monitoring`] is exactly its
+    /// test under `params`: a policy that classifies only at the window's
+    /// end, at sample rate 1. `None` sends the in-place step through the
+    /// general [`AnyMonitor`].
+    ///
+    /// [`keeps_monitoring`]: Policy::keeps_monitoring
+    pub(crate) fn fixed_window(&self, params: &ControllerParams) -> Option<FixedWindow> {
+        let window_only = match self {
+            Policy::PaperFsm => matches!(params.monitor_policy, MonitorPolicy::FixedWindow),
+            Policy::Perceptron(_) => false,
+            Policy::CostAware(_) => true,
+        };
+        (window_only && params.monitor_sample_rate == 1).then_some(FixedWindow {
+            period: params.monitor_period,
+        })
+    }
+
     /// The eviction rule every biased episode follows under `params`.
     /// The params must have passed
     /// [`validate`](ControllerParams::validate), which bounds the sampling
@@ -423,11 +534,11 @@ impl Policy {
                     period,
                     samples,
                     bias_threshold,
-                } => Eviction::Sampling {
+                } => Eviction::Sampling(SampledEviction {
                     period: u32::try_from(period).expect("validated period"),
                     samples: u32::try_from(samples).expect("validated samples"),
                     bias_threshold,
-                },
+                }),
                 EvictionMode::Never => Eviction::Never,
             },
             Policy::Perceptron(z) => {
@@ -565,6 +676,44 @@ mod tests {
         // The perceptron inlines mid-window executions short of its margin.
         assert!(theta_4.keeps_monitoring(counts(2, 2, 1), &tiny()));
         assert!(!theta_4.keeps_monitoring(counts(3, 3, 3), &tiny()));
+    }
+
+    #[test]
+    fn fixed_window_is_the_policys_own_test() {
+        // Where the in-place step compiles the fixed window, that window
+        // must be exactly the policy's headroom test, sampling every
+        // execution.
+        let policies = BUILTIN_POLICY_IDS.map(|id| Policy::builtin(id).unwrap());
+        let monitors = [
+            tiny(),
+            tiny().with_monitor_sampling(3),
+            tiny().with_confidence_monitor(2.58, 4, 100),
+        ];
+        let mut fixed = 0;
+        for policy in policies {
+            for params in monitors {
+                let Some(w) = policy.fixed_window(&params) else {
+                    continue;
+                };
+                fixed += 1;
+                for execs in 0..12u32 {
+                    assert!(w.samples(execs));
+                    for taken in 0..=execs {
+                        assert_eq!(
+                            w.keeps_monitoring(execs, execs, taken),
+                            policy.keeps_monitoring(
+                                MonitorCounts::from_window(execs, execs, taken),
+                                &params
+                            ),
+                            "{} at {execs}/{taken}",
+                            policy.id()
+                        );
+                    }
+                }
+            }
+        }
+        // paper-fsm's fixed window, and cost-aware at either monitor.
+        assert_eq!(fixed, 3);
     }
 
     #[test]

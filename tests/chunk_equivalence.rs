@@ -5,12 +5,13 @@
 
 use proptest::prelude::*;
 use rsc_control::{
-    engine, ChunkSummary, ControllerParams, Perceptron, Policy, ReactiveController,
-    TransitionLogPolicy, BUILTIN_POLICY_IDS,
+    engine, ChunkSummary, ControllerParams, EvictionMode, NullSink, Perceptron, Policy,
+    ReactiveController, TransitionLogPolicy, BUILTIN_POLICY_IDS,
 };
 use rsc_profile::BranchProfile;
 use rsc_trace::rng::SplitMix64;
 use rsc_trace::{spec2000, BranchId, BranchRecord, InputId, Scenario};
+use std::sync::Arc;
 
 const BENCHMARKS: [&str; 4] = ["gzip", "gcc", "crafty", "vortex"];
 const SEEDS: [u64; 2] = [7, 1234];
@@ -171,13 +172,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// For chunk sizes 1..=7 — all smaller than any transition-relevant
-    /// time constant — and every built-in policy, every per-chunk
-    /// `ChunkSummary` must equal the sum of the per-event decisions over
-    /// exactly that chunk, and the final controller states must be
-    /// identical. The per-event side carries telemetry, which runs every
-    /// event through the full FSM: a per-event controller without it
-    /// would share the chunked path's in-place arms and check them
-    /// against themselves.
+    /// time constant — every built-in policy, eviction rule (counter,
+    /// sampling, none), monitor (fixed window or confidence bounds) and
+    /// monitor sample rate (1 or 3), every per-chunk `ChunkSummary` must
+    /// equal the sum of the per-event decisions over exactly that chunk,
+    /// and the final controller states and checkpoint bytes must be
+    /// identical. Those inputs reach every instantiation of the chunked
+    /// path's in-place step. The per-event side carries an event sink,
+    /// which runs every event through the full FSM (a per-event
+    /// controller without one would share the chunked path's in-place
+    /// step and check it against itself) and is not part of a checkpoint.
     #[test]
     fn tiny_chunk_summaries_equal_summed_per_event_decisions(
         policy in prop::sample::select(BUILTIN_POLICY_IDS.to_vec()),
@@ -186,14 +190,29 @@ proptest! {
         branches in 1u32..4,
         monitor in prop::sample::select(vec![5u64, 10, 16]),
         latency in prop::sample::select(vec![0u64, 25]),
+        eviction in prop::sample::select(vec!["counter", "sampling", "never"]),
+        sample_rate in prop::sample::select(vec![1u64, 3]),
+        confidence in any::<bool>(),
     ) {
         let mut params = ControllerParams::scaled()
             .with_monitor_period(monitor)
-            .with_latency(latency);
-        params.eviction = rsc_control::EvictionMode::Counter {
-            up: 50,
-            down: 1,
-            threshold: 100,
+            .with_latency(latency)
+            .with_monitor_sampling(sample_rate);
+        if confidence {
+            params = params.with_confidence_monitor(1.0, 4, 2 * monitor);
+        }
+        params.eviction = match eviction {
+            "counter" => EvictionMode::Counter {
+                up: 50,
+                down: 1,
+                threshold: 100,
+            },
+            "sampling" => EvictionMode::Sampling {
+                period: 2 * monitor,
+                samples: monitor / 2,
+                bias_threshold: 0.9,
+            },
+            _ => EvictionMode::Never,
         };
         params.revisit = rsc_control::Revisit::After(2 * monitor);
         let policy = match Policy::builtin(policy).unwrap() {
@@ -209,7 +228,7 @@ proptest! {
 
         let trace = oscillating_trace(branches, flip, 3_000);
         let build = || ReactiveController::builder(params).policy(policy);
-        let mut per_event = build().metrics().build().unwrap();
+        let mut per_event = build().event_sink(Arc::new(NullSink)).build().unwrap();
         prop_assert!(!per_event.chunk_fast_path());
         let mut chunked = build().build().unwrap();
 
@@ -228,6 +247,11 @@ proptest! {
 
         prop_assert_eq!(per_event.stats(), chunked.stats());
         prop_assert_eq!(per_event.transitions(), chunked.transitions());
+        prop_assert_eq!(
+            per_event.snapshot().as_bytes(),
+            chunked.snapshot().as_bytes(),
+            "checkpoint bytes"
+        );
     }
 
     /// Sharding is a parallelization, not a semantic change: for every

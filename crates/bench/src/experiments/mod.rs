@@ -116,16 +116,36 @@ mod tests {
         cell.replace("**", "").replace([',', '%'], "")
     }
 
-    /// The header and rows of the `results_all.txt` block titled `title`.
-    fn results_block<'a>(results: &'a str, title: &str) -> (Vec<&'a str>, Vec<Vec<&'a str>>) {
-        let block = results
+    /// The text of the `results_all.txt` block titled `title`.
+    fn block_text<'a>(results: &'a str, title: &str) -> &'a str {
+        results
             .split("\n== ")
             .find(|b| b.starts_with(title))
-            .unwrap_or_else(|| panic!("results_all.txt has no `== {title}` block"));
+            .unwrap_or_else(|| panic!("results_all.txt has no `== {title}` block"))
+    }
+
+    /// The header and rows of the `results_all.txt` block titled `title`.
+    fn results_block<'a>(results: &'a str, title: &str) -> (Vec<&'a str>, Vec<Vec<&'a str>>) {
+        let block = block_text(results, title);
         let mut lines = block.lines().skip(1).take_while(|l| !l.trim().is_empty());
         let header = columns(lines.next().expect("block header"));
         let rows = lines.skip(1).map(columns).collect();
         (header, rows)
+    }
+
+    /// The EXPERIMENTS.md section that opens with `heading`.
+    fn md_section<'a>(md: &'a str, heading: &str) -> &'a str {
+        let section = &md[md.find(heading).expect("EXPERIMENTS.md section")..];
+        &section[..section[1..].find("\n## ").map_or(section.len(), |i| i + 1)]
+    }
+
+    /// The measured percentages of a summary line (`39.5%`), leaving out
+    /// the paper's (`~18%`, `<2%`).
+    fn measured_percents(line: &str) -> Vec<&str> {
+        line.split_whitespace()
+            .map(|w| w.trim_end_matches([',', ')']))
+            .filter(|w| w.ends_with('%') && w.starts_with(|c: char| c.is_ascii_digit()))
+            .collect()
     }
 
     /// The rows of the first markdown table after `heading`, header and
@@ -143,8 +163,10 @@ mod tests {
 
     /// EXPERIMENTS.md quotes the committed `results_all.txt`: every cell
     /// of its Table 3 and Table 4 tables, paper and measured, must equal
-    /// the matching `== Table 3` / `== Table 4` block. The first stale
-    /// cell is named.
+    /// the matching `== Table 3` / `== Table 4` block; every Figure 7
+    /// cell must round the `== Figure 7` block's value; and the bolded
+    /// percentages of the Figure 7 and Figure 8 sections must be the
+    /// blocks' summary lines. The first stale cell is named.
     #[test]
     fn experiments_tables_quote_results_all() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
@@ -190,6 +212,51 @@ mod tests {
                     row[0]
                 );
             }
+        }
+
+        // Figure 7: the doc prints fewer decimals than the block, so each
+        // cell must lie within half a unit of its own last digit of the
+        // block's value (bzip2 `C`, 1.145, is printed as 1.15). The doc
+        // leaves out the block's constant `B` column.
+        let (header, rows) = results_block(&results, "Figure 7:");
+        assert_eq!(header, ["bmark", "B", "c", "o", "C", "O"]);
+        let doc = md_table(&md, "## Figure 7 —");
+        assert_eq!(doc.len(), rows.len(), "Figure 7: row count");
+        for (doc_row, row) in doc.iter().zip(&rows) {
+            assert_eq!(doc_row[0], row[0], "Figure 7: row order");
+            for ((got, want), column) in doc_row[1..].iter().zip(&row[2..]).zip(&header[2..]) {
+                let decimals = got.split_once('.').map_or(0, |(_, frac)| frac.len());
+                let half_unit = 0.5 * 10f64.powi(-(decimals as i32));
+                let (g, w): (f64, f64) = (got.parse().unwrap(), want.parse().unwrap());
+                assert!(
+                    (g - w).abs() <= half_unit + 1e-9,
+                    "EXPERIMENTS.md Figure 7: row {}, column {column}: {got} does not round {want}",
+                    row[0]
+                );
+            }
+        }
+
+        // Bolded headline percentages quote the blocks' summary lines.
+        for (heading, title, summary) in [
+            ("## Figure 7 —", "Figure 7:", "mean open-loop gap:"),
+            ("## Figure 8 —", "Figure 8:", "max latency sensitivity:"),
+        ] {
+            let bold: Vec<&str> = md_section(&md, heading)
+                .split("**")
+                .skip(1)
+                .step_by(2)
+                .filter(|b| b.ends_with('%'))
+                .collect();
+            let line = block_text(&results, title)
+                .lines()
+                .find(|l| l.starts_with(summary))
+                .unwrap_or_else(|| panic!("`== {title}` block has no `{summary}` line"));
+            assert!(!bold.is_empty(), "EXPERIMENTS.md {title}: no bolded number");
+            assert_eq!(
+                bold,
+                measured_percents(line),
+                "EXPERIMENTS.md {title} bolded numbers are stale against results_all.txt"
+            );
         }
     }
 }

@@ -197,7 +197,9 @@ pub fn run(config: &CampaignConfig) -> CampaignReport {
             };
             for (si, scenario) in scenarios_for(params).into_iter().enumerate() {
                 let sub_seed = SplitMix64::new(
-                    seed.wrapping_mul(0x0100_0000_01b3) ^ ((pi as u64) << 32) ^ (si as u64),
+                    seed.wrapping_mul(rsc_trace::codec::FNV_PRIME)
+                        ^ ((pi as u64) << 32)
+                        ^ (si as u64),
                 )
                 .next_u64();
                 let trace = scenario.generate(config.events, sub_seed);

@@ -16,13 +16,15 @@
 //! # Format
 //!
 //! The encoding (`RSCK` magic, version byte, then sections) is
-//! hand-rolled: integers are LEB128 varints, floats are their IEEE-754
-//! bit patterns in 8 little-endian bytes, enums are one-byte tags.
-//! Nothing about the layout is exposed; treat [`ControllerCheckpoint`] as
-//! an opaque byte container. Decoding is strict — trailing bytes, unknown
-//! tags, and out-of-range values all fail with a typed
-//! [`CheckpointError`] carrying the byte offset, mirroring the hardened
-//! trace reader.
+//! hand-rolled: integers are [`rsc_trace::codec`] varints, floats are
+//! their IEEE-754 bit patterns in 8 little-endian bytes, enums are
+//! one-byte tags. Nothing about the layout is exposed; treat
+//! [`ControllerCheckpoint`] as an opaque byte container. Decoding is
+//! strict — trailing bytes, unknown tags, out-of-range values, and
+//! varints that overflow `u64` all fail with a typed [`CheckpointError`]
+//! carrying the byte offset, mirroring the hardened trace reader. The
+//! blob carries no checksum of its own; the tenant record that stores it
+//! in the serve daemon adds one.
 //!
 //! # Examples
 //!
@@ -56,6 +58,7 @@ use crate::resilience::breaker::{BreakerConfig, BreakerPhase, StormBreaker};
 use crate::resilience::deployer::{DeployerSpec, FaultMode, FaultScope, FaultSpec, RetryPolicy};
 use crate::resilience::{ResilienceConfig, ResilienceState};
 use crate::translog::{TransitionLog, TransitionLogPolicy};
+use rsc_trace::codec::{self, CodecError};
 use rsc_trace::{BranchId, Direction};
 use std::fmt;
 
@@ -196,8 +199,21 @@ impl From<InvalidParamsError> for CheckpointError {
     }
 }
 
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated(offset) => CheckpointError::Truncated { offset },
+            CodecError::Overflow(offset) => CheckpointError::Corrupt {
+                offset,
+                what: codec::OVERFLOW,
+            },
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Primitives
+// Primitives: the codec's varints and raw bytes, plus this format's tags
+// and bounded length prefixes
 // ---------------------------------------------------------------------------
 
 struct Writer {
@@ -216,17 +232,8 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// LEB128 varint.
-    fn u64(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    fn u64(&mut self, v: u64) {
+        codec::put_varint(&mut self.buf, v);
     }
 
     fn u32(&mut self, v: u32) {
@@ -249,16 +256,6 @@ impl Writer {
             Some(x) => {
                 self.u8(1);
                 self.u64(x);
-            }
-        }
-    }
-
-    fn opt_u32(&mut self, v: Option<u32>) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                self.u32(x);
             }
         }
     }
@@ -286,52 +283,23 @@ impl Writer {
 }
 
 struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    bytes: codec::Reader<'a>,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn truncated(&self) -> CheckpointError {
-        CheckpointError::Truncated { offset: self.pos }
-    }
-
     fn corrupt(&self, what: &'static str) -> CheckpointError {
         CheckpointError::Corrupt {
-            offset: self.pos,
+            offset: self.bytes.pos(),
             what,
         }
     }
 
     fn u8(&mut self) -> Result<u8, CheckpointError> {
-        let b = *self.buf.get(self.pos).ok_or_else(|| self.truncated())?;
-        self.pos += 1;
-        Ok(b)
+        Ok(self.bytes.u8()?)
     }
 
     fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let start = self.pos;
-        let mut v: u64 = 0;
-        for shift in (0..).step_by(7) {
-            if shift >= 64 {
-                self.pos = start;
-                return Err(self.corrupt("varint longer than 64 bits"));
-            }
-            let byte = self.u8()?;
-            let payload = u64::from(byte & 0x7f);
-            if shift == 63 && payload > 1 {
-                self.pos = start;
-                return Err(self.corrupt("varint overflows u64"));
-            }
-            v |= payload << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        unreachable!()
+        Ok(self.bytes.varint()?)
     }
 
     /// A `u64` count the controller keeps as `u32`; larger is corrupt.
@@ -355,21 +323,16 @@ impl<'a> Reader<'a> {
     /// allocation (each element costs at least one byte).
     fn len_prefix(&mut self) -> Result<usize, CheckpointError> {
         let n = self.usize()?;
-        if n > self.buf.len() - self.pos {
+        if n > self.bytes.remaining() {
             return Err(self.corrupt("length prefix exceeds remaining bytes"));
         }
         Ok(n)
     }
 
     fn f64(&mut self) -> Result<f64, CheckpointError> {
-        let end = self.pos.checked_add(8).ok_or_else(|| self.truncated())?;
-        let bytes = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| self.truncated())?;
-        self.pos = end;
+        let bytes = self.bytes.take(8)?;
         Ok(f64::from_bits(u64::from_le_bytes(
-            bytes.try_into().unwrap(),
+            bytes.try_into().expect("took 8 bytes"),
         )))
     }
 
@@ -377,14 +340,6 @@ impl<'a> Reader<'a> {
         match self.u8()? {
             0 => Ok(None),
             1 => Ok(Some(self.u64()?)),
-            _ => Err(self.corrupt("bad option tag")),
-        }
-    }
-
-    fn opt_u32(&mut self) -> Result<Option<u32>, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u32()?)),
             _ => Err(self.corrupt("bad option tag")),
         }
     }
@@ -409,13 +364,7 @@ impl<'a> Reader<'a> {
     /// Length-prefixed raw bytes.
     fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let n = self.len_prefix()?;
-        let end = self.pos + n;
-        let b = self
-            .buf
-            .get(self.pos..end)
-            .ok_or_else(|| self.truncated())?;
-        self.pos = end;
-        Ok(b)
+        Ok(self.bytes.take(n)?)
     }
 }
 
@@ -470,7 +419,7 @@ fn write_params(w: &mut Writer, p: &ControllerParams) {
         }
         Revisit::Never => w.u8(1),
     }
-    w.opt_u32(p.oscillation_limit);
+    w.opt_u64(p.oscillation_limit.map(u64::from));
     w.u64(p.optimization_latency);
 }
 
@@ -506,7 +455,11 @@ fn read_params(r: &mut Reader<'_>) -> Result<ControllerParams, CheckpointError> 
         1 => Revisit::Never,
         _ => return Err(r.corrupt("bad revisit tag")),
     };
-    let oscillation_limit = r.opt_u32()?;
+    let oscillation_limit = r
+        .opt_u64()?
+        .map(u32::try_from)
+        .transpose()
+        .map_err(|_| r.corrupt("value exceeds u32"))?;
     let optimization_latency = r.u64()?;
     Ok(ControllerParams {
         monitor_period,
@@ -1101,20 +1054,17 @@ fn read_controller_body(r: &mut Reader<'_>) -> Result<ReactiveController, Checkp
 /// Validates the magic and version, returning a reader positioned at the
 /// shard-count varint. Every version back to [`MIN_VERSION`] is accepted.
 fn read_header(bytes: &[u8]) -> Result<Reader<'_>, CheckpointError> {
-    if bytes.len() < MAGIC.len() + 1 {
-        return Err(CheckpointError::Truncated {
-            offset: bytes.len(),
-        });
-    }
-    if bytes[..MAGIC.len()] != MAGIC {
+    let mut r = Reader {
+        bytes: codec::Reader::new(bytes),
+    };
+    let header = r.bytes.take(MAGIC.len() + 1)?;
+    if header[..MAGIC.len()] != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let version = bytes[MAGIC.len()];
+    let version = header[MAGIC.len()];
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
-    let mut r = Reader::new(bytes);
-    r.pos = MAGIC.len() + 1;
     Ok(r)
 }
 
@@ -1169,7 +1119,7 @@ impl ReactiveController {
             return Err(r.corrupt("sharded checkpoint: restore it via ShardedController::restore"));
         }
         let ctl = read_controller_body(&mut r)?;
-        if r.pos != bytes.len() {
+        if r.bytes.remaining() != 0 {
             return Err(r.corrupt("trailing bytes after checkpoint"));
         }
         Ok(ctl)
@@ -1223,7 +1173,7 @@ impl crate::shard::ShardedController {
             }
             shards.push(ctl);
         }
-        if r.pos != bytes.len() {
+        if r.bytes.remaining() != 0 {
             return Err(r.corrupt("trailing bytes after checkpoint"));
         }
         let first_params = shards[0].params;
@@ -1364,9 +1314,22 @@ mod tests {
         assert_eq!(err, CheckpointError::BadMagic);
         bytes[0] = b'R';
         bytes[4] = 99;
-        let err =
-            ReactiveController::restore(&ControllerCheckpoint::from_bytes(bytes)).unwrap_err();
+        let err = ReactiveController::restore(&ControllerCheckpoint::from_bytes(bytes.clone()))
+            .unwrap_err();
         assert_eq!(err, CheckpointError::UnsupportedVersion(99));
+        // A shard-count varint (byte 5) that overflows u64 is corrupt at
+        // its first byte, not a count.
+        bytes[4] = VERSION;
+        let overflow = [&bytes[..5], &[0xff; 9], &[0x02], &bytes[6..]].concat();
+        let err =
+            ReactiveController::restore(&ControllerCheckpoint::from_bytes(overflow)).unwrap_err();
+        assert_eq!(
+            err,
+            CheckpointError::Corrupt {
+                offset: 5,
+                what: codec::OVERFLOW
+            }
+        );
     }
 
     #[test]

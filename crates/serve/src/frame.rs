@@ -14,13 +14,17 @@
 //! complete `rsc_trace::io` stream (magic, version, count, checksum),
 //! so the event data is covered by *two* independent checksums and the
 //! server can hand the payload to the hardened trace reader unchanged.
+//! Integers in a body are [`rsc_trace::codec`] varints, and the footer
+//! is the codec's FNV-1a.
 //!
-//! Decoding never panics: every malformed input maps to a typed
-//! [`FrameError`]. A connection closed cleanly *between* frames is
+//! Decoding never panics: every malformed input, a varint that
+//! overflows `u64` included, maps to a typed [`FrameError`]. A
+//! connection closed cleanly *between* frames is
 //! [`FrameError::Eof`], distinct from a mid-frame truncation
 //! ([`FrameError::Truncated`]) — the server treats the first as a
 //! normal goodbye and the second as a torn frame worth counting.
 
+use rsc_trace::codec::{self, fnv1a, put_varint, CodecError, FNV_OFFSET};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on the body length [`read_frame`] accepts (16 MiB).
@@ -30,15 +34,6 @@ pub const MAX_FRAME_LEN: u32 = 16 << 20;
 
 /// Smallest valid body: one kind byte.
 const MIN_FRAME_LEN: u32 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
 
 /// Why a tenant's events were refused. Carried inside [`Frame::Reject`]
 /// so clients always learn *which* defense fired.
@@ -240,61 +235,19 @@ impl From<io::Error> for FrameError {
     }
 }
 
-fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
+/// Maps a codec error met while decoding the body field `what`.
+fn field(what: &'static str) -> impl Fn(CodecError) -> FrameError {
+    move |e| match e {
+        CodecError::Truncated(_) => FrameError::Truncated { what },
+        CodecError::Overflow(_) => FrameError::Corrupt {
+            what: codec::OVERFLOW,
+        },
     }
 }
 
-/// Body-local reader over the already-received frame bytes.
-struct Body<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Body<'a> {
-    fn u8(&mut self, what: &'static str) -> Result<u8, FrameError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or(FrameError::Truncated { what })?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self, what: &'static str) -> Result<u64, FrameError> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8(what)?;
-            if shift >= 64 {
-                return Err(FrameError::Corrupt {
-                    what: "varint too long",
-                });
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn rest(&mut self) -> &'a [u8] {
-        let out = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        out
-    }
-
-    fn rest_utf8(&mut self, what: &'static str) -> Result<String, FrameError> {
-        String::from_utf8(self.rest().to_vec()).map_err(|_| FrameError::Corrupt { what })
-    }
+/// The rest of the body as text.
+fn rest_utf8(b: &mut codec::Reader<'_>, what: &'static str) -> Result<String, FrameError> {
+    String::from_utf8(b.rest().to_vec()).map_err(|_| FrameError::Corrupt { what })
 }
 
 impl Frame {
@@ -304,7 +257,7 @@ impl Frame {
         match self {
             Frame::Events { tenant, payload } => {
                 body.push(0x01);
-                push_varint(&mut body, *tenant);
+                put_varint(&mut body, *tenant);
                 body.extend_from_slice(payload);
             }
             Frame::MetricsRequest { tenants_only } => {
@@ -319,9 +272,9 @@ impl Frame {
                 tenant_events,
             } => {
                 body.push(0x81);
-                push_varint(&mut body, *tenant);
-                push_varint(&mut body, *accepted);
-                push_varint(&mut body, *tenant_events);
+                put_varint(&mut body, *tenant);
+                put_varint(&mut body, *accepted);
+                put_varint(&mut body, *tenant_events);
             }
             Frame::Reject {
                 tenant,
@@ -329,7 +282,7 @@ impl Frame {
                 detail,
             } => {
                 body.push(0x82);
-                push_varint(&mut body, *tenant);
+                put_varint(&mut body, *tenant);
                 body.push(code.tag());
                 body.extend_from_slice(detail.as_bytes());
             }
@@ -345,7 +298,7 @@ impl Frame {
         }
         let mut out = Vec::with_capacity(body.len() + 12);
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        let checksum = fnv1a(&body);
+        let checksum = fnv1a(FNV_OFFSET, &body);
         out.extend_from_slice(&body);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
@@ -359,15 +312,15 @@ impl Frame {
     /// Returns a typed [`FrameError`] for every malformed input; never
     /// panics.
     pub fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
-        let mut b = Body { buf: body, pos: 0 };
-        let kind = b.u8("frame kind")?;
+        let mut b = codec::Reader::new(body);
+        let kind = b.u8().map_err(field("frame kind"))?;
         let frame = match kind {
             0x01 => Frame::Events {
-                tenant: b.varint("tenant id")?,
+                tenant: b.varint().map_err(field("tenant id"))?,
                 payload: b.rest().to_vec(),
             },
             0x02 => {
-                let flag = b.u8("metrics scope")?;
+                let flag = b.u8().map_err(field("metrics scope"))?;
                 if flag > 1 {
                     return Err(FrameError::Corrupt {
                         what: "metrics scope flag",
@@ -380,32 +333,32 @@ impl Frame {
             0x03 => Frame::Drain,
             0x04 => Frame::Ping,
             0x81 => Frame::Ack {
-                tenant: b.varint("ack tenant")?,
-                accepted: b.varint("ack accepted")?,
-                tenant_events: b.varint("ack total")?,
+                tenant: b.varint().map_err(field("ack tenant"))?,
+                accepted: b.varint().map_err(field("ack accepted"))?,
+                tenant_events: b.varint().map_err(field("ack total"))?,
             },
             0x82 => {
-                let tenant = b.varint("reject tenant")?;
-                let tag = b.u8("reject code")?;
+                let tenant = b.varint().map_err(field("reject tenant"))?;
+                let tag = b.u8().map_err(field("reject code"))?;
                 let code = RejectCode::from_tag(tag).ok_or(FrameError::Corrupt {
                     what: "unknown reject code",
                 })?;
                 Frame::Reject {
                     tenant,
                     code,
-                    detail: b.rest_utf8("reject detail not utf-8")?,
+                    detail: rest_utf8(&mut b, "reject detail not utf-8")?,
                 }
             }
             0x83 => Frame::MetricsText {
-                text: b.rest_utf8("metrics text not utf-8")?,
+                text: rest_utf8(&mut b, "metrics text not utf-8")?,
             },
             0x84 => Frame::Pong,
             0x85 => Frame::ServerError {
-                detail: b.rest_utf8("error detail not utf-8")?,
+                detail: rest_utf8(&mut b, "error detail not utf-8")?,
             },
             other => return Err(FrameError::BadKind(other)),
         };
-        if b.pos != body.len() {
+        if b.remaining() != 0 {
             return Err(FrameError::Corrupt {
                 what: "trailing bytes in frame body",
             });
@@ -471,7 +424,7 @@ pub fn read_frame_with_limit<R: Read>(r: &mut R, max_len: u32) -> Result<Frame, 
     let mut footer = [0u8; 8];
     read_exact_or(r, &mut footer, "frame checksum", None)?;
     let stored = u64::from_le_bytes(footer);
-    let computed = fnv1a(&body);
+    let computed = fnv1a(FNV_OFFSET, &body);
     if stored != computed {
         return Err(FrameError::ChecksumMismatch { computed, stored });
     }
@@ -604,6 +557,15 @@ mod tests {
         assert!(matches!(
             Frame::decode_body(&[0x82, 0x01, 0xff]),
             Err(FrameError::Corrupt { .. })
+        ));
+        // A tenant varint that overflows u64 is refused, not read as
+        // u64::MAX (whose canonical encoding is ff x9 01).
+        let overflow = [&[0x01][..], &[0xff; 9], &[0x7f]].concat();
+        assert!(matches!(
+            Frame::decode_body(&overflow),
+            Err(FrameError::Corrupt {
+                what: codec::OVERFLOW
+            })
         ));
     }
 }

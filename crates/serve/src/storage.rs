@@ -4,13 +4,17 @@
 //! Each tenant persists as one file, `tenant-<id>.rsvt`, holding a small
 //! header (the ingest counters that live outside the controller), the
 //! controller checkpoint blob (v4, via
-//! [`rsc_control::ControllerCheckpoint`]), and an FNV-1a checksum footer
-//! over everything before it:
+//! [`rsc_control::ControllerCheckpoint`]), and a checksum footer over
+//! everything before it:
 //!
 //! ```text
 //! magic "RSVT" | version u8 | tenant varint | bytes varint |
-//! rejected varint | blob len varint | blob | fnv64 LE
+//! rejected varint | digest varint | blob len varint | blob | fnv64 LE
 //! ```
+//!
+//! The varints are [`rsc_trace::codec`] varints (one that overflows
+//! `u64` is [`StoreError::Corrupt`]) and the footer is the codec's
+//! FNV-1a.
 //!
 //! Writes follow **write-then-atomic-rename**: the bytes go to
 //! `tenant-<id>.rsvt.tmp` first and are renamed over the final name only
@@ -23,19 +27,12 @@
 
 use crate::chaos::{ChaosConfig, ChaosDie};
 use rsc_control::{CheckpointError, ControllerCheckpoint};
+use rsc_trace::codec::{self, fnv1a, put_varint, CodecError, FNV_OFFSET};
 use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"RSVT";
 const VERSION: u8 = 1;
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-    })
-}
 
 /// A tenant's durable state: the controller checkpoint plus the ingest
 /// counters the checkpoint does not carry.
@@ -122,36 +119,14 @@ impl From<CheckpointError> for StoreError {
     }
 }
 
-fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
+impl From<CodecError> for StoreError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated(offset) => StoreError::Truncated { offset },
+            CodecError::Overflow(_) => StoreError::Corrupt {
+                what: codec::OVERFLOW,
+            },
         }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, StoreError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let byte = *buf
-            .get(*pos)
-            .ok_or(StoreError::Truncated { offset: *pos })?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err(StoreError::Corrupt {
-                what: "varint too long",
-            });
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
     }
 }
 
@@ -161,13 +136,13 @@ pub fn encode_record(rec: &TenantRecord) -> Vec<u8> {
     let mut out = Vec::with_capacity(blob.len() + 32);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
-    push_varint(&mut out, rec.tenant);
-    push_varint(&mut out, rec.bytes_ingested);
-    push_varint(&mut out, rec.rejected_events);
-    push_varint(&mut out, rec.stream_digest);
-    push_varint(&mut out, blob.len() as u64);
+    put_varint(&mut out, rec.tenant);
+    put_varint(&mut out, rec.bytes_ingested);
+    put_varint(&mut out, rec.rejected_events);
+    put_varint(&mut out, rec.stream_digest);
+    put_varint(&mut out, blob.len() as u64);
     out.extend_from_slice(blob);
-    let checksum = fnv1a(&out);
+    let checksum = fnv1a(FNV_OFFSET, &out);
     out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
@@ -180,35 +155,35 @@ pub fn encode_record(rec: &TenantRecord) -> Vec<u8> {
 ///
 /// Returns a typed [`StoreError`] for every malformed input.
 pub fn decode_record(bytes: &[u8]) -> Result<TenantRecord, StoreError> {
-    if bytes.len() < MAGIC.len() + 1 {
-        return Err(StoreError::Truncated {
-            offset: bytes.len(),
-        });
-    }
-    if &bytes[..4] != MAGIC {
+    let header = codec::Reader::new(bytes).take(MAGIC.len() + 1)?;
+    if header[..MAGIC.len()] != MAGIC[..] {
         return Err(StoreError::BadMagic);
     }
-    if bytes[4] != VERSION {
-        return Err(StoreError::BadVersion(bytes[4]));
+    if header[MAGIC.len()] != VERSION {
+        return Err(StoreError::BadVersion(header[MAGIC.len()]));
     }
-    if bytes.len() < MAGIC.len() + 1 + 8 {
+    if bytes.len() < header.len() + 8 {
         return Err(StoreError::Truncated {
             offset: bytes.len(),
         });
     }
-    let body_end = bytes.len() - 8;
-    let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-    let computed = fnv1a(&bytes[..body_end]);
+    let (body, footer) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(footer.try_into().expect("8 bytes"));
+    let computed = fnv1a(FNV_OFFSET, body);
     if stored != computed {
         return Err(StoreError::ChecksumMismatch { computed, stored });
     }
-    let mut pos = 5;
-    let tenant = read_varint(bytes, &mut pos)?;
-    let bytes_ingested = read_varint(bytes, &mut pos)?;
-    let rejected_events = read_varint(bytes, &mut pos)?;
-    let stream_digest = read_varint(bytes, &mut pos)?;
-    let blob_len = read_varint(bytes, &mut pos)? as usize;
-    if blob_len != body_end.saturating_sub(pos) {
+    // Fields are read from the checksummed body only: a varint cannot
+    // run on into the footer.
+    let mut r = codec::Reader::new(body);
+    r.take(header.len())?;
+    let tenant = r.varint()?;
+    let bytes_ingested = r.varint()?;
+    let rejected_events = r.varint()?;
+    let stream_digest = r.varint()?;
+    let blob_len = r.varint()?;
+    let blob = r.rest();
+    if blob_len != blob.len() as u64 {
         return Err(StoreError::Corrupt {
             what: "blob length disagrees with file size",
         });
@@ -218,7 +193,7 @@ pub fn decode_record(bytes: &[u8]) -> Result<TenantRecord, StoreError> {
         bytes_ingested,
         rejected_events,
         stream_digest,
-        checkpoint: ControllerCheckpoint::from_bytes(&bytes[pos..body_end]),
+        checkpoint: ControllerCheckpoint::from_bytes(blob),
     })
 }
 
@@ -440,7 +415,46 @@ mod tests {
             store.load(5),
             Err(StoreError::ChecksumMismatch { .. })
         ));
+        // A tenant varint that overflows u64, under a valid footer, is
+        // corrupt rather than tenant u64::MAX (canonically ff x9 01).
+        let mut bytes = encode_record(&record(u64::MAX));
+        assert_eq!(bytes[5..15], [[0xff; 9].as_slice(), &[0x01]].concat());
+        bytes[14] = 0x7f;
+        let body_end = bytes.len() - 8;
+        let footer = fnv1a(FNV_OFFSET, &bytes[..body_end]).to_le_bytes();
+        bytes[body_end..].copy_from_slice(&footer);
+        assert!(matches!(
+            decode_record(&bytes),
+            Err(StoreError::Corrupt {
+                what: codec::OVERFLOW
+            })
+        ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn header_varints_cannot_run_into_the_footer() {
+        // A record that ends after four header varints, under a valid
+        // footer whose first byte is 0x00: read from the whole file,
+        // that byte would pass for a zero blob length past the body.
+        let (bytes, body_end) = (0u64..)
+            .map(|tenant| {
+                let mut bytes = MAGIC.to_vec();
+                bytes.push(VERSION);
+                for v in [tenant, 1, 2, 3] {
+                    put_varint(&mut bytes, v);
+                }
+                let body_end = bytes.len();
+                let footer = fnv1a(FNV_OFFSET, &bytes);
+                bytes.extend_from_slice(&footer.to_le_bytes());
+                (bytes, body_end)
+            })
+            .find(|(bytes, body_end)| bytes[*body_end] == 0)
+            .expect("some tenant id gives a footer that starts with 0x00");
+        assert!(matches!(
+            decode_record(&bytes),
+            Err(StoreError::Truncated { offset }) if offset == body_end
+        ));
     }
 
     #[test]

@@ -19,6 +19,7 @@ use rsc_control::{
     CheckpointError, ControlStats, ControllerParams, InvalidParamsError, ReactiveController,
     TransitionLogPolicy,
 };
+use rsc_trace::codec::{fnv1a, FNV_OFFSET};
 use rsc_trace::io::{read_trace_with_limit, TraceIoError, MAX_TRACE_EVENTS};
 
 /// Per-tenant admission limits. A zero field means "unlimited".
@@ -71,9 +72,6 @@ pub struct Tenant {
     stream_digest: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 impl Tenant {
     /// Creates a fresh tenant.
     ///
@@ -124,7 +122,7 @@ impl Tenant {
         self.bytes_ingested
     }
 
-    /// Running FNV-1a digest over every accepted payload, in order. Two
+    /// Running [`fnv1a`] digest over every accepted payload, in order. Two
     /// tenants have equal digests iff they accepted byte-identical
     /// payload sequences — the strong form of the restart- and
     /// determinism-identity checks (event counts and byte totals alone
@@ -188,9 +186,7 @@ impl Tenant {
         self.ctl.observe_chunk(&records);
         self.accepted_events += n;
         self.bytes_ingested += bytes;
-        self.stream_digest = payload.iter().fold(self.stream_digest, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
-        });
+        self.stream_digest = fnv1a(self.stream_digest, payload);
         Ok(IngestReport {
             accepted: n,
             tenant_events: self.accepted_events,

@@ -12,14 +12,17 @@
 //! ```
 //!
 //! Instruction counts are strictly increasing in valid traces, so deltas
-//! are small and most events take 2–4 bytes.
+//! are small and most events take 2–4 bytes. Every varint is a
+//! [`codec`] varint: one that overflows `u64` is corrupt,
+//! and so is a stream whose instruction count would.
 //!
-//! The checksum footer is FNV-1a over every preceding byte of the file
-//! (header included), updated record by record as the stream is written,
-//! so any bit flip in the body is caught even when the damaged varints
-//! still decode. Version-1 streams (no footer) remain readable. Decode
-//! errors carry the byte offset at which the stream went bad.
+//! The checksum footer is the codec's FNV-1a over every preceding byte of
+//! the file (header included), so any bit flip in the body is caught even
+//! when the damaged varints still decode. Version-1 streams (no footer)
+//! remain readable. Decode errors carry the byte offset at which the
+//! stream went bad.
 
+use crate::codec::{self, fnv1a, put_varint, FNV_OFFSET};
 use crate::ids::BranchId;
 use crate::record::BranchRecord;
 use std::io::{self, Read, Write};
@@ -29,15 +32,6 @@ const MAGIC: &[u8; 4] = b"RSCT";
 const VERSION: u8 = 2;
 /// Oldest version [`read_trace`] still accepts (pre-checksum streams).
 const MIN_VERSION: u8 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
 
 /// Hard ceiling on the event count [`read_trace`] will accept from an
 /// untrusted length header. Every event costs at least two body bytes, so
@@ -63,8 +57,8 @@ pub enum TraceIoError {
         /// The reader's limit ([`MAX_TRACE_EVENTS`] by default).
         limit: u64,
     },
-    /// The body is structurally malformed: a varint ran past its maximum
-    /// length, a field exceeded its domain, or the stream ended early.
+    /// The body is structurally malformed: a varint overflowed `u64`, a
+    /// field exceeded its domain, or the stream ended early.
     Corrupt {
         /// What was being decoded when the stream went bad.
         what: &'static str,
@@ -122,17 +116,6 @@ impl From<io::Error> for TraceIoError {
     }
 }
 
-fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
-    }
-}
-
 /// Reader wrapper that tracks the byte offset (for error reporting) and
 /// a running FNV-1a hash (for the version-2 footer check) of everything
 /// read through it.
@@ -169,24 +152,18 @@ impl<R: Read> HashingReader<R> {
     }
 
     fn read_varint(&mut self, what: &'static str) -> Result<u64, TraceIoError> {
-        let start = self.offset;
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let mut byte = [0u8; 1];
-            self.fill(&mut byte, what)?;
-            if shift >= 64 {
-                return Err(TraceIoError::Corrupt {
-                    what: "varint too long",
-                    offset: start,
-                });
-            }
-            v |= u64::from(byte[0] & 0x7F) << shift;
-            if byte[0] & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        let offset = self.offset;
+        codec::read_varint(
+            || {
+                let mut byte = [0u8; 1];
+                self.fill(&mut byte, what)?;
+                Ok(byte[0])
+            },
+            || TraceIoError::Corrupt {
+                what: codec::OVERFLOW,
+                offset,
+            },
+        )
     }
 }
 
@@ -219,16 +196,16 @@ pub fn write_trace<W: Write, I: IntoIterator<Item = BranchRecord>>(
     let mut count = 0u64;
     let mut last_instr = 0u64;
     for r in records {
-        write_varint(&mut body, r.branch.index() as u64)?;
+        put_varint(&mut body, r.branch.index() as u64);
         let delta = r.instr.saturating_sub(last_instr);
         last_instr = r.instr;
-        write_varint(&mut body, (delta << 1) | u64::from(r.taken))?;
+        put_varint(&mut body, (delta << 1) | u64::from(r.taken));
         count += 1;
     }
     let mut header = Vec::with_capacity(16);
     header.extend_from_slice(MAGIC);
     header.push(VERSION);
-    write_varint(&mut header, count)?;
+    put_varint(&mut header, count);
     let checksum = fnv1a(fnv1a(FNV_OFFSET, &header), &body);
     w.write_all(&header)?;
     w.write_all(&body)?;
@@ -289,7 +266,12 @@ pub fn read_trace_with_limit<R: Read>(
             });
         }
         let packed = r.read_varint("event payload")?;
-        instr += packed >> 1;
+        instr = instr
+            .checked_add(packed >> 1)
+            .ok_or(TraceIoError::Corrupt {
+                what: "instruction count overflows u64",
+                offset: at,
+            })?;
         records.push(BranchRecord {
             branch: BranchId::new(branch as u32),
             taken: packed & 1 == 1,
@@ -392,7 +374,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(b"RSCT");
         buf.push(VERSION);
-        write_varint(&mut buf, 1u64 << 60).unwrap();
+        put_varint(&mut buf, 1u64 << 60);
         match read_trace(&mut buf.as_slice()) {
             Err(TraceIoError::TooLong { count, limit }) => {
                 assert_eq!(count, 1 << 60);
@@ -448,13 +430,13 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(b"RSCT");
         buf.push(1);
-        write_varint(&mut buf, events.len() as u64).unwrap();
+        put_varint(&mut buf, events.len() as u64);
         let mut last = 0u64;
         for r in events {
-            write_varint(&mut buf, u64::from(r.branch.index() as u32)).unwrap();
+            put_varint(&mut buf, u64::from(r.branch.index() as u32));
             let delta = r.instr - last;
             last = r.instr;
-            write_varint(&mut buf, (delta << 1) | u64::from(r.taken)).unwrap();
+            put_varint(&mut buf, (delta << 1) | u64::from(r.taken));
         }
         buf
     }

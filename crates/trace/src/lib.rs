@@ -28,6 +28,7 @@ pub mod adversary;
 pub mod alias;
 pub mod behavior;
 pub mod branch;
+pub mod codec;
 pub mod group;
 pub mod ids;
 pub mod io;

@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 use rsc_trace::adversary::Scenario;
+use rsc_trace::codec::put_varint;
 use rsc_trace::io::{read_trace, read_trace_with_limit, write_trace, TraceIoError};
 
 /// A syntactically valid version-2 stream to mutate.
@@ -18,6 +19,33 @@ fn valid_trace(events: u64, seed: u64) -> Vec<u8> {
     let mut buf = Vec::new();
     write_trace(&mut buf, records).expect("writing to a Vec cannot fail");
     buf
+}
+
+/// Instruction deltas whose running sum overflows u64 are corrupt at the
+/// event that overflows, in debug and release builds alike (an unchecked
+/// sum panics in one and wraps in the other).
+#[test]
+fn instruction_count_overflow_is_a_typed_error() {
+    let delta = u64::MAX >> 1;
+    let mut buf = b"RSCT\x01".to_vec();
+    put_varint(&mut buf, 3);
+    let mut events = Vec::new();
+    for _ in 0..3 {
+        events.push(buf.len() as u64);
+        put_varint(&mut buf, 0);
+        put_varint(&mut buf, delta << 1);
+    }
+    match read_trace(&mut buf.as_slice()) {
+        Err(TraceIoError::Corrupt { what, offset }) => {
+            assert_eq!(what, "instruction count overflows u64");
+            assert_eq!(offset, events[2]);
+        }
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    // Two such events still fit: 2 * (2^63 - 1) = 2^64 - 2.
+    let two = [&b"RSCT\x01\x02"[..], &buf[6..events[2] as usize]].concat();
+    let records = read_trace(&mut two.as_slice()).expect("two deltas fit");
+    assert_eq!(records[1].instr, u64::MAX - 1);
 }
 
 proptest! {
@@ -85,16 +113,7 @@ proptest! {
         // Hand-build `magic | version | count varint` with no body.
         let mut buf = b"RSCT".to_vec();
         buf.push(2);
-        let mut v = claimed;
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                buf.push(byte);
-                break;
-            }
-            buf.push(byte | 0x80);
-        }
+        put_varint(&mut buf, claimed);
         match read_trace_with_limit(&mut buf.as_slice(), limit) {
             Err(TraceIoError::TooLong { count, limit: l }) => {
                 prop_assert_eq!(count, claimed);
@@ -107,6 +126,13 @@ proptest! {
                 prop_assert!(records.is_empty());
             }
         }
+        // A count varint that overflows u64 is no claim at all: it is
+        // corrupt at its first byte, not an empty version-1 trace.
+        let overflow = [&b"RSCT\x01"[..], &[0x80; 9], &[0x02]].concat();
+        prop_assert!(matches!(
+            read_trace_with_limit(&mut overflow.as_slice(), limit),
+            Err(TraceIoError::Corrupt { offset: 5, .. })
+        ));
     }
 
     /// The reader's event limit is exact on valid streams: everything at
